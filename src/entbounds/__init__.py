@@ -37,7 +37,6 @@ from .linalg import (
 )
 from .measures import (
     Bipartition,
-    MeasureValue,
     cren_crenoa_two_qubit,
     linear_entropy,
     negativity,
@@ -49,8 +48,6 @@ from .measures import (
 )
 from .optimizer import (
     OptimizationResult,
-    greedy_grouping,
-    minimal_admissible_p,
     optimize,
     ordered_set_partitions,
 )
@@ -70,14 +67,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AcinParams", "Bipartition", "BoundParams", "BoundReport", "Grouping",
-    "InfeasibleParamsError", "LemmaCoefficients", "MAX_DIM", "MeasureValue",
+    "InfeasibleParamsError", "LemmaCoefficients", "MAX_DIM",
     "OptimizationResult", "PureState", "SandwichBounds", "StateSpecError",
     "SubsystemShape", "TAU_HERM", "TAU_NUM", "TAU_PSD", "ThetaResult",
     "WClass4Params", "acin_state", "chain_values", "cren_crenoa_two_qubit",
-    "default_labels", "emit_state_spec", "greedy_grouping",
-    "haar_random_pure", "hermitian_eigenvalues", "lemma_rhs",
-    "linear_entropy", "minimal_admissible_p", "monogamy_lower_AB",
-    "multi_partition_polygamy", "negativity", "negativity_bounds_AB",
+    "default_labels", "emit_state_spec", "haar_random_pure",
+    "hermitian_eigenvalues", "lemma_rhs", "linear_entropy",
+    "monogamy_lower_AB", "multi_partition_polygamy", "negativity",
+    "negativity_bounds_AB",
     "optimize", "ordered_set_partitions", "pair_measures_sq",
     "parse_state_spec", "partial_trace", "partial_transpose",
     "polygamy_bound_coa", "polygamy_upper_AB", "psd_sqrt",

@@ -16,14 +16,27 @@ polygamy bound.  The looser literature bounds appear as comparators:
 the p=1 specialization and the coefficient chains (2^x - 1)^(l-1),
 x^(l-1) and 1.
 
+The p = t identity: at p = t the inequality is an equality,
+
+    Omega + Upsilon * t^x
+      = 1 + x*t/(1+t)^2 + ((1+t)^x - 1) - x*t/(1+t)^2 = (1+t)^x,
+
+so theta with p_l = t_l at every level telescopes to
+(sum_j C_a^2(focus|j))^(x) whatever the grouping.  Auto mode therefore
+reports the descending grouping and p = t for inspection but evaluates
+"ours" as the single-group theta; explicit p vectors between t and 1 are
+the family proper.
+
 Convention used throughout: 0^0 := 1 and v^0 := 1, so exponent-zero
 curves are defined.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from functools import reduce
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,11 +52,17 @@ from .measures import (
 )
 from .states import PureState
 
-P_FLOOR = 1e-6        # lower clamp for auto-chosen p (avoids p=0 at t=0)
 _FEAS_SLACK = 1e-12   # numerical slack in admissibility comparisons
 
 COMPARATOR_NAMES = ("p1_specialization", "pow2_chain", "beta_half_chain",
                     "trivial_sum")
+
+# Coefficient c(x) of each literature chain sum_l c^(l-1) v_l^x.
+CHAIN_COEFFICIENTS = {
+    "pow2_chain": lambda x: 2.0 ** x - 1.0,
+    "beta_half_chain": lambda x: x,
+    "trivial_sum": lambda x: 1.0,
+}
 
 
 class InfeasibleParamsError(ValueError):
@@ -92,14 +111,6 @@ class Grouping:
     @property
     def n_partners(self) -> int:
         return sum(len(g) for g in self.groups)
-
-    def sort_key(self):
-        """Deterministic tie-break key: lexicographic groups, then k."""
-        return (self.groups, self.k)
-
-
-def singleton_grouping(m: int) -> Grouping:
-    return Grouping(tuple((i,) for i in range(m)))
 
 
 def full_grouping(m: int) -> Grouping:
@@ -204,23 +215,30 @@ def lemma_rhs(t: float, p: float, x: float) -> LemmaCoefficients:
     return LemmaCoefficients(omega=omega, upsilon=upsilon, t=t, p=p, x=x)
 
 
+def _chain_columns(t, p, x) -> list:
+    """The six chain expressions, elementwise on scalars or arrays."""
+    tx = t ** x
+    omega = 1.0 + x * t / (1.0 + p) ** 2
+    phi = ((1.0 + p) ** x - 1.0) / p ** x
+    upsilon = phi - x * p / ((1.0 + p) ** 2 * p ** x)
+    return [
+        (1.0 + t) ** x,
+        omega + upsilon * tx,
+        1.0 + phi * tx,
+        1.0 + (2.0 ** x - 1.0) * tx,
+        1.0 + x * tx,
+        1.0 + tx,
+    ]
+
+
 def chain_values(t: float, p: float, x: float) -> tuple[float, ...]:
     """The six expressions of the nested inequality chain, in order.
 
     Returns ((1+t)^x, lemma rhs, 1 + Phi t^x, 1 + (2^x - 1) t^x,
     1 + x t^x, 1 + t^x); nondecreasing for every admissible triple.
     """
-    c = lemma_rhs(t, p, x)
-    tx = _xpow(t, x)
-    phi = ((1.0 + p) ** x - 1.0) / p ** x
-    return (
-        (1.0 + t) ** x,
-        c.rhs,
-        1.0 + phi * tx,
-        1.0 + (2.0 ** x - 1.0) * tx,
-        1.0 + x * tx,
-        1.0 + tx,
-    )
+    lemma_rhs(t, p, x)  # domain check
+    return tuple(float(v) for v in _chain_columns(float(t), float(p), float(x)))
 
 
 def lemma_chain_grid(count: int, seed: int, stream: int = 0) -> np.ndarray:
@@ -232,56 +250,34 @@ def lemma_chain_grid(count: int, seed: int, stream: int = 0) -> np.ndarray:
     u = rng.uniforms(3 * count, seed, stream)
     x, p = u[:count], u[count:2 * count]
     t = u[2 * count:] * p
-    tx = t ** x
-    omega = 1.0 + x * t / (1.0 + p) ** 2
-    upsilon = ((1.0 + p) ** x - 1.0) / p ** x - x * p / ((1.0 + p) ** 2 * p ** x)
-    phi = ((1.0 + p) ** x - 1.0) / p ** x
-    cols = [
-        (1.0 + t) ** x,
-        omega + upsilon * tx,
-        1.0 + phi * tx,
-        1.0 + (2.0 ** x - 1.0) * tx,
-        1.0 + x * tx,
-        1.0 + tx,
-    ]
-    return np.column_stack(cols)
+    return np.column_stack(_chain_columns(t, p, x))
 
 
 def _group_heads(group_coa_sq: Sequence[Sequence[float]]) -> list[float]:
+    """Group CoA^2 sums with trailing near-zero groups dropped.
+
+    A trailing zero group contributes zero tail sum, so dropping it is
+    exact; an interior zero would put 0/0 into Omega, so it is rejected
+    and the caller must reorder or merge first.
+    """
     heads = []
     for g in group_coa_sq:
         vals = [float(v) for v in g]
         if any(v < -TAU_NUM for v in vals):
             raise ValueError(f"squared CoA values must be nonnegative: {vals}")
         heads.append(sum(max(v, 0.0) for v in vals))
-    return heads
-
-
-def _trimmed_heads(heads: Sequence[float]) -> list[float]:
-    """Drop trailing near-zero groups; reject interior ones.
-
-    A trailing zero group contributes zero tail sum, so dropping it is
-    exact; an interior zero would put 0/0 into Omega and the caller must
-    reorder or merge first.
-    """
-    trimmed = list(heads)
-    while trimmed and trimmed[-1] < TAU_NUM:
-        trimmed.pop()
-    if any(h < TAU_NUM for h in trimmed):
+    while heads and heads[-1] < TAU_NUM:
+        heads.pop()
+    if any(h < TAU_NUM for h in heads):
         raise ValueError(
             "a group with zero CoA^2 precedes nonzero groups; "
             "reorder or merge groups so zero groups trail")
-    return trimmed
+    return heads
 
 
 def tail_ratios(heads: Sequence[float]) -> list[float]:
     """t_l = (sum of heads after level l) / head_l for each non-final level."""
     return [sum(heads[i + 1:]) / heads[i] for i in range(len(heads) - 1)]
-
-
-def trimmed_group_heads(group_coa_sq: Sequence[Sequence[float]]) -> list[float]:
-    """Group CoA^2 sums with trailing zero groups dropped."""
-    return _trimmed_heads(_group_heads(group_coa_sq))
 
 
 def theta(group_coa_sq: Sequence[Sequence[float]], params: BoundParams,
@@ -294,7 +290,7 @@ def theta(group_coa_sq: Sequence[Sequence[float]], params: BoundParams,
     when some p_l falls below the tail/head ratio at its level.
     """
     x = params.exponent / 2.0
-    heads = _trimmed_heads(_group_heads(group_coa_sq))
+    heads = _group_heads(group_coa_sq)
     if not heads:
         return ThetaResult(value=_xpow(0.0, x), per_level=(), focus=focus)
     k = len(heads)
@@ -322,20 +318,16 @@ def theta(group_coa_sq: Sequence[Sequence[float]], params: BoundParams,
 # state-level plumbing
 
 
-def partner_labels(psi: PureState, focus: str) -> tuple[str, ...]:
-    if focus not in psi.shape.labels:
-        raise ValueError(f"unknown focus label {focus!r}")
-    return tuple(l for l in psi.shape.labels if l != focus)
-
-
 def pair_measures_sq(psi: PureState, focus: str) -> tuple[np.ndarray, np.ndarray]:
     """Squared pair concurrence and CoA of the focus with each partner.
 
-    Returns (c_sq, ca_sq) aligned with ``partner_labels``; one spin-flip
-    spectrum per pair serves both.
+    Returns (c_sq, ca_sq) over the other labels in shape order; one
+    spin-flip spectrum per pair serves both.
     """
+    if focus not in psi.shape.labels:
+        raise ValueError(f"unknown focus label {focus!r}")
     c_sq, ca_sq = [], []
-    for q in partner_labels(psi, focus):
+    for q in (l for l in psi.shape.labels if l != focus):
         rho = reduced_density(psi, [focus, q])
         c, ca = cren_crenoa_two_qubit(rho)
         c_sq.append(c * c)
@@ -343,122 +335,119 @@ def pair_measures_sq(psi: PureState, focus: str) -> tuple[np.ndarray, np.ndarray
     return np.array(c_sq), np.array(ca_sq)
 
 
-def _descending_grouping(values: np.ndarray) -> Grouping:
-    order = np.argsort(-values, kind="stable")
-    return Grouping(tuple((int(i),) for i in order))
-
-
 def _grouped(values: np.ndarray, grouping: Grouping) -> list[list[float]]:
     return [[float(values[i]) for i in g] for g in grouping.groups]
-
-
-@dataclass(frozen=True)
-class FocusData:
-    """Per-focus ingredients of a bound evaluation."""
-
-    theta: ThetaResult
-    grouping: Grouping
-    params: BoundParams
-    fallback: bool
-    c_sq: np.ndarray
-    ca_sq: np.ndarray
-    p1: float
-
-    @property
-    def radicand(self) -> float:
-        return float(self.c_sq.sum())
-
-
-def _resolve_focus_theta(psi: PureState, focus: str, exponent: float,
-                         grouping: Grouping | None, p_spec) -> FocusData:
-    """Resolve grouping and parameters, evaluate theta for one focus.
-
-    ``p_spec`` is "auto" (p = tail/head ratio, the tightest choice),
-    "one" (the p=1 literature specialization) or an explicit sequence.
-    For "auto"/"one" an infeasible grouping (some t_l > 1) falls back to
-    the always-valid single-group bound and is flagged; an explicit
-    infeasible vector raises InfeasibleParamsError.
-    """
-    c_sq, ca_sq = pair_measures_sq(psi, focus)
-    if grouping is None:
-        grouping = _descending_grouping(ca_sq)
-    elif grouping.n_partners != ca_sq.size:
-        raise ValueError(f"grouping covers {grouping.n_partners} partners, "
-                         f"focus {focus!r} has {ca_sq.size}")
-    groups = _grouped(ca_sq, grouping)
-    heads = _trimmed_heads(_group_heads(groups))
-    ts = tail_ratios(heads)
-    k = len(heads)
-    fallback = False
-
-    if isinstance(p_spec, str):
-        if p_spec not in ("auto", "one"):
-            raise ValueError(f"p mode must be 'auto' or 'one', got {p_spec!r}")
-        if any(t > 1.0 + _FEAS_SLACK for t in ts):
-            grouping = full_grouping(grouping.n_partners)
-            groups = _grouped(ca_sq, grouping)
-            params = BoundParams(exponent=exponent)
-            ts = []
-            fallback = True
-        elif p_spec == "auto":
-            params = BoundParams(
-                exponent=exponent,
-                p=tuple(min(1.0, max(t, P_FLOOR)) for t in ts),
-                feasible=(True,) * len(ts))
-        else:
-            params = BoundParams(exponent=exponent, p=(1.0,) * len(ts),
-                                 feasible=(True,) * len(ts))
-    else:
-        pvec = tuple(float(v) for v in p_spec)
-        if len(pvec) < k - 1:
-            raise ValueError(f"grouping needs {k - 1} parameters, "
-                             f"got {len(pvec)}")
-        pvec = pvec[:max(k - 1, 0)]
-        params = BoundParams(
-            exponent=exponent, p=pvec,
-            feasible=tuple(t <= pv + _FEAS_SLACK for t, pv in zip(ts, pvec)))
-
-    result = theta(groups, params, focus)
-    p1_params = BoundParams(exponent=exponent, p=(1.0,) * len(ts),
-                            feasible=(True,) * len(ts))
-    p1_value = theta(groups, p1_params, focus).value
-    return FocusData(theta=result, grouping=grouping, params=params,
-                     fallback=fallback, c_sq=c_sq, ca_sq=ca_sq, p1=p1_value)
 
 
 def chain_bound(values_sq, exponent: float, kind: str) -> float:
     """Literature chain bound sum_l c^(l-1) (v_l)^(exponent/2) over the
     descending singleton ordering; c is 2^(x)-1, x, or 1."""
     x = exponent / 2.0
-    vals = sorted((max(float(v), 0.0) for v in values_sq), reverse=True)
-    if kind == "pow2_chain":
-        c = 2.0 ** x - 1.0
-    elif kind == "beta_half_chain":
-        c = x
-    elif kind == "trivial_sum":
-        c = 1.0
-    else:
+    if kind not in CHAIN_COEFFICIENTS:
         raise ValueError(f"unknown chain kind {kind!r}")
+    c = CHAIN_COEFFICIENTS[kind](x)
     total = 0.0
     weight = 1.0
-    for v in vals:
+    for v in sorted((max(float(v), 0.0) for v in values_sq), reverse=True):
         total += weight * _xpow(v, x)
         weight *= c
     return total
 
 
-def _spec_for(p_spec, focus: str):
-    if isinstance(p_spec, Mapping):
-        return p_spec.get(focus, "auto")
-    return p_spec
+class _FocusBound(NamedTuple):
+    """Values keyed "ours" plus COMPARATOR_NAMES, and how "ours" was made."""
+
+    values: dict[str, float]
+    grouping: Grouping
+    params: BoundParams
+    fallback: bool
+    radicand: float
 
 
-def _grouping_for(groupings, focus: str):
-    if groupings is None:
-        return None
-    if isinstance(groupings, Mapping):
-        return groupings.get(focus)
-    return groupings
+def _focus_bound(psi: PureState, focus: str, exponent: float, groupings,
+                 p) -> _FocusBound:
+    """Resolve grouping and parameters and evaluate every bound for one focus.
+
+    ``groupings`` and ``p`` hold one value for every focus or a mapping by
+    focus (default: descending singletons, auto p).  p is "auto" (p =
+    tail/head ratio, the tightest choice), "one" (the p=1 literature
+    specialization) or an explicit sequence.  For "auto"/"one" an
+    infeasible grouping (some t_l > 1) falls back to the always-valid
+    single-group bound and is flagged; an explicit infeasible vector
+    raises InfeasibleParamsError.
+    """
+    grouping = (groupings.get(focus) if isinstance(groupings, Mapping)
+                else groupings)
+    p_spec = p.get(focus, "auto") if isinstance(p, Mapping) else p
+    c_sq, ca_sq = pair_measures_sq(psi, focus)
+    if grouping is None:
+        order = np.argsort(-ca_sq, kind="stable")
+        grouping = Grouping(tuple((int(i),) for i in order))
+    elif grouping.n_partners != ca_sq.size:
+        raise ValueError(f"grouping covers {grouping.n_partners} partners, "
+                         f"focus {focus!r} has {ca_sq.size}")
+    groups = _grouped(ca_sq, grouping)
+    ts = tail_ratios(_group_heads(groups))
+    fallback = auto = False
+    if isinstance(p_spec, str):
+        if p_spec not in ("auto", "one"):
+            raise ValueError(f"p mode must be 'auto' or 'one', got {p_spec!r}")
+        auto = p_spec == "auto"
+        if any(t > 1.0 + _FEAS_SLACK for t in ts):
+            grouping, fallback = full_grouping(ca_sq.size), True
+            groups, ts = _grouped(ca_sq, grouping), []
+        p = [min(t, 1.0) if auto else 1.0 for t in ts]
+    else:
+        p = [float(v) for v in p_spec]
+        if len(p) < len(ts):
+            raise ValueError(f"grouping needs {len(ts)} parameters, "
+                             f"got {len(p)}")
+        p = p[:len(ts)]
+    params = BoundParams(exponent=exponent, p=p, feasible=tuple(
+        t <= pv + _FEAS_SLACK for t, pv in zip(ts, p)))
+    ones = BoundParams(exponent=exponent, p=(1.0,) * len(ts),
+                       feasible=(True,) * len(ts))
+    if auto:  # theta at p = t equals the single-group value (module doc)
+        ours = theta([ca_sq], BoundParams(exponent=exponent), focus).value
+        p1 = theta(groups, ones, focus).value
+    else:
+        ours = theta(groups, params, focus).value
+        p1 = ours if params == ones else theta(groups, ones, focus).value
+    values = {"ours": ours, "p1_specialization": p1}
+    for kind in CHAIN_COEFFICIENTS:
+        values[kind] = chain_bound(ca_sq, exponent, kind)
+    return _FocusBound(values, grouping, params, fallback, float(c_sq.sum()))
+
+
+def _foci_bounds(psi: PureState, foci, exponent: float, groupings,
+                 p) -> dict[str, _FocusBound]:
+    return {f: _focus_bound(psi, f, exponent, groupings, p) for f in foci}
+
+
+def _report(lhs: float, side: str, combine,
+            data: Mapping[str, _FocusBound]) -> BoundReport:
+    """Apply ``combine`` (per-focus values in focus order -> bound) to ours
+    and to every comparator alike."""
+    ours, *cmp = (combine([d.values[key] for d in data.values()])
+                  for key in ("ours",) + COMPARATOR_NAMES)
+    return BoundReport(
+        lhs=lhs, ours=ours, side=side,
+        comparators=dict(zip(COMPARATOR_NAMES, cmp)),
+        gap=ours - lhs if side == "upper" else lhs - ours,
+        exponent=next(iter(data.values())).params.exponent,
+        groupings={f: d.grouping for f, d in data.items()},
+        params={f: d.params for f, d in data.items()},
+        fallback={f: d.fallback for f, d in data.items()})
+
+
+def _total(values) -> float:
+    """Left-to-right sum (the upper-bound combiner)."""
+    return reduce(operator.add, values)
+
+
+def _two_arm_max(rad_a: float, rad_b: float):
+    """Lower-bound combiner: max(rad_a - b, rad_b - a); both arms are valid."""
+    return lambda v: max(rad_a - v[1], rad_b - v[0])
 
 
 def _check_exponent(exponent: float) -> float:
@@ -466,6 +455,12 @@ def _check_exponent(exponent: float) -> float:
     if not 0.0 <= exponent <= 2.0:
         raise ValueError(f"exponent must be in [0, 2], got {exponent}")
     return exponent
+
+
+def _ab_foci(psi: PureState) -> tuple[str, ...]:
+    if len(psi.shape.labels) < 4:
+        raise ValueError("AB-cut bounds need at least 4 subsystems")
+    return psi.shape.labels[:2]
 
 
 def polygamy_bound_coa(psi: PureState, focus: str, exponent: float,
@@ -476,35 +471,7 @@ def polygamy_bound_coa(psi: PureState, focus: str, exponent: float,
     Comparators: the p=1 specialization of the same grouping and the
     generic chains over descending singleton groups.
     """
-    exponent = _check_exponent(exponent)
-    fd = _resolve_focus_theta(psi, focus, exponent, grouping, p)
-    lhs = _xpow(pure_concurrence(psi, Bipartition.of(psi.shape, [focus])),
-                exponent)
-    comparators = {"p1_specialization": fd.p1}
-    for kind in ("pow2_chain", "beta_half_chain", "trivial_sum"):
-        comparators[kind] = chain_bound(fd.ca_sq, exponent, kind)
-    return BoundReport(
-        lhs=lhs, ours=fd.theta.value, side="upper", comparators=comparators,
-        gap=fd.theta.value - lhs, exponent=exponent,
-        groupings={focus: fd.grouping}, params={focus: fd.params},
-        fallback={focus: fd.fallback})
-
-
-def _two_focus_data(psi: PureState, exponent: float, groupings, p):
-    labels = psi.shape.labels
-    if len(labels) < 4:
-        raise ValueError("AB-cut bounds need at least 4 subsystems")
-    fa, fb = labels[0], labels[1]
-    data = {f: _resolve_focus_theta(psi, f, exponent,
-                                    _grouping_for(groupings, f),
-                                    _spec_for(p, f))
-            for f in (fa, fb)}
-    return fa, fb, data
-
-
-def _lower_comparator(rad_a, rad_b, bound_a, bound_b, x):
-    """max of the two one-sided expressions (both always valid)."""
-    return max(_xpow(rad_a, x) - bound_b, _xpow(rad_b, x) - bound_a)
+    return multi_partition_polygamy(psi, [focus], exponent, grouping, p)
 
 
 def monogamy_lower_AB(psi: PureState, exponent: float,
@@ -515,45 +482,17 @@ def monogamy_lower_AB(psi: PureState, exponent: float,
     The radicands use pair concurrence, the subtracted theta uses CoA.
     """
     exponent = _check_exponent(exponent)
-    x = exponent / 2.0
-    fa, fb, d = _two_focus_data(psi, exponent, groupings, p)
-    ours = _lower_comparator(d[fa].radicand, d[fb].radicand,
-                             d[fa].theta.value, d[fb].theta.value, x)
-    lhs = _xpow(pure_concurrence(psi, Bipartition.of(psi.shape, [fa, fb])),
+    d = _foci_bounds(psi, _ab_foci(psi), exponent, groupings, p)
+    lhs = _xpow(pure_concurrence(psi, Bipartition.of(psi.shape, list(d))),
                 exponent)
-    comparators = {"p1_specialization": _lower_comparator(
-        d[fa].radicand, d[fb].radicand, d[fa].p1, d[fb].p1, x)}
-    for kind in ("pow2_chain", "beta_half_chain", "trivial_sum"):
-        comparators[kind] = _lower_comparator(
-            d[fa].radicand, d[fb].radicand,
-            chain_bound(d[fa].ca_sq, exponent, kind),
-            chain_bound(d[fb].ca_sq, exponent, kind), x)
-    return BoundReport(
-        lhs=lhs, ours=ours, side="lower", comparators=comparators,
-        gap=lhs - ours, exponent=exponent,
-        groupings={f: d[f].grouping for f in (fa, fb)},
-        params={f: d[f].params for f in (fa, fb)},
-        fallback={f: d[f].fallback for f in (fa, fb)})
+    rad_a, rad_b = (_xpow(f.radicand, exponent / 2.0) for f in d.values())
+    return _report(lhs, "lower", _two_arm_max(rad_a, rad_b), d)
 
 
 def polygamy_upper_AB(psi: PureState, exponent: float,
                       groupings=None, p="auto") -> BoundReport:
     """Upper bound C^alpha(AB|rest) <= theta_A + theta_B."""
-    exponent = _check_exponent(exponent)
-    fa, fb, d = _two_focus_data(psi, exponent, groupings, p)
-    ours = d[fa].theta.value + d[fb].theta.value
-    lhs = _xpow(pure_concurrence(psi, Bipartition.of(psi.shape, [fa, fb])),
-                exponent)
-    comparators = {"p1_specialization": d[fa].p1 + d[fb].p1}
-    for kind in ("pow2_chain", "beta_half_chain", "trivial_sum"):
-        comparators[kind] = (chain_bound(d[fa].ca_sq, exponent, kind)
-                             + chain_bound(d[fb].ca_sq, exponent, kind))
-    return BoundReport(
-        lhs=lhs, ours=ours, side="upper", comparators=comparators,
-        gap=ours - lhs, exponent=exponent,
-        groupings={f: d[f].grouping for f in (fa, fb)},
-        params={f: d[f].params for f in (fa, fb)},
-        fallback={f: d[f].fallback for f in (fa, fb)})
+    return multi_partition_polygamy(psi, _ab_foci(psi), exponent, groupings, p)
 
 
 def negativity_bounds_AB(psi: PureState, exponent: float,
@@ -568,37 +507,15 @@ def negativity_bounds_AB(psi: PureState, exponent: float,
     if any(dim != 2 for dim in psi.shape.dims):
         raise ValueError("negativity bounds are implemented for qubits only")
     x = exponent / 2.0
-    fa, fb, d = _two_focus_data(psi, exponent, groupings, p)
-    cut = Bipartition.of(psi.shape, [fa, fb])
-    lhs = _xpow(negativity(psi.density(), psi.shape, [fa, fb]), exponent)
-    r = schmidt_rank(psi, cut)
+    foci = _ab_foci(psi)
+    d = _foci_bounds(psi, foci, exponent, groupings, p)
+    lhs = _xpow(negativity(psi.density(), psi.shape, list(foci)), exponent)
+    r = schmidt_rank(psi, Bipartition.of(psi.shape, foci))
     factor = _xpow(r * (r - 1) / 2.0, x)
-
-    lower_ours = _lower_comparator(d[fa].radicand, d[fb].radicand,
-                                   d[fa].theta.value, d[fb].theta.value, x)
-    upper_ours = factor * (d[fa].theta.value + d[fb].theta.value)
-    lower_cmp = {"p1_specialization": _lower_comparator(
-        d[fa].radicand, d[fb].radicand, d[fa].p1, d[fb].p1, x)}
-    upper_cmp = {"p1_specialization": factor * (d[fa].p1 + d[fb].p1)}
-    for kind in ("pow2_chain", "beta_half_chain", "trivial_sum"):
-        ca = chain_bound(d[fa].ca_sq, exponent, kind)
-        cb = chain_bound(d[fb].ca_sq, exponent, kind)
-        lower_cmp[kind] = _lower_comparator(
-            d[fa].radicand, d[fb].radicand, ca, cb, x)
-        upper_cmp[kind] = factor * (ca + cb)
-
-    groupings_used = {f: d[f].grouping for f in (fa, fb)}
-    params_used = {f: d[f].params for f in (fa, fb)}
-    fallback = {f: d[f].fallback for f in (fa, fb)}
+    rad_a, rad_b = (_xpow(f.radicand, x) for f in d.values())
     return SandwichBounds(
-        lower=BoundReport(lhs=lhs, ours=lower_ours, side="lower",
-                          comparators=lower_cmp, gap=lhs - lower_ours,
-                          exponent=exponent, groupings=groupings_used,
-                          params=params_used, fallback=fallback),
-        upper=BoundReport(lhs=lhs, ours=upper_ours, side="upper",
-                          comparators=upper_cmp, gap=upper_ours - lhs,
-                          exponent=exponent, groupings=groupings_used,
-                          params=params_used, fallback=fallback))
+        lower=_report(lhs, "lower", _two_arm_max(rad_a, rad_b), d),
+        upper=_report(lhs, "upper", lambda v: factor * _total(v), d))
 
 
 def tripartite_bounds(psi: PureState, exponent: float,
@@ -614,71 +531,29 @@ def tripartite_bounds(psi: PureState, exponent: float,
     labels = psi.shape.labels
     if len(labels) < 5:
         raise ValueError("tripartite bounds need at least 5 subsystems")
-    x = exponent / 2.0
-    foci = labels[:3]
-    d = {f: _resolve_focus_theta(psi, f, exponent,
-                                 _grouping_for(groupings, f), _spec_for(p, f))
-         for f in foci}
-    fa, fb, fc = foci
-    lhs = _xpow(pure_concurrence(psi, Bipartition.of(psi.shape, list(foci))),
+    d = _foci_bounds(psi, labels[:3], exponent, groupings, p)
+    lhs = _xpow(pure_concurrence(psi, Bipartition.of(psi.shape, list(d))),
                 exponent)
+    rad_a, rad_b, rad_c = (_xpow(f.radicand, exponent / 2.0)
+                           for f in d.values())
+    ab_arm = _two_arm_max(rad_a, rad_b)
 
-    def lower_of(bound):
-        ab_arm = _lower_comparator(d[fa].radicand, d[fb].radicand,
-                                   bound[fa], bound[fb], x)
-        return max(ab_arm - bound[fc],
-                   _xpow(d[fc].radicand, x) - bound[fa] - bound[fb])
+    def lower(v):
+        return max(ab_arm(v) - v[2], rad_c - v[0] - v[1])
 
-    def upper_of(bound):
-        return bound[fa] + bound[fb] + bound[fc]
-
-    ours = {f: d[f].theta.value for f in foci}
-    p1s = {f: d[f].p1 for f in foci}
-    lower_cmp = {"p1_specialization": lower_of(p1s)}
-    upper_cmp = {"p1_specialization": upper_of(p1s)}
-    for kind in ("pow2_chain", "beta_half_chain", "trivial_sum"):
-        ch = {f: chain_bound(d[f].ca_sq, exponent, kind) for f in foci}
-        lower_cmp[kind] = lower_of(ch)
-        upper_cmp[kind] = upper_of(ch)
-
-    groupings_used = {f: d[f].grouping for f in foci}
-    params_used = {f: d[f].params for f in foci}
-    fallback = {f: d[f].fallback for f in foci}
-    return SandwichBounds(
-        lower=BoundReport(lhs=lhs, ours=lower_of(ours), side="lower",
-                          comparators=lower_cmp, gap=lhs - lower_of(ours),
-                          exponent=exponent, groupings=groupings_used,
-                          params=params_used, fallback=fallback),
-        upper=BoundReport(lhs=lhs, ours=upper_of(ours), side="upper",
-                          comparators=upper_cmp, gap=upper_of(ours) - lhs,
-                          exponent=exponent, groupings=groupings_used,
-                          params=params_used, fallback=fallback))
+    return SandwichBounds(lower=_report(lhs, "lower", lower, d),
+                          upper=_report(lhs, "upper", _total, d))
 
 
 def multi_partition_polygamy(psi: PureState, left, exponent: float,
                              groupings=None, p="auto") -> BoundReport:
     """Upper bound C^alpha(left|rest) <= sum over left foci of theta.
 
-    Reduces to the single-focus polygamy bound for |left| = 1 and to the
-    AB upper bound for left = first two labels.
+    The single-focus polygamy bound is the case |left| = 1 and the AB
+    upper bound the case left = first two labels.
     """
     exponent = _check_exponent(exponent)
     cut = Bipartition.of(psi.shape, left)
     lhs = _xpow(pure_concurrence(psi, cut), exponent)
-    ours = 0.0
-    comparators = dict.fromkeys(COMPARATOR_NAMES, 0.0)
-    groupings_used, params_used, fallback = {}, {}, {}
-    for f in cut.left:
-        fd = _resolve_focus_theta(psi, f, exponent,
-                                  _grouping_for(groupings, f), _spec_for(p, f))
-        ours += fd.theta.value
-        comparators["p1_specialization"] += fd.p1
-        for kind in ("pow2_chain", "beta_half_chain", "trivial_sum"):
-            comparators[kind] += chain_bound(fd.ca_sq, exponent, kind)
-        groupings_used[f] = fd.grouping
-        params_used[f] = fd.params
-        fallback[f] = fd.fallback
-    return BoundReport(
-        lhs=lhs, ours=ours, side="upper", comparators=comparators,
-        gap=ours - lhs, exponent=exponent, groupings=groupings_used,
-        params=params_used, fallback=fallback)
+    return _report(lhs, "upper", _total,
+                   _foci_bounds(psi, cut.left, exponent, groupings, p))

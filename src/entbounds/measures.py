@@ -29,8 +29,6 @@ _SPIN_FLIP = np.kron(np.array([[0.0, -1.0], [1.0, 0.0]]),
 
 SCHMIDT_TOL = 1e-10
 
-_MEASURE_KINDS = frozenset({"C", "C_a", "N", "N_c", "N_a", "T", "r"})
-
 
 @dataclass(frozen=True)
 class Bipartition:
@@ -90,22 +88,6 @@ class Bipartition:
                              f"{shape.labels}")
         bip = cls(tuple(left), tuple(right))
         return bip
-
-
-@dataclass(frozen=True)
-class MeasureValue:
-    """A labeled nonnegative measure value."""
-
-    kind: str
-    value: float
-
-    def __post_init__(self):
-        if self.kind not in _MEASURE_KINDS:
-            raise ValueError(f"unknown measure kind {self.kind!r}")
-        if self.value < 0:
-            raise ValueError("measure values are nonnegative")
-        if self.kind == "r" and (self.value < 1 or self.value != int(self.value)):
-            raise ValueError("Schmidt rank must be a positive integer")
 
 
 def _check_density(rho, name: str = "rho") -> np.ndarray:

@@ -1,34 +1,21 @@
-"""Search over parameters, group orderings and groupings for the tightest
-grouped bound.
+"""The tightest member of the grouped bound family, in closed form.
 
-The parameter search is analytic: the key inequality tightens
-monotonically as p decreases toward the tail/head ratio t, so p = t
-(floored away from zero) is optimal per level and only the grouping needs
-enumeration.
+p_l = t_l (the tail/head ratio) is the tightest admissible parameter at
+every level, and there the key inequality is an equality (``bounds``
+module docstring).  theta at p = t telescopes to the single-group value
+(sum_j C_a^2(focus|j))^(beta/2) for every admissible grouping, so no
+search over groupings or parameters is needed.  ``ordered_set_partitions``
+enumerates the groupings, for checking that identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterator, Sequence
+from typing import Iterator
 
-import numpy as np
-
-from .bounds import (
-    _FEAS_SLACK,
-    P_FLOOR,
-    BoundParams,
-    Grouping,
-    full_grouping,
-    pair_measures_sq,
-    tail_ratios,
-    theta,
-    trimmed_group_heads,
-)
+from .bounds import BoundParams, Grouping, full_grouping, pair_measures_sq, theta
 from .states import PureState
-
-MAX_EXHAUSTIVE_PARTNERS = 5
 
 
 @dataclass(frozen=True)
@@ -36,22 +23,7 @@ class OptimizationResult:
     best_params: BoundParams
     best_grouping: Grouping
     best_value: float
-    evaluations: int
-    strategy: str
-
-
-def minimal_admissible_p(group_coa_sq: Sequence[Sequence[float]],
-                         exponent: float) -> BoundParams:
-    """Tightest admissible parameters for a grouping: p_l = clamp(t_l).
-
-    Levels with t_l > 1 admit no parameter in (0, 1]; they get p_l = 1
-    and a False feasibility flag rather than an error.
-    """
-    heads = trimmed_group_heads(group_coa_sq)
-    ts = tail_ratios(heads)
-    p = tuple(min(1.0, max(t, P_FLOOR)) for t in ts)
-    feasible = tuple(t <= 1.0 + _FEAS_SLACK for t in ts)
-    return BoundParams(exponent=exponent, p=p, feasible=feasible)
+    evaluations: int   # theta evaluations behind best_value
 
 
 def _set_partitions(items: list[int]) -> Iterator[list[list[int]]]:
@@ -73,64 +45,14 @@ def ordered_set_partitions(n: int) -> Iterator[Grouping]:
             yield Grouping(tuple(blocks[i] for i in order))
 
 
-def greedy_grouping(values: Sequence[float]) -> Grouping:
-    """Descending singletons, merging tail groups until admissible."""
-    values = np.asarray(values, dtype=float)
-    order = np.argsort(-values, kind="stable")
-    groups = [(int(i),) for i in order]
-    while len(groups) > 1:
-        heads = trimmed_group_heads(
-            [[float(values[i]) for i in g] for g in groups])
-        if all(t <= 1.0 + _FEAS_SLACK for t in tail_ratios(heads)):
-            break
-        tail = groups.pop()
-        groups[-1] = groups[-1] + tail
-    return Grouping(tuple(groups))
-
-
-def optimize(psi: PureState, focus: str, exponent: float,
-             strategy: str = "exhaustive") -> OptimizationResult:
-    """Minimize the grouped bound over groupings at per-level-optimal p.
-
-    Exhaustive strategy enumerates every ordered set partition of the
-    partner indices (guarded at 5 partners); greedy only tries the merged
-    descending ordering plus the single-group fallback.  Ties break to the
-    lexicographically smallest grouping, then the smallest group count,
-    so results are reproducible.
-    """
+def optimize(psi: PureState, focus: str, exponent: float) -> OptimizationResult:
+    """Tightest grouped bound for one focus: the single-group theta, which
+    equals theta at p = t on every admissible grouping."""
     if not 0.0 <= exponent <= 2.0:
         raise ValueError(f"exponent must be in [0, 2], got {exponent}")
-    if strategy not in ("exhaustive", "greedy"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     _, ca_sq = pair_measures_sq(psi, focus)
-    m = ca_sq.size
-    if strategy == "exhaustive":
-        if m > MAX_EXHAUSTIVE_PARTNERS:
-            raise ValueError(
-                f"exhaustive search is limited to {MAX_EXHAUSTIVE_PARTNERS} "
-                f"partners, focus {focus!r} has {m}")
-        candidates: Iterator[Grouping] = ordered_set_partitions(m)
-    else:
-        cands = [greedy_grouping(ca_sq), full_grouping(m)]
-        candidates = iter(dict.fromkeys(cands))  # dedupe, keep order
-
-    best = None
-    evaluations = 0
-    for grouping in candidates:
-        groups = [[float(ca_sq[i]) for i in g] for g in grouping.groups]
-        params = minimal_admissible_p(groups, exponent)
-        if not params.all_feasible:
-            continue
-        try:
-            result = theta(groups, params, focus)
-        except ValueError:
-            continue  # zero group ahead of nonzero ones
-        evaluations += 1
-        key = (result.value, grouping.sort_key())
-        if best is None or key < best[0]:
-            best = (key, grouping, params)
-    assert best is not None  # the single-group candidate is always feasible
-    (value, _), grouping, params = best
-    return OptimizationResult(best_params=params, best_grouping=grouping,
-                              best_value=value, evaluations=evaluations,
-                              strategy=strategy)
+    params = BoundParams(exponent=exponent)
+    value = theta([ca_sq], params, focus).value
+    return OptimizationResult(best_params=params,
+                              best_grouping=full_grouping(ca_sq.size),
+                              best_value=value, evaluations=1)

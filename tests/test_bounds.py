@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entbounds import bounds
 from entbounds.bounds import (
     BoundParams,
     Grouping,
@@ -177,6 +178,26 @@ class TestPolygamyBoundCoa:
         with pytest.raises(InfeasibleParamsError) as exc:
             polygamy_bound_coa(example1_state, "A", 1.0, p=(0.3,))
         assert abs(exc.value.min_p - 0.5) < 1e-12
+
+
+class TestAutoThreshold:
+    """Tail ratios at and just above the p <= 1 threshold stay admissible:
+    auto mode clamps p to 1 instead of falling back or raising."""
+
+    @pytest.mark.parametrize("excess", [0.0, 2e-13, 1e-12])
+    def test_tail_ratio_at_one(self, monkeypatch, example2_state, excess):
+        # descending CoA^2 (1/2, 1/4 (1 + 2 excess), 1/4): t_1 = 1 + excess
+        ca_sq = np.array([0.5, 0.25 * (1 + 2 * excess), 0.25])
+        monkeypatch.setattr(bounds, "pair_measures_sq",
+                            lambda psi, focus: (ca_sq, ca_sq))
+        t_1 = (ca_sq[1] + ca_sq[2]) / ca_sq[0]
+        assert 1.0 + excess - 1e-15 <= t_1 <= 1.0 + 1e-12
+        for expo in (0.0, 1.0, 2.0):
+            rep = polygamy_bound_coa(example2_state, "A", expo)
+            assert not rep.fallback["A"]
+            assert rep.params["A"].p[0] == 1.0
+            assert abs(rep.params["A"].p[1] - ca_sq[2] / ca_sq[1]) < 1e-15
+            assert abs(rep.ours - ca_sq.sum() ** (expo / 2)) < 1e-15
 
 
 class TestABCutBounds:

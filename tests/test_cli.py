@@ -171,6 +171,56 @@ class TestRunBounds:
             run_bounds(example1_spec_file, "A|BQ", 1.0, "auto")
 
 
+# run_bounds text lines (after the state-path line) at exponent 1, p auto.
+GOLDEN_AUTO_LINES = {
+    "A|BC": [  # the figure-1 state; descending singletons are admissible
+        "cut: A|BC   exponent: 1",
+        "lhs  C^b(left|rest) = 0.866025403784",
+        "ours (parametrized) = 0.866025403784   gap = 3.33066907388e-16",
+        "p1_specialization   = 0.895907736197",
+        "pow2_chain          = 0.914213562373",
+        "beta_half_chain     = 0.957106781187",
+        "trivial_sum         = 1.20710678119",
+        "focus A: groups [(0,), (1,)] p = [0.5]",
+    ],
+    "AB|C1C2": [  # GHZ-4: equal pair CoA, so both foci fall back
+        "cut: AB|C1C2   exponent: 1",
+        "lhs  C^b(left|rest) = 1",
+        "ours (parametrized) = 3.46410161514   gap = 2.46410161514",
+        "p1_specialization   = 3.46410161514",
+        "pow2_chain          = 3.17157287525",
+        "beta_half_chain     = 3.5",
+        "trivial_sum         = 6",
+        "focus A: groups [(0, 1, 2)] p = [] (fallback to single group)",
+        "focus B: groups [(0, 1, 2)] p = [] (fallback to single group)",
+    ],
+    "A|BC1C2": [  # Bell(AB) x |00>: the zero-CoA partners trail, no p needed
+        "cut: A|BC1C2   exponent: 1",
+        "lhs  C^b(left|rest) = 1",
+        "ours (parametrized) = 1   gap = -6.66133814775e-16",
+        "p1_specialization   = 1",
+        "pow2_chain          = 1",
+        "beta_half_chain     = 1",
+        "trivial_sum         = 1",
+        "focus A: groups [(0,), (1,), (2,)] p = []",
+    ],
+}
+_TWO_TERM_SPEC = "qubits 4\namp 0 0.7071067811865475 0\namp {} 0.7071067811865475 0\n"
+
+
+class TestRunBoundsGolden:
+    @pytest.mark.parametrize("cut", list(GOLDEN_AUTO_LINES))
+    def test_auto_report_lines(self, tmp_path, example1_spec_file, cut):
+        if cut == "A|BC":
+            path = example1_spec_file
+        else:
+            path = tmp_path / "s.state"
+            path.write_text(_TWO_TERM_SPEC.format(15 if cut == "AB|C1C2"
+                                                  else 12), encoding="utf-8")
+        _, lines, _ = run_bounds(str(path), cut, 1.0, "auto")
+        assert lines[1:] == GOLDEN_AUTO_LINES[cut]
+
+
 class TestMainExitCodes:
     def test_figure_ok(self, tmp_path, capsys):
         out = tmp_path / "fig.csv"

@@ -5,7 +5,6 @@ import pytest
 from entbounds.linalg import partial_trace, projector, qubit_shape
 from entbounds.measures import (
     Bipartition,
-    MeasureValue,
     cren_crenoa_two_qubit,
     linear_entropy,
     negativity,
@@ -48,20 +47,6 @@ class TestBipartition:
     def test_overlap_rejected(self):
         with pytest.raises(ValueError, match="disjoint"):
             Bipartition(("A",), ("A", "B"))
-
-
-class TestMeasureValue:
-    def test_valid(self):
-        assert MeasureValue("C", 0.5).value == 0.5
-        assert MeasureValue("r", 2).value == 2
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            MeasureValue("C", -0.1)
-        with pytest.raises(ValueError):
-            MeasureValue("r", 1.5)
-        with pytest.raises(ValueError):
-            MeasureValue("Q", 1.0)
 
 
 class TestLinearEntropy:

@@ -4,43 +4,54 @@ import pytest
 from entbounds.bounds import (
     BoundParams,
     Grouping,
+    InfeasibleParamsError,
     pair_measures_sq,
     polygamy_bound_coa,
+    tail_ratios,
     theta,
 )
+from entbounds.linalg import TAU_NUM, default_labels, qubit_shape
 from entbounds.measures import Bipartition, pure_concurrence
-from entbounds.optimizer import (
-    greedy_grouping,
-    minimal_admissible_p,
-    optimize,
-    ordered_set_partitions,
-)
+from entbounds.optimizer import optimize, ordered_set_partitions
 from entbounds.states import PureState, haar_random_pure
-from entbounds.linalg import qubit_shape
+
+EXPONENTS = (0.0, 0.5, 1.0, 1.5, 2.0)
+
+
+def two_term_state(n: int, index: int) -> PureState:
+    """(|0...0> + |index>)/sqrt(2) on n qubits."""
+    amp = np.zeros(2 ** n, dtype=complex)
+    amp[0] = amp[index] = 1 / np.sqrt(2)
+    return PureState(qubit_shape(default_labels(n)), amp)
 
 
 class TestMinimalAdmissibleP:
-    def test_example1_values(self):
-        params = minimal_admissible_p([[0.5], [0.25]], exponent=1.0)
-        assert params.p == (0.5,)  # t = 1/2, tighter than the figure's 3/5
-        assert params.feasible == (True,)
+    """Auto mode resolves each level's p to the minimal admissible t_l."""
 
-    def test_example2_focus_b(self):
-        params = minimal_admissible_p([[36 / 64], [8 / 64], [4 / 64]],
-                                      exponent=1.0)
+    def test_example1_values(self, example1_state):
+        rep = polygamy_bound_coa(example1_state, "A", 1.0)
+        assert abs(rep.params["A"].p[0] - 0.5) < 1e-15  # t, tighter than 3/5
+        assert rep.params["A"].feasible == (True,)
+
+    def test_example2_focus_b(self, example2_state):
+        params = polygamy_bound_coa(example2_state, "B", 1.0).params["B"]
         assert abs(params.p[0] - 1 / 3) < 1e-15
         assert abs(params.p[1] - 1 / 2) < 1e-15
         assert params.all_feasible
 
     def test_equal_groups_infeasible(self):
-        params = minimal_admissible_p([[1.0], [1.0], [1.0]], exponent=1.0)
-        assert params.p[0] == 1.0  # clamped from t = 2
-        assert params.feasible[0] is False
-        assert params.feasible[1] is True  # t_2 = 1 is admissible
+        psi = two_term_state(4, 15)  # GHZ: every pair CoA^2 is 1, t_1 = 2
+        with pytest.raises(InfeasibleParamsError) as exc:
+            polygamy_bound_coa(psi, "A", 1.0, p=(1.0, 1.0))
+        assert exc.value.level == 1 and abs(exc.value.min_p - 2.0) < 1e-12
+        rep = polygamy_bound_coa(psi, "A", 1.0)
+        assert rep.fallback["A"] and rep.params["A"].p == ()
 
     def test_floor_applied(self):
-        params = minimal_admissible_p([[1.0], [1e-10]], exponent=1.0)
-        assert params.p == ()  # the 1e-10 group is trailing noise, dropped
+        # a trailing 1e-10 group is noise: dropped, so it needs no parameter
+        assert theta([[1.0], [1e-10]], BoundParams(exponent=1.0)).value == 1.0
+        rep = polygamy_bound_coa(two_term_state(4, 12), "A", 1.0)
+        assert rep.params["A"].p == () and not rep.fallback["A"]
 
 
 class TestOrderedSetPartitions:
@@ -55,18 +66,23 @@ class TestOrderedSetPartitions:
             assert g.n_partners == 3
 
 
-class TestGreedyGrouping:
-    def test_feasible_stays_singleton(self):
-        g = greedy_grouping([0.5, 0.25])
-        assert g.groups == ((0,), (1,))
+class TestAutoGrouping:
+    """Auto mode orders partners by descending CoA^2 and collapses to one
+    group when that ordering admits no parameters."""
+
+    def test_feasible_stays_singleton(self, example1_state):
+        rep = polygamy_bound_coa(example1_state, "A", 1.0)
+        assert rep.groupings["A"].groups == ((0,), (1,))
 
     def test_infeasible_collapses(self):
-        g = greedy_grouping([1.0, 1.0, 1.0])
-        assert g.k == 1
+        rep = polygamy_bound_coa(two_term_state(4, 15), "A", 1.0)
+        assert rep.groupings["A"].k == 1
 
-    def test_orders_descending(self):
-        g = greedy_grouping([0.1, 0.9, 0.3])
-        assert g.groups[0] == (1,)
+    def test_orders_descending(self, example2_state):
+        _, ca_sq = pair_measures_sq(example2_state, "A")
+        groups = polygamy_bound_coa(example2_state, "A", 1.0).groupings["A"]
+        heads = [ca_sq[g[0]] for g in groups.groups]
+        assert groups.k == 3 and heads == sorted(heads, reverse=True)
 
 
 class TestOptimize:
@@ -110,21 +126,12 @@ class TestOptimize:
         _, ca_sq = pair_measures_sq(example2_state, "B")
         for grouping in ordered_set_partitions(3):
             groups = [[float(ca_sq[i]) for i in g] for g in grouping.groups]
-            params = minimal_admissible_p(groups, 1.0)
-            if not params.all_feasible:
+            ts = tail_ratios([sum(g) for g in groups])
+            if any(t > 1.0 for t in ts):
                 continue
-            ones = BoundParams(exponent=1.0, p=(1.0,) * len(params.p),
-                               feasible=(True,) * len(params.p))
+            ones = BoundParams(exponent=1.0, p=(1.0,) * len(ts),
+                               feasible=(True,) * len(ts))
             assert res.best_value <= theta(groups, ones).value + 1e-12
-
-    def test_greedy_at_least_exhaustive(self):
-        for i in range(20):
-            psi = haar_random_pure(4, 547, stream=i)
-            ex = optimize(psi, "A", 1.5, strategy="exhaustive")
-            gr = optimize(psi, "A", 1.5, strategy="greedy")
-            lhs = pure_concurrence(psi, Bipartition.of(psi.shape, ["A"])) ** 1.5
-            assert gr.best_value >= ex.best_value - 1e-12
-            assert ex.best_value >= lhs - 1e-9
 
     def test_deterministic(self):
         psi = haar_random_pure(5, 37, stream=2)
@@ -139,10 +146,42 @@ class TestOptimize:
         lhs = pure_concurrence(psi, Bipartition.of(psi.shape, ["A"]))
         assert res.best_value >= lhs - 1e-9
 
-    def test_strategy_validation(self, example1_state):
-        with pytest.raises(ValueError, match="strategy"):
-            optimize(example1_state, "A", 1.0, strategy="annealing")
-
     def test_exponent_validation(self, example1_state):
         with pytest.raises(ValueError, match="exponent"):
             optimize(example1_state, "A", 2.5)
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_bell_pair_with_product_partners(self, n):
+        # Bell(AB) x |0...0>: the zero-CoA partners used to crash the search
+        psi = two_term_state(n, 0b11 << (n - 2))
+        for focus in ("A", "B"):
+            for expo in EXPONENTS:
+                assert abs(optimize(psi, focus, expo).best_value - 1.0) < 1e-12
+
+    def test_p_equals_t_identity_on_every_grouping(self):
+        # theta at p_l = t_l is the same number for every admissible
+        # grouping, the optimum, and the auto-mode bound
+        checked = 0
+        for n in (4, 5, 6):
+            for stream in range(2):
+                psi = haar_random_pure(n, 97, stream=stream)
+                _, ca_sq = pair_measures_sq(psi, "A")
+                groupings = list(ordered_set_partitions(ca_sq.size))
+                for expo in EXPONENTS:
+                    best = optimize(psi, "A", expo).best_value
+                    auto = polygamy_bound_coa(psi, "A", expo).ours
+                    assert abs(auto - best) < 1e-12
+                    for grouping in groupings:
+                        groups = [[float(ca_sq[i]) for i in g]
+                                  for g in grouping.groups]
+                        heads = [sum(g) for g in groups]
+                        ts = tail_ratios(heads)
+                        if min(heads) < TAU_NUM or any(t > 1.0 for t in ts):
+                            continue
+                        params = BoundParams(exponent=expo, p=ts,
+                                             feasible=(True,) * len(ts))
+                        assert abs(theta(groups, params).value - best) < 1e-12
+                        checked += grouping.k > 1
+        assert checked > 100  # multi-level groupings were exercised
