@@ -8,7 +8,6 @@ from .bounds import (
     InfeasibleParamsError,
     LemmaCoefficients,
     SandwichBounds,
-    ThetaResult,
     chain_values,
     lemma_rhs,
     monogamy_lower_AB,
@@ -27,12 +26,9 @@ from .linalg import (
     TAU_PSD,
     SubsystemShape,
     default_labels,
-    hermitian_eigenvalues,
     partial_trace,
     partial_transpose,
-    psd_sqrt,
     qubit_shape,
-    tensor_product,
     trace_norm,
 )
 from .measures import (
@@ -69,16 +65,14 @@ __all__ = [
     "AcinParams", "Bipartition", "BoundParams", "BoundReport", "Grouping",
     "InfeasibleParamsError", "LemmaCoefficients", "MAX_DIM",
     "OptimizationResult", "PureState", "SandwichBounds", "StateSpecError",
-    "SubsystemShape", "TAU_HERM", "TAU_NUM", "TAU_PSD", "ThetaResult",
-    "WClass4Params", "acin_state", "chain_values", "cren_crenoa_two_qubit",
-    "default_labels", "emit_state_spec", "haar_random_pure",
-    "hermitian_eigenvalues", "lemma_rhs", "linear_entropy",
+    "SubsystemShape", "TAU_HERM", "TAU_NUM", "TAU_PSD", "WClass4Params",
+    "acin_state", "chain_values", "cren_crenoa_two_qubit", "default_labels",
+    "emit_state_spec", "haar_random_pure", "lemma_rhs", "linear_entropy",
     "monogamy_lower_AB", "multi_partition_polygamy", "negativity",
-    "negativity_bounds_AB",
-    "optimize", "ordered_set_partitions", "pair_measures_sq",
-    "parse_state_spec", "partial_trace", "partial_transpose",
-    "polygamy_bound_coa", "polygamy_upper_AB", "psd_sqrt",
+    "negativity_bounds_AB", "optimize", "ordered_set_partitions",
+    "pair_measures_sq", "parse_state_spec", "partial_trace",
+    "partial_transpose", "polygamy_bound_coa", "polygamy_upper_AB",
     "pure_concurrence", "qubit_shape", "reduced_density", "schmidt_rank",
-    "tensor_product", "theta", "trace_norm", "tripartite_bounds",
-    "two_qubit_coa", "two_qubit_concurrence", "wclass4_state",
+    "theta", "trace_norm", "tripartite_bounds", "two_qubit_coa",
+    "two_qubit_concurrence", "wclass4_state",
 ]

@@ -81,6 +81,13 @@ class InfeasibleParamsError(ValueError):
         self.min_p = min_p
 
 
+def _check_exponent(exponent: float) -> float:
+    exponent = float(exponent)
+    if not 0.0 <= exponent <= 2.0:
+        raise ValueError(f"exponent must be in [0, 2], got {exponent}")
+    return exponent
+
+
 def _xpow(base: float, expo: float) -> float:
     """base**expo with the 0^0 := 1 and v^0 := 1 convention."""
     if expo == 0.0:
@@ -104,14 +111,6 @@ class Grouping:
             raise ValueError(f"groups must partition 0..{len(flat) - 1} "
                              f"exactly, got {groups}")
 
-    @property
-    def k(self) -> int:
-        return len(self.groups)
-
-    @property
-    def n_partners(self) -> int:
-        return sum(len(g) for g in self.groups)
-
 
 def full_grouping(m: int) -> Grouping:
     return Grouping((tuple(range(m)),))
@@ -134,39 +133,16 @@ class LemmaCoefficients:
 
 @dataclass(frozen=True)
 class BoundParams:
-    """Exponent plus per-level parameter vector with admissibility flags."""
+    """Exponent plus per-level parameter vector."""
 
     exponent: float
     p: tuple[float, ...] = ()
-    feasible: tuple[bool, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "exponent", _check_exponent(self.exponent))
         object.__setattr__(self, "p", tuple(float(v) for v in self.p))
-        object.__setattr__(self, "feasible", tuple(bool(b) for b in self.feasible))
-        if not 0.0 <= self.exponent <= 2.0:
-            raise ValueError(f"exponent must be in [0, 2], got {self.exponent}")
         if any(not 0.0 < v <= 1.0 for v in self.p):
             raise ValueError(f"parameters must lie in (0, 1], got {self.p}")
-        if len(self.feasible) != len(self.p):
-            raise ValueError("one feasibility flag per parameter required")
-
-    @property
-    def all_feasible(self) -> bool:
-        return all(self.feasible)
-
-
-@dataclass(frozen=True)
-class ThetaResult:
-    """Value of the grouped bound plus its per-level ingredients.
-
-    ``per_level`` holds (Omega_l, Upsilon_l, group CoA^2 sum) per level;
-    the final level carries (1, 1, head) since no inequality is applied
-    after it.
-    """
-
-    value: float
-    per_level: tuple[tuple[float, float, float], ...]
-    focus: str = ""
 
 
 @dataclass(frozen=True)
@@ -181,10 +157,8 @@ class BoundReport:
 
     lhs: float
     ours: float
-    side: str
     comparators: dict[str, float]
     gap: float
-    exponent: float
     groupings: dict[str, Grouping]
     params: dict[str, BoundParams]
     fallback: dict[str, bool] = field(default_factory=dict)
@@ -202,6 +176,14 @@ class SandwichBounds:
         return self.lower.lhs
 
 
+def _omega_phi_upsilon(t, p, x) -> tuple:
+    """Omega, Phi = ((1+p)^x - 1)/p^x and Upsilon of the key inequality,
+    elementwise on scalars or arrays."""
+    omega = 1.0 + x * t / (1.0 + p) ** 2
+    phi = ((1.0 + p) ** x - 1.0) / p ** x
+    return omega, phi, phi - x * p / ((1.0 + p) ** 2 * p ** x)
+
+
 def lemma_rhs(t: float, p: float, x: float) -> LemmaCoefficients:
     """Coefficients of the key inequality; rhs >= (1+t)^x on the domain."""
     if not 0.0 <= x <= 1.0:
@@ -210,25 +192,16 @@ def lemma_rhs(t: float, p: float, x: float) -> LemmaCoefficients:
         raise ValueError(f"p must be in (0, 1], got {p}")
     if not 0.0 <= t <= p:
         raise ValueError(f"t must be in [0, p] = [0, {p}], got {t}")
-    omega = 1.0 + x * t / (1.0 + p) ** 2
-    upsilon = ((1.0 + p) ** x - 1.0) / p ** x - x * p / ((1.0 + p) ** 2 * p ** x)
+    omega, _, upsilon = _omega_phi_upsilon(t, p, x)
     return LemmaCoefficients(omega=omega, upsilon=upsilon, t=t, p=p, x=x)
 
 
 def _chain_columns(t, p, x) -> list:
     """The six chain expressions, elementwise on scalars or arrays."""
     tx = t ** x
-    omega = 1.0 + x * t / (1.0 + p) ** 2
-    phi = ((1.0 + p) ** x - 1.0) / p ** x
-    upsilon = phi - x * p / ((1.0 + p) ** 2 * p ** x)
-    return [
-        (1.0 + t) ** x,
-        omega + upsilon * tx,
-        1.0 + phi * tx,
-        1.0 + (2.0 ** x - 1.0) * tx,
-        1.0 + x * tx,
-        1.0 + tx,
-    ]
+    omega, phi, upsilon = _omega_phi_upsilon(t, p, x)
+    return [(1.0 + t) ** x, omega + upsilon * tx, 1.0 + phi * tx] + [
+        1.0 + c(x) * tx for c in CHAIN_COEFFICIENTS.values()]
 
 
 def chain_values(t: float, p: float, x: float) -> tuple[float, ...]:
@@ -280,9 +253,8 @@ def tail_ratios(heads: Sequence[float]) -> list[float]:
     return [sum(heads[i + 1:]) / heads[i] for i in range(len(heads) - 1)]
 
 
-def theta(group_coa_sq: Sequence[Sequence[float]], params: BoundParams,
-          focus: str = "") -> ThetaResult:
-    """Grouped upper bound on the (exponent)-th power of C(focus|rest).
+def theta(group_coa_sq: Sequence[Sequence[float]], params: BoundParams) -> float:
+    """Grouped upper bound on C^exponent(focus|rest); returns the bound value.
 
     ``group_coa_sq`` lists the squared pair CoA values per group, in
     recursion order.  Equals (sum of all values)^(exponent/2) for a single
@@ -292,14 +264,13 @@ def theta(group_coa_sq: Sequence[Sequence[float]], params: BoundParams,
     x = params.exponent / 2.0
     heads = _group_heads(group_coa_sq)
     if not heads:
-        return ThetaResult(value=_xpow(0.0, x), per_level=(), focus=focus)
+        return _xpow(0.0, x)
     k = len(heads)
     if len(params.p) < k - 1:
         raise ValueError(f"grouping needs {k - 1} parameters, "
                          f"got {len(params.p)}")
     value = 0.0
     prefix = 1.0
-    per_level = []
     for lvl in range(k - 1):
         t = sum(heads[lvl + 1:]) / heads[lvl]
         p = params.p[lvl]
@@ -307,11 +278,8 @@ def theta(group_coa_sq: Sequence[Sequence[float]], params: BoundParams,
             raise InfeasibleParamsError(level=lvl + 1, min_p=t)
         coeff = lemma_rhs(min(t, p), p, x)
         value += prefix * coeff.omega * _xpow(heads[lvl], x)
-        per_level.append((coeff.omega, coeff.upsilon, heads[lvl]))
         prefix *= coeff.upsilon
-    value += prefix * _xpow(heads[-1], x)
-    per_level.append((1.0, 1.0, heads[-1]))
-    return ThetaResult(value=value, per_level=tuple(per_level), focus=focus)
+    return value + prefix * _xpow(heads[-1], x)
 
 
 # ---------------------------------------------------------------------------
@@ -364,28 +332,22 @@ class _FocusBound(NamedTuple):
     radicand: float
 
 
-def _focus_bound(psi: PureState, focus: str, exponent: float, groupings,
+def _focus_bound(psi: PureState, focus: str, exponent: float,
                  p) -> _FocusBound:
     """Resolve grouping and parameters and evaluate every bound for one focus.
 
-    ``groupings`` and ``p`` hold one value for every focus or a mapping by
-    focus (default: descending singletons, auto p).  p is "auto" (p =
-    tail/head ratio, the tightest choice), "one" (the p=1 literature
-    specialization) or an explicit sequence.  For "auto"/"one" an
-    infeasible grouping (some t_l > 1) falls back to the always-valid
-    single-group bound and is flagged; an explicit infeasible vector
-    raises InfeasibleParamsError.
+    The grouping is the descending singleton ordering of the partners.
+    ``p`` holds one value for every focus or a mapping by focus (default
+    auto): "auto" (p = tail/head ratio, the tightest choice), "one" (the
+    p=1 literature specialization) or an explicit sequence.  For
+    "auto"/"one" an infeasible grouping (some t_l > 1) falls back to the
+    always-valid single-group bound and is flagged; an explicit infeasible
+    vector raises InfeasibleParamsError.
     """
-    grouping = (groupings.get(focus) if isinstance(groupings, Mapping)
-                else groupings)
     p_spec = p.get(focus, "auto") if isinstance(p, Mapping) else p
     c_sq, ca_sq = pair_measures_sq(psi, focus)
-    if grouping is None:
-        order = np.argsort(-ca_sq, kind="stable")
-        grouping = Grouping(tuple((int(i),) for i in order))
-    elif grouping.n_partners != ca_sq.size:
-        raise ValueError(f"grouping covers {grouping.n_partners} partners, "
-                         f"focus {focus!r} has {ca_sq.size}")
+    order = np.argsort(-ca_sq, kind="stable")
+    grouping = Grouping(tuple((int(i),) for i in order))
     groups = _grouped(ca_sq, grouping)
     ts = tail_ratios(_group_heads(groups))
     fallback = auto = False
@@ -403,25 +365,23 @@ def _focus_bound(psi: PureState, focus: str, exponent: float, groupings,
             raise ValueError(f"grouping needs {len(ts)} parameters, "
                              f"got {len(p)}")
         p = p[:len(ts)]
-    params = BoundParams(exponent=exponent, p=p, feasible=tuple(
-        t <= pv + _FEAS_SLACK for t, pv in zip(ts, p)))
-    ones = BoundParams(exponent=exponent, p=(1.0,) * len(ts),
-                       feasible=(True,) * len(ts))
+    params = BoundParams(exponent=exponent, p=p)
+    ones = BoundParams(exponent=exponent, p=(1.0,) * len(ts))
     if auto:  # theta at p = t equals the single-group value (module doc)
-        ours = theta([ca_sq], BoundParams(exponent=exponent), focus).value
-        p1 = theta(groups, ones, focus).value
+        ours = theta([ca_sq], BoundParams(exponent=exponent))
+        p1 = theta(groups, ones)
     else:
-        ours = theta(groups, params, focus).value
-        p1 = ours if params == ones else theta(groups, ones, focus).value
+        ours = theta(groups, params)
+        p1 = ours if params == ones else theta(groups, ones)
     values = {"ours": ours, "p1_specialization": p1}
     for kind in CHAIN_COEFFICIENTS:
         values[kind] = chain_bound(ca_sq, exponent, kind)
     return _FocusBound(values, grouping, params, fallback, float(c_sq.sum()))
 
 
-def _foci_bounds(psi: PureState, foci, exponent: float, groupings,
+def _foci_bounds(psi: PureState, foci, exponent: float,
                  p) -> dict[str, _FocusBound]:
-    return {f: _focus_bound(psi, f, exponent, groupings, p) for f in foci}
+    return {f: _focus_bound(psi, f, exponent, p) for f in foci}
 
 
 def _report(lhs: float, side: str, combine,
@@ -431,10 +391,8 @@ def _report(lhs: float, side: str, combine,
     ours, *cmp = (combine([d.values[key] for d in data.values()])
                   for key in ("ours",) + COMPARATOR_NAMES)
     return BoundReport(
-        lhs=lhs, ours=ours, side=side,
-        comparators=dict(zip(COMPARATOR_NAMES, cmp)),
+        lhs=lhs, ours=ours, comparators=dict(zip(COMPARATOR_NAMES, cmp)),
         gap=ours - lhs if side == "upper" else lhs - ours,
-        exponent=next(iter(data.values())).params.exponent,
         groupings={f: d.grouping for f, d in data.items()},
         params={f: d.params for f, d in data.items()},
         fallback={f: d.fallback for f, d in data.items()})
@@ -450,13 +408,6 @@ def _two_arm_max(rad_a: float, rad_b: float):
     return lambda v: max(rad_a - v[1], rad_b - v[0])
 
 
-def _check_exponent(exponent: float) -> float:
-    exponent = float(exponent)
-    if not 0.0 <= exponent <= 2.0:
-        raise ValueError(f"exponent must be in [0, 2], got {exponent}")
-    return exponent
-
-
 def _ab_foci(psi: PureState) -> tuple[str, ...]:
     if len(psi.shape.labels) < 4:
         raise ValueError("AB-cut bounds need at least 4 subsystems")
@@ -464,39 +415,35 @@ def _ab_foci(psi: PureState) -> tuple[str, ...]:
 
 
 def polygamy_bound_coa(psi: PureState, focus: str, exponent: float,
-                       grouping: Grouping | None = None,
                        p="auto") -> BoundReport:
     """Upper bound C^beta(focus|rest) <= theta, with comparators.
 
     Comparators: the p=1 specialization of the same grouping and the
     generic chains over descending singleton groups.
     """
-    return multi_partition_polygamy(psi, [focus], exponent, grouping, p)
+    return multi_partition_polygamy(psi, [focus], exponent, p)
 
 
-def monogamy_lower_AB(psi: PureState, exponent: float,
-                      groupings=None, p="auto") -> BoundReport:
+def monogamy_lower_AB(psi: PureState, exponent: float, p="auto") -> BoundReport:
     """Lower bound on C^alpha(AB|rest) from pair concurrences and theta.
 
     Both one-sided expressions are valid lower bounds; the max is taken.
     The radicands use pair concurrence, the subtracted theta uses CoA.
     """
     exponent = _check_exponent(exponent)
-    d = _foci_bounds(psi, _ab_foci(psi), exponent, groupings, p)
+    d = _foci_bounds(psi, _ab_foci(psi), exponent, p)
     lhs = _xpow(pure_concurrence(psi, Bipartition.of(psi.shape, list(d))),
                 exponent)
     rad_a, rad_b = (_xpow(f.radicand, exponent / 2.0) for f in d.values())
     return _report(lhs, "lower", _two_arm_max(rad_a, rad_b), d)
 
 
-def polygamy_upper_AB(psi: PureState, exponent: float,
-                      groupings=None, p="auto") -> BoundReport:
+def polygamy_upper_AB(psi: PureState, exponent: float, p="auto") -> BoundReport:
     """Upper bound C^alpha(AB|rest) <= theta_A + theta_B."""
-    return multi_partition_polygamy(psi, _ab_foci(psi), exponent, groupings, p)
+    return multi_partition_polygamy(psi, _ab_foci(psi), exponent, p)
 
 
-def negativity_bounds_AB(psi: PureState, exponent: float,
-                         groupings=None, p="auto") -> SandwichBounds:
+def negativity_bounds_AB(psi: PureState, exponent: float, p="auto") -> SandwichBounds:
     """Negativity sandwich across AB|rest for qubit systems.
 
     Pair CREN/CRENoA coincide with pair concurrence/CoA on qubits, so the
@@ -508,7 +455,7 @@ def negativity_bounds_AB(psi: PureState, exponent: float,
         raise ValueError("negativity bounds are implemented for qubits only")
     x = exponent / 2.0
     foci = _ab_foci(psi)
-    d = _foci_bounds(psi, foci, exponent, groupings, p)
+    d = _foci_bounds(psi, foci, exponent, p)
     lhs = _xpow(negativity(psi.density(), psi.shape, list(foci)), exponent)
     r = schmidt_rank(psi, Bipartition.of(psi.shape, foci))
     factor = _xpow(r * (r - 1) / 2.0, x)
@@ -518,8 +465,7 @@ def negativity_bounds_AB(psi: PureState, exponent: float,
         upper=_report(lhs, "upper", lambda v: factor * _total(v), d))
 
 
-def tripartite_bounds(psi: PureState, exponent: float,
-                      groupings=None, p="auto") -> SandwichBounds:
+def tripartite_bounds(psi: PureState, exponent: float, p="auto") -> SandwichBounds:
     """Sandwich for the ABC1|rest cut of an N >= 5 qubit state.
 
     Lower bound: max of the AB-side expression minus theta_C1 and the
@@ -531,7 +477,7 @@ def tripartite_bounds(psi: PureState, exponent: float,
     labels = psi.shape.labels
     if len(labels) < 5:
         raise ValueError("tripartite bounds need at least 5 subsystems")
-    d = _foci_bounds(psi, labels[:3], exponent, groupings, p)
+    d = _foci_bounds(psi, labels[:3], exponent, p)
     lhs = _xpow(pure_concurrence(psi, Bipartition.of(psi.shape, list(d))),
                 exponent)
     rad_a, rad_b, rad_c = (_xpow(f.radicand, exponent / 2.0)
@@ -546,7 +492,7 @@ def tripartite_bounds(psi: PureState, exponent: float,
 
 
 def multi_partition_polygamy(psi: PureState, left, exponent: float,
-                             groupings=None, p="auto") -> BoundReport:
+                             p="auto") -> BoundReport:
     """Upper bound C^alpha(left|rest) <= sum over left foci of theta.
 
     The single-focus polygamy bound is the case |left| = 1 and the AB
@@ -556,4 +502,4 @@ def multi_partition_polygamy(psi: PureState, left, exponent: float,
     cut = Bipartition.of(psi.shape, left)
     lhs = _xpow(pure_concurrence(psi, cut), exponent)
     return _report(lhs, "upper", _total,
-                   _foci_bounds(psi, cut.left, exponent, groupings, p))
+                   _foci_bounds(psi, cut.left, exponent, p))

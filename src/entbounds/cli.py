@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import (
+    COMPARATOR_NAMES,
     InfeasibleParamsError,
     lemma_chain_grid,
     monogamy_lower_AB,
@@ -82,6 +83,8 @@ class VerifyConfig:
             raise ValueError("need at least one exponent")
         if any(not 0.0 <= e <= 2.0 for e in self.exponents):
             raise ValueError(f"exponents must lie in [0, 2]: {self.exponents}")
+        if not np.isfinite(self.tol):
+            raise ValueError(f"tol must be finite, got {self.tol}")
 
 
 @dataclass
@@ -182,39 +185,32 @@ def _write_svg(path: str, header: list[str], rows: list[list[float]]):
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
 
 
+# Figure id -> (exponent name, curve letter, state, report at one exponent).
+# Each figure plots ours and the first three comparators.  The lambdas look
+# the report functions up at call time, so rebinding a module name (as the
+# benchmark tracer does) reaches the figures too.
+_FIGURES = {
+    1: ("beta", "Z", lambda: acin_state(FIG1_PARAMS),
+        lambda psi, e: polygamy_bound_coa(psi, "A", e, p=FIG1_P)),
+    2: ("alpha", "T", lambda: wclass4_state(FIG23_PARAMS),
+        lambda psi, e: monogamy_lower_AB(psi, e, p=FIG23_P)),
+    3: ("alpha", "X", lambda: wclass4_state(FIG23_PARAMS),
+        lambda psi, e: polygamy_upper_AB(psi, e, p=FIG23_P)),
+}
+
+
 def figure_rows(fig_id: int, samples: int = 201) -> tuple[list[str], list[list[float]]]:
     """Header and rows of one figure's data table."""
-    grid = np.linspace(0.0, 2.0, samples)
-    rows = []
-    if fig_id == 1:
-        psi = acin_state(FIG1_PARAMS)
-        header = ["beta", "lhs", "Z1", "Z2", "Z3", "Z4"]
-        for b in grid:
-            rep = polygamy_bound_coa(psi, "A", float(b), p=FIG1_P)
-            rows.append([b, rep.lhs, rep.ours,
-                         rep.comparators["p1_specialization"],
-                         rep.comparators["pow2_chain"],
-                         rep.comparators["beta_half_chain"]])
-    elif fig_id == 2:
-        psi = wclass4_state(FIG23_PARAMS)
-        header = ["alpha", "lhs", "T1", "T2", "T3", "T4"]
-        for a in grid:
-            rep = monogamy_lower_AB(psi, float(a), p=FIG23_P)
-            rows.append([a, rep.lhs, rep.ours,
-                         rep.comparators["p1_specialization"],
-                         rep.comparators["pow2_chain"],
-                         rep.comparators["beta_half_chain"]])
-    elif fig_id == 3:
-        psi = wclass4_state(FIG23_PARAMS)
-        header = ["alpha", "lhs", "X1", "X2", "X3", "X4"]
-        for a in grid:
-            rep = polygamy_upper_AB(psi, float(a), p=FIG23_P)
-            rows.append([a, rep.lhs, rep.ours,
-                         rep.comparators["p1_specialization"],
-                         rep.comparators["pow2_chain"],
-                         rep.comparators["beta_half_chain"]])
-    else:
+    if fig_id not in _FIGURES:
         raise ValueError(f"unknown figure id {fig_id}")
+    expo_name, letter, make_state, report = _FIGURES[fig_id]
+    header = [expo_name, "lhs"] + [f"{letter}{i}" for i in range(1, 5)]
+    psi = make_state()
+    rows = []
+    for e in np.linspace(0.0, 2.0, samples):
+        rep = report(psi, float(e))
+        rows.append([e, rep.lhs, rep.ours]
+                    + [rep.comparators[name] for name in COMPARATOR_NAMES[:3]])
     return header, rows
 
 
@@ -276,8 +272,8 @@ def run_verify(cfg: VerifyConfig) -> VerifyResult:
     return res
 
 
-_BOUNDS_CSV_HEADER = ("cut,exponent,lhs,ours,p1_specialization,pow2_chain,"
-                      "beta_half_chain,trivial_sum,gap")
+_BOUNDS_CSV_HEADER = ",".join(("cut", "exponent", "lhs", "ours")
+                              + COMPARATOR_NAMES + ("gap",))
 
 
 def run_bounds(state_path: str, cut_expr: str, exponent: float, p_mode: str,
@@ -309,8 +305,7 @@ def run_bounds(state_path: str, cut_expr: str, exponent: float, p_mode: str,
         f"lhs  C^b(left|rest) = {_fmt(rep.lhs)}",
         f"ours (parametrized) = {_fmt(rep.ours)}   gap = {_fmt(rep.gap)}",
     ]
-    for name in ("p1_specialization", "pow2_chain", "beta_half_chain",
-                 "trivial_sum"):
+    for name in COMPARATOR_NAMES:
         lines.append(f"{name:20s}= {_fmt(rep.comparators[name])}")
     for f in cut.left:
         g = rep.groupings[f]
@@ -318,13 +313,11 @@ def run_bounds(state_path: str, cut_expr: str, exponent: float, p_mode: str,
         fb = " (fallback to single group)" if rep.fallback[f] else ""
         lines.append(f"focus {f}: groups {list(g.groups)} "
                      f"p = {[round(v, 12) for v in pa.p]}{fb}")
-    csv_row = ",".join([
-        f"{''.join(cut.left)}|{''.join(cut.right)}", _fmt(exponent),
-        _fmt(rep.lhs), _fmt(rep.ours),
-        _fmt(rep.comparators["p1_specialization"]),
-        _fmt(rep.comparators["pow2_chain"]),
-        _fmt(rep.comparators["beta_half_chain"]),
-        _fmt(rep.comparators["trivial_sum"]), _fmt(rep.gap)])
+    values = ([exponent, rep.lhs, rep.ours]
+              + [rep.comparators[name] for name in COMPARATOR_NAMES]
+              + [rep.gap])
+    csv_row = ",".join([f"{''.join(cut.left)}|{''.join(cut.right)}"]
+                       + [_fmt(v) for v in values])
     return rep, lines, csv_row
 
 

@@ -68,12 +68,6 @@ class SubsystemShape:
             raise ValueError(f"unknown subsystem label(s): {sorted(unknown)}")
         return [i for i, lab in enumerate(self.labels) if lab in want]
 
-    def subshape(self, keep: Iterable[str]) -> "SubsystemShape":
-        """Shape induced on the kept subsystems, in shape order."""
-        pos = self.positions(keep)
-        return SubsystemShape(tuple(self.dims[i] for i in pos),
-                              tuple(self.labels[i] for i in pos))
-
 
 def qubit_shape(labels: Sequence[str]) -> SubsystemShape:
     """All-qubit shape with the given labels."""
@@ -99,17 +93,6 @@ def _as_matrix(m) -> np.ndarray:
     if not np.all(np.isfinite(a.view(float))):
         raise ValueError("matrix has non-finite entries")
     return a
-
-
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product with the first factor most significant."""
-    a = _as_matrix(a)
-    b = _as_matrix(b)
-    if a.shape[0] * b.shape[0] > MAX_DIM or a.shape[1] * b.shape[1] > MAX_DIM:
-        raise DimensionError(
-            f"tensor product dimension {a.shape[0] * b.shape[0]}"
-            f"x{a.shape[1] * b.shape[1]} exceeds maximum {MAX_DIM}")
-    return np.kron(a, b)
 
 
 def partial_trace(rho, shape: SubsystemShape, keep: Iterable[str]) -> np.ndarray:
@@ -154,37 +137,6 @@ def partial_transpose(rho, shape: SubsystemShape, side: Iterable[str]) -> np.nda
 def is_hermitian(m, tol: float = TAU_HERM) -> bool:
     m = np.asarray(m)
     return m.shape[0] == m.shape[1] and np.max(np.abs(m - m.conj().T)) <= tol
-
-
-def hermitian_eigenvalues(h) -> np.ndarray:
-    """Real spectrum of a Hermitian matrix, in descending order."""
-    h = _as_matrix(h)
-    if h.shape[0] != h.shape[1]:
-        raise ValueError("eigenvalues require a square matrix")
-    dev = np.max(np.abs(h - h.conj().T))
-    if dev > TAU_HERM:
-        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-    return np.linalg.eigvalsh(h)[::-1].copy()
-
-
-def psd_sqrt(m) -> np.ndarray:
-    """Hermitian PSD square root S with S @ S == m.
-
-    Eigenvalues in [-TAU_PSD, 0) are treated as round-off and clipped to
-    zero; anything more negative is rejected.
-    """
-    m = _as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("psd_sqrt requires a square matrix")
-    dev = np.max(np.abs(m - m.conj().T))
-    if dev > TAU_HERM:
-        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-    w, v = np.linalg.eigh(m)
-    if w[0] < -TAU_PSD:
-        raise ValueError(f"matrix is not PSD (eigenvalue {w[0]:.3e})")
-    w = np.where(w < 0.0, 0.0, w)
-    s = (v * np.sqrt(w)) @ v.conj().T
-    return (s + s.conj().T) / 2
 
 
 def trace_norm(m) -> float:

@@ -20,7 +20,6 @@ from .states import PureState
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    best_params: BoundParams
     best_grouping: Grouping
     best_value: float
     evaluations: int   # theta evaluations behind best_value
@@ -48,11 +47,8 @@ def ordered_set_partitions(n: int) -> Iterator[Grouping]:
 def optimize(psi: PureState, focus: str, exponent: float) -> OptimizationResult:
     """Tightest grouped bound for one focus: the single-group theta, which
     equals theta at p = t on every admissible grouping."""
-    if not 0.0 <= exponent <= 2.0:
-        raise ValueError(f"exponent must be in [0, 2], got {exponent}")
+    params = BoundParams(exponent=exponent)  # checks the exponent first
     _, ca_sq = pair_measures_sq(psi, focus)
-    params = BoundParams(exponent=exponent)
-    value = theta([ca_sq], params, focus).value
-    return OptimizationResult(best_params=params,
-                              best_grouping=full_grouping(ca_sq.size),
-                              best_value=value, evaluations=1)
+    return OptimizationResult(best_grouping=full_grouping(ca_sq.size),
+                              best_value=theta([ca_sq], params),
+                              evaluations=1)

@@ -53,6 +53,15 @@ class PureState:
         return projector(self.amplitudes)
 
 
+def _check_coefficients(lams) -> None:
+    """Family coefficients must be nonnegative with unit square sum."""
+    if any(l < 0 for l in lams):
+        raise ValueError("coefficients must be nonnegative")
+    s = sum(l * l for l in lams)
+    if abs(s - 1.0) > TAU_NUM:
+        raise ValueError(f"coefficients are not normalized: sum sq = {s!r}")
+
+
 @dataclass(frozen=True)
 class AcinParams:
     """Five nonnegative coefficients with unit square sum, plus a phase."""
@@ -65,12 +74,7 @@ class AcinParams:
     phi: float = 0.0
 
     def __post_init__(self):
-        lams = (self.l0, self.l1, self.l2, self.l3, self.l4)
-        if any(l < 0 for l in lams):
-            raise ValueError("coefficients must be nonnegative")
-        s = sum(l * l for l in lams)
-        if abs(s - 1.0) > TAU_NUM:
-            raise ValueError(f"coefficients are not normalized: sum sq = {s!r}")
+        _check_coefficients((self.l0, self.l1, self.l2, self.l3, self.l4))
 
 
 @dataclass(frozen=True)
@@ -83,12 +87,7 @@ class WClass4Params:
     l4: float
 
     def __post_init__(self):
-        lams = (self.l1, self.l2, self.l3, self.l4)
-        if any(l < 0 for l in lams):
-            raise ValueError("coefficients must be nonnegative")
-        s = sum(l * l for l in lams)
-        if abs(s - 1.0) > TAU_NUM:
-            raise ValueError(f"coefficients are not normalized: sum sq = {s!r}")
+        _check_coefficients((self.l1, self.l2, self.l3, self.l4))
 
 
 def acin_state(p: AcinParams) -> PureState:

@@ -79,10 +79,9 @@ def test_criterion_3_example2_exact_values(example2_state):
         ratios = tail_ratios(sorted(ca_sq_b, reverse=True))
         assert abs(ratios[0] - 1 / 3) < 1e-12
         assert abs(ratios[1] - 1 / 2) < 1e-12
-        params = BoundParams(exponent=2.0, p=(2 / 5, 3 / 5),
-                             feasible=(True, True))
+        params = BoundParams(exponent=2.0, p=(2 / 5, 3 / 5))
         theta_b = theta([[v] for v in sorted(ca_sq_b, reverse=True)], params)
-        assert abs(theta_b.value - 3 / 4) < 1e-12
+        assert abs(theta_b - 3 / 4) < 1e-12
         lo = monogamy_lower_AB(example2_state, 2.0, p=FIG23_P)
         up = polygamy_upper_AB(example2_state, 2.0, p=FIG23_P)
         assert abs(lo.ours - 15 / 64) < 1e-12

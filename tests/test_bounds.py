@@ -94,26 +94,23 @@ class TestChain:
 class TestTheta:
     def test_example1_hand_check(self):
         # (1 + 50/256) * 1/2 + (39/64) * 1/4 = 3/4 at exponent 2, p = 3/5
-        params = BoundParams(exponent=2.0, p=(0.6,), feasible=(True,))
-        res = theta([[0.5], [0.25]], params)
-        assert abs(res.value - 0.75) < 1e-15
-        omega, upsilon, head = res.per_level[0]
-        assert abs(omega - (1 + 50 / 256)) < 1e-15
-        assert abs(upsilon - 39 / 64) < 1e-15
-        assert head == 0.5
+        params = BoundParams(exponent=2.0, p=(0.6,))
+        assert abs(theta([[0.5], [0.25]], params) - 0.75) < 1e-15
+        level_1 = lemma_rhs(0.5, 0.6, 1.0)  # t = 1/4 / 1/2, x = 2/2
+        assert abs(level_1.omega - (1 + 50 / 256)) < 1e-15
+        assert abs(level_1.upsilon - 39 / 64) < 1e-15
 
     def test_example2_focus_b(self):
         heads = [[36 / 64], [8 / 64], [4 / 64]]
-        params = BoundParams(exponent=2.0, p=(2 / 5, 3 / 5),
-                             feasible=(True, True))
-        assert abs(theta(heads, params).value - 0.75) < 1e-14
+        params = BoundParams(exponent=2.0, p=(2 / 5, 3 / 5))
+        assert abs(theta(heads, params) - 0.75) < 1e-14
 
     def test_k1_any_exponent(self):
         for expo in (0.0, 0.7, 1.3, 2.0):
             params = BoundParams(exponent=expo)
             res = theta([[0.3, 0.2, 0.1]], params)
             expected = 1.0 if expo == 0.0 else 0.6 ** (expo / 2)
-            assert abs(res.value - expected) < 1e-15
+            assert abs(res - expected) < 1e-15
 
     def test_equality_at_exponent_two(self):
         gen = np.random.default_rng(61)
@@ -124,31 +121,30 @@ class TestTheta:
             if any(t > 1 for t in ts):
                 continue
             p = tuple(min(1.0, t + (1 - t) * gen.uniform()) for t in ts)
-            params = BoundParams(exponent=2.0, p=p, feasible=(True,) * 3)
-            assert abs(theta(groups, params).value - vals.sum()) < 1e-12
+            params = BoundParams(exponent=2.0, p=p)
+            assert abs(theta(groups, params) - vals.sum()) < 1e-12
 
     def test_infeasible_reports_level_and_min_p(self):
-        params = BoundParams(exponent=1.0, p=(0.3,), feasible=(False,))
+        params = BoundParams(exponent=1.0, p=(0.3,))
         with pytest.raises(InfeasibleParamsError) as exc:
             theta([[0.5], [0.25]], params)
         assert exc.value.level == 1
         assert abs(exc.value.min_p - 0.5) < 1e-15
 
     def test_interior_zero_rejected(self):
-        params = BoundParams(exponent=1.0, p=(0.5, 0.5),
-                             feasible=(True, True))
+        params = BoundParams(exponent=1.0, p=(0.5, 0.5))
         with pytest.raises(ValueError, match="reorder"):
             theta([[0.5], [0.0], [0.25]], params)
 
     def test_trailing_zero_dropped(self):
-        params = BoundParams(exponent=1.0, p=(0.5,), feasible=(True,))
+        params = BoundParams(exponent=1.0, p=(0.5,))
         with_zero = theta([[0.5], [0.25], [0.0]], params)
         without = theta([[0.5], [0.25]], params)
-        assert with_zero.value == without.value
+        assert with_zero == without
 
     def test_all_zero_groups(self):
-        assert theta([[0.0], [0.0]], BoundParams(exponent=1.0)).value == 0.0
-        assert theta([[0.0], [0.0]], BoundParams(exponent=0.0)).value == 1.0
+        assert theta([[0.0], [0.0]], BoundParams(exponent=1.0)) == 0.0
+        assert theta([[0.0], [0.0]], BoundParams(exponent=0.0)) == 1.0
 
 
 class TestPolygamyBoundCoa:
@@ -257,7 +253,7 @@ class TestABCutBounds:
         psi = PureState(qubit_shape(("A", "B", "C1", "C2")), amp)
         up = polygamy_upper_AB(psi, 1.0)
         assert up.fallback["A"] and up.fallback["B"]
-        assert all(g.k == 1 for g in up.groupings.values())
+        assert all(len(g.groups) == 1 for g in up.groupings.values())
         assert up.ours >= up.lhs - 1e-9
 
 
@@ -357,12 +353,10 @@ class TestComparatorOrdering:
                 continue
             expo = gen.uniform(0.0, 2.0)
             auto = BoundParams(exponent=expo,
-                               p=tuple(max(t, 1e-6) for t in ts),
-                               feasible=(True,) * 3)
-            ones = BoundParams(exponent=expo, p=(1.0,) * 3,
-                               feasible=(True,) * 3)
-            ours = theta(groups, auto).value
-            p1 = theta(groups, ones).value
+                               p=tuple(max(t, 1e-6) for t in ts))
+            ones = BoundParams(exponent=expo, p=(1.0,) * 3)
+            ours = theta(groups, auto)
+            p1 = theta(groups, ones)
             seq = [ours, p1,
                    chain_bound(vals, expo, "pow2_chain"),
                    chain_bound(vals, expo, "beta_half_chain"),

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from entbounds.cli import (
     run_verify,
 )
 from entbounds.states import acin_state, emit_state_spec
+
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "benchmark" / "reference"
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +63,14 @@ class TestFigure1:
         lines = out1.read_text().splitlines()
         assert lines[0] == header
         assert len(lines) == 22
+
+    @pytest.mark.parametrize("fig_id", [1, 2, 3])
+    def test_csv_bytes_match_reference(self, tmp_path, fig_id):
+        # the committed benchmark reference tables, written at 201 samples
+        ref = REFERENCE_DIR / f"fig{fig_id}.csv"
+        out = tmp_path / "fig.csv"
+        run_figure(FigureSpec(id=fig_id, out_csv=str(out), samples=201))
+        assert out.read_bytes() == ref.read_bytes()
 
     def test_svg_output(self, tmp_path):
         csv = tmp_path / "f.csv"
@@ -205,20 +217,43 @@ GOLDEN_AUTO_LINES = {
         "focus A: groups [(0,), (1,), (2,)] p = []",
     ],
 }
+# The matching CSV rows, and the header the bounds command writes above them.
+GOLDEN_AUTO_CSV = {
+    "A|BC": "A|BC,1,0.866025403784,0.866025403784,0.895907736197,"
+            "0.914213562373,0.957106781187,1.20710678119,3.33066907388e-16",
+    "AB|C1C2": "AB|C1C2,1,1,3.46410161514,3.46410161514,3.17157287525,3.5,6,"
+               "2.46410161514",
+    "A|BC1C2": "A|BC1C2,1,1,1,1,1,1,1,-6.66133814775e-16",
+}
+GOLDEN_CSV_HEADER = ("cut,exponent,lhs,ours,p1_specialization,pow2_chain,"
+                     "beta_half_chain,trivial_sum,gap")
 _TWO_TERM_SPEC = "qubits 4\namp 0 0.7071067811865475 0\namp {} 0.7071067811865475 0\n"
 
 
 class TestRunBoundsGolden:
+    @staticmethod
+    def _state_path(tmp_path, example1_spec_file, cut):
+        if cut == "A|BC":
+            return example1_spec_file
+        path = tmp_path / "s.state"
+        path.write_text(_TWO_TERM_SPEC.format(15 if cut == "AB|C1C2" else 12),
+                        encoding="utf-8")
+        return str(path)
+
     @pytest.mark.parametrize("cut", list(GOLDEN_AUTO_LINES))
     def test_auto_report_lines(self, tmp_path, example1_spec_file, cut):
-        if cut == "A|BC":
-            path = example1_spec_file
-        else:
-            path = tmp_path / "s.state"
-            path.write_text(_TWO_TERM_SPEC.format(15 if cut == "AB|C1C2"
-                                                  else 12), encoding="utf-8")
-        _, lines, _ = run_bounds(str(path), cut, 1.0, "auto")
+        path = self._state_path(tmp_path, example1_spec_file, cut)
+        _, lines, _ = run_bounds(path, cut, 1.0, "auto")
         assert lines[1:] == GOLDEN_AUTO_LINES[cut]
+
+    @pytest.mark.parametrize("cut", list(GOLDEN_AUTO_CSV))
+    def test_csv_file(self, tmp_path, example1_spec_file, cut, capsys):
+        path = self._state_path(tmp_path, example1_spec_file, cut)
+        out = tmp_path / "row.csv"
+        assert main(["bounds", "--state", path, "--cut", cut, "--exponent",
+                     "1", "--csv", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == (
+            GOLDEN_CSV_HEADER + "\n" + GOLDEN_AUTO_CSV[cut] + "\n")
 
 
 class TestMainExitCodes:
@@ -269,3 +304,11 @@ class TestMainExitCodes:
     def test_bad_config_exit_two(self, capsys):
         code = main(["verify", "--qubits", "9"])
         assert code == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_non_finite_tol_exit_two(self, tol, capsys):
+        # a nan tol would make every slack < -tol comparison false
+        code = main(["verify", "--qubits", "4", "--trials", "1",
+                     "--exponents", "1", f"--tol={tol}"])
+        assert code == 2
+        assert "tol must be finite" in capsys.readouterr().err

@@ -8,13 +8,10 @@ from entbounds.linalg import (
     DimensionError,
     SubsystemShape,
     default_labels,
-    hermitian_eigenvalues,
     partial_trace,
     partial_transpose,
     projector,
-    psd_sqrt,
     qubit_shape,
-    tensor_product,
     trace_norm,
 )
 
@@ -23,11 +20,6 @@ BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
 def random_complex(rng, *shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-
-def random_unitary(rng, d):
-    q, r = np.linalg.qr(random_complex(rng, d, d))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def random_density(rng, d):
@@ -46,41 +38,10 @@ class TestShape:
             qubit_shape(tuple("ABCDEFG"))  # 7 qubits = 128 > 64
         qubit_shape(tuple("ABCDEF"))  # 6 is fine
 
-    def test_subshape_induced_order(self):
-        shape = qubit_shape(("A", "B", "C"))
-        sub = shape.subshape(["C", "A"])
-        assert sub.labels == ("A", "C")
-
     def test_default_labels(self):
         assert default_labels(2) == ("A", "B")
         assert default_labels(3) == ("A", "B", "C")
         assert default_labels(5) == ("A", "B", "C1", "C2", "C3")
-
-
-class TestTensorProduct:
-    def test_identity(self):
-        npt.assert_array_equal(tensor_product(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_projector_alignment(self):
-        out = tensor_product(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-        npt.assert_array_equal(out, np.diag([0.0, 1.0, 0.0, 0.0]))
-
-    def test_index_formula(self):
-        # entry (2i+k, 2j+l) must equal A[i,j] * B[k,l]
-        rng = np.random.default_rng(5)
-        a = random_complex(rng, 2, 2)
-        b = random_complex(rng, 2, 2)
-        out = tensor_product(a, b)
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    for l in range(2):
-                        assert abs(out[2 * i + k, 2 * j + l]
-                                   - a[i, j] * b[k, l]) < 1e-15
-
-    def test_dimension_overflow(self):
-        with pytest.raises(DimensionError):
-            tensor_product(np.eye(16), np.eye(8))
 
 
 class TestPartialTrace:
@@ -143,7 +104,7 @@ class TestPartialTranspose:
     def test_bell_spectrum(self):
         shape = qubit_shape(("A", "B"))
         pt = partial_transpose(projector(BELL), shape, ["A"])
-        ev = hermitian_eigenvalues(pt)
+        ev = np.linalg.eigvalsh(pt)[::-1]
         npt.assert_allclose(ev, [0.5, 0.5, 0.5, -0.5], atol=1e-12)
 
     def test_involution_bit_exact(self):
@@ -164,56 +125,6 @@ class TestPartialTranspose:
     def test_unknown_label(self):
         with pytest.raises(ValueError, match="unknown"):
             partial_transpose(np.eye(4) / 4, qubit_shape(("A", "B")), ["X"])
-
-
-class TestEigenvalues:
-    def test_identity(self):
-        npt.assert_allclose(hermitian_eigenvalues(np.eye(4)), np.ones(4))
-
-    def test_descending_order(self):
-        npt.assert_allclose(hermitian_eigenvalues(np.diag([3.0, 1.0, 2.0])),
-                            [3.0, 2.0, 1.0])
-
-    def test_trace_identity(self):
-        rng = np.random.default_rng(17)
-        a = random_complex(rng, 8, 8)
-        h = (a + a.conj().T) / 2
-        ev = hermitian_eigenvalues(h)
-        assert abs(ev.sum() - np.trace(h).real) < 1e-12
-
-    def test_unitary_invariance(self):
-        rng = np.random.default_rng(19)
-        a = random_complex(rng, 6, 6)
-        h = (a + a.conj().T) / 2
-        u = random_unitary(rng, 6)
-        npt.assert_allclose(hermitian_eigenvalues(h),
-                            hermitian_eigenvalues(u @ h @ u.conj().T),
-                            atol=1e-10)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestPsdSqrt:
-    def test_diagonal(self):
-        npt.assert_allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]),
-                            atol=1e-14)
-
-    def test_scaled_identity(self):
-        npt.assert_allclose(psd_sqrt(np.eye(2) / 2), np.eye(2) / np.sqrt(2),
-                            atol=1e-14)
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(21)
-        a = random_complex(rng, 8, 8)
-        m = a @ a.conj().T
-        s = psd_sqrt(m)
-        assert np.max(np.abs(s @ s - m)) < 1e-10 * np.max(np.abs(m))
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError, match="PSD"):
-            psd_sqrt(np.diag([1.0, -0.5]))
 
 
 class TestTraceNorm:

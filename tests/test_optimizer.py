@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from entbounds import rng
 from entbounds.bounds import (
     BoundParams,
     Grouping,
@@ -31,13 +32,11 @@ class TestMinimalAdmissibleP:
     def test_example1_values(self, example1_state):
         rep = polygamy_bound_coa(example1_state, "A", 1.0)
         assert abs(rep.params["A"].p[0] - 0.5) < 1e-15  # t, tighter than 3/5
-        assert rep.params["A"].feasible == (True,)
 
     def test_example2_focus_b(self, example2_state):
         params = polygamy_bound_coa(example2_state, "B", 1.0).params["B"]
         assert abs(params.p[0] - 1 / 3) < 1e-15
         assert abs(params.p[1] - 1 / 2) < 1e-15
-        assert params.all_feasible
 
     def test_equal_groups_infeasible(self):
         psi = two_term_state(4, 15)  # GHZ: every pair CoA^2 is 1, t_1 = 2
@@ -49,7 +48,7 @@ class TestMinimalAdmissibleP:
 
     def test_floor_applied(self):
         # a trailing 1e-10 group is noise: dropped, so it needs no parameter
-        assert theta([[1.0], [1e-10]], BoundParams(exponent=1.0)).value == 1.0
+        assert theta([[1.0], [1e-10]], BoundParams(exponent=1.0)) == 1.0
         rep = polygamy_bound_coa(two_term_state(4, 12), "A", 1.0)
         assert rep.params["A"].p == () and not rep.fallback["A"]
 
@@ -63,7 +62,7 @@ class TestOrderedSetPartitions:
     def test_groupings_valid(self):
         for g in ordered_set_partitions(3):
             assert isinstance(g, Grouping)
-            assert g.n_partners == 3
+            assert sum(len(block) for block in g.groups) == 3
 
 
 class TestAutoGrouping:
@@ -76,13 +75,13 @@ class TestAutoGrouping:
 
     def test_infeasible_collapses(self):
         rep = polygamy_bound_coa(two_term_state(4, 15), "A", 1.0)
-        assert rep.groupings["A"].k == 1
+        assert len(rep.groupings["A"].groups) == 1
 
     def test_orders_descending(self, example2_state):
         _, ca_sq = pair_measures_sq(example2_state, "A")
         groups = polygamy_bound_coa(example2_state, "A", 1.0).groupings["A"]
         heads = [ca_sq[g[0]] for g in groups.groups]
-        assert groups.k == 3 and heads == sorted(heads, reverse=True)
+        assert len(groups.groups) == 3 and heads == sorted(heads, reverse=True)
 
 
 class TestOptimize:
@@ -103,7 +102,7 @@ class TestOptimize:
         for beta in (0.5, 1.0, 2.0):
             res = optimize(psi, "A", beta)
             assert abs(res.best_value - ca ** beta) < 1e-12
-            assert res.best_grouping.k == 1
+            assert len(res.best_grouping.groups) == 1
 
     def test_product_state(self):
         amp = np.zeros(8, dtype=complex)
@@ -129,9 +128,8 @@ class TestOptimize:
             ts = tail_ratios([sum(g) for g in groups])
             if any(t > 1.0 for t in ts):
                 continue
-            ones = BoundParams(exponent=1.0, p=(1.0,) * len(ts),
-                               feasible=(True,) * len(ts))
-            assert res.best_value <= theta(groups, ones).value + 1e-12
+            ones = BoundParams(exponent=1.0, p=(1.0,) * len(ts))
+            assert res.best_value <= theta(groups, ones) + 1e-12
 
     def test_deterministic(self):
         psi = haar_random_pure(5, 37, stream=2)
@@ -180,8 +178,45 @@ class TestClosedForm:
                         ts = tail_ratios(heads)
                         if min(heads) < TAU_NUM or any(t > 1.0 for t in ts):
                             continue
-                        params = BoundParams(exponent=expo, p=ts,
-                                             feasible=(True,) * len(ts))
-                        assert abs(theta(groups, params).value - best) < 1e-12
-                        checked += grouping.k > 1
+                        params = BoundParams(exponent=expo, p=ts)
+                        assert abs(theta(groups, params) - best) < 1e-12
+                        checked += len(grouping.groups) > 1
         assert checked > 100  # multi-level groupings were exercised
+
+
+class TestFamilyProper:
+    def test_random_p_above_threshold_on_every_grouping(self):
+        # the paper's family: p_l drawn in (t_l, 1] on every admissible
+        # grouping still bounds C^beta(focus|rest) and never undercuts the
+        # p = t (single-group) value
+        checked = 0
+        for n in (4, 5, 6):
+            for state in range(10):
+                psi = haar_random_pure(n, 131, stream=state)
+                for f, focus in enumerate(("A", "B", "C1")):
+                    checked += self._check_focus(psi, focus,
+                                                 stream=100 * n + 3 * state + f)
+        assert checked > 6000
+
+    @staticmethod
+    def _check_focus(psi, focus, stream):
+        _, ca_sq = pair_measures_sq(psi, focus)
+        c = pure_concurrence(psi, Bipartition.of(psi.shape, [focus]))
+        admissible = []
+        for grouping in ordered_set_partitions(ca_sq.size):
+            groups = [[float(ca_sq[i]) for i in g] for g in grouping.groups]
+            heads = [sum(g) for g in groups]
+            ts = tail_ratios(heads)
+            if min(heads) >= TAU_NUM and all(t <= 1.0 for t in ts):
+                admissible.append((groups, ts))
+        draws = iter(rng.uniforms(len(admissible) * len(EXPONENTS) * ca_sq.size,
+                                  151, stream))
+        for expo in EXPONENTS:
+            lhs = c ** expo if expo else 1.0
+            single = theta([ca_sq], BoundParams(exponent=expo))
+            for groups, ts in admissible:
+                p = [t + (1.0 - t) * next(draws) for t in ts]
+                value = theta(groups, BoundParams(exponent=expo, p=p))
+                assert value >= lhs - 1e-12
+                assert value >= single - 1e-12
+        return len(admissible) * len(EXPONENTS)
