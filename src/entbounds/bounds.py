@@ -34,7 +34,7 @@ curves are defined.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from typing import Mapping, NamedTuple, Sequence
 
@@ -147,7 +147,7 @@ class BoundParams:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One bound evaluation: lhs, our value, literature comparators.
+    """One bound at one exponent: lhs, our value, literature comparators.
 
     ``gap`` is the slack of our bound against the lhs (ours - lhs for an
     upper bound, lhs - ours for a lower bound; nonnegative when the bound
@@ -161,7 +161,7 @@ class BoundReport:
     gap: float
     groupings: dict[str, Grouping]
     params: dict[str, BoundParams]
-    fallback: dict[str, bool] = field(default_factory=dict)
+    fallback: dict[str, bool]
 
 
 @dataclass(frozen=True)
@@ -322,19 +322,20 @@ def chain_bound(values_sq, exponent: float, kind: str) -> float:
     return total
 
 
-class _FocusBound(NamedTuple):
-    """Values keyed "ours" plus COMPARATOR_NAMES, and how "ours" was made."""
+class _Focus(NamedTuple):
+    """The exponent-free ingredients of one focus's bounds."""
 
-    values: dict[str, float]
+    ca_sq: np.ndarray
+    groups: list[list[float]]
     grouping: Grouping
-    params: BoundParams
+    p: tuple[float, ...]
+    auto: bool
     fallback: bool
     radicand: float
 
 
-def _focus_bound(psi: PureState, focus: str, exponent: float,
-                 p) -> _FocusBound:
-    """Resolve grouping and parameters and evaluate every bound for one focus.
+def _focus(psi: PureState, focus: str, p) -> _Focus:
+    """Resolve the grouping and the parameters of one focus.
 
     The grouping is the descending singleton ordering of the partners.
     ``p`` holds one value for every focus or a mapping by focus (default
@@ -342,7 +343,7 @@ def _focus_bound(psi: PureState, focus: str, exponent: float,
     p=1 literature specialization) or an explicit sequence.  For
     "auto"/"one" an infeasible grouping (some t_l > 1) falls back to the
     always-valid single-group bound and is flagged; an explicit infeasible
-    vector raises InfeasibleParamsError.
+    vector raises InfeasibleParamsError when the bound is evaluated.
     """
     p_spec = p.get(focus, "auto") if isinstance(p, Mapping) else p
     c_sq, ca_sq = pair_measures_sq(psi, focus)
@@ -365,47 +366,62 @@ def _focus_bound(psi: PureState, focus: str, exponent: float,
             raise ValueError(f"grouping needs {len(ts)} parameters, "
                              f"got {len(p)}")
         p = p[:len(ts)]
-    params = BoundParams(exponent=exponent, p=p)
-    ones = BoundParams(exponent=exponent, p=(1.0,) * len(ts))
-    if auto:  # theta at p = t equals the single-group value (module doc)
-        ours = theta([ca_sq], BoundParams(exponent=exponent))
-        p1 = theta(groups, ones)
+    return _Focus(ca_sq, groups, grouping, tuple(p), auto, fallback,
+                  float(c_sq.sum()))
+
+
+def _values(f: _Focus, params: BoundParams) -> dict[str, float]:
+    """Our bound and every comparator for one focus at ``params``."""
+    ones = BoundParams(exponent=params.exponent, p=(1.0,) * len(f.p))
+    if f.auto:  # theta at p = t equals the single-group value (module doc)
+        ours = theta([f.ca_sq], BoundParams(exponent=params.exponent))
+        p1 = theta(f.groups, ones)
     else:
-        ours = theta(groups, params)
-        p1 = ours if params == ones else theta(groups, ones)
-    values = {"ours": ours, "p1_specialization": p1}
-    for kind in CHAIN_COEFFICIENTS:
-        values[kind] = chain_bound(ca_sq, exponent, kind)
-    return _FocusBound(values, grouping, params, fallback, float(c_sq.sum()))
+        ours = theta(f.groups, params)
+        p1 = ours if params == ones else theta(f.groups, ones)
+    return {"ours": ours, "p1_specialization": p1} | {
+        kind: chain_bound(f.ca_sq, params.exponent, kind)
+        for kind in CHAIN_COEFFICIENTS}
 
 
-def _foci_bounds(psi: PureState, foci, exponent: float,
-                 p) -> dict[str, _FocusBound]:
-    return {f: _focus_bound(psi, f, exponent, p) for f in foci}
+def _sweep(psi: PureState, foci, exponents, p, base: float,
+           *combiners) -> list[list[BoundReport]]:
+    """Reports of each combiner (side, combine), one per exponent.
+
+    combine maps the per-focus values v and radicand powers rad at
+    x = exponent/2 to a bound, alike for "ours" and each comparator; the
+    lhs is base^exponent.  Each focus is resolved once and evaluated at
+    every exponent before the next, so errors come as in one-exponent calls."""
+    exponents = [_check_exponent(e) for e in exponents]
+    data, params, values = {}, {}, {}
+    for f in foci:
+        data[f] = d = _focus(psi, f, p)
+        params[f] = [BoundParams(exponent=e, p=d.p) for e in exponents]
+        values[f] = [_values(d, pr) for pr in params[f]]
+    out = [[] for _ in combiners]
+    for i, exponent in enumerate(exponents):
+        lhs, x = _xpow(base, exponent), exponent / 2.0
+        rad = [_xpow(d.radicand, x) for d in data.values()]
+        for (side, combine), reports in zip(combiners, out):
+            ours, *cmp = (combine([v[i][key] for v in values.values()], rad, x)
+                          for key in ("ours",) + COMPARATOR_NAMES)
+            reports.append(BoundReport(
+                lhs=lhs, ours=ours, comparators=dict(zip(COMPARATOR_NAMES, cmp)),
+                gap=ours - lhs if side == "upper" else lhs - ours,
+                groupings={f: d.grouping for f, d in data.items()},
+                params={f: pr[i] for f, pr in params.items()},
+                fallback={f: d.fallback for f, d in data.items()}))
+    return out
 
 
-def _report(lhs: float, side: str, combine,
-            data: Mapping[str, _FocusBound]) -> BoundReport:
-    """Apply ``combine`` (per-focus values in focus order -> bound) to ours
-    and to every comparator alike."""
-    ours, *cmp = (combine([d.values[key] for d in data.values()])
-                  for key in ("ours",) + COMPARATOR_NAMES)
-    return BoundReport(
-        lhs=lhs, ours=ours, comparators=dict(zip(COMPARATOR_NAMES, cmp)),
-        gap=ours - lhs if side == "upper" else lhs - ours,
-        groupings={f: d.grouping for f, d in data.items()},
-        params={f: d.params for f, d in data.items()},
-        fallback={f: d.fallback for f, d in data.items()})
+def _upper(v, rad, x) -> float:
+    """Left-to-right sum of the per-focus upper bounds."""
+    return reduce(operator.add, v)
 
 
-def _total(values) -> float:
-    """Left-to-right sum (the upper-bound combiner)."""
-    return reduce(operator.add, values)
-
-
-def _two_arm_max(rad_a: float, rad_b: float):
-    """Lower-bound combiner: max(rad_a - b, rad_b - a); both arms are valid."""
-    return lambda v: max(rad_a - v[1], rad_b - v[0])
+def _lower_AB(v, rad, x) -> float:
+    """max(rad_A - theta_B, rad_B - theta_A); both arms are valid."""
+    return max(rad[0] - v[1], rad[1] - v[0])
 
 
 def _ab_foci(psi: PureState) -> tuple[str, ...]:
@@ -414,58 +430,51 @@ def _ab_foci(psi: PureState) -> tuple[str, ...]:
     return psi.shape.labels[:2]
 
 
-def polygamy_bound_coa(psi: PureState, focus: str, exponent: float,
-                       p="auto") -> BoundReport:
+def polygamy_bound_coa(psi: PureState, focus: str, exponents,
+                       p="auto") -> list[BoundReport]:
     """Upper bound C^beta(focus|rest) <= theta, with comparators.
 
     Comparators: the p=1 specialization of the same grouping and the
     generic chains over descending singleton groups.
     """
-    return multi_partition_polygamy(psi, [focus], exponent, p)
+    return multi_partition_polygamy(psi, [focus], exponents, p)
 
 
-def monogamy_lower_AB(psi: PureState, exponent: float, p="auto") -> BoundReport:
+def monogamy_lower_AB(psi: PureState, exponents, p="auto") -> list[BoundReport]:
     """Lower bound on C^alpha(AB|rest) from pair concurrences and theta.
 
     Both one-sided expressions are valid lower bounds; the max is taken.
     The radicands use pair concurrence, the subtracted theta uses CoA.
     """
-    exponent = _check_exponent(exponent)
-    d = _foci_bounds(psi, _ab_foci(psi), exponent, p)
-    lhs = _xpow(pure_concurrence(psi, Bipartition.of(psi.shape, list(d))),
-                exponent)
-    rad_a, rad_b = (_xpow(f.radicand, exponent / 2.0) for f in d.values())
-    return _report(lhs, "lower", _two_arm_max(rad_a, rad_b), d)
+    foci = _ab_foci(psi)
+    c = pure_concurrence(psi, Bipartition.of(psi.shape, foci))
+    return _sweep(psi, foci, exponents, p, c, ("lower", _lower_AB))[0]
 
 
-def polygamy_upper_AB(psi: PureState, exponent: float, p="auto") -> BoundReport:
+def polygamy_upper_AB(psi: PureState, exponents, p="auto") -> list[BoundReport]:
     """Upper bound C^alpha(AB|rest) <= theta_A + theta_B."""
-    return multi_partition_polygamy(psi, _ab_foci(psi), exponent, p)
+    return multi_partition_polygamy(psi, _ab_foci(psi), exponents, p)
 
 
-def negativity_bounds_AB(psi: PureState, exponent: float, p="auto") -> SandwichBounds:
+def negativity_bounds_AB(psi: PureState, exponents, p="auto") -> list[SandwichBounds]:
     """Negativity sandwich across AB|rest for qubit systems.
 
     Pair CREN/CRENoA coincide with pair concurrence/CoA on qubits, so the
     lower bound reuses the concurrence construction; the upper bound picks
     up the Schmidt-rank factor (r(r-1)/2)^(alpha/2) of the cut.
     """
-    exponent = _check_exponent(exponent)
     if any(dim != 2 for dim in psi.shape.dims):
         raise ValueError("negativity bounds are implemented for qubits only")
-    x = exponent / 2.0
     foci = _ab_foci(psi)
-    d = _foci_bounds(psi, foci, exponent, p)
-    lhs = _xpow(negativity(psi.density(), psi.shape, list(foci)), exponent)
     r = schmidt_rank(psi, Bipartition.of(psi.shape, foci))
-    factor = _xpow(r * (r - 1) / 2.0, x)
-    rad_a, rad_b = (_xpow(f.radicand, x) for f in d.values())
-    return SandwichBounds(
-        lower=_report(lhs, "lower", _two_arm_max(rad_a, rad_b), d),
-        upper=_report(lhs, "upper", lambda v: factor * _total(v), d))
+    pairs = r * (r - 1) / 2.0
+    n = negativity(psi.density(), psi.shape, list(foci))
+    return list(map(SandwichBounds, *_sweep(
+        psi, foci, exponents, p, n, ("lower", _lower_AB),
+        ("upper", lambda v, rad, x: _xpow(pairs, x) * _upper(v, rad, x)))))
 
 
-def tripartite_bounds(psi: PureState, exponent: float, p="auto") -> SandwichBounds:
+def tripartite_bounds(psi: PureState, exponents, p="auto") -> list[SandwichBounds]:
     """Sandwich for the ABC1|rest cut of an N >= 5 qubit state.
 
     Lower bound: max of the AB-side expression minus theta_C1 and the
@@ -473,33 +482,26 @@ def tripartite_bounds(psi: PureState, exponent: float, p="auto") -> SandwichBoun
     unconditionally, so the max needs no case detection).  Upper bound:
     theta_A + theta_B + theta_C1.
     """
-    exponent = _check_exponent(exponent)
     labels = psi.shape.labels
     if len(labels) < 5:
         raise ValueError("tripartite bounds need at least 5 subsystems")
-    d = _foci_bounds(psi, labels[:3], exponent, p)
-    lhs = _xpow(pure_concurrence(psi, Bipartition.of(psi.shape, list(d))),
-                exponent)
-    rad_a, rad_b, rad_c = (_xpow(f.radicand, exponent / 2.0)
-                           for f in d.values())
-    ab_arm = _two_arm_max(rad_a, rad_b)
+    foci = labels[:3]
+    c = pure_concurrence(psi, Bipartition.of(psi.shape, foci))
 
-    def lower(v):
-        return max(ab_arm(v) - v[2], rad_c - v[0] - v[1])
+    def lower(v, rad, x):
+        return max(_lower_AB(v, rad, x) - v[2], rad[2] - v[0] - v[1])
 
-    return SandwichBounds(lower=_report(lhs, "lower", lower, d),
-                          upper=_report(lhs, "upper", _total, d))
+    return list(map(SandwichBounds, *_sweep(
+        psi, foci, exponents, p, c, ("lower", lower), ("upper", _upper))))
 
 
-def multi_partition_polygamy(psi: PureState, left, exponent: float,
-                             p="auto") -> BoundReport:
+def multi_partition_polygamy(psi: PureState, left, exponents,
+                             p="auto") -> list[BoundReport]:
     """Upper bound C^alpha(left|rest) <= sum over left foci of theta.
 
     The single-focus polygamy bound is the case |left| = 1 and the AB
     upper bound the case left = first two labels.
     """
-    exponent = _check_exponent(exponent)
     cut = Bipartition.of(psi.shape, left)
-    lhs = _xpow(pure_concurrence(psi, cut), exponent)
-    return _report(lhs, "upper", _total,
-                   _foci_bounds(psi, cut.left, exponent, p))
+    c = pure_concurrence(psi, cut)
+    return _sweep(psi, cut.left, exponents, p, c, ("upper", _upper))[0]

@@ -185,17 +185,17 @@ def _write_svg(path: str, header: list[str], rows: list[list[float]]):
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
 
 
-# Figure id -> (exponent name, curve letter, state, report at one exponent).
+# Figure id -> (exponent name, curve letter, state, reports over exponents).
 # Each figure plots ours and the first three comparators.  The lambdas look
 # the report functions up at call time, so rebinding a module name (as the
 # benchmark tracer does) reaches the figures too.
 _FIGURES = {
     1: ("beta", "Z", lambda: acin_state(FIG1_PARAMS),
-        lambda psi, e: polygamy_bound_coa(psi, "A", e, p=FIG1_P)),
+        lambda psi, es: polygamy_bound_coa(psi, "A", es, p=FIG1_P)),
     2: ("alpha", "T", lambda: wclass4_state(FIG23_PARAMS),
-        lambda psi, e: monogamy_lower_AB(psi, e, p=FIG23_P)),
+        lambda psi, es: monogamy_lower_AB(psi, es, p=FIG23_P)),
     3: ("alpha", "X", lambda: wclass4_state(FIG23_PARAMS),
-        lambda psi, e: polygamy_upper_AB(psi, e, p=FIG23_P)),
+        lambda psi, es: polygamy_upper_AB(psi, es, p=FIG23_P)),
 }
 
 
@@ -205,13 +205,10 @@ def figure_rows(fig_id: int, samples: int = 201) -> tuple[list[str], list[list[f
         raise ValueError(f"unknown figure id {fig_id}")
     expo_name, letter, make_state, report = _FIGURES[fig_id]
     header = [expo_name, "lhs"] + [f"{letter}{i}" for i in range(1, 5)]
-    psi = make_state()
-    rows = []
-    for e in np.linspace(0.0, 2.0, samples):
-        rep = report(psi, float(e))
-        rows.append([e, rep.lhs, rep.ours]
-                    + [rep.comparators[name] for name in COMPARATOR_NAMES[:3]])
-    return header, rows
+    exponents = np.linspace(0.0, 2.0, samples)
+    return header, [[e, rep.lhs, rep.ours]
+                    + [rep.comparators[name] for name in COMPARATOR_NAMES[:3]]
+                    for e, rep in zip(exponents, report(make_state(), exponents))]
 
 
 def run_figure(spec: FigureSpec) -> tuple[list[str], list[list[float]]]:
@@ -227,7 +224,7 @@ def run_verify(cfg: VerifyConfig) -> VerifyResult:
     """Randomized verification of every inequality family on Haar states.
 
     Each trial draws one state (stream = trial index) and one lemma
-    triple; per exponent it checks the monogamy/polygamy sandwich for
+    triple; at each exponent it checks the monogamy/polygamy sandwich for
     concurrence and negativity across AB|rest, and the tripartite
     sandwich when the register has at least 5 qubits.  Slack is
     (larger side) - (smaller side) of each inequality; a violation is
@@ -250,18 +247,18 @@ def run_verify(cfg: VerifyConfig) -> VerifyResult:
         res.record("pair_conc_monogamy", c_one_rest ** 2 - float(c_sq.sum()),
                    cfg.tol)
 
-        for expo in cfg.exponents:
-            lo = monogamy_lower_AB(psi, expo)
-            up = polygamy_upper_AB(psi, expo)
-            res.record("concurrence_lower_AB", lo.gap, cfg.tol)
-            res.record("concurrence_upper_AB", up.gap, cfg.tol)
-            neg = negativity_bounds_AB(psi, expo)
-            res.record("negativity_lower_AB", neg.lower.gap, cfg.tol)
-            res.record("negativity_upper_AB", neg.upper.gap, cfg.tol)
-            if cfg.qubits >= 5:
-                tri = tripartite_bounds(psi, expo)
-                res.record("tripartite_lower_ABC1", tri.lower.gap, cfg.tol)
-                res.record("tripartite_upper_ABC1", tri.upper.gap, cfg.tol)
+        lo = monogamy_lower_AB(psi, cfg.exponents)
+        up = polygamy_upper_AB(psi, cfg.exponents)
+        neg = negativity_bounds_AB(psi, cfg.exponents)
+        tri = tripartite_bounds(psi, cfg.exponents) if cfg.qubits >= 5 else []
+        for i in range(len(cfg.exponents)):
+            res.record("concurrence_lower_AB", lo[i].gap, cfg.tol)
+            res.record("concurrence_upper_AB", up[i].gap, cfg.tol)
+            res.record("negativity_lower_AB", neg[i].lower.gap, cfg.tol)
+            res.record("negativity_upper_AB", neg[i].upper.gap, cfg.tol)
+            if tri:
+                res.record("tripartite_lower_ABC1", tri[i].lower.gap, cfg.tol)
+                res.record("tripartite_upper_ABC1", tri[i].upper.gap, cfg.tol)
     if cfg.out_csv:
         header = ["check", "worst_slack", "violations", "samples"]
         lines = [",".join(header)]
@@ -296,7 +293,7 @@ def run_bounds(state_path: str, cut_expr: str, exponent: float, p_mode: str,
             p = tuple(float(v) for v in p_mode.split(","))
         except ValueError:
             raise ValueError(f"cannot parse p specification {p_mode!r}") from None
-    rep = multi_partition_polygamy(psi, cut.left, exponent, p=p)
+    [rep] = multi_partition_polygamy(psi, cut.left, [exponent], p=p)
 
     lines = [
         f"state: {state_path} ({psi.n_qubits} qubits)",

@@ -155,14 +155,12 @@ def _check_two_qubit(rho) -> np.ndarray:
 
 def two_qubit_concurrence(rho) -> float:
     """Mixed-state concurrence of a two-qubit density matrix."""
-    mu = _mu_spectrum(_check_two_qubit(rho))
-    return float(max(0.0, 2.0 * mu[0] - mu.sum()))
+    return cren_crenoa_two_qubit(rho)[0]
 
 
 def two_qubit_coa(rho) -> float:
     """Concurrence of assistance of a two-qubit density matrix."""
-    mu = _mu_spectrum(_check_two_qubit(rho))
-    return float(mu.sum())
+    return cren_crenoa_two_qubit(rho)[1]
 
 
 def cren_crenoa_two_qubit(rho) -> tuple[float, float]:
@@ -183,13 +181,13 @@ def negativity(rho, shape: SubsystemShape, side) -> float:
     return max(0.0, float(value))
 
 
-def schmidt_rank(psi: PureState, cut: Bipartition, tol: float = SCHMIDT_TOL) -> int:
-    """Number of Schmidt coefficients across the cut exceeding tol.
+def schmidt_rank(psi: PureState, cut: Bipartition) -> int:
+    """Number of Schmidt coefficients across the cut exceeding SCHMIDT_TOL.
 
-    tol applies to the eigenvalues of the reduced state; O(1) spectra at
-    these dimensions leave a gap of several decades between genuine zeros
-    and round-off, so the default is uncritical.
+    The tolerance applies to the eigenvalues of the reduced state; O(1)
+    spectra at these dimensions leave a gap of several decades between
+    genuine zeros and round-off, so its value is uncritical.
     """
     rho_left = reduced_density(psi, cut.left)
     ev = np.linalg.eigvalsh(rho_left)
-    return int((ev > tol).sum())
+    return int((ev > SCHMIDT_TOL).sum())

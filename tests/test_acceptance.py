@@ -21,7 +21,7 @@ from entbounds.bounds import (
     tripartite_bounds,
     BoundParams,
 )
-from entbounds.cli import FIG1_PARAMS, FIG23_P, figure_rows
+from entbounds.cli import FIG23_P, figure_rows
 from entbounds.linalg import partial_trace
 from entbounds.measures import Bipartition, pure_concurrence, two_qubit_coa
 from entbounds.optimizer import optimize
@@ -82,8 +82,8 @@ def test_criterion_3_example2_exact_values(example2_state):
         params = BoundParams(exponent=2.0, p=(2 / 5, 3 / 5))
         theta_b = theta([[v] for v in sorted(ca_sq_b, reverse=True)], params)
         assert abs(theta_b - 3 / 4) < 1e-12
-        lo = monogamy_lower_AB(example2_state, 2.0, p=FIG23_P)
-        up = polygamy_upper_AB(example2_state, 2.0, p=FIG23_P)
+        [lo] = monogamy_lower_AB(example2_state, [2.0], p=FIG23_P)
+        [up] = polygamy_upper_AB(example2_state, [2.0], p=FIG23_P)
         assert abs(lo.ours - 15 / 64) < 1e-12
         assert abs(lo.lhs - 39 / 64) < 1e-12
         assert lo.ours <= lo.lhs
@@ -119,10 +119,10 @@ def test_criterion_6_randomized_sandwich_4_qubits():
         worst = np.inf
         for trial in range(1000):
             psi = haar_random_pure(4, 42, stream=trial)
-            for alpha in (0.5, 1.0, 1.5, 2.0):
-                lo = monogamy_lower_AB(psi, alpha)
-                up = polygamy_upper_AB(psi, alpha)
-                nb = negativity_bounds_AB(psi, alpha)
+            alphas = (0.5, 1.0, 1.5, 2.0)
+            for lo, up, nb in zip(monogamy_lower_AB(psi, alphas),
+                                  polygamy_upper_AB(psi, alphas),
+                                  negativity_bounds_AB(psi, alphas)):
                 worst = min(worst, lo.gap, up.gap, nb.lower.gap, nb.upper.gap)
         assert worst >= -1e-9
         assert time.perf_counter() - t0 < 60.0
@@ -134,8 +134,7 @@ def test_criterion_7_tripartite_5_qubits():
         worst = np.inf
         for trial in range(200):
             psi = haar_random_pure(5, 42, stream=trial)
-            for alpha in (0.5, 1.0, 1.5, 2.0):
-                tri = tripartite_bounds(psi, alpha)
+            for tri in tripartite_bounds(psi, (0.5, 1.0, 1.5, 2.0)):
                 worst = min(worst, tri.lower.gap, tri.upper.gap)
         assert worst >= -1e-9
         assert time.perf_counter() - t0 < 60.0
@@ -161,8 +160,9 @@ def test_criterion_8_coa_closed_form_cross_validation():
 
 def test_criterion_9_optimizer_dominance(example1_state):
     with criterion(9, "optimizer beats the figure p, stays a valid bound"):
-        for beta in (0.5, 1.0, 1.5):
-            rep = polygamy_bound_coa(example1_state, "A", beta, p=(0.6,))
+        betas = (0.5, 1.0, 1.5)
+        for beta, rep in zip(betas, polygamy_bound_coa(example1_state, "A",
+                                                       betas, p=(0.6,))):
             z1 = rep.ours
             z2 = rep.comparators["p1_specialization"]
             res = optimize(example1_state, "A", beta)

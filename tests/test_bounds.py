@@ -7,25 +7,22 @@ from hypothesis import strategies as st
 from entbounds import bounds
 from entbounds.bounds import (
     BoundParams,
-    Grouping,
     InfeasibleParamsError,
     chain_bound,
     chain_values,
-    full_grouping,
     lemma_chain_grid,
     lemma_rhs,
     monogamy_lower_AB,
     multi_partition_polygamy,
     negativity_bounds_AB,
-    pair_measures_sq,
     polygamy_bound_coa,
     polygamy_upper_AB,
     theta,
     tripartite_bounds,
 )
-from entbounds.measures import Bipartition, pure_concurrence
+from entbounds.cli import FIG23_P
 from entbounds.states import PureState, haar_random_pure
-from entbounds.linalg import qubit_shape
+from entbounds.linalg import default_labels, qubit_shape
 
 P_EXAMPLE2 = {"A": (4 / 5, 3 / 5), "B": (2 / 5, 3 / 5)}
 
@@ -149,21 +146,20 @@ class TestTheta:
 
 class TestPolygamyBoundCoa:
     def test_beta_two_equality(self, example1_state):
-        rep = polygamy_bound_coa(example1_state, "A", 2.0, p=(0.6,))
+        [rep] = polygamy_bound_coa(example1_state, "A", [2.0], p=(0.6,))
         assert abs(rep.ours - 0.75) < 1e-12
         assert abs(rep.comparators["p1_specialization"] - 0.75) < 1e-12
         assert abs(rep.lhs - 0.75) < 1e-12
 
     def test_beta_zero_convention(self, example1_state):
-        rep = polygamy_bound_coa(example1_state, "A", 0.0, p=(0.6,))
+        [rep] = polygamy_bound_coa(example1_state, "A", [0.0], p=(0.6,))
         assert rep.lhs == 1.0
         assert abs(rep.ours - 1.0) < 1e-15
         assert abs(rep.comparators["trivial_sum"] - 2.0) < 1e-15
 
     def test_figure_ordering_pointwise(self, example1_state):
-        for beta in np.linspace(0.0, 2.0, 41):
-            rep = polygamy_bound_coa(example1_state, "A", float(beta),
-                                     p=(0.6,))
+        for rep in polygamy_bound_coa(example1_state, "A",
+                                      np.linspace(0.0, 2.0, 41), p=(0.6,)):
             seq = [rep.lhs, rep.ours, rep.comparators["p1_specialization"],
                    rep.comparators["pow2_chain"],
                    rep.comparators["beta_half_chain"],
@@ -172,7 +168,7 @@ class TestPolygamyBoundCoa:
 
     def test_explicit_infeasible_p_raises(self, example1_state):
         with pytest.raises(InfeasibleParamsError) as exc:
-            polygamy_bound_coa(example1_state, "A", 1.0, p=(0.3,))
+            polygamy_bound_coa(example1_state, "A", [1.0], p=(0.3,))
         assert abs(exc.value.min_p - 0.5) < 1e-12
 
 
@@ -188,8 +184,9 @@ class TestAutoThreshold:
                             lambda psi, focus: (ca_sq, ca_sq))
         t_1 = (ca_sq[1] + ca_sq[2]) / ca_sq[0]
         assert 1.0 + excess - 1e-15 <= t_1 <= 1.0 + 1e-12
-        for expo in (0.0, 1.0, 2.0):
-            rep = polygamy_bound_coa(example2_state, "A", expo)
+        exponents = (0.0, 1.0, 2.0)
+        for expo, rep in zip(exponents,
+                             polygamy_bound_coa(example2_state, "A", exponents)):
             assert not rep.fallback["A"]
             assert rep.params["A"].p[0] == 1.0
             assert abs(rep.params["A"].p[1] - ca_sq[2] / ca_sq[1]) < 1e-15
@@ -198,28 +195,28 @@ class TestAutoThreshold:
 
 class TestABCutBounds:
     def test_example2_alpha_two(self, example2_state):
-        lo = monogamy_lower_AB(example2_state, 2.0, p=P_EXAMPLE2)
-        up = polygamy_upper_AB(example2_state, 2.0, p=P_EXAMPLE2)
+        [lo] = monogamy_lower_AB(example2_state, [2.0], p=P_EXAMPLE2)
+        [up] = polygamy_upper_AB(example2_state, [2.0], p=P_EXAMPLE2)
         assert abs(lo.ours - 15 / 64) < 1e-12
         assert abs(lo.lhs - 39 / 64) < 1e-12
         assert abs(up.ours - 111 / 64) < 1e-12
 
     def test_alpha_zero(self, example2_state):
-        lo = monogamy_lower_AB(example2_state, 0.0, p=P_EXAMPLE2)
+        [lo] = monogamy_lower_AB(example2_state, [0.0], p=P_EXAMPLE2)
         assert lo.lhs == 1.0
         assert lo.ours <= 1e-15  # both arms are 1 - theta(0) = 0
 
     def test_lower_chain_ordering(self, example2_state):
-        for alpha in np.linspace(0.0, 2.0, 41):
-            rep = monogamy_lower_AB(example2_state, float(alpha), p=P_EXAMPLE2)
+        for rep in monogamy_lower_AB(example2_state, np.linspace(0.0, 2.0, 41),
+                                     p=P_EXAMPLE2):
             seq = [rep.lhs, rep.ours, rep.comparators["p1_specialization"],
                    rep.comparators["pow2_chain"],
                    rep.comparators["beta_half_chain"]]
             assert np.max(np.diff(seq)) < 1e-9  # nonincreasing
 
     def test_upper_chain_ordering(self, example2_state):
-        for alpha in np.linspace(0.0, 2.0, 41):
-            rep = polygamy_upper_AB(example2_state, float(alpha), p=P_EXAMPLE2)
+        for rep in polygamy_upper_AB(example2_state, np.linspace(0.0, 2.0, 41),
+                                     p=P_EXAMPLE2):
             seq = [rep.lhs, rep.ours, rep.comparators["p1_specialization"],
                    rep.comparators["pow2_chain"],
                    rep.comparators["beta_half_chain"]]
@@ -229,21 +226,21 @@ class TestABCutBounds:
         amp = np.zeros(16, dtype=complex)
         amp[0] = 1.0
         psi = PureState(qubit_shape(("A", "B", "C1", "C2")), amp)
-        up = polygamy_upper_AB(psi, 1.0)
+        [up] = polygamy_upper_AB(psi, [1.0])
         assert up.lhs == 0.0 and abs(up.ours) < 1e-12
 
     def test_sandwich_random(self):
         for i in range(100):
             psi = haar_random_pure(4, 271, stream=i)
-            for alpha in (0.25, 0.75, 1.25, 2.0):
-                lo = monogamy_lower_AB(psi, alpha)
-                up = polygamy_upper_AB(psi, alpha)
+            alphas = (0.25, 0.75, 1.25, 2.0)
+            for lo, up in zip(monogamy_lower_AB(psi, alphas),
+                              polygamy_upper_AB(psi, alphas)):
                 assert lo.ours <= lo.lhs + 1e-9
                 assert up.ours >= up.lhs - 1e-9
 
     def test_requires_four_subsystems(self, example1_state):
         with pytest.raises(ValueError, match="at least 4"):
-            monogamy_lower_AB(example1_state, 1.0)
+            monogamy_lower_AB(example1_state, [1.0])
 
     def test_fallback_flagged_when_infeasible(self):
         # GHZ-like 4-qubit state: every pair CoA^2 equal, so singleton
@@ -251,7 +248,7 @@ class TestABCutBounds:
         amp = np.zeros(16, dtype=complex)
         amp[0] = amp[15] = 1 / np.sqrt(2)
         psi = PureState(qubit_shape(("A", "B", "C1", "C2")), amp)
-        up = polygamy_upper_AB(psi, 1.0)
+        [up] = polygamy_upper_AB(psi, [1.0])
         assert up.fallback["A"] and up.fallback["B"]
         assert all(len(g.groups) == 1 for g in up.groupings.values())
         assert up.ours >= up.lhs - 1e-9
@@ -259,29 +256,28 @@ class TestABCutBounds:
 
 class TestNegativityBounds:
     def test_rank_two_factor_is_one(self, example2_state):
-        nb = negativity_bounds_AB(example2_state, 2.0, p=P_EXAMPLE2)
-        up = polygamy_upper_AB(example2_state, 2.0, p=P_EXAMPLE2)
-        lo = monogamy_lower_AB(example2_state, 2.0, p=P_EXAMPLE2)
+        [nb] = negativity_bounds_AB(example2_state, [2.0], p=P_EXAMPLE2)
+        [up] = polygamy_upper_AB(example2_state, [2.0], p=P_EXAMPLE2)
+        [lo] = monogamy_lower_AB(example2_state, [2.0], p=P_EXAMPLE2)
         assert abs(nb.upper.ours - up.ours) < 1e-12
         assert abs(nb.lower.ours - lo.ours) < 1e-12
 
     def test_example2_alpha_two_value(self, example2_state):
-        nb = negativity_bounds_AB(example2_state, 2.0, p=P_EXAMPLE2)
+        [nb] = negativity_bounds_AB(example2_state, [2.0], p=P_EXAMPLE2)
         assert abs(nb.upper.ours - 111 / 64) < 1e-12
 
     def test_product_state(self):
         amp = np.zeros(16, dtype=complex)
         amp[0] = 1.0
         psi = PureState(qubit_shape(("A", "B", "C1", "C2")), amp)
-        nb = negativity_bounds_AB(psi, 1.0)
+        [nb] = negativity_bounds_AB(psi, [1.0])
         assert nb.lower.lhs == 0.0
         assert nb.lower.ours <= 1e-12
 
     def test_sandwich_random(self):
         for i in range(100):
             psi = haar_random_pure(4, 619, stream=i)
-            for alpha in (0.5, 1.0, 1.5, 2.0):
-                nb = negativity_bounds_AB(psi, alpha)
+            for nb in negativity_bounds_AB(psi, (0.5, 1.0, 1.5, 2.0)):
                 assert nb.lower.ours <= nb.lhs + 1e-9
                 assert nb.upper.ours >= nb.lhs - 1e-9
 
@@ -290,13 +286,13 @@ class TestTripartiteBounds:
     def test_sandwich_thousand_seeds(self):
         for i in range(1000):
             psi = haar_random_pure(5, 911, stream=i)
-            tri = tripartite_bounds(psi, 2.0)
+            [tri] = tripartite_bounds(psi, [2.0])
             assert tri.lower.ours <= tri.lhs + 1e-9
             assert tri.upper.ours >= tri.lhs - 1e-9
 
     def test_alpha_zero(self):
         psi = haar_random_pure(5, 13, stream=0)
-        tri = tripartite_bounds(psi, 0.0)
+        [tri] = tripartite_bounds(psi, [0.0])
         assert tri.lhs == 1.0
         assert tri.upper.ours >= 1.0
 
@@ -304,40 +300,40 @@ class TestTripartiteBounds:
         amp = np.zeros(32, dtype=complex)
         amp[0] = 1.0
         psi = PureState(qubit_shape(("A", "B", "C1", "C2", "C3")), amp)
-        tri = tripartite_bounds(psi, 1.0)
+        [tri] = tripartite_bounds(psi, [1.0])
         assert tri.lhs == 0.0
         assert abs(tri.upper.ours) < 1e-12
         assert tri.lower.ours <= 1e-12
 
     def test_requires_five_subsystems(self, example2_state):
         with pytest.raises(ValueError, match="at least 5"):
-            tripartite_bounds(example2_state, 1.0)
+            tripartite_bounds(example2_state, [1.0])
 
 
 class TestMultiPartitionPolygamy:
     def test_single_focus_reduces_to_theorem(self, example1_state):
-        rep = multi_partition_polygamy(example1_state, ["A"], 1.0,
-                                       p={"A": (0.6,)})
-        base = polygamy_bound_coa(example1_state, "A", 1.0, p=(0.6,))
+        [rep] = multi_partition_polygamy(example1_state, ["A"], [1.0],
+                                         p={"A": (0.6,)})
+        [base] = polygamy_bound_coa(example1_state, "A", [1.0], p=(0.6,))
         assert abs(rep.ours - base.ours) < 1e-15
         assert abs(rep.lhs - base.lhs) < 1e-15
 
     def test_two_focus_matches_ab_upper(self, example2_state):
-        rep = multi_partition_polygamy(example2_state, ["A", "B"], 2.0,
-                                       p=P_EXAMPLE2)
-        up = polygamy_upper_AB(example2_state, 2.0, p=P_EXAMPLE2)
+        [rep] = multi_partition_polygamy(example2_state, ["A", "B"], [2.0],
+                                         p=P_EXAMPLE2)
+        [up] = polygamy_upper_AB(example2_state, [2.0], p=P_EXAMPLE2)
         assert abs(rep.ours - up.ours) < 1e-15
 
     def test_three_focus_random(self):
         for i in range(1000):
             psi = haar_random_pure(5, 733, stream=i)
-            rep = multi_partition_polygamy(psi, ["A", "B", "C1"], 1.0)
+            [rep] = multi_partition_polygamy(psi, ["A", "B", "C1"], [1.0])
             assert rep.ours >= rep.lhs - 1e-9
 
     def test_left_must_be_proper_subset(self, example2_state):
         with pytest.raises(ValueError):
             multi_partition_polygamy(example2_state,
-                                     ["A", "B", "C1", "C2"], 1.0)
+                                     ["A", "B", "C1", "C2"], [1.0])
 
 
 class TestComparatorOrdering:
@@ -368,14 +364,80 @@ class TestSixQubitEndToEnd:
     def test_all_cut_families_on_largest_register(self):
         for i in range(25):
             psi = haar_random_pure(6, 1009, stream=i)
-            for alpha in (0.5, 1.5):
-                lo = monogamy_lower_AB(psi, alpha)
-                up = polygamy_upper_AB(psi, alpha)
-                tri = tripartite_bounds(psi, alpha)
-                nb = negativity_bounds_AB(psi, alpha)
-                multi = multi_partition_polygamy(psi, ["A", "B", "C1", "C2"],
-                                                 alpha)
+            alphas = (0.5, 1.5)
+            for lo, up, tri, nb, multi in zip(
+                    monogamy_lower_AB(psi, alphas),
+                    polygamy_upper_AB(psi, alphas),
+                    tripartite_bounds(psi, alphas),
+                    negativity_bounds_AB(psi, alphas),
+                    multi_partition_polygamy(psi, ["A", "B", "C1", "C2"],
+                                             alphas)):
                 assert lo.ours <= lo.lhs + 1e-9 <= up.ours + 2e-9
                 assert tri.lower.ours <= tri.lhs + 1e-9 <= tri.upper.ours + 2e-9
                 assert nb.lower.ours <= nb.lhs + 1e-9 <= nb.upper.ours + 2e-9
                 assert multi.ours >= multi.lhs - 1e-9
+
+
+def geometric_w_state(n: int) -> PureState:
+    """W-class state with weights 1, 1/3, 1/9, 1/27 on the first four of n
+    qubits; the others stay |0>.  Foci A and B have two nonzero tail ratios,
+    both below 1/2, so every p of TestSweep is feasible."""
+    amp = np.zeros(2 ** n, dtype=complex)
+    for k in range(4):
+        amp[2 ** (n - 1 - k)] = 3.0 ** (-k / 2)
+    return PureState(qubit_shape(default_labels(n)), amp / np.linalg.norm(amp))
+
+
+class TestSweep:
+    """A sweep returns, bit for bit, what its one-exponent calls return, and
+    raises what they raise."""
+
+    EXPONENTS = (0.0, 0.35, 1.0, 1.5, 2.0)
+    REPORTS = {
+        "polygamy_bound_coa": lambda psi, es, p: polygamy_bound_coa(
+            psi, "B", es, p=p),
+        "monogamy_lower_AB": monogamy_lower_AB,
+        "polygamy_upper_AB": polygamy_upper_AB,
+        "negativity_bounds_AB": negativity_bounds_AB,
+        "tripartite_bounds": tripartite_bounds,
+        "multi_partition_polygamy": lambda psi, es, p: multi_partition_polygamy(
+            psi, ["A", "C1"], es, p=p),
+    }
+
+    @staticmethod
+    def _outcome(call):
+        try:
+            return repr(call())  # float reprs round-trip, so equal is bitwise
+        except ValueError as exc:  # InfeasibleParamsError included
+            return f"{type(exc).__name__}: {exc}"
+
+    @pytest.mark.parametrize("name", sorted(REPORTS))
+    @pytest.mark.parametrize("p", ["auto", "one", (1.0, 0.9, 1.0, 1.0, 1.0),
+                                   FIG23_P], ids=["auto", "one", "vector",
+                                                  "fig23"])
+    def test_sweep_equals_one_exponent_calls(self, example2_state, name, p):
+        # explicit p is infeasible on Haar states (the tail ratios exceed
+        # 1), so geometric W states carry the explicit-p numbers
+        report = self.REPORTS[name]
+        states = ([example2_state]
+                  + [haar_random_pure(n, 5, stream=n) for n in (4, 5, 6)]
+                  + [geometric_w_state(n) for n in (5, 6)])
+        evaluated = 0
+        for psi in states:
+            sweep = self._outcome(lambda: report(psi, self.EXPONENTS, p))
+            singles = [self._outcome(lambda: report(psi, [e], p)[0])
+                       for e in self.EXPONENTS]
+            if sweep.startswith("["):
+                assert sweep == "[" + ", ".join(singles) + "]"
+                evaluated += 1
+            else:
+                assert singles == [sweep] * len(self.EXPONENTS)
+        assert evaluated >= 2  # the geometric W states at least
+
+    @pytest.mark.parametrize("name", sorted(REPORTS))
+    def test_bad_exponent_anywhere_raises(self, name):
+        psi = haar_random_pure(5, 5, stream=0)
+        for exponents in ([3.0, 1.0], [1.0, 2.5], [0.5, -0.1, 1.0],
+                          [1.0, float("nan")]):
+            with pytest.raises(ValueError, match="exponent must be in"):
+                self.REPORTS[name](psi, exponents, "auto")

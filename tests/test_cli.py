@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from entbounds import bounds, cli
 from entbounds.cli import (
     FIG1_PARAMS,
     FigureSpec,
@@ -312,3 +313,41 @@ class TestMainExitCodes:
                      "--exponents", "1", f"--tol={tol}"])
         assert code == 2
         assert "tol must be finite" in capsys.readouterr().err
+
+
+class TestOncePerState:
+    """A report call resolves each focus once, whatever the number of
+    exponents: pair spectra are counted at every name they are called by."""
+
+    @pytest.fixture
+    def pair_calls(self, monkeypatch):
+        calls = []
+        original = bounds.pair_measures_sq
+
+        def counting(psi, focus):
+            calls.append(focus)
+            return original(psi, focus)
+
+        for module in (bounds, cli):
+            monkeypatch.setattr(module, "pair_measures_sq", counting)
+        return calls
+
+    @pytest.mark.parametrize("qubits, expected", [(4, 7), (5, 10), (6, 10)])
+    def test_verify_trial(self, pair_calls, qubits, expected):
+        # focus A for the pair checks, then A and B for each of the three
+        # AB report calls, plus A, B and C1 for the tripartite call
+        run_verify(VerifyConfig(qubits=qubits, trials=1,
+                                exponents=(0.5, 1.0, 1.5, 2.0), seed=7))
+        assert len(pair_calls) == expected
+
+    def test_figure(self, pair_calls):
+        figure_rows(2, samples=11)
+        assert pair_calls == ["A", "B"]
+
+    def test_bad_exponent_exits_two_before_any_focus(
+            self, pair_calls, example1_spec_file, capsys):
+        code = main(["bounds", "--state", example1_spec_file, "--cut", "A|BC",
+                     "--exponent", "3"])
+        assert code == 2
+        assert "exponent must be in [0, 2]" in capsys.readouterr().err
+        assert pair_calls == []

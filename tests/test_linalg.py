@@ -3,7 +3,6 @@ import numpy.testing as npt
 import pytest
 
 from entbounds.linalg import (
-    MAX_DIM,
     TAU_PSD,
     DimensionError,
     SubsystemShape,

@@ -1,5 +1,4 @@
 import numpy as np
-import numpy.testing as npt
 import pytest
 
 from entbounds.linalg import partial_trace, projector, qubit_shape

@@ -30,26 +30,26 @@ class TestMinimalAdmissibleP:
     """Auto mode resolves each level's p to the minimal admissible t_l."""
 
     def test_example1_values(self, example1_state):
-        rep = polygamy_bound_coa(example1_state, "A", 1.0)
+        [rep] = polygamy_bound_coa(example1_state, "A", [1.0])
         assert abs(rep.params["A"].p[0] - 0.5) < 1e-15  # t, tighter than 3/5
 
     def test_example2_focus_b(self, example2_state):
-        params = polygamy_bound_coa(example2_state, "B", 1.0).params["B"]
+        params = polygamy_bound_coa(example2_state, "B", [1.0])[0].params["B"]
         assert abs(params.p[0] - 1 / 3) < 1e-15
         assert abs(params.p[1] - 1 / 2) < 1e-15
 
     def test_equal_groups_infeasible(self):
         psi = two_term_state(4, 15)  # GHZ: every pair CoA^2 is 1, t_1 = 2
         with pytest.raises(InfeasibleParamsError) as exc:
-            polygamy_bound_coa(psi, "A", 1.0, p=(1.0, 1.0))
+            polygamy_bound_coa(psi, "A", [1.0], p=(1.0, 1.0))
         assert exc.value.level == 1 and abs(exc.value.min_p - 2.0) < 1e-12
-        rep = polygamy_bound_coa(psi, "A", 1.0)
+        [rep] = polygamy_bound_coa(psi, "A", [1.0])
         assert rep.fallback["A"] and rep.params["A"].p == ()
 
     def test_floor_applied(self):
         # a trailing 1e-10 group is noise: dropped, so it needs no parameter
         assert theta([[1.0], [1e-10]], BoundParams(exponent=1.0)) == 1.0
-        rep = polygamy_bound_coa(two_term_state(4, 12), "A", 1.0)
+        [rep] = polygamy_bound_coa(two_term_state(4, 12), "A", [1.0])
         assert rep.params["A"].p == () and not rep.fallback["A"]
 
 
@@ -70,23 +70,24 @@ class TestAutoGrouping:
     group when that ordering admits no parameters."""
 
     def test_feasible_stays_singleton(self, example1_state):
-        rep = polygamy_bound_coa(example1_state, "A", 1.0)
+        [rep] = polygamy_bound_coa(example1_state, "A", [1.0])
         assert rep.groupings["A"].groups == ((0,), (1,))
 
     def test_infeasible_collapses(self):
-        rep = polygamy_bound_coa(two_term_state(4, 15), "A", 1.0)
+        [rep] = polygamy_bound_coa(two_term_state(4, 15), "A", [1.0])
         assert len(rep.groupings["A"].groups) == 1
 
     def test_orders_descending(self, example2_state):
         _, ca_sq = pair_measures_sq(example2_state, "A")
-        groups = polygamy_bound_coa(example2_state, "A", 1.0).groupings["A"]
+        [rep] = polygamy_bound_coa(example2_state, "A", [1.0])
+        groups = rep.groupings["A"]
         heads = [ca_sq[g[0]] for g in groups.groups]
         assert len(groups.groups) == 3 and heads == sorted(heads, reverse=True)
 
 
 class TestOptimize:
     def test_example1_beats_figure_choice(self, example1_state):
-        z1 = polygamy_bound_coa(example1_state, "A", 1.0, p=(0.6,))
+        [z1] = polygamy_bound_coa(example1_state, "A", [1.0], p=(0.6,))
         res = optimize(example1_state, "A", 1.0)
         assert res.best_value <= z1.ours + 1e-12
         lhs = pure_concurrence(example1_state,
@@ -167,10 +168,10 @@ class TestClosedForm:
                 psi = haar_random_pure(n, 97, stream=stream)
                 _, ca_sq = pair_measures_sq(psi, "A")
                 groupings = list(ordered_set_partitions(ca_sq.size))
-                for expo in EXPONENTS:
+                autos = polygamy_bound_coa(psi, "A", EXPONENTS)
+                for expo, auto in zip(EXPONENTS, autos):
                     best = optimize(psi, "A", expo).best_value
-                    auto = polygamy_bound_coa(psi, "A", expo).ours
-                    assert abs(auto - best) < 1e-12
+                    assert abs(auto.ours - best) < 1e-12
                     for grouping in groupings:
                         groups = [[float(ca_sq[i]) for i in g]
                                   for g in grouping.groups]

@@ -1,6 +1,14 @@
+import ast
 import types
+from pathlib import Path
+
+import pytest
 
 import entbounds
+
+ROOT = Path(__file__).resolve().parents[1]
+CHECKED = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py")
+                 if p.name != "__init__.py")  # __init__ imports re-export
 
 
 def test_all_names_resolve():
@@ -14,3 +22,28 @@ def test_all_lists_every_public_name():
               if not name.startswith("_")
               and not isinstance(value, types.ModuleType)}
     assert set(entbounds.__all__) == public
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import statement and never read in the module."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(set(bound) - read)
+
+
+def test_unused_import_scan():
+    assert unused_imports("import os\nimport numpy.linalg as la\n"
+                          "from a import b, c as d\nprint(os, d)\n") == [
+        "b", "la"]
+    assert unused_imports("from __future__ import annotations\n") == []
+
+
+@pytest.mark.parametrize("path", CHECKED, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
