@@ -36,7 +36,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -86,6 +86,13 @@ def _check_exponent(exponent: float) -> float:
     if not 0.0 <= exponent <= 2.0:
         raise ValueError(f"exponent must be in [0, 2], got {exponent}")
     return exponent
+
+
+def _check_params(p) -> tuple[float, ...]:
+    p = tuple(float(v) for v in p)
+    if any(not 0.0 < v <= 1.0 for v in p):
+        raise ValueError(f"parameters must lie in (0, 1], got {p}")
+    return p
 
 
 def _xpow(base: float, expo: float) -> float:
@@ -140,9 +147,7 @@ class BoundParams:
 
     def __post_init__(self):
         object.__setattr__(self, "exponent", _check_exponent(self.exponent))
-        object.__setattr__(self, "p", tuple(float(v) for v in self.p))
-        if any(not 0.0 < v <= 1.0 for v in self.p):
-            raise ValueError(f"parameters must lie in (0, 1], got {self.p}")
+        object.__setattr__(self, "p", _check_params(self.p))
 
 
 @dataclass(frozen=True)
@@ -307,25 +312,38 @@ def _grouped(values: np.ndarray, grouping: Grouping) -> list[list[float]]:
     return [[float(values[i]) for i in g] for g in grouping.groups]
 
 
+def _descending(values_sq) -> list[float]:
+    """Values clipped at zero, in the descending singleton order of the
+    literature chains."""
+    return sorted((max(float(v), 0.0) for v in values_sq), reverse=True)
+
+
+def _chain(powers: Sequence[float], c: float) -> float:
+    """sum_l c^(l-1) powers_l, left to right."""
+    total = 0.0
+    weight = 1.0
+    for vx in powers:
+        total += weight * vx
+        weight *= c
+    return total
+
+
 def chain_bound(values_sq, exponent: float, kind: str) -> float:
     """Literature chain bound sum_l c^(l-1) (v_l)^(exponent/2) over the
     descending singleton ordering; c is 2^(x)-1, x, or 1."""
     x = exponent / 2.0
     if kind not in CHAIN_COEFFICIENTS:
         raise ValueError(f"unknown chain kind {kind!r}")
-    c = CHAIN_COEFFICIENTS[kind](x)
-    total = 0.0
-    weight = 1.0
-    for v in sorted((max(float(v), 0.0) for v in values_sq), reverse=True):
-        total += weight * _xpow(v, x)
-        weight *= c
-    return total
+    return _chain([_xpow(v, x) for v in _descending(values_sq)],
+                  CHAIN_COEFFICIENTS[kind](x))
 
 
 class _Focus(NamedTuple):
     """The exponent-free ingredients of one focus's bounds."""
 
+    c_sq: np.ndarray
     ca_sq: np.ndarray
+    descending: list[float]   # ca_sq in chain order
     groups: list[list[float]]
     grouping: Grouping
     p: tuple[float, ...]
@@ -361,17 +379,19 @@ def _focus(psi: PureState, focus: str, p) -> _Focus:
             groups, ts = _grouped(ca_sq, grouping), []
         p = [min(t, 1.0) if auto else 1.0 for t in ts]
     else:
-        p = [float(v) for v in p_spec]
+        p = _check_params(p_spec)  # every entry, also those past the levels
         if len(p) < len(ts):
             raise ValueError(f"grouping needs {len(ts)} parameters, "
                              f"got {len(p)}")
         p = p[:len(ts)]
-    return _Focus(ca_sq, groups, grouping, tuple(p), auto, fallback,
-                  float(c_sq.sum()))
+    return _Focus(c_sq, ca_sq, _descending(ca_sq), groups, grouping, tuple(p),
+                  auto, fallback, float(c_sq.sum()))
 
 
 def _values(f: _Focus, params: BoundParams) -> dict[str, float]:
     """Our bound and every comparator for one focus at ``params``."""
+    x = params.exponent / 2.0
+    powers = [_xpow(v, x) for v in f.descending]
     ones = BoundParams(exponent=params.exponent, p=(1.0,) * len(f.p))
     if f.auto:  # theta at p = t equals the single-group value (module doc)
         ours = theta([f.ca_sq], BoundParams(exponent=params.exponent))
@@ -380,38 +400,50 @@ def _values(f: _Focus, params: BoundParams) -> dict[str, float]:
         ours = theta(f.groups, params)
         p1 = ours if params == ones else theta(f.groups, ones)
     return {"ours": ours, "p1_specialization": p1} | {
-        kind: chain_bound(f.ca_sq, params.exponent, kind)
-        for kind in CHAIN_COEFFICIENTS}
+        kind: _chain(powers, c(x)) for kind, c in CHAIN_COEFFICIENTS.items()}
 
 
-def _sweep(psi: PureState, foci, exponents, p, base: float,
-           *combiners) -> list[list[BoundReport]]:
-    """Reports of each combiner (side, combine), one per exponent.
+class _Cut(NamedTuple):
+    """One bound across one cut: lhs = base^exponent, and combine maps the
+    values v of ``foci`` (in that order) and their radicand powers rad at
+    x = exponent/2 to the bound, alike for "ours" and each comparator."""
 
-    combine maps the per-focus values v and radicand powers rad at
-    x = exponent/2 to a bound, alike for "ours" and each comparator; the
-    lhs is base^exponent.  Each focus is resolved once and evaluated at
-    every exponent before the next, so errors come as in one-exponent calls."""
+    side: str
+    base: float
+    foci: tuple[str, ...]
+    combine: Callable
+
+
+def _sweep(psi: PureState, exponents, p, *cuts: _Cut
+           ) -> tuple[list[list[BoundReport]], dict[str, _Focus]]:
+    """Reports of each cut, one per exponent, and the resolved foci.
+
+    Every focus a cut reads is resolved once and evaluated at every
+    exponent before the next, in first-read order, so errors come as in
+    one-exponent calls; cuts sharing a focus share its values."""
     exponents = [_check_exponent(e) for e in exponents]
-    data, params, values = {}, {}, {}
-    for f in foci:
+    data, params, values, rads = {}, {}, {}, {}
+    for f in dict.fromkeys(f for cut in cuts for f in cut.foci):
         data[f] = d = _focus(psi, f, p)
         params[f] = [BoundParams(exponent=e, p=d.p) for e in exponents]
         values[f] = [_values(d, pr) for pr in params[f]]
-    out = [[] for _ in combiners]
-    for i, exponent in enumerate(exponents):
-        lhs, x = _xpow(base, exponent), exponent / 2.0
-        rad = [_xpow(d.radicand, x) for d in data.values()]
-        for (side, combine), reports in zip(combiners, out):
-            ours, *cmp = (combine([v[i][key] for v in values.values()], rad, x)
+        rads[f] = [_xpow(d.radicand, e / 2.0) for e in exponents]
+    out = []
+    for side, base, foci, combine in cuts:
+        reports = []
+        for i, exponent in enumerate(exponents):
+            lhs, x = _xpow(base, exponent), exponent / 2.0
+            v, rad = [values[f][i] for f in foci], [rads[f][i] for f in foci]
+            ours, *cmp = (combine([vf[key] for vf in v], rad, x)
                           for key in ("ours",) + COMPARATOR_NAMES)
             reports.append(BoundReport(
                 lhs=lhs, ours=ours, comparators=dict(zip(COMPARATOR_NAMES, cmp)),
                 gap=ours - lhs if side == "upper" else lhs - ours,
-                groupings={f: d.grouping for f, d in data.items()},
-                params={f: pr[i] for f, pr in params.items()},
-                fallback={f: d.fallback for f, d in data.items()}))
-    return out
+                groupings={f: data[f].grouping for f in foci},
+                params={f: params[f][i] for f in foci},
+                fallback={f: data[f].fallback for f in foci}))
+        out.append(reports)
+    return out, data
 
 
 def _upper(v, rad, x) -> float:
@@ -430,6 +462,37 @@ def _ab_foci(psi: PureState) -> tuple[str, ...]:
     return psi.shape.labels[:2]
 
 
+def _concurrence_AB(psi: PureState) -> tuple[_Cut, _Cut]:
+    foci = _ab_foci(psi)
+    c = pure_concurrence(psi, Bipartition.of(psi.shape, foci))
+    return _Cut("lower", c, foci, _lower_AB), _Cut("upper", c, foci, _upper)
+
+
+def _negativity_AB(psi: PureState) -> tuple[_Cut, _Cut]:
+    if any(dim != 2 for dim in psi.shape.dims):
+        raise ValueError("negativity bounds are implemented for qubits only")
+    foci = _ab_foci(psi)
+    r = schmidt_rank(psi, Bipartition.of(psi.shape, foci))
+    pairs = r * (r - 1) / 2.0
+    n = negativity(psi.density(), psi.shape, list(foci))
+    return _Cut("lower", n, foci, _lower_AB), _Cut(
+        "upper", n, foci,
+        lambda v, rad, x: _xpow(pairs, x) * _upper(v, rad, x))
+
+
+def _tripartite(psi: PureState) -> tuple[_Cut, _Cut]:
+    labels = psi.shape.labels
+    if len(labels) < 5:
+        raise ValueError("tripartite bounds need at least 5 subsystems")
+    foci = labels[:3]
+    c = pure_concurrence(psi, Bipartition.of(psi.shape, foci))
+
+    def lower(v, rad, x):
+        return max(_lower_AB(v, rad, x) - v[2], rad[2] - v[0] - v[1])
+
+    return _Cut("lower", c, foci, lower), _Cut("upper", c, foci, _upper)
+
+
 def polygamy_bound_coa(psi: PureState, focus: str, exponents,
                        p="auto") -> list[BoundReport]:
     """Upper bound C^beta(focus|rest) <= theta, with comparators.
@@ -446,9 +509,8 @@ def monogamy_lower_AB(psi: PureState, exponents, p="auto") -> list[BoundReport]:
     Both one-sided expressions are valid lower bounds; the max is taken.
     The radicands use pair concurrence, the subtracted theta uses CoA.
     """
-    foci = _ab_foci(psi)
-    c = pure_concurrence(psi, Bipartition.of(psi.shape, foci))
-    return _sweep(psi, foci, exponents, p, c, ("lower", _lower_AB))[0]
+    [lower], _ = _sweep(psi, exponents, p, _concurrence_AB(psi)[0])
+    return lower
 
 
 def polygamy_upper_AB(psi: PureState, exponents, p="auto") -> list[BoundReport]:
@@ -463,15 +525,8 @@ def negativity_bounds_AB(psi: PureState, exponents, p="auto") -> list[SandwichBo
     lower bound reuses the concurrence construction; the upper bound picks
     up the Schmidt-rank factor (r(r-1)/2)^(alpha/2) of the cut.
     """
-    if any(dim != 2 for dim in psi.shape.dims):
-        raise ValueError("negativity bounds are implemented for qubits only")
-    foci = _ab_foci(psi)
-    r = schmidt_rank(psi, Bipartition.of(psi.shape, foci))
-    pairs = r * (r - 1) / 2.0
-    n = negativity(psi.density(), psi.shape, list(foci))
-    return list(map(SandwichBounds, *_sweep(
-        psi, foci, exponents, p, n, ("lower", _lower_AB),
-        ("upper", lambda v, rad, x: _xpow(pairs, x) * _upper(v, rad, x)))))
+    reports, _ = _sweep(psi, exponents, p, *_negativity_AB(psi))
+    return list(map(SandwichBounds, *reports))
 
 
 def tripartite_bounds(psi: PureState, exponents, p="auto") -> list[SandwichBounds]:
@@ -482,17 +537,8 @@ def tripartite_bounds(psi: PureState, exponents, p="auto") -> list[SandwichBound
     unconditionally, so the max needs no case detection).  Upper bound:
     theta_A + theta_B + theta_C1.
     """
-    labels = psi.shape.labels
-    if len(labels) < 5:
-        raise ValueError("tripartite bounds need at least 5 subsystems")
-    foci = labels[:3]
-    c = pure_concurrence(psi, Bipartition.of(psi.shape, foci))
-
-    def lower(v, rad, x):
-        return max(_lower_AB(v, rad, x) - v[2], rad[2] - v[0] - v[1])
-
-    return list(map(SandwichBounds, *_sweep(
-        psi, foci, exponents, p, c, ("lower", lower), ("upper", _upper))))
+    reports, _ = _sweep(psi, exponents, p, *_tripartite(psi))
+    return list(map(SandwichBounds, *reports))
 
 
 def multi_partition_polygamy(psi: PureState, left, exponents,
@@ -504,4 +550,28 @@ def multi_partition_polygamy(psi: PureState, left, exponents,
     """
     cut = Bipartition.of(psi.shape, left)
     c = pure_concurrence(psi, cut)
-    return _sweep(psi, cut.left, exponents, p, c, ("upper", _upper))[0]
+    [upper], _ = _sweep(psi, exponents, p, _Cut("upper", c, cut.left, _upper))
+    return upper
+
+
+SANDWICH_NAMES = ("concurrence_lower_AB", "concurrence_upper_AB",
+                  "negativity_lower_AB", "negativity_upper_AB",
+                  "tripartite_lower_ABC1", "tripartite_upper_ABC1")
+
+
+def cut_sandwiches(psi: PureState, exponents, p="auto") -> tuple[
+        tuple[np.ndarray, np.ndarray], dict[str, list[BoundReport]]]:
+    """Every cut sandwich of one qubit state from one resolve per focus.
+
+    Returns ((c_sq, ca_sq) of the first label's pairs, reports), where
+    reports maps each of SANDWICH_NAMES to one report per exponent: the
+    concurrence and negativity bounds across AB|rest and, from 5
+    subsystems up, the bounds across ABC1|rest.  Each report equals the
+    one the matching public report function gives.
+    """
+    cuts = _concurrence_AB(psi) + _negativity_AB(psi)
+    if len(psi.shape.labels) >= 5:
+        cuts += _tripartite(psi)
+    reports, data = _sweep(psi, exponents, p, *cuts)
+    first = data[psi.shape.labels[0]]
+    return (first.c_sq, first.ca_sq), dict(zip(SANDWICH_NAMES, reports))

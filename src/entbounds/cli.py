@@ -16,14 +16,12 @@ import numpy as np
 from .bounds import (
     COMPARATOR_NAMES,
     InfeasibleParamsError,
+    cut_sandwiches,
     lemma_chain_grid,
     monogamy_lower_AB,
     multi_partition_polygamy,
-    negativity_bounds_AB,
-    pair_measures_sq,
     polygamy_bound_coa,
     polygamy_upper_AB,
-    tripartite_bounds,
 )
 from .measures import Bipartition, pure_concurrence
 from .states import (
@@ -226,7 +224,10 @@ def run_verify(cfg: VerifyConfig) -> VerifyResult:
     Each trial draws one state (stream = trial index) and one lemma
     triple; at each exponent it checks the monogamy/polygamy sandwich for
     concurrence and negativity across AB|rest, and the tripartite
-    sandwich when the register has at least 5 qubits.  Slack is
+    sandwich when the register has at least 5 qubits.  One
+    ``cut_sandwiches`` call per trial resolves each focus (A, B and, from
+    5 qubits, C1) once for all exponents and all six bounds, and its
+    focus-A pair values feed the two pair checks.  Slack is
     (larger side) - (smaller side) of each inequality; a violation is
     slack < -tol.
     """
@@ -238,27 +239,16 @@ def run_verify(cfg: VerifyConfig) -> VerifyResult:
                    cfg.tol)
 
         psi = haar_random_pure(cfg.qubits, cfg.seed, stream=trial)
-        focus = psi.shape.labels[0]
-        c_sq, ca_sq = pair_measures_sq(psi, focus)
+        (c_sq, ca_sq), sandwiches = cut_sandwiches(psi, cfg.exponents)
         c_one_rest = pure_concurrence(
-            psi, Bipartition.of(psi.shape, [focus]))
+            psi, Bipartition.of(psi.shape, psi.shape.labels[:1]))
         res.record("pair_coa_polygamy", float(ca_sq.sum()) - c_one_rest ** 2,
                    cfg.tol)
         res.record("pair_conc_monogamy", c_one_rest ** 2 - float(c_sq.sum()),
                    cfg.tol)
-
-        lo = monogamy_lower_AB(psi, cfg.exponents)
-        up = polygamy_upper_AB(psi, cfg.exponents)
-        neg = negativity_bounds_AB(psi, cfg.exponents)
-        tri = tripartite_bounds(psi, cfg.exponents) if cfg.qubits >= 5 else []
         for i in range(len(cfg.exponents)):
-            res.record("concurrence_lower_AB", lo[i].gap, cfg.tol)
-            res.record("concurrence_upper_AB", up[i].gap, cfg.tol)
-            res.record("negativity_lower_AB", neg[i].lower.gap, cfg.tol)
-            res.record("negativity_upper_AB", neg[i].upper.gap, cfg.tol)
-            if tri:
-                res.record("tripartite_lower_ABC1", tri[i].lower.gap, cfg.tol)
-                res.record("tripartite_upper_ABC1", tri[i].upper.gap, cfg.tol)
+            for name, reports in sandwiches.items():
+                res.record(name, reports[i].gap, cfg.tol)
     if cfg.out_csv:
         header = ["check", "worst_slack", "violations", "samples"]
         lines = [",".join(header)]

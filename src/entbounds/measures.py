@@ -44,6 +44,10 @@ class Bipartition:
             raise ValueError("both sides of a bipartition must be non-empty")
         if set(self.left) & set(self.right):
             raise ValueError("bipartition sides must be disjoint")
+        labels = self.left + self.right
+        if len(set(labels)) < len(labels):
+            raise ValueError(f"cut {''.join(self.left)}|{''.join(self.right)} "
+                             f"repeats a label")
 
     @classmethod
     def of(cls, shape: SubsystemShape, left) -> "Bipartition":

@@ -8,13 +8,17 @@ from entbounds import bounds
 from entbounds.bounds import (
     BoundParams,
     InfeasibleParamsError,
+    CHAIN_COEFFICIENTS,
+    SANDWICH_NAMES,
     chain_bound,
     chain_values,
+    cut_sandwiches,
     lemma_chain_grid,
     lemma_rhs,
     monogamy_lower_AB,
     multi_partition_polygamy,
     negativity_bounds_AB,
+    pair_measures_sq,
     polygamy_bound_coa,
     polygamy_upper_AB,
     theta,
@@ -170,6 +174,13 @@ class TestPolygamyBoundCoa:
         with pytest.raises(InfeasibleParamsError) as exc:
             polygamy_bound_coa(example1_state, "A", [1.0], p=(0.3,))
         assert abs(exc.value.min_p - 0.5) < 1e-12
+
+    @pytest.mark.parametrize("p", [(0.6, 7.0), (0.6, float("nan")), (0.6, 0.0)])
+    def test_explicit_p_checked_past_the_levels(self, example1_state, p):
+        # focus A has one level; the second entry is never used, but it is
+        # still outside (0, 1]
+        with pytest.raises(ValueError, match=r"must lie in \(0, 1\]"):
+            polygamy_bound_coa(example1_state, "A", [1.0], p=p)
 
 
 class TestAutoThreshold:
@@ -441,3 +452,44 @@ class TestSweep:
                           [1.0, float("nan")]):
             with pytest.raises(ValueError, match="exponent must be in"):
                 self.REPORTS[name](psi, exponents, "auto")
+
+
+class TestCutSandwiches:
+    """One sweep over foci A, B (and C1) gives, bit for bit, the reports of
+    the separate report functions and focus A's pair values."""
+
+    EXPONENTS = (0.0, 0.35, 1.0, 1.5, 2.0)
+
+    @pytest.mark.parametrize("p", ["auto", "one", (1.0, 0.9, 1.0, 1.0, 1.0)],
+                             ids=["auto", "one", "vector"])
+    def test_equals_report_functions(self, example2_state, p):
+        states = ([example2_state]
+                  + [haar_random_pure(n, 8, stream=n) for n in (4, 5, 6)]
+                  + [geometric_w_state(n) for n in (5, 6)])
+        for psi in states:
+            try:
+                expected = [monogamy_lower_AB(psi, self.EXPONENTS, p),
+                            polygamy_upper_AB(psi, self.EXPONENTS, p)]
+                neg = negativity_bounds_AB(psi, self.EXPONENTS, p)
+                expected += [[s.lower for s in neg], [s.upper for s in neg]]
+                if len(psi.shape.labels) >= 5:
+                    tri = tripartite_bounds(psi, self.EXPONENTS, p)
+                    expected += [[s.lower for s in tri], [s.upper for s in tri]]
+            except ValueError as exc:  # explicit p infeasible on this state
+                with pytest.raises(type(exc), match="infeasible"):
+                    cut_sandwiches(psi, self.EXPONENTS, p)
+                continue
+            pair, reports = cut_sandwiches(psi, self.EXPONENTS, p)
+            assert list(reports) == list(SANDWICH_NAMES[:len(expected)])
+            assert repr(list(reports.values())) == repr(expected)
+            assert repr(pair) == repr(pair_measures_sq(psi, "A"))
+
+    def test_chains_equal_chain_bound(self):
+        # the chains come from one sort per focus; chain_bound sorts per call
+        for n in (3, 4, 5, 6):
+            psi = haar_random_pure(n, 2, stream=n)
+            _, ca_sq = pair_measures_sq(psi, "A")
+            reports = polygamy_bound_coa(psi, "A", self.EXPONENTS)
+            for e, rep in zip(self.EXPONENTS, reports):
+                for kind in CHAIN_COEFFICIENTS:
+                    assert rep.comparators[kind] == chain_bound(ca_sq, e, kind)

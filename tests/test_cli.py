@@ -1,20 +1,31 @@
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from entbounds import bounds, cli
+from entbounds.bounds import (
+    lemma_chain_grid,
+    monogamy_lower_AB,
+    negativity_bounds_AB,
+    pair_measures_sq,
+    polygamy_upper_AB,
+    tripartite_bounds,
+)
 from entbounds.cli import (
     FIG1_PARAMS,
     FigureSpec,
     VerifyConfig,
+    VerifyResult,
     figure_rows,
     main,
     run_bounds,
     run_figure,
     run_verify,
 )
-from entbounds.states import acin_state, emit_state_spec
+from entbounds.measures import Bipartition, pure_concurrence
+from entbounds.states import acin_state, emit_state_spec, haar_random_pure
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "benchmark" / "reference"
 
@@ -164,6 +175,67 @@ class TestVerify:
             VerifyConfig(exponents=(2.5,))
 
 
+def per_function_verify(cfg: VerifyConfig) -> VerifyResult:
+    """run_verify written as one call per report function per state: the
+    reference that the single-sweep trial must reproduce bit for bit."""
+    res = VerifyResult()
+    for trial in range(cfg.trials):
+        chain = lemma_chain_grid(1, cfg.seed, cli._LEMMA_STREAM_BASE + trial)[0]
+        res.record("lemma_key_inequality", chain[1] - chain[0], cfg.tol)
+        res.record("lemma_chain_order", float(np.min(np.diff(chain[1:]))),
+                   cfg.tol)
+        psi = haar_random_pure(cfg.qubits, cfg.seed, stream=trial)
+        c_sq, ca_sq = pair_measures_sq(psi, "A")
+        c_one_rest = pure_concurrence(psi, Bipartition.of(psi.shape, ["A"]))
+        res.record("pair_coa_polygamy", float(ca_sq.sum()) - c_one_rest ** 2,
+                   cfg.tol)
+        res.record("pair_conc_monogamy", c_one_rest ** 2 - float(c_sq.sum()),
+                   cfg.tol)
+        lo = monogamy_lower_AB(psi, cfg.exponents)
+        up = polygamy_upper_AB(psi, cfg.exponents)
+        neg = negativity_bounds_AB(psi, cfg.exponents)
+        tri = tripartite_bounds(psi, cfg.exponents) if cfg.qubits >= 5 else []
+        for i in range(len(cfg.exponents)):
+            res.record("concurrence_lower_AB", lo[i].gap, cfg.tol)
+            res.record("concurrence_upper_AB", up[i].gap, cfg.tol)
+            res.record("negativity_lower_AB", neg[i].lower.gap, cfg.tol)
+            res.record("negativity_upper_AB", neg[i].upper.gap, cfg.tol)
+            if tri:
+                res.record("tripartite_lower_ABC1", tri[i].lower.gap, cfg.tol)
+                res.record("tripartite_upper_ABC1", tri[i].upper.gap, cfg.tol)
+    return res
+
+
+def summary(res: VerifyResult) -> list[tuple]:
+    return [(st.name, st.violations, st.samples, float(st.worst_slack).hex())
+            for st in res.stats.values()]
+
+
+class TestVerifyReference:
+    @pytest.mark.parametrize("qubits, trials", [(4, 12), (5, 6), (6, 4)])
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_equals_per_function_loop(self, qubits, trials, seed):
+        cfg = VerifyConfig(qubits=qubits, trials=trials, seed=seed,
+                           exponents=(0.0, 0.5, 1.0, 1.5, 2.0))
+        assert summary(run_verify(cfg)) == summary(per_function_verify(cfg))
+
+    @pytest.mark.parametrize("workload", ["verify-4q", "verify-6q"])
+    def test_benchmark_reference_batches(self, workload):
+        # the benchmark's correctness gate on a few of its pool batches,
+        # read from the committed reference without changing it
+        ref = json.loads((REFERENCE_DIR / f"{workload}.json").read_text())
+        for batch in (0, 1, 500, len(ref["worst_slack"]) - 1):
+            res = run_verify(VerifyConfig(
+                qubits=ref["qubits"], trials=ref["trials"],
+                exponents=tuple(ref["exponents"]),
+                seed=ref["base_seed"] + batch))
+            assert list(res.stats) == ref["checks"]
+            for k, st in enumerate(res.stats.values()):
+                assert st.violations == ref["violations"][batch][k]
+                assert st.samples == ref["samples"][k]
+                assert abs(st.worst_slack - ref["worst_slack"][batch][k]) <= 1e-12
+
+
 class TestRunBounds:
     def test_example1_reference_value(self, example1_spec_file):
         rep, lines, csv_row = run_bounds(example1_spec_file, "A|BC", 1.0,
@@ -289,6 +361,29 @@ class TestMainExitCodes:
         assert code == 2
         assert "minimal feasible p" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("p", ["0.9,7", "0.9,nan"])
+    def test_bounds_out_of_range_p_exit_two(self, example1_spec_file, p,
+                                            capsys):
+        # entries past the one level of A|BC are checked too
+        code = main(["bounds", "--state", example1_spec_file, "--cut", "A|BC",
+                     "--exponent", "1", "--p", p])
+        assert code == 2
+        assert "parameters must lie in (0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p", ["1,1,1,1,1", "0.9,0.95,1,1,1"])
+    def test_bounds_padded_p_ok(self, example1_spec_file, p, capsys):
+        code = main(["bounds", "--state", example1_spec_file, "--cut", "A|BC",
+                     "--exponent", "1", "--p", p])
+        assert code == 0
+
+    @pytest.mark.parametrize("cut", ["AA|BC", "A|BCC"])
+    def test_bounds_repeated_cut_label_exit_two(self, example1_spec_file,
+                                                cut, capsys):
+        code = main(["bounds", "--state", example1_spec_file, "--cut", cut,
+                     "--exponent", "1"])
+        assert code == 2
+        assert "repeats a label" in capsys.readouterr().err
+
     def test_bounds_parse_error_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.state"
         bad.write_text("qubits 1\namp 0 1 0\namp 0 1 0\n", encoding="utf-8")
@@ -317,7 +412,8 @@ class TestMainExitCodes:
 
 class TestOncePerState:
     """A report call resolves each focus once, whatever the number of
-    exponents: pair spectra are counted at every name they are called by."""
+    exponents, and a verify trial resolves each focus once for all its
+    checks."""
 
     @pytest.fixture
     def pair_calls(self, monkeypatch):
@@ -328,17 +424,30 @@ class TestOncePerState:
             calls.append(focus)
             return original(psi, focus)
 
-        for module in (bounds, cli):
-            monkeypatch.setattr(module, "pair_measures_sq", counting)
+        monkeypatch.setattr(bounds, "pair_measures_sq", counting)
         return calls
 
-    @pytest.mark.parametrize("qubits, expected", [(4, 7), (5, 10), (6, 10)])
-    def test_verify_trial(self, pair_calls, qubits, expected):
-        # focus A for the pair checks, then A and B for each of the three
-        # AB report calls, plus A, B and C1 for the tripartite call
+    @pytest.fixture
+    def spectrum_calls(self, monkeypatch):
+        calls = []
+        original = bounds.cren_crenoa_two_qubit
+
+        def counting(rho):
+            calls.append(rho)
+            return original(rho)
+
+        monkeypatch.setattr(bounds, "cren_crenoa_two_qubit", counting)
+        return calls
+
+    @pytest.mark.parametrize("qubits, pairs, spectra",
+                             [(4, 2, 6), (5, 3, 12), (6, 3, 15)])
+    def test_verify_trial(self, pair_calls, spectrum_calls, qubits, pairs,
+                          spectra):
+        # foci A and B, plus C1 from 5 qubits; one spectrum per partner
         run_verify(VerifyConfig(qubits=qubits, trials=1,
                                 exponents=(0.5, 1.0, 1.5, 2.0), seed=7))
-        assert len(pair_calls) == expected
+        assert pair_calls == ["A", "B", "C1"][:pairs]
+        assert len(spectrum_calls) == spectra
 
     def test_figure(self, pair_calls):
         figure_rows(2, samples=11)

@@ -47,6 +47,13 @@ class TestBipartition:
         with pytest.raises(ValueError, match="disjoint"):
             Bipartition(("A",), ("A", "B"))
 
+    @pytest.mark.parametrize("expression", ["AA|BC", "A|BCC", "C1C1|ABC2"])
+    def test_parse_repeated_label(self, expression):
+        shape = qubit_shape(("A", "B", "C1", "C2") if "C1" in expression
+                            else ("A", "B", "C"))
+        with pytest.raises(ValueError, match="repeats a label"):
+            Bipartition.parse(expression, shape)
+
 
 class TestLinearEntropy:
     def test_pure_projector(self):
