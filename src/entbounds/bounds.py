@@ -559,19 +559,19 @@ SANDWICH_NAMES = ("concurrence_lower_AB", "concurrence_upper_AB",
                   "tripartite_lower_ABC1", "tripartite_upper_ABC1")
 
 
-def cut_sandwiches(psi: PureState, exponents, p="auto") -> tuple[
+def cut_sandwiches(psi: PureState, exponents) -> tuple[
         tuple[np.ndarray, np.ndarray], dict[str, list[BoundReport]]]:
     """Every cut sandwich of one qubit state from one resolve per focus.
 
     Returns ((c_sq, ca_sq) of the first label's pairs, reports), where
     reports maps each of SANDWICH_NAMES to one report per exponent: the
     concurrence and negativity bounds across AB|rest and, from 5
-    subsystems up, the bounds across ABC1|rest.  Each report equals the
-    one the matching public report function gives.
+    subsystems up, the bounds across ABC1|rest, all in auto mode.  Each
+    report equals the one the matching public report function gives.
     """
     cuts = _concurrence_AB(psi) + _negativity_AB(psi)
     if len(psi.shape.labels) >= 5:
         cuts += _tripartite(psi)
-    reports, data = _sweep(psi, exponents, p, *cuts)
+    reports, data = _sweep(psi, exponents, "auto", *cuts)
     first = data[psi.shape.labels[0]]
     return (first.c_sq, first.ca_sq), dict(zip(SANDWICH_NAMES, reports))

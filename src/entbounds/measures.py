@@ -42,10 +42,10 @@ class Bipartition:
         object.__setattr__(self, "right", tuple(self.right))
         if not self.left or not self.right:
             raise ValueError("both sides of a bipartition must be non-empty")
-        if set(self.left) & set(self.right):
-            raise ValueError("bipartition sides must be disjoint")
         labels = self.left + self.right
         if len(set(labels)) < len(labels):
+            if set(self.left) & set(self.right):
+                raise ValueError("bipartition sides must be disjoint")
             raise ValueError(f"cut {''.join(self.left)}|{''.join(self.right)} "
                              f"repeats a label")
 

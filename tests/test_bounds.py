@@ -460,26 +460,19 @@ class TestCutSandwiches:
 
     EXPONENTS = (0.0, 0.35, 1.0, 1.5, 2.0)
 
-    @pytest.mark.parametrize("p", ["auto", "one", (1.0, 0.9, 1.0, 1.0, 1.0)],
-                             ids=["auto", "one", "vector"])
-    def test_equals_report_functions(self, example2_state, p):
+    def test_equals_report_functions(self, example2_state):
         states = ([example2_state]
                   + [haar_random_pure(n, 8, stream=n) for n in (4, 5, 6)]
                   + [geometric_w_state(n) for n in (5, 6)])
         for psi in states:
-            try:
-                expected = [monogamy_lower_AB(psi, self.EXPONENTS, p),
-                            polygamy_upper_AB(psi, self.EXPONENTS, p)]
-                neg = negativity_bounds_AB(psi, self.EXPONENTS, p)
-                expected += [[s.lower for s in neg], [s.upper for s in neg]]
-                if len(psi.shape.labels) >= 5:
-                    tri = tripartite_bounds(psi, self.EXPONENTS, p)
-                    expected += [[s.lower for s in tri], [s.upper for s in tri]]
-            except ValueError as exc:  # explicit p infeasible on this state
-                with pytest.raises(type(exc), match="infeasible"):
-                    cut_sandwiches(psi, self.EXPONENTS, p)
-                continue
-            pair, reports = cut_sandwiches(psi, self.EXPONENTS, p)
+            expected = [monogamy_lower_AB(psi, self.EXPONENTS),
+                        polygamy_upper_AB(psi, self.EXPONENTS)]
+            neg = negativity_bounds_AB(psi, self.EXPONENTS)
+            expected += [[s.lower for s in neg], [s.upper for s in neg]]
+            if len(psi.shape.labels) >= 5:
+                tri = tripartite_bounds(psi, self.EXPONENTS)
+                expected += [[s.lower for s in tri], [s.upper for s in tri]]
+            pair, reports = cut_sandwiches(psi, self.EXPONENTS)
             assert list(reports) == list(SANDWICH_NAMES[:len(expected)])
             assert repr(list(reports.values())) == repr(expected)
             assert repr(pair) == repr(pair_measures_sq(psi, "A"))
