@@ -39,8 +39,6 @@ from .measures import (
     pure_concurrence,
     reduced_density,
     schmidt_rank,
-    two_qubit_coa,
-    two_qubit_concurrence,
 )
 from .optimizer import (
     OptimizationResult,
@@ -73,6 +71,5 @@ __all__ = [
     "pair_measures_sq", "parse_state_spec", "partial_trace",
     "partial_transpose", "polygamy_bound_coa", "polygamy_upper_AB",
     "pure_concurrence", "qubit_shape", "reduced_density", "schmidt_rank",
-    "theta", "trace_norm", "tripartite_bounds", "two_qubit_coa",
-    "two_qubit_concurrence", "wclass4_state",
+    "theta", "trace_norm", "tripartite_bounds", "wclass4_state",
 ]

@@ -258,6 +258,29 @@ def tail_ratios(heads: Sequence[float]) -> list[float]:
     return [sum(heads[i + 1:]) / heads[i] for i in range(len(heads) - 1)]
 
 
+def _admissible(ts: Sequence[float], p: Sequence[float]) -> tuple[float, ...]:
+    """The entries of ``p`` the levels with tail ratios ``ts`` use; raises
+    ValueError if too few, InfeasibleParamsError at the first p_l < t_l."""
+    if len(p) < len(ts):
+        raise ValueError(f"grouping needs {len(ts)} parameters, got {len(p)}")
+    for lvl, (t, pl) in enumerate(zip(ts, p)):
+        if t > pl + _FEAS_SLACK:
+            raise InfeasibleParamsError(level=lvl + 1, min_p=t)
+    return tuple(p[:len(ts)])
+
+
+def _theta_value(heads: Sequence[float], ts: Sequence[float],
+                 p: Sequence[float], x: float) -> float:
+    """The recursion behind theta at x = exponent/2, from the trimmed heads,
+    their tail ratios and admissible parameters; 0^x when no head is left."""
+    value, prefix = 0.0, 1.0
+    for head, t, pl in zip(heads, ts, p):
+        omega, _, upsilon = _omega_phi_upsilon(min(t, pl), pl, x)
+        value += prefix * omega * _xpow(head, x)
+        prefix *= upsilon
+    return value + prefix * _xpow(heads[-1] if heads else 0.0, x)
+
+
 def theta(group_coa_sq: Sequence[Sequence[float]], params: BoundParams) -> float:
     """Grouped upper bound on C^exponent(focus|rest); returns the bound value.
 
@@ -266,25 +289,10 @@ def theta(group_coa_sq: Sequence[Sequence[float]], params: BoundParams) -> float
     group and the plain sum at exponent 2.  Raises InfeasibleParamsError
     when some p_l falls below the tail/head ratio at its level.
     """
-    x = params.exponent / 2.0
     heads = _group_heads(group_coa_sq)
-    if not heads:
-        return _xpow(0.0, x)
-    k = len(heads)
-    if len(params.p) < k - 1:
-        raise ValueError(f"grouping needs {k - 1} parameters, "
-                         f"got {len(params.p)}")
-    value = 0.0
-    prefix = 1.0
-    for lvl in range(k - 1):
-        t = sum(heads[lvl + 1:]) / heads[lvl]
-        p = params.p[lvl]
-        if t > p + _FEAS_SLACK:
-            raise InfeasibleParamsError(level=lvl + 1, min_p=t)
-        coeff = lemma_rhs(min(t, p), p, x)
-        value += prefix * coeff.omega * _xpow(heads[lvl], x)
-        prefix *= coeff.upsilon
-    return value + prefix * _xpow(heads[-1], x)
+    ts = tail_ratios(heads)
+    return _theta_value(heads, ts, _admissible(ts, params.p),
+                        params.exponent / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +314,6 @@ def pair_measures_sq(psi: PureState, focus: str) -> tuple[np.ndarray, np.ndarray
         c_sq.append(c * c)
         ca_sq.append(ca * ca)
     return np.array(c_sq), np.array(ca_sq)
-
-
-def _grouped(values: np.ndarray, grouping: Grouping) -> list[list[float]]:
-    return [[float(values[i]) for i in g] for g in grouping.groups]
 
 
 def _descending(values_sq) -> list[float]:
@@ -344,31 +348,32 @@ class _Focus(NamedTuple):
     c_sq: np.ndarray
     ca_sq: np.ndarray
     descending: list[float]   # ca_sq in chain order
-    groups: list[list[float]]
     grouping: Grouping
     p: tuple[float, ...]
-    auto: bool
     fallback: bool
     radicand: float
+    ours: tuple               # (heads, tail ratios, p) that ours evaluates
+    p1: tuple                 # the same for the grouping at p = 1
 
 
 def _focus(psi: PureState, focus: str, p) -> _Focus:
-    """Resolve the grouping and the parameters of one focus.
+    """Resolve the grouping, its levels and the parameters of one focus.
 
     The grouping is the descending singleton ordering of the partners.
     ``p`` holds one value for every focus or a mapping by focus (default
     auto): "auto" (p = tail/head ratio, the tightest choice), "one" (the
     p=1 literature specialization) or an explicit sequence.  For
     "auto"/"one" an infeasible grouping (some t_l > 1) falls back to the
-    always-valid single-group bound and is flagged; an explicit infeasible
-    vector raises InfeasibleParamsError when the bound is evaluated.
+    always-valid single-group bound and is flagged; an explicit vector
+    that is too short or infeasible raises here, before any exponent.
     """
     p_spec = p.get(focus, "auto") if isinstance(p, Mapping) else p
     c_sq, ca_sq = pair_measures_sq(psi, focus)
     order = np.argsort(-ca_sq, kind="stable")
     grouping = Grouping(tuple((int(i),) for i in order))
-    groups = _grouped(ca_sq, grouping)
-    ts = tail_ratios(_group_heads(groups))
+    single = (_group_heads([ca_sq]), [], ())
+    heads = _group_heads([ca_sq[list(g)] for g in grouping.groups])
+    ts = tail_ratios(heads)
     fallback = auto = False
     if isinstance(p_spec, str):
         if p_spec not in ("auto", "one"):
@@ -376,30 +381,22 @@ def _focus(psi: PureState, focus: str, p) -> _Focus:
         auto = p_spec == "auto"
         if any(t > 1.0 + _FEAS_SLACK for t in ts):
             grouping, fallback = full_grouping(ca_sq.size), True
-            groups, ts = _grouped(ca_sq, grouping), []
+            heads, ts = single[0], []
         p = [min(t, 1.0) if auto else 1.0 for t in ts]
     else:
         p = _check_params(p_spec)  # every entry, also those past the levels
-        if len(p) < len(ts):
-            raise ValueError(f"grouping needs {len(ts)} parameters, "
-                             f"got {len(p)}")
-        p = p[:len(ts)]
-    return _Focus(c_sq, ca_sq, _descending(ca_sq), groups, grouping, tuple(p),
-                  auto, fallback, float(c_sq.sum()))
+    p = _admissible(ts, p)
+    # theta at p = t equals the single-group value (module doc)
+    return _Focus(c_sq, ca_sq, _descending(ca_sq), grouping, p, fallback,
+                  float(c_sq.sum()), single if auto else (heads, ts, p),
+                  (heads, ts, (1.0,) * len(ts)))
 
 
-def _values(f: _Focus, params: BoundParams) -> dict[str, float]:
-    """Our bound and every comparator for one focus at ``params``."""
-    x = params.exponent / 2.0
+def _values(f: _Focus, x: float) -> dict[str, float]:
+    """Our bound and every comparator for one focus at x = exponent/2."""
     powers = [_xpow(v, x) for v in f.descending]
-    ones = BoundParams(exponent=params.exponent, p=(1.0,) * len(f.p))
-    if f.auto:  # theta at p = t equals the single-group value (module doc)
-        ours = theta([f.ca_sq], BoundParams(exponent=params.exponent))
-        p1 = theta(f.groups, ones)
-    else:
-        ours = theta(f.groups, params)
-        p1 = ours if params == ones else theta(f.groups, ones)
-    return {"ours": ours, "p1_specialization": p1} | {
+    return {"ours": _theta_value(*f.ours, x),
+            "p1_specialization": _theta_value(*f.p1, x)} | {
         kind: _chain(powers, c(x)) for kind, c in CHAIN_COEFFICIENTS.items()}
 
 
@@ -426,7 +423,7 @@ def _sweep(psi: PureState, exponents, p, *cuts: _Cut
     for f in dict.fromkeys(f for cut in cuts for f in cut.foci):
         data[f] = d = _focus(psi, f, p)
         params[f] = [BoundParams(exponent=e, p=d.p) for e in exponents]
-        values[f] = [_values(d, pr) for pr in params[f]]
+        values[f] = [_values(d, e / 2.0) for e in exponents]
         rads[f] = [_xpow(d.radicand, e / 2.0) for e in exponents]
     out = []
     for side, base, foci, combine in cuts:

@@ -157,16 +157,6 @@ def _check_two_qubit(rho) -> np.ndarray:
     return rho
 
 
-def two_qubit_concurrence(rho) -> float:
-    """Mixed-state concurrence of a two-qubit density matrix."""
-    return cren_crenoa_two_qubit(rho)[0]
-
-
-def two_qubit_coa(rho) -> float:
-    """Concurrence of assistance of a two-qubit density matrix."""
-    return cren_crenoa_two_qubit(rho)[1]
-
-
 def cren_crenoa_two_qubit(rho) -> tuple[float, float]:
     """(CREN, CRENoA) of a two-qubit state.
 

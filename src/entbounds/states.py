@@ -201,9 +201,10 @@ def parse_state_spec(text: str, renormalize: bool = False) -> PureState:
 
 
 def emit_state_spec(psi: PureState) -> str:
-    """Serialize a state in the state-spec format; round-trips bit-exactly."""
+    """Serialize a state in the state-spec format; round-trips bit-exactly,
+    signed zeros included (only +0.0+0.0j amplitudes are left out)."""
     lines = [f"qubits {psi.n_qubits}"]
     for idx, a in enumerate(psi.amplitudes):
-        if a != 0:
+        if a != 0 or np.signbit(a.real) or np.signbit(a.imag):
             lines.append(f"amp {idx} {float(a.real)!r} {float(a.imag)!r}")
     return "\n".join(lines) + "\n"

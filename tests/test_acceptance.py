@@ -23,7 +23,11 @@ from entbounds.bounds import (
 )
 from entbounds.cli import FIG23_P, figure_rows
 from entbounds.linalg import partial_trace
-from entbounds.measures import Bipartition, pure_concurrence, two_qubit_coa
+from entbounds.measures import (
+    Bipartition,
+    cren_crenoa_two_qubit,
+    pure_concurrence,
+)
 from entbounds.optimizer import optimize
 from entbounds.states import AcinParams, acin_state, haar_random_pure
 
@@ -47,8 +51,8 @@ def test_criterion_1_example1_exact_values(example1_state):
         c = pure_concurrence(example1_state, cut)
         rho = example1_state.density()
         shape = example1_state.shape
-        ca_ab = two_qubit_coa(partial_trace(rho, shape, ["A", "B"]))
-        ca_ac = two_qubit_coa(partial_trace(rho, shape, ["A", "C"]))
+        _, ca_ab = cren_crenoa_two_qubit(partial_trace(rho, shape, ["A", "B"]))
+        _, ca_ac = cren_crenoa_two_qubit(partial_trace(rho, shape, ["A", "C"]))
         assert abs(c - np.sqrt(3) / 2) < 1e-12
         assert abs(ca_ab - np.sqrt(2) / 2) < 1e-12
         assert abs(ca_ac - 0.5) < 1e-12
@@ -150,8 +154,10 @@ def test_criterion_8_coa_closed_form_cross_validation():
             lam /= np.linalg.norm(lam)
             psi = acin_state(AcinParams(*lam, phi=phi))
             rho = psi.density()
-            ca_ab = two_qubit_coa(partial_trace(rho, psi.shape, ["A", "B"]))
-            ca_ac = two_qubit_coa(partial_trace(rho, psi.shape, ["A", "C"]))
+            _, ca_ab = cren_crenoa_two_qubit(
+                partial_trace(rho, psi.shape, ["A", "B"]))
+            _, ca_ac = cren_crenoa_two_qubit(
+                partial_trace(rho, psi.shape, ["A", "C"]))
             worst = max(worst,
                         abs(ca_ab - 2 * lam[0] * np.hypot(lam[2], lam[4])),
                         abs(ca_ac - 2 * lam[0] * np.hypot(lam[3], lam[4])))

@@ -460,3 +460,37 @@ class TestOncePerState:
         assert code == 2
         assert "exponent must be in [0, 2]" in capsys.readouterr().err
         assert pair_calls == []
+
+
+class TestLevelsOncePerFocus:
+    """A focus's group heads, tail ratios and p are resolved once, whatever
+    the number of exponents; the sweep only evaluates the recursion and
+    never goes through the public ``theta``."""
+
+    @staticmethod
+    def counting(monkeypatch, name):
+        calls = []
+        original = getattr(bounds, name)
+
+        def wrapper(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(bounds, name, wrapper)
+        return calls
+
+    def test_figure_heads_independent_of_samples(self, monkeypatch):
+        heads = self.counting(monkeypatch, "_group_heads")
+        figure_rows(2, samples=11)
+        few = len(heads)
+        figure_rows(2, samples=51)
+        assert few > 0
+        assert len(heads) - few == few
+
+    def test_no_public_theta_call(self, monkeypatch):
+        theta = self.counting(monkeypatch, "theta")
+        for fig_id in (1, 2, 3):
+            figure_rows(fig_id, samples=11)
+        for qubits in (4, 5):
+            run_verify(VerifyConfig(qubits=qubits, trials=2, seed=7))
+        assert theta == []

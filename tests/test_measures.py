@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from entbounds.linalg import partial_trace, projector, qubit_shape
 from entbounds.measures import (
+    SCHMIDT_TOL,
     Bipartition,
     cren_crenoa_two_qubit,
     linear_entropy,
@@ -10,10 +13,13 @@ from entbounds.measures import (
     pure_concurrence,
     reduced_density,
     schmidt_rank,
-    two_qubit_coa,
-    two_qubit_concurrence,
 )
-from entbounds.states import AcinParams, acin_state, haar_random_pure
+from entbounds.states import (
+    AcinParams,
+    acin_state,
+    haar_random_pure,
+    parse_state_spec,
+)
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
@@ -105,18 +111,18 @@ class TestPureConcurrence:
 
 class TestTwoQubitConcurrence:
     def test_bell(self):
-        assert abs(two_qubit_concurrence(projector(BELL)) - 1.0) < 1e-12
+        assert abs(cren_crenoa_two_qubit(projector(BELL))[0] - 1.0) < 1e-12
 
     def test_separable_diagonal(self):
-        assert two_qubit_concurrence(np.eye(4) / 4) == 0.0
+        assert cren_crenoa_two_qubit(np.eye(4) / 4)[0] == 0.0
 
     def test_example2_pair(self, example2_state):
         rho = reduced_density(example2_state, ["A", "B"])
-        assert abs(two_qubit_concurrence(rho) - 3 / 4) < 1e-12
+        assert abs(cren_crenoa_two_qubit(rho)[0] - 3 / 4) < 1e-12
 
     def test_wrong_dimension(self):
         with pytest.raises(ValueError, match="4x4"):
-            two_qubit_concurrence(np.eye(2) / 2)
+            cren_crenoa_two_qubit(np.eye(2) / 2)
 
 
 class TestTwoQubitCoa:
@@ -126,8 +132,8 @@ class TestTwoQubitCoa:
             v = gen.normal(size=4) + 1j * gen.normal(size=4)
             v /= np.linalg.norm(v)
             rho = projector(v)
-            assert abs(two_qubit_coa(rho)
-                       - two_qubit_concurrence(rho)) < 1e-9
+            c, ca = cren_crenoa_two_qubit(rho)
+            assert abs(ca - c) < 1e-9
 
     def test_acin_closed_form_random(self):
         gen = np.random.default_rng(43)
@@ -138,17 +144,18 @@ class TestTwoQubitCoa:
             psi = acin_state(AcinParams(*lam, phi=gen.uniform(0, 2 * np.pi)))
             rho_ab = partial_trace(psi.density(), shape3, ["A", "B"])
             expect = 2 * lam[0] * np.hypot(lam[2], lam[4])
-            assert abs(two_qubit_coa(rho_ab) - expect) < 1e-9
+            assert abs(cren_crenoa_two_qubit(rho_ab)[1] - expect) < 1e-9
 
     def test_example2_bc1(self, example2_state):
         rho = reduced_density(example2_state, ["B", "C1"])
-        assert abs(two_qubit_coa(rho) - np.sqrt(2) / 4) < 1e-12
+        assert abs(cren_crenoa_two_qubit(rho)[1] - np.sqrt(2) / 4) < 1e-12
 
     def test_coa_dominates_concurrence(self):
         gen = np.random.default_rng(47)
         for _ in range(200):
             rho = random_two_qubit_density(gen)
-            assert two_qubit_coa(rho) >= two_qubit_concurrence(rho) - 1e-12
+            c, ca = cren_crenoa_two_qubit(rho)
+            assert ca >= c - 1e-12
 
 
 class TestCrenCrenoa:
@@ -195,7 +202,7 @@ class TestNegativity:
             v /= np.linalg.norm(v)
             rho = projector(v)
             assert abs(negativity(rho, shape, ["A"])
-                       - two_qubit_concurrence(rho)) < 1e-9
+                       - cren_crenoa_two_qubit(rho)[0]) < 1e-9
 
     def test_invalid_side(self):
         with pytest.raises(ValueError, match="unknown"):
@@ -244,3 +251,36 @@ class TestEnsembleInvariants:
                 ca_sq_sum += na * na
             assert c2 <= ca_sq_sum + 1e-9
             assert c2 >= c_sq_sum - 1e-9
+
+
+CORPUS_DIR = Path(__file__).resolve().parents[1] / "benchmark" / "corpus"
+
+
+def schmidt_route_states():
+    """Haar states at 4-6 qubits and every state of the benchmark corpus
+    (read only)."""
+    states = [haar_random_pure(n, 29, stream=i)
+              for n in (4, 5, 6) for i in range(10)]
+    return states + [parse_state_spec(path.read_text(encoding="utf-8"))
+                     for path in sorted(CORPUS_DIR.glob("*.state"))]
+
+
+class TestSchmidtRoute:
+    """Second formulas for a pure state's cut quantities from the Schmidt
+    values s of the cut (the singular values of the amplitudes reshaped
+    across it): negativity (sum s)^2 - 1 and rank #{s^2 > SCHMIDT_TOL}.
+    Every cut between the first k labels and the rest, AB|rest included."""
+
+    def test_negativity_and_rank(self):
+        states = schmidt_route_states()
+        assert len(states) == 30 + 26   # an empty corpus glob fails here
+        for psi in states:
+            labels = psi.shape.labels
+            for k in range(1, len(labels)):
+                s = np.linalg.svd(psi.amplitudes.reshape(2 ** k, -1),
+                                  compute_uv=False)
+                cut = Bipartition.of(psi.shape, labels[:k])
+                n = negativity(psi.density(), psi.shape, list(labels[:k]))
+                assert abs(n - (s.sum() ** 2 - 1.0)) < 1e-12, (labels, k)
+                rank = int((s ** 2 > SCHMIDT_TOL).sum())
+                assert schmidt_rank(psi, cut) == rank, (labels, k)

@@ -98,8 +98,8 @@ class TestOptimize:
         amp = np.zeros(4, dtype=complex)
         amp[0] = amp[3] = 1 / np.sqrt(2)
         psi = PureState(qubit_shape(("A", "B")), amp)
-        from entbounds.measures import two_qubit_coa
-        ca = two_qubit_coa(psi.density())
+        from entbounds.measures import cren_crenoa_two_qubit
+        _, ca = cren_crenoa_two_qubit(psi.density())
         for beta in (0.5, 1.0, 2.0):
             res = optimize(psi, "A", beta)
             assert abs(res.best_value - ca ** beta) < 1e-12

@@ -1,10 +1,12 @@
 import ast
+import importlib.util
 import types
 from pathlib import Path
 
 import pytest
 
 import entbounds
+from entbounds import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 CHECKED = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py")
@@ -47,3 +49,25 @@ def test_unused_import_scan():
 @pytest.mark.parametrize("path", CHECKED, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_benchmark_tracer_names_resolve():
+    """Every name the benchmark tracer wraps must exist, so that deleting
+    one cannot break a traced benchmark run unnoticed."""
+    spec = importlib.util.spec_from_file_location(
+        "entbench_tracer", ROOT / "benchmark" / "entbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    names = [(mod, fn) for mod, fns in tracer.WRAPPED.items() for fn in fns]
+    names += [("bounds", fn) for fn in tracer.REPORT_FUNCTIONS]
+    names.append(("optimizer", "ordered_set_partitions"))
+    for mod, fn in names:
+        module = importlib.import_module(f"entbounds.{mod}")
+        assert callable(getattr(module, fn, None)), f"{mod}.{fn}"
+    original = cli.figure_rows
+    with tracer.Tracer() as t:
+        cli.figure_rows(1, samples=3)
+    assert cli.figure_rows is original
+    metrics = t.metrics()
+    assert metrics["cli.figure_rows.calls"] == 1
+    assert metrics[f"{tracer.REPORTS}.calls"] > 0

@@ -5,7 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entbounds.linalg import partial_trace
-from entbounds.measures import Bipartition, pure_concurrence, two_qubit_coa
+from entbounds.measures import (
+    Bipartition,
+    cren_crenoa_two_qubit,
+    pure_concurrence,
+)
 from entbounds.states import (
     AcinParams,
     PureState,
@@ -33,8 +37,8 @@ class TestAcinState:
         assert abs(pure_concurrence(example1_state, cut) - np.sqrt(3) / 2) < 1e-12
         rho = example1_state.density()
         shape = example1_state.shape
-        ca_ab = two_qubit_coa(partial_trace(rho, shape, ["A", "B"]))
-        ca_ac = two_qubit_coa(partial_trace(rho, shape, ["A", "C"]))
+        _, ca_ab = cren_crenoa_two_qubit(partial_trace(rho, shape, ["A", "B"]))
+        _, ca_ac = cren_crenoa_two_qubit(partial_trace(rho, shape, ["A", "C"]))
         assert abs(ca_ab - np.sqrt(2) / 2) < 1e-12
         assert abs(ca_ac - 0.5) < 1e-12
 
@@ -43,7 +47,7 @@ class TestAcinState:
         npt.assert_array_equal(psi.amplitudes[1:], 0)
         for pair in (["A", "B"], ["A", "C"]):
             rho = partial_trace(psi.density(), psi.shape, pair)
-            assert two_qubit_coa(rho) < 1e-12
+            assert cren_crenoa_two_qubit(rho)[1] < 1e-12
 
     def test_closed_form_concurrence_random(self):
         # closed form 2 l0 sqrt(l2^2+l3^2+l4^2) against the purity route
@@ -70,14 +74,13 @@ class TestAcinState:
 
 class TestWClassState:
     def test_pairwise_concurrences(self, example2_state):
-        from entbounds.measures import two_qubit_concurrence
         rho = example2_state.density()
         shape = example2_state.shape
         expected = {("A", "B"): 3 / 4, ("A", "C1"): 3 * np.sqrt(2) / 8,
                     ("B", "C1"): np.sqrt(2) / 4}
         for pair, val in expected.items():
             red = partial_trace(rho, shape, pair)
-            assert abs(two_qubit_concurrence(red) - val) < 1e-12
+            assert abs(cren_crenoa_two_qubit(red)[0] - val) < 1e-12
 
     def test_ab_cut_concurrence(self, example2_state):
         # paper formula 2 sqrt((l1^2+l2^2)(l3^2+l4^2)) evaluated directly
@@ -89,10 +92,9 @@ class TestWClassState:
 
     def test_product_case(self):
         psi = wclass4_state(WClass4Params(1.0, 0.0, 0.0, 0.0))
-        from entbounds.measures import two_qubit_concurrence
         for pair in (["A", "B"], ["A", "C1"], ["B", "C2"]):
             red = partial_trace(psi.density(), psi.shape, pair)
-            assert two_qubit_concurrence(red) < 1e-12
+            assert cren_crenoa_two_qubit(red)[0] < 1e-12
 
 
 class TestHaarRandom:
@@ -201,6 +203,19 @@ class TestStateSpecFormat:
         psi = haar_random_pure(3, seed)
         back = parse_state_spec(emit_state_spec(psi))
         npt.assert_array_equal(back.amplitudes, psi.amplitudes)
+
+    def test_round_trip_signed_zeros(self):
+        from entbounds.linalg import qubit_shape
+        amp = np.zeros(8, dtype=complex)
+        amp[0] = complex(-0.0, 0.0)
+        amp[1] = complex(0.0, -0.0)
+        amp[2] = complex(-0.0, -0.0)
+        amp[3] = complex(0.6, -0.0)
+        amp[5] = complex(-0.0, 0.8)
+        psi = PureState(qubit_shape(("A", "B", "C")), amp)
+        back = parse_state_spec(emit_state_spec(psi))
+        # bit patterns, so -0.0 and +0.0 differ
+        assert back.amplitudes.tobytes() == psi.amplitudes.tobytes()
 
 
 class TestPureState:
