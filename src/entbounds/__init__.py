@@ -2,8 +2,8 @@
 bound families, with numerical verification and figure reproduction."""
 
 from .bounds import (
-    BoundParams,
     BoundReport,
+    FocusParams,
     Grouping,
     InfeasibleParamsError,
     LemmaCoefficients,
@@ -60,7 +60,7 @@ from .states import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcinParams", "Bipartition", "BoundParams", "BoundReport", "Grouping",
+    "AcinParams", "Bipartition", "BoundReport", "FocusParams", "Grouping",
     "InfeasibleParamsError", "LemmaCoefficients", "MAX_DIM",
     "OptimizationResult", "PureState", "SandwichBounds", "StateSpecError",
     "SubsystemShape", "TAU_HERM", "TAU_NUM", "TAU_PSD", "WClass4Params",

@@ -123,31 +123,26 @@ def full_grouping(m: int) -> Grouping:
     return Grouping((tuple(range(m)),))
 
 
-@dataclass(frozen=True)
-class LemmaCoefficients:
-    """Coefficients of the key inequality at one (t, p, x) triple."""
+class LemmaCoefficients(NamedTuple):
+    """Coefficients of the key inequality at one (t, p, x) triple, and its
+    right-hand side Omega + Upsilon * t^x."""
 
     omega: float
     upsilon: float
-    t: float
-    p: float
-    x: float
-
-    @property
-    def rhs(self) -> float:
-        return self.omega + self.upsilon * _xpow(self.t, self.x)
+    rhs: float
 
 
-@dataclass(frozen=True)
-class BoundParams:
-    """Exponent plus per-level parameter vector."""
+class FocusParams(NamedTuple):
+    """How one focus's bound is resolved, the same at every exponent.
 
-    exponent: float
-    p: tuple[float, ...] = ()
+    ``grouping`` orders the partners into recursion levels, ``p`` holds
+    one parameter per non-final level, and ``fallback`` flags a grouping
+    collapsed to one group because no admissible parameters existed.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "exponent", _check_exponent(self.exponent))
-        object.__setattr__(self, "p", _check_params(self.p))
+    grouping: Grouping
+    p: tuple[float, ...]
+    fallback: bool
 
 
 @dataclass(frozen=True)
@@ -156,17 +151,15 @@ class BoundReport:
 
     ``gap`` is the slack of our bound against the lhs (ours - lhs for an
     upper bound, lhs - ours for a lower bound; nonnegative when the bound
-    holds).  ``fallback`` flags foci whose grouping collapsed to k=1
-    because no admissible parameters existed.
+    holds).  ``foci`` maps each focus the bound reads to its resolved
+    parameters; every report of one call shares these records.
     """
 
     lhs: float
     ours: float
     comparators: dict[str, float]
     gap: float
-    groupings: dict[str, Grouping]
-    params: dict[str, BoundParams]
-    fallback: dict[str, bool]
+    foci: dict[str, FocusParams]
 
 
 @dataclass(frozen=True)
@@ -198,7 +191,7 @@ def lemma_rhs(t: float, p: float, x: float) -> LemmaCoefficients:
     if not 0.0 <= t <= p:
         raise ValueError(f"t must be in [0, p] = [0, {p}], got {t}")
     omega, _, upsilon = _omega_phi_upsilon(t, p, x)
-    return LemmaCoefficients(omega=omega, upsilon=upsilon, t=t, p=p, x=x)
+    return LemmaCoefficients(omega, upsilon, omega + upsilon * _xpow(t, x))
 
 
 def _chain_columns(t, p, x) -> list:
@@ -281,18 +274,22 @@ def _theta_value(heads: Sequence[float], ts: Sequence[float],
     return value + prefix * _xpow(heads[-1] if heads else 0.0, x)
 
 
-def theta(group_coa_sq: Sequence[Sequence[float]], params: BoundParams) -> float:
+def theta(group_coa_sq: Sequence[Sequence[float]], exponent: float,
+          p: Sequence[float] = ()) -> float:
     """Grouped upper bound on C^exponent(focus|rest); returns the bound value.
 
     ``group_coa_sq`` lists the squared pair CoA values per group, in
-    recursion order.  Equals (sum of all values)^(exponent/2) for a single
-    group and the plain sum at exponent 2.  Raises InfeasibleParamsError
-    when some p_l falls below the tail/head ratio at its level.
+    recursion order, and ``p`` a parameter in (0, 1] for each non-final
+    level (entries past the levels are checked, then ignored).  Equals
+    (sum of all values)^(exponent/2) for a single group and the plain sum
+    at exponent 2.  Raises InfeasibleParamsError when some p_l falls below
+    the tail/head ratio at its level.
     """
+    x = _check_exponent(exponent) / 2.0
+    p = _check_params(p)
     heads = _group_heads(group_coa_sq)
     ts = tail_ratios(heads)
-    return _theta_value(heads, ts, _admissible(ts, params.p),
-                        params.exponent / 2.0)
+    return _theta_value(heads, ts, _admissible(ts, p), x)
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +313,6 @@ def pair_measures_sq(psi: PureState, focus: str) -> tuple[np.ndarray, np.ndarray
     return np.array(c_sq), np.array(ca_sq)
 
 
-def _descending(values_sq) -> list[float]:
-    """Values clipped at zero, in the descending singleton order of the
-    literature chains."""
-    return sorted((max(float(v), 0.0) for v in values_sq), reverse=True)
-
-
 def _chain(powers: Sequence[float], c: float) -> float:
     """sum_l c^(l-1) powers_l, left to right."""
     total = 0.0
@@ -338,8 +329,8 @@ def chain_bound(values_sq, exponent: float, kind: str) -> float:
     x = exponent / 2.0
     if kind not in CHAIN_COEFFICIENTS:
         raise ValueError(f"unknown chain kind {kind!r}")
-    return _chain([_xpow(v, x) for v in _descending(values_sq)],
-                  CHAIN_COEFFICIENTS[kind](x))
+    descending = sorted((max(float(v), 0.0) for v in values_sq), reverse=True)
+    return _chain([_xpow(v, x) for v in descending], CHAIN_COEFFICIENTS[kind](x))
 
 
 class _Focus(NamedTuple):
@@ -348,9 +339,7 @@ class _Focus(NamedTuple):
     c_sq: np.ndarray
     ca_sq: np.ndarray
     descending: list[float]   # ca_sq in chain order
-    grouping: Grouping
-    p: tuple[float, ...]
-    fallback: bool
+    params: FocusParams
     radicand: float
     ours: tuple               # (heads, tail ratios, p) that ours evaluates
     p1: tuple                 # the same for the grouping at p = 1
@@ -371,8 +360,9 @@ def _focus(psi: PureState, focus: str, p) -> _Focus:
     c_sq, ca_sq = pair_measures_sq(psi, focus)
     order = np.argsort(-ca_sq, kind="stable")
     grouping = Grouping(tuple((int(i),) for i in order))
+    descending = [max(float(ca_sq[i]), 0.0) for i in order]
     single = (_group_heads([ca_sq]), [], ())
-    heads = _group_heads([ca_sq[list(g)] for g in grouping.groups])
+    heads = _group_heads([[v] for v in descending])
     ts = tail_ratios(heads)
     fallback = auto = False
     if isinstance(p_spec, str):
@@ -387,7 +377,7 @@ def _focus(psi: PureState, focus: str, p) -> _Focus:
         p = _check_params(p_spec)  # every entry, also those past the levels
     p = _admissible(ts, p)
     # theta at p = t equals the single-group value (module doc)
-    return _Focus(c_sq, ca_sq, _descending(ca_sq), grouping, p, fallback,
+    return _Focus(c_sq, ca_sq, descending, FocusParams(grouping, p, fallback),
                   float(c_sq.sum()), single if auto else (heads, ts, p),
                   (heads, ts, (1.0,) * len(ts)))
 
@@ -417,16 +407,22 @@ def _sweep(psi: PureState, exponents, p, *cuts: _Cut
 
     Every focus a cut reads is resolved once and evaluated at every
     exponent before the next, in first-read order, so errors come as in
-    one-exponent calls; cuts sharing a focus share its values."""
+    one-exponent calls; cuts sharing a focus share its values and its
+    FocusParams.  A ``p`` mapping may name foci no cut reads, but only
+    labels of the state."""
     exponents = [_check_exponent(e) for e in exponents]
-    data, params, values, rads = {}, {}, {}, {}
+    if isinstance(p, Mapping):
+        for label in p:
+            if label not in psi.shape.labels:
+                raise ValueError(f"unknown focus label {label!r} in p mapping")
+    data, values, rads = {}, {}, {}
     for f in dict.fromkeys(f for cut in cuts for f in cut.foci):
         data[f] = d = _focus(psi, f, p)
-        params[f] = [BoundParams(exponent=e, p=d.p) for e in exponents]
         values[f] = [_values(d, e / 2.0) for e in exponents]
         rads[f] = [_xpow(d.radicand, e / 2.0) for e in exponents]
     out = []
     for side, base, foci, combine in cuts:
+        params = {f: data[f].params for f in foci}
         reports = []
         for i, exponent in enumerate(exponents):
             lhs, x = _xpow(base, exponent), exponent / 2.0
@@ -436,9 +432,7 @@ def _sweep(psi: PureState, exponents, p, *cuts: _Cut
             reports.append(BoundReport(
                 lhs=lhs, ours=ours, comparators=dict(zip(COMPARATOR_NAMES, cmp)),
                 gap=ours - lhs if side == "upper" else lhs - ours,
-                groupings={f: data[f].grouping for f in foci},
-                params={f: params[f][i] for f in foci},
-                fallback={f: data[f].fallback for f in foci}))
+                foci=params))
         out.append(reports)
     return out, data
 

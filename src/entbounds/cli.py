@@ -295,11 +295,10 @@ def run_bounds(state_path: str, cut_expr: str, exponent: float, p_mode: str,
     for name in COMPARATOR_NAMES:
         lines.append(f"{name:20s}= {_fmt(rep.comparators[name])}")
     for f in cut.left:
-        g = rep.groupings[f]
-        pa = rep.params[f]
-        fb = " (fallback to single group)" if rep.fallback[f] else ""
-        lines.append(f"focus {f}: groups {list(g.groups)} "
-                     f"p = {[round(v, 12) for v in pa.p]}{fb}")
+        fp = rep.foci[f]
+        fb = " (fallback to single group)" if fp.fallback else ""
+        lines.append(f"focus {f}: groups {list(fp.grouping.groups)} "
+                     f"p = {[round(v, 12) for v in fp.p]}{fb}")
     values = ([exponent, rep.lhs, rep.ours]
               + [rep.comparators[name] for name in COMPARATOR_NAMES]
               + [rep.gap])

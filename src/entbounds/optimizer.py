@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator
 
-from .bounds import BoundParams, Grouping, full_grouping, pair_measures_sq, theta
+from .bounds import (Grouping, _check_exponent, full_grouping, pair_measures_sq,
+                     theta)
 from .states import PureState
 
 
@@ -47,8 +48,8 @@ def ordered_set_partitions(n: int) -> Iterator[Grouping]:
 def optimize(psi: PureState, focus: str, exponent: float) -> OptimizationResult:
     """Tightest grouped bound for one focus: the single-group theta, which
     equals theta at p = t on every admissible grouping."""
-    params = BoundParams(exponent=exponent)  # checks the exponent first
+    exponent = _check_exponent(exponent)  # before any pair measure
     _, ca_sq = pair_measures_sq(psi, focus)
     return OptimizationResult(best_grouping=full_grouping(ca_sq.size),
-                              best_value=theta([ca_sq], params),
+                              best_value=theta([ca_sq], exponent),
                               evaluations=1)

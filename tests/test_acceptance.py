@@ -19,7 +19,6 @@ from entbounds.bounds import (
     tail_ratios,
     theta,
     tripartite_bounds,
-    BoundParams,
 )
 from entbounds.cli import FIG23_P, figure_rows
 from entbounds.linalg import partial_trace
@@ -83,8 +82,8 @@ def test_criterion_3_example2_exact_values(example2_state):
         ratios = tail_ratios(sorted(ca_sq_b, reverse=True))
         assert abs(ratios[0] - 1 / 3) < 1e-12
         assert abs(ratios[1] - 1 / 2) < 1e-12
-        params = BoundParams(exponent=2.0, p=(2 / 5, 3 / 5))
-        theta_b = theta([[v] for v in sorted(ca_sq_b, reverse=True)], params)
+        theta_b = theta([[v] for v in sorted(ca_sq_b, reverse=True)], 2.0,
+                        (2 / 5, 3 / 5))
         assert abs(theta_b - 3 / 4) < 1e-12
         [lo] = monogamy_lower_AB(example2_state, [2.0], p=FIG23_P)
         [up] = polygamy_upper_AB(example2_state, [2.0], p=FIG23_P)

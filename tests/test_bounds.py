@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from entbounds import bounds
 from entbounds.bounds import (
-    BoundParams,
     InfeasibleParamsError,
     CHAIN_COEFFICIENTS,
     SANDWICH_NAMES,
@@ -95,21 +94,18 @@ class TestChain:
 class TestTheta:
     def test_example1_hand_check(self):
         # (1 + 50/256) * 1/2 + (39/64) * 1/4 = 3/4 at exponent 2, p = 3/5
-        params = BoundParams(exponent=2.0, p=(0.6,))
-        assert abs(theta([[0.5], [0.25]], params) - 0.75) < 1e-15
+        assert abs(theta([[0.5], [0.25]], 2.0, (0.6,)) - 0.75) < 1e-15
         level_1 = lemma_rhs(0.5, 0.6, 1.0)  # t = 1/4 / 1/2, x = 2/2
         assert abs(level_1.omega - (1 + 50 / 256)) < 1e-15
         assert abs(level_1.upsilon - 39 / 64) < 1e-15
 
     def test_example2_focus_b(self):
         heads = [[36 / 64], [8 / 64], [4 / 64]]
-        params = BoundParams(exponent=2.0, p=(2 / 5, 3 / 5))
-        assert abs(theta(heads, params) - 0.75) < 1e-14
+        assert abs(theta(heads, 2.0, (2 / 5, 3 / 5)) - 0.75) < 1e-14
 
     def test_k1_any_exponent(self):
         for expo in (0.0, 0.7, 1.3, 2.0):
-            params = BoundParams(exponent=expo)
-            res = theta([[0.3, 0.2, 0.1]], params)
+            res = theta([[0.3, 0.2, 0.1]], expo)
             expected = 1.0 if expo == 0.0 else 0.6 ** (expo / 2)
             assert abs(res - expected) < 1e-15
 
@@ -122,30 +118,34 @@ class TestTheta:
             if any(t > 1 for t in ts):
                 continue
             p = tuple(min(1.0, t + (1 - t) * gen.uniform()) for t in ts)
-            params = BoundParams(exponent=2.0, p=p)
-            assert abs(theta(groups, params) - vals.sum()) < 1e-12
+            assert abs(theta(groups, 2.0, p) - vals.sum()) < 1e-12
 
     def test_infeasible_reports_level_and_min_p(self):
-        params = BoundParams(exponent=1.0, p=(0.3,))
         with pytest.raises(InfeasibleParamsError) as exc:
-            theta([[0.5], [0.25]], params)
+            theta([[0.5], [0.25]], 1.0, (0.3,))
         assert exc.value.level == 1
         assert abs(exc.value.min_p - 0.5) < 1e-15
 
     def test_interior_zero_rejected(self):
-        params = BoundParams(exponent=1.0, p=(0.5, 0.5))
         with pytest.raises(ValueError, match="reorder"):
-            theta([[0.5], [0.0], [0.25]], params)
+            theta([[0.5], [0.0], [0.25]], 1.0, (0.5, 0.5))
 
     def test_trailing_zero_dropped(self):
-        params = BoundParams(exponent=1.0, p=(0.5,))
-        with_zero = theta([[0.5], [0.25], [0.0]], params)
-        without = theta([[0.5], [0.25]], params)
+        with_zero = theta([[0.5], [0.25], [0.0]], 1.0, (0.5,))
+        without = theta([[0.5], [0.25]], 1.0, (0.5,))
         assert with_zero == without
 
     def test_all_zero_groups(self):
-        assert theta([[0.0], [0.0]], BoundParams(exponent=1.0)) == 0.0
-        assert theta([[0.0], [0.0]], BoundParams(exponent=0.0)) == 1.0
+        assert theta([[0.0], [0.0]], 1.0) == 0.0
+        assert theta([[0.0], [0.0]], 0.0) == 1.0
+
+    def test_checks_exponent_then_params_then_values(self):
+        with pytest.raises(ValueError, match="exponent must be in"):
+            theta([[-1.0]], 2.5, (1.5,))
+        with pytest.raises(ValueError, match="parameters must lie in"):
+            theta([[-1.0]], 1.0, (1.5,))
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            theta([[-1.0]], 1.0, (1.0,))
 
 
 class TestPolygamyBoundCoa:
@@ -198,9 +198,9 @@ class TestAutoThreshold:
         exponents = (0.0, 1.0, 2.0)
         for expo, rep in zip(exponents,
                              polygamy_bound_coa(example2_state, "A", exponents)):
-            assert not rep.fallback["A"]
-            assert rep.params["A"].p[0] == 1.0
-            assert abs(rep.params["A"].p[1] - ca_sq[2] / ca_sq[1]) < 1e-15
+            assert not rep.foci["A"].fallback
+            assert rep.foci["A"].p[0] == 1.0
+            assert abs(rep.foci["A"].p[1] - ca_sq[2] / ca_sq[1]) < 1e-15
             assert abs(rep.ours - ca_sq.sum() ** (expo / 2)) < 1e-15
 
 
@@ -260,8 +260,8 @@ class TestABCutBounds:
         amp[0] = amp[15] = 1 / np.sqrt(2)
         psi = PureState(qubit_shape(("A", "B", "C1", "C2")), amp)
         [up] = polygamy_upper_AB(psi, [1.0])
-        assert up.fallback["A"] and up.fallback["B"]
-        assert all(len(g.groups) == 1 for g in up.groupings.values())
+        assert up.foci["A"].fallback and up.foci["B"].fallback
+        assert all(len(f.grouping.groups) == 1 for f in up.foci.values())
         assert up.ours >= up.lhs - 1e-9
 
 
@@ -359,11 +359,8 @@ class TestComparatorOrdering:
             if any(t > 1 for t in ts):
                 continue
             expo = gen.uniform(0.0, 2.0)
-            auto = BoundParams(exponent=expo,
-                               p=tuple(max(t, 1e-6) for t in ts))
-            ones = BoundParams(exponent=expo, p=(1.0,) * 3)
-            ours = theta(groups, auto)
-            p1 = theta(groups, ones)
+            ours = theta(groups, expo, tuple(max(t, 1e-6) for t in ts))
+            p1 = theta(groups, expo, (1.0,) * 3)
             seq = [ours, p1,
                    chain_bound(vals, expo, "pow2_chain"),
                    chain_bound(vals, expo, "beta_half_chain"),
@@ -452,6 +449,13 @@ class TestSweep:
                           [1.0, float("nan")]):
             with pytest.raises(ValueError, match="exponent must be in"):
                 self.REPORTS[name](psi, exponents, "auto")
+
+    @pytest.mark.parametrize("name", sorted(REPORTS))
+    def test_mistyped_mapping_key_raises(self, name):
+        # "b" is no label: ignoring it would leave focus B on auto mode
+        psi = haar_random_pure(5, 5, stream=0)
+        with pytest.raises(ValueError, match="unknown focus label 'b'"):
+            self.REPORTS[name](psi, [1.0], {"A": "one", "b": "one"})
 
 
 class TestCutSandwiches:

@@ -453,6 +453,36 @@ class TestOncePerState:
         figure_rows(2, samples=11)
         assert pair_calls == ["A", "B"]
 
+    @pytest.mark.parametrize("qubits", [4, 5])
+    def test_verify_trial_checks_once_and_shares_focus_params(
+            self, monkeypatch, qubits):
+        # each exponent is checked once per trial and the resolved p never
+        # again; every report of the trial's sweep holds the same
+        # FocusParams record for a focus
+        counting = TestLevelsOncePerFocus.counting
+        exponent_checks = counting(monkeypatch, "_check_exponent")
+        params_checks = counting(monkeypatch, "_check_params")
+        sweeps = []
+        sweep = bounds._sweep
+
+        def recording(*args):
+            sweeps.append(sweep(*args))
+            return sweeps[-1]
+
+        monkeypatch.setattr(bounds, "_sweep", recording)
+        exponents = (0.5, 1.0, 1.5, 2.0)
+        run_verify(VerifyConfig(qubits=qubits, trials=1, exponents=exponents,
+                                seed=7))
+        assert exponent_checks == [(e,) for e in exponents]
+        assert params_checks == []
+        [(reports, _)] = sweeps
+        for focus in ["A", "B", "C1"][:qubits - 2]:
+            records = [rep.foci[focus] for cut in reports for rep in cut
+                       if focus in rep.foci]
+            assert len(records) >= 2 * len(exponents)
+            assert isinstance(records[0], bounds.FocusParams)
+            assert all(r is records[0] for r in records)
+
     def test_bad_exponent_exits_two_before_any_focus(
             self, pair_calls, example1_spec_file, capsys):
         code = main(["bounds", "--state", example1_spec_file, "--cut", "A|BC",

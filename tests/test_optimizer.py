@@ -3,7 +3,6 @@ import pytest
 
 from entbounds import rng
 from entbounds.bounds import (
-    BoundParams,
     Grouping,
     InfeasibleParamsError,
     pair_measures_sq,
@@ -31,10 +30,10 @@ class TestMinimalAdmissibleP:
 
     def test_example1_values(self, example1_state):
         [rep] = polygamy_bound_coa(example1_state, "A", [1.0])
-        assert abs(rep.params["A"].p[0] - 0.5) < 1e-15  # t, tighter than 3/5
+        assert abs(rep.foci["A"].p[0] - 0.5) < 1e-15  # t, tighter than 3/5
 
     def test_example2_focus_b(self, example2_state):
-        params = polygamy_bound_coa(example2_state, "B", [1.0])[0].params["B"]
+        params = polygamy_bound_coa(example2_state, "B", [1.0])[0].foci["B"]
         assert abs(params.p[0] - 1 / 3) < 1e-15
         assert abs(params.p[1] - 1 / 2) < 1e-15
 
@@ -44,13 +43,13 @@ class TestMinimalAdmissibleP:
             polygamy_bound_coa(psi, "A", [1.0], p=(1.0, 1.0))
         assert exc.value.level == 1 and abs(exc.value.min_p - 2.0) < 1e-12
         [rep] = polygamy_bound_coa(psi, "A", [1.0])
-        assert rep.fallback["A"] and rep.params["A"].p == ()
+        assert rep.foci["A"].fallback and rep.foci["A"].p == ()
 
     def test_floor_applied(self):
         # a trailing 1e-10 group is noise: dropped, so it needs no parameter
-        assert theta([[1.0], [1e-10]], BoundParams(exponent=1.0)) == 1.0
+        assert theta([[1.0], [1e-10]], 1.0) == 1.0
         [rep] = polygamy_bound_coa(two_term_state(4, 12), "A", [1.0])
-        assert rep.params["A"].p == () and not rep.fallback["A"]
+        assert rep.foci["A"].p == () and not rep.foci["A"].fallback
 
 
 class TestOrderedSetPartitions:
@@ -71,16 +70,16 @@ class TestAutoGrouping:
 
     def test_feasible_stays_singleton(self, example1_state):
         [rep] = polygamy_bound_coa(example1_state, "A", [1.0])
-        assert rep.groupings["A"].groups == ((0,), (1,))
+        assert rep.foci["A"].grouping.groups == ((0,), (1,))
 
     def test_infeasible_collapses(self):
         [rep] = polygamy_bound_coa(two_term_state(4, 15), "A", [1.0])
-        assert len(rep.groupings["A"].groups) == 1
+        assert len(rep.foci["A"].grouping.groups) == 1
 
     def test_orders_descending(self, example2_state):
         _, ca_sq = pair_measures_sq(example2_state, "A")
         [rep] = polygamy_bound_coa(example2_state, "A", [1.0])
-        groups = rep.groupings["A"]
+        groups = rep.foci["A"].grouping
         heads = [ca_sq[g[0]] for g in groups.groups]
         assert len(groups.groups) == 3 and heads == sorted(heads, reverse=True)
 
@@ -129,8 +128,7 @@ class TestOptimize:
             ts = tail_ratios([sum(g) for g in groups])
             if any(t > 1.0 for t in ts):
                 continue
-            ones = BoundParams(exponent=1.0, p=(1.0,) * len(ts))
-            assert res.best_value <= theta(groups, ones) + 1e-12
+            assert res.best_value <= theta(groups, 1.0, (1.0,) * len(ts)) + 1e-12
 
     def test_deterministic(self):
         psi = haar_random_pure(5, 37, stream=2)
@@ -179,8 +177,7 @@ class TestClosedForm:
                         ts = tail_ratios(heads)
                         if min(heads) < TAU_NUM or any(t > 1.0 for t in ts):
                             continue
-                        params = BoundParams(exponent=expo, p=ts)
-                        assert abs(theta(groups, params) - best) < 1e-12
+                        assert abs(theta(groups, expo, ts) - best) < 1e-12
                         checked += len(grouping.groups) > 1
         assert checked > 100  # multi-level groupings were exercised
 
@@ -214,10 +211,10 @@ class TestFamilyProper:
                                   151, stream))
         for expo in EXPONENTS:
             lhs = c ** expo if expo else 1.0
-            single = theta([ca_sq], BoundParams(exponent=expo))
+            single = theta([ca_sq], expo)
             for groups, ts in admissible:
                 p = [t + (1.0 - t) * next(draws) for t in ts]
-                value = theta(groups, BoundParams(exponent=expo, p=p))
+                value = theta(groups, expo, p)
                 assert value >= lhs - 1e-12
                 assert value >= single - 1e-12
         return len(admissible) * len(EXPONENTS)
