@@ -3,7 +3,7 @@
 
 The dump covers the three figure tables, ``run_verify`` summaries and
 ``run_bounds`` reports (text lines, CSV row and values) over the state
-files of a corpus directory, with every float written by ``float.hex``.
+files of ``benchmark/corpus``, with every float written by ``float.hex``.
 It calls only ``entbounds.cli`` entry points, so the same script runs
 against any checkout: diff two dumps to show that a change keeps every
 output bit-identical.
@@ -12,37 +12,40 @@ output bit-identical.
     PYTHONPATH=/path/to/other/src python scripts/dump_outputs.py > before.txt
     cmp before.txt after.txt
 
-The corpus files are only read.
+The settings are fixed so that any two dumps compare.  The corpus files
+are only read.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
 
-from entbounds.cli import VerifyConfig, figure_rows, run_bounds, run_verify
+from entbounds.cli import (VerifyConfig, figure_rows, parse_state_spec,
+                           run_bounds, run_verify)
 
-ROOT = Path(__file__).resolve().parent.parent
+CORPUS = Path(__file__).resolve().parent.parent / "benchmark" / "corpus"
 EXPONENTS = (0.0, 0.5, 1.0, 1.5, 2.0)
 P_MODES = ("auto", "1", "1,1,1,1,1", "0.9,0.95,1,1,1", "0.5")
+SAMPLES = 201
+TRIALS = 15
 
 
 def _hex(values) -> str:
     return " ".join(float(v).hex() for v in values)
 
 
-def dump_figures(out, samples: int):
+def dump_figures(out):
     for fig_id in (1, 2, 3):
-        header, rows = figure_rows(fig_id, samples)
+        header, rows = figure_rows(fig_id, SAMPLES)
         out.append(f"figure {fig_id} {','.join(header)}")
         out.extend(_hex(row) for row in rows)
 
 
-def dump_verify(out, trials: int):
+def dump_verify(out):
     for qubits in (4, 5, 6):
         for seed in (3, 11):
-            res = run_verify(VerifyConfig(qubits=qubits, trials=trials,
+            res = run_verify(VerifyConfig(qubits=qubits, trials=TRIALS,
                                           exponents=EXPONENTS, seed=seed))
             out.append(f"verify qubits={qubits} seed={seed}")
             out.extend(f"  {st.name} {st.violations} {st.samples} "
@@ -50,20 +53,9 @@ def dump_verify(out, trials: int):
                        for st in res.stats.values())
 
 
-def _labels(path: Path) -> list[str]:
-    """Subsystem labels of a state file, from its ``qubits`` header."""
-    for line in path.read_text(encoding="utf-8").splitlines():
-        words = line.split("#")[0].split()
-        if words[:1] == ["qubits"]:
-            n = int(words[1])
-            return ["A", "B", "C"] if n == 3 else (
-                ["A", "B"] + [f"C{i}" for i in range(1, n - 1)])
-    raise ValueError(f"{path}: no qubits header")
-
-
-def dump_bounds(out, corpus: Path):
-    for path in sorted(corpus.glob("*.state")):
-        labels = _labels(path)
+def dump_bounds(out):
+    for path in sorted(CORPUS.glob("*.state")):
+        labels = parse_state_spec(path.read_text(encoding="utf-8")).shape.labels
         for k in (1, 2, 3):
             if k >= len(labels):
                 continue
@@ -83,19 +75,11 @@ def dump_bounds(out, corpus: Path):
                                            + list(rep.comparators.values())))
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--corpus", default=str(ROOT / "benchmark" / "corpus"),
-                        help="directory of *.state files")
-    parser.add_argument("--samples", type=int, default=201,
-                        help="exponent samples per figure")
-    parser.add_argument("--trials", type=int, default=15,
-                        help="verify trials per (qubits, seed)")
-    args = parser.parse_args(argv)
+def main() -> int:
     out: list[str] = []
-    dump_figures(out, args.samples)
-    dump_verify(out, args.trials)
-    dump_bounds(out, Path(args.corpus))
+    dump_figures(out)
+    dump_verify(out)
+    dump_bounds(out)
     sys.stdout.write("\n".join(out) + "\n")
     return 0
 

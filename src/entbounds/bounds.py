@@ -422,7 +422,6 @@ def _sweep(psi: PureState, exponents, p, *cuts: _Cut
         rads[f] = [_xpow(d.radicand, e / 2.0) for e in exponents]
     out = []
     for side, base, foci, combine in cuts:
-        params = {f: data[f].params for f in foci}
         reports = []
         for i, exponent in enumerate(exponents):
             lhs, x = _xpow(base, exponent), exponent / 2.0
@@ -432,7 +431,7 @@ def _sweep(psi: PureState, exponents, p, *cuts: _Cut
             reports.append(BoundReport(
                 lhs=lhs, ours=ours, comparators=dict(zip(COMPARATOR_NAMES, cmp)),
                 gap=ours - lhs if side == "upper" else lhs - ours,
-                foci=params))
+                foci={f: data[f].params for f in foci}))
         out.append(reports)
     return out, data
 

@@ -458,7 +458,7 @@ class TestOncePerState:
             self, monkeypatch, qubits):
         # each exponent is checked once per trial and the resolved p never
         # again; every report of the trial's sweep holds the same
-        # FocusParams record for a focus
+        # FocusParams record for a focus, but each report its own mapping
         counting = TestLevelsOncePerFocus.counting
         exponent_checks = counting(monkeypatch, "_check_exponent")
         params_checks = counting(monkeypatch, "_check_params")
@@ -482,6 +482,8 @@ class TestOncePerState:
             assert len(records) >= 2 * len(exponents)
             assert isinstance(records[0], bounds.FocusParams)
             assert all(r is records[0] for r in records)
+        mappings = [rep.foci for cut in reports for rep in cut]
+        assert len({id(m) for m in mappings}) == len(mappings)
 
     def test_bad_exponent_exits_two_before_any_focus(
             self, pair_calls, example1_spec_file, capsys):
