@@ -459,12 +459,11 @@ def _concurrence_AB(psi: PureState) -> tuple[_Cut, _Cut]:
 
 
 def _negativity_AB(psi: PureState) -> tuple[_Cut, _Cut]:
-    if any(dim != 2 for dim in psi.shape.dims):
-        raise ValueError("negativity bounds are implemented for qubits only")
     foci = _ab_foci(psi)
-    r = schmidt_rank(psi, Bipartition.of(psi.shape, foci))
+    cut = Bipartition.of(psi.shape, foci)
+    r = schmidt_rank(psi, cut)
     pairs = r * (r - 1) / 2.0
-    n = negativity(psi.density(), psi.shape, list(foci))
+    n = negativity(psi, cut)
     return _Cut("lower", n, foci, _lower_AB), _Cut(
         "upper", n, foci,
         lambda v, rad, x: _xpow(pairs, x) * _upper(v, rad, x))

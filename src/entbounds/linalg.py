@@ -27,42 +27,29 @@ class DimensionError(ValueError):
 
 @dataclass(frozen=True)
 class SubsystemShape:
-    """Tensor factorization of a Hilbert space: local dimensions plus labels.
+    """A register of labeled qubits; ``labels[0]`` is the most significant
+    bit of the row-major composite index."""
 
-    ``dims[0]`` (label ``labels[0]``) is the most significant factor of the
-    row-major composite index.
-    """
-
-    dims: tuple[int, ...]
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "labels", tuple(self.labels))
-        if len(self.dims) != len(self.labels):
-            raise ValueError("dims and labels must have equal length")
-        if any(d < 1 for d in self.dims):
-            raise ValueError("local dimensions must be positive")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError(f"duplicate subsystem labels: {self.labels}")
+        self.positions(self.labels)
         if self.dim > MAX_DIM:
             raise DimensionError(
                 f"total dimension {self.dim} exceeds maximum {MAX_DIM}")
 
     @property
     def dim(self) -> int:
-        d = 1
-        for x in self.dims:
-            d *= x
-        return d
-
-    @property
-    def n_subsystems(self) -> int:
-        return len(self.dims)
+        return 2 ** len(self.labels)
 
     def positions(self, labels: Iterable[str]) -> list[int]:
-        """Indices of the given labels in shape order; raises on unknown."""
-        want = set(labels)
+        """Indices of the given labels in shape order; raises on an unknown
+        or a repeated label."""
+        given = list(labels)
+        want = set(given)
+        if len(want) < len(given):
+            raise ValueError(f"repeated subsystem label in {given}")
         unknown = want - set(self.labels)
         if unknown:
             raise ValueError(f"unknown subsystem label(s): {sorted(unknown)}")
@@ -70,8 +57,8 @@ class SubsystemShape:
 
 
 def qubit_shape(labels: Sequence[str]) -> SubsystemShape:
-    """All-qubit shape with the given labels."""
-    return SubsystemShape((2,) * len(labels), tuple(labels))
+    """Qubit register with the given labels."""
+    return SubsystemShape(tuple(labels))
 
 
 def default_labels(n_qubits: int) -> tuple[str, ...]:
@@ -102,7 +89,7 @@ def partial_trace(rho, shape: SubsystemShape, keep: Iterable[str]) -> np.ndarray
     unchanged.
     """
     rho = _as_matrix(rho)
-    n = shape.n_subsystems
+    n = len(shape.labels)
     if rho.shape != (shape.dim, shape.dim):
         raise ValueError(f"matrix shape {rho.shape} does not match "
                          f"subsystem dimension {shape.dim}")
@@ -110,24 +97,22 @@ def partial_trace(rho, shape: SubsystemShape, keep: Iterable[str]) -> np.ndarray
     if len(keep_pos) == n:
         return rho.copy()
     kept = set(keep_pos)
-    t = rho.reshape(shape.dims + shape.dims)
+    t = rho.reshape((2,) * (2 * n))
     in_sub = list(range(n)) + [n + k if k in kept else k for k in range(n)]
     out_sub = [k for k in keep_pos] + [n + k for k in keep_pos]
-    red_dim = 1
-    for k in keep_pos:
-        red_dim *= shape.dims[k]
+    red_dim = 2 ** len(keep_pos)
     return np.einsum(t, in_sub, out_sub).reshape(red_dim, red_dim)
 
 
 def partial_transpose(rho, shape: SubsystemShape, side: Iterable[str]) -> np.ndarray:
     """Transpose applied on the chosen tensor factors only."""
     rho = _as_matrix(rho)
-    n = shape.n_subsystems
+    n = len(shape.labels)
     if rho.shape != (shape.dim, shape.dim):
         raise ValueError(f"matrix shape {rho.shape} does not match "
                          f"subsystem dimension {shape.dim}")
     side_pos = shape.positions(side)
-    t = rho.reshape(shape.dims + shape.dims)
+    t = rho.reshape((2,) * (2 * n))
     perm = list(range(2 * n))
     for k in side_pos:
         perm[k], perm[n + k] = perm[n + k], perm[k]

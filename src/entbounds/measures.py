@@ -18,8 +18,6 @@ from .linalg import (
     TAU_PSD,
     SubsystemShape,
     partial_trace,
-    partial_transpose,
-    trace_norm,
 )
 from .states import PureState
 
@@ -117,14 +115,28 @@ def reduced_density(psi: PureState, keep) -> np.ndarray:
     return partial_trace(psi.density(), psi.shape, keep)
 
 
-def pure_concurrence(psi: PureState, cut: Bipartition) -> float:
-    """sqrt(2 [1 - Tr rho_left^2]) across the cut; symmetric in the sides."""
+def _check_cut(psi: PureState, cut: Bipartition) -> None:
     if set(cut.left) | set(cut.right) != set(psi.shape.labels):
         raise ValueError(f"cut {cut.left}|{cut.right} does not cover the "
                          f"state's labels {psi.shape.labels}")
+
+
+def pure_concurrence(psi: PureState, cut: Bipartition) -> float:
+    """sqrt(2 [1 - Tr rho_left^2]) across the cut; symmetric in the sides."""
+    _check_cut(psi, cut)
     rho_left = reduced_density(psi, cut.left)
     t = 1.0 - np.trace(rho_left @ rho_left).real
     return float(np.sqrt(2.0 * max(t, 0.0)))
+
+
+def _schmidt_values(psi: PureState, cut: Bipartition) -> np.ndarray:
+    """Schmidt values across the cut: the singular values of the amplitude
+    tensor, axes in (left, right) order, as a 2^|left| x 2^|right| matrix.
+    Their squares are the eigenvalues of rho_left."""
+    _check_cut(psi, cut)
+    axes = psi.shape.positions(cut.left) + psi.shape.positions(cut.right)
+    t = psi.amplitudes.reshape((2,) * len(axes)).transpose(axes)
+    return np.linalg.svd(t.reshape(2 ** len(cut.left), -1), compute_uv=False)
 
 
 def _mu_spectrum(rho: np.ndarray) -> np.ndarray:
@@ -168,20 +180,18 @@ def cren_crenoa_two_qubit(rho) -> tuple[float, float]:
     return float(max(0.0, 2.0 * mu[0] - mu.sum())), float(mu.sum())
 
 
-def negativity(rho, shape: SubsystemShape, side) -> float:
-    """Trace norm of the partial transpose minus one, clipped at zero."""
-    rho = _check_density(rho)
-    value = trace_norm(partial_transpose(rho, shape, side)) - 1.0
-    return max(0.0, float(value))
+def negativity(psi: PureState, cut: Bipartition) -> float:
+    """Trace norm of the partial transpose of the pure state minus one,
+    clipped at zero: (sum of Schmidt values)^2 - 1 (Vidal-Werner 2002)."""
+    return max(0.0, float(_schmidt_values(psi, cut).sum() ** 2 - 1.0))
 
 
 def schmidt_rank(psi: PureState, cut: Bipartition) -> int:
     """Number of Schmidt coefficients across the cut exceeding SCHMIDT_TOL.
 
-    The tolerance applies to the eigenvalues of the reduced state; O(1)
-    spectra at these dimensions leave a gap of several decades between
-    genuine zeros and round-off, so its value is uncritical.
+    The tolerance applies to the squared Schmidt values, the eigenvalues
+    of the reduced state; O(1) spectra at these dimensions leave a gap of
+    several decades between genuine zeros and round-off, so its value is
+    uncritical.
     """
-    rho_left = reduced_density(psi, cut.left)
-    ev = np.linalg.eigvalsh(rho_left)
-    return int((ev > SCHMIDT_TOL).sum())
+    return int((_schmidt_values(psi, cut) ** 2 > SCHMIDT_TOL).sum())

@@ -47,7 +47,7 @@ class PureState:
 
     @property
     def n_qubits(self) -> int:
-        return self.shape.n_subsystems
+        return len(self.shape.labels)
 
     def density(self) -> np.ndarray:
         return projector(self.amplitudes)

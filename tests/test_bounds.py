@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -23,8 +25,8 @@ from entbounds.bounds import (
     theta,
     tripartite_bounds,
 )
-from entbounds.cli import FIG23_P
-from entbounds.states import PureState, haar_random_pure
+from entbounds.cli import FIG23_P, FIG23_PARAMS
+from entbounds.states import PureState, haar_random_pure, wclass4_state
 from entbounds.linalg import default_labels, qubit_shape
 
 P_EXAMPLE2 = {"A": (4 / 5, 3 / 5), "B": (2 / 5, 3 / 5)}
@@ -292,6 +294,33 @@ class TestNegativityBounds:
                 assert nb.lower.ours <= nb.lhs + 1e-9
                 assert nb.upper.ours >= nb.lhs - 1e-9
 
+    def test_cut_read_from_amplitudes(self, monkeypatch):
+        # N(AB|rest) and the Schmidt rank come from the amplitudes: the
+        # only projectors built are the ten pair reductions of foci A, B
+        from entbounds import linalg, measures, states
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (linalg, measures, bounds, states):
+            for name in ("partial_transpose", "trace_norm"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name,
+                                        counted(name, getattr(module, name)))
+        density = PureState.density
+
+        def traced_density(psi):
+            calls.append(sys._getframe(1).f_code.co_name)
+            return density(psi)
+
+        monkeypatch.setattr(PureState, "density", traced_density)
+        negativity_bounds_AB(haar_random_pure(6, 3, stream=0), [0.5, 2.0])
+        assert calls == ["reduced_density"] * 10
+
 
 class TestTripartiteBounds:
     def test_sandwich_thousand_seeds(self):
@@ -345,6 +374,11 @@ class TestMultiPartitionPolygamy:
         with pytest.raises(ValueError):
             multi_partition_polygamy(example2_state,
                                      ["A", "B", "C1", "C2"], [1.0])
+
+    def test_repeated_left_label_raises(self):
+        psi = wclass4_state(FIG23_PARAMS)
+        with pytest.raises(ValueError, match="repeated"):
+            multi_partition_polygamy(psi, ["A", "A"], [1.0])
 
 
 class TestComparatorOrdering:

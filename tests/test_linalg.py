@@ -30,7 +30,23 @@ def random_density(rng, d):
 class TestShape:
     def test_labels_unique(self):
         with pytest.raises(ValueError):
-            SubsystemShape((2, 2), ("A", "A"))
+            SubsystemShape(("A", "A"))
+
+    def test_qubit_register(self):
+        shape = SubsystemShape(("A", "B", "C"))
+        assert shape == qubit_shape(("A", "B", "C")) and shape.dim == 8
+
+    def test_repeated_label_rejected(self):
+        # positions is the one place that rejects a repeat, so every
+        # label lookup does
+        shape = qubit_shape(("A", "B", "C"))
+        rho = np.eye(8) / 8
+        with pytest.raises(ValueError, match="repeated"):
+            shape.positions(["A", "A"])
+        with pytest.raises(ValueError, match="repeated"):
+            partial_trace(rho, shape, ["A", "A"])
+        with pytest.raises(ValueError, match="repeated"):
+            partial_transpose(rho, shape, ["B", "C", "B"])
 
     def test_max_dim_enforced_at_construction(self):
         with pytest.raises(DimensionError):
@@ -141,6 +157,15 @@ class TestTraceNorm:
     def test_non_hermitian_uses_singular_values(self):
         m = np.array([[0.0, 2.0], [0.0, 0.0]])
         assert abs(trace_norm(m) - 2.0) < 1e-14
+
+    def test_separable_is_ppt(self):
+        # the partial transpose of a product state is a density matrix
+        gen = np.random.default_rng(53)
+        shape = qubit_shape(("A", "B"))
+        for _ in range(20):
+            rho = np.kron(random_density(gen, 2), random_density(gen, 2))
+            pt = partial_transpose(rho, shape, ["A"])
+            assert abs(trace_norm(pt) - 1.0) < 1e-10
 
     def test_ppt_lower_bound(self, haar4_ensemble):
         # ||rho^{T_A}||_1 >= 1 for every density matrix

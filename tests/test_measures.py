@@ -3,7 +3,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entbounds.linalg import partial_trace, projector, qubit_shape
+from entbounds.linalg import (
+    partial_trace,
+    partial_transpose,
+    projector,
+    qubit_shape,
+    trace_norm,
+)
 from entbounds.measures import (
     SCHMIDT_TOL,
     Bipartition,
@@ -16,6 +22,7 @@ from entbounds.measures import (
 )
 from entbounds.states import (
     AcinParams,
+    PureState,
     acin_state,
     haar_random_pure,
     parse_state_spec,
@@ -52,6 +59,10 @@ class TestBipartition:
     def test_overlap_rejected(self):
         with pytest.raises(ValueError, match="disjoint"):
             Bipartition(("A",), ("A", "B"))
+
+    def test_of_repeated_label(self):
+        with pytest.raises(ValueError, match="repeated"):
+            Bipartition.of(qubit_shape(("A", "B", "C1", "C2")), ["A", "A"])
 
     @pytest.mark.parametrize("expression", ["AA|BC", "A|BCC", "C1C1|ABC2"])
     def test_parse_repeated_label(self, expression):
@@ -178,20 +189,9 @@ class TestCrenCrenoa:
 
 class TestNegativity:
     def test_bell(self):
-        shape = qubit_shape(("A", "B"))
-        assert abs(negativity(projector(BELL), shape, ["A"]) - 1.0) < 1e-12
-
-    def test_separable_is_ppt(self):
-        gen = np.random.default_rng(53)
-        shape = qubit_shape(("A", "B"))
-        for _ in range(20):
-            a = gen.normal(size=(2, 2)) + 1j * gen.normal(size=(2, 2))
-            b = gen.normal(size=(2, 2)) + 1j * gen.normal(size=(2, 2))
-            rho_a = a @ a.conj().T
-            rho_b = b @ b.conj().T
-            rho = np.kron(rho_a / np.trace(rho_a).real,
-                          rho_b / np.trace(rho_b).real)
-            assert negativity(rho, shape, ["A"]) < 1e-10
+        psi = PureState(qubit_shape(("A", "B")), BELL)
+        cut = Bipartition.of(psi.shape, ["A"])
+        assert abs(negativity(psi, cut) - 1.0) < 1e-12
 
     def test_pure_two_qubit_matches_concurrence(self):
         # Schmidt rank <= 2 forces equality
@@ -200,13 +200,13 @@ class TestNegativity:
         for _ in range(100):
             v = gen.normal(size=4) + 1j * gen.normal(size=4)
             v /= np.linalg.norm(v)
-            rho = projector(v)
-            assert abs(negativity(rho, shape, ["A"])
-                       - cren_crenoa_two_qubit(rho)[0]) < 1e-9
+            n = negativity(PureState(shape, v), Bipartition.of(shape, ["A"]))
+            assert abs(n - cren_crenoa_two_qubit(projector(v))[0]) < 1e-9
 
     def test_invalid_side(self):
-        with pytest.raises(ValueError, match="unknown"):
-            negativity(np.eye(4) / 4, qubit_shape(("A", "B")), ["Z"])
+        psi = PureState(qubit_shape(("A", "B")), BELL)
+        with pytest.raises(ValueError, match="cover"):
+            negativity(psi, Bipartition(("Z",), ("B",)))
 
 
 class TestSchmidtRank:
@@ -266,21 +266,39 @@ def schmidt_route_states():
 
 
 class TestSchmidtRoute:
-    """Second formulas for a pure state's cut quantities from the Schmidt
-    values s of the cut (the singular values of the amplitudes reshaped
-    across it): negativity (sum s)^2 - 1 and rank #{s^2 > SCHMIDT_TOL}.
+    """negativity and schmidt_rank read the Schmidt values of the cut; the
+    reference formulas build rho: the trace norm of its partial transpose
+    minus one, and the count of eigenvalues of rho_left above SCHMIDT_TOL.
     Every cut between the first k labels and the rest, AB|rest included."""
 
     def test_negativity_and_rank(self):
         states = schmidt_route_states()
         assert len(states) == 30 + 26   # an empty corpus glob fails here
+        cuts = 0
         for psi in states:
-            labels = psi.shape.labels
+            labels, rho = psi.shape.labels, psi.density()
             for k in range(1, len(labels)):
-                s = np.linalg.svd(psi.amplitudes.reshape(2 ** k, -1),
-                                  compute_uv=False)
                 cut = Bipartition.of(psi.shape, labels[:k])
-                n = negativity(psi.density(), psi.shape, list(labels[:k]))
-                assert abs(n - (s.sum() ** 2 - 1.0)) < 1e-12, (labels, k)
-                rank = int((s ** 2 > SCHMIDT_TOL).sum())
+                pt = partial_transpose(rho, psi.shape, labels[:k])
+                n = negativity(psi, cut)
+                assert abs(n - (trace_norm(pt) - 1.0)) < 1e-12, (labels, k)
+                ev = np.linalg.eigvalsh(partial_trace(rho, psi.shape,
+                                                      labels[:k]))
+                rank = int((ev > SCHMIDT_TOL).sum())
                 assert schmidt_rank(psi, cut) == rank, (labels, k)
+                cuts += 1
+        assert cuts == 209
+
+    def test_non_contiguous_cuts(self):
+        # left sides that are no prefix, so the amplitude axes permute
+        for n in (4, 5, 6):
+            for i in range(5):
+                psi = haar_random_pure(n, 37, stream=i)
+                labels, rho = psi.shape.labels, psi.density()
+                for left in (labels[1::2], labels[::2], labels[:0:-2]):
+                    cut = Bipartition.of(psi.shape, left)
+                    pt = partial_transpose(rho, psi.shape, left)
+                    assert abs(negativity(psi, cut)
+                               - (trace_norm(pt) - 1.0)) < 1e-12
+                    assert schmidt_rank(psi, cut) == 2 ** min(
+                        len(cut.left), len(cut.right))
