@@ -102,6 +102,14 @@ def _xpow(base: float, expo: float) -> float:
     return float(base) ** expo
 
 
+def _xpow_each(base: np.ndarray, expo: float) -> np.ndarray:
+    """_xpow of each entry of a 1-D array, in Python's float power (numpy's
+    array power can differ from it in the last bit)."""
+    if expo == 0.0:
+        return np.ones(len(base))
+    return np.array([b ** expo for b in base.tolist()])
+
+
 @dataclass(frozen=True)
 class Grouping:
     """Ordered partition of partner indices 0..m-1 into k groups."""
@@ -299,18 +307,16 @@ def theta(group_coa_sq: Sequence[Sequence[float]], exponent: float,
 def pair_measures_sq(psi: PureState, focus: str) -> tuple[np.ndarray, np.ndarray]:
     """Squared pair concurrence and CoA of the focus with each partner.
 
-    Returns (c_sq, ca_sq) over the other labels in shape order; one
-    spin-flip spectrum per pair serves both.
+    Returns (c_sq, ca_sq) over the other labels in shape order, on the
+    last axis (a stack of N states gives two (N, partners) arrays).  One
+    spin-flip spectrum per pair serves both, all pairs in one stack.
     """
     if focus not in psi.shape.labels:
         raise ValueError(f"unknown focus label {focus!r}")
-    c_sq, ca_sq = [], []
-    for q in (l for l in psi.shape.labels if l != focus):
-        rho = reduced_density(psi, [focus, q])
-        c, ca = cren_crenoa_two_qubit(rho)
-        c_sq.append(c * c)
-        ca_sq.append(ca * ca)
-    return np.array(c_sq), np.array(ca_sq)
+    rho = np.stack([reduced_density(psi, [focus, q])
+                    for q in psi.shape.labels if q != focus], axis=-3)
+    c, ca = cren_crenoa_two_qubit(rho)
+    return c * c, ca * ca
 
 
 def _chain(powers: Sequence[float], c: float) -> float:
@@ -336,9 +342,7 @@ def chain_bound(values_sq, exponent: float, kind: str) -> float:
 class _Focus(NamedTuple):
     """The exponent-free ingredients of one focus's bounds."""
 
-    c_sq: np.ndarray
-    ca_sq: np.ndarray
-    descending: list[float]   # ca_sq in chain order
+    descending: list[float]   # squared CoA values in chain order
     params: FocusParams
     radicand: float
     ours: tuple               # (heads, tail ratios, p) that ours evaluates
@@ -377,7 +381,7 @@ def _focus(psi: PureState, focus: str, p) -> _Focus:
         p = _check_params(p_spec)  # every entry, also those past the levels
     p = _admissible(ts, p)
     # theta at p = t equals the single-group value (module doc)
-    return _Focus(c_sq, ca_sq, descending, FocusParams(grouping, p, fallback),
+    return _Focus(descending, FocusParams(grouping, p, fallback),
                   float(c_sq.sum()), single if auto else (heads, ts, p),
                   (heads, ts, (1.0,) * len(ts)))
 
@@ -393,7 +397,8 @@ def _values(f: _Focus, x: float) -> dict[str, float]:
 class _Cut(NamedTuple):
     """One bound across one cut: lhs = base^exponent, and combine maps the
     values v of ``foci`` (in that order) and their radicand powers rad at
-    x = exponent/2 to the bound, alike for "ours" and each comparator."""
+    x = exponent/2 to the bound, alike for "ours" and each comparator.
+    On a stack of states, base, v and rad are arrays over the stack."""
 
     side: str
     base: float
@@ -402,8 +407,8 @@ class _Cut(NamedTuple):
 
 
 def _sweep(psi: PureState, exponents, p, *cuts: _Cut
-           ) -> tuple[list[list[BoundReport]], dict[str, _Focus]]:
-    """Reports of each cut, one per exponent, and the resolved foci.
+           ) -> list[list[BoundReport]]:
+    """Reports of each cut, one per exponent.
 
     Every focus a cut reads is resolved once and evaluated at every
     exponent before the next, in first-read order, so errors come as in
@@ -433,7 +438,7 @@ def _sweep(psi: PureState, exponents, p, *cuts: _Cut
                 gap=ours - lhs if side == "upper" else lhs - ours,
                 foci={f: data[f].params for f in foci}))
         out.append(reports)
-    return out, data
+    return out
 
 
 def _upper(v, rad, x) -> float:
@@ -441,9 +446,14 @@ def _upper(v, rad, x) -> float:
     return reduce(operator.add, v)
 
 
+def _max(a, b):
+    """max(a, b), elementwise on the arrays of a stack of states."""
+    return np.maximum(a, b) if isinstance(a, np.ndarray) else max(a, b)
+
+
 def _lower_AB(v, rad, x) -> float:
     """max(rad_A - theta_B, rad_B - theta_A); both arms are valid."""
-    return max(rad[0] - v[1], rad[1] - v[0])
+    return _max(rad[0] - v[1], rad[1] - v[0])
 
 
 def _ab_foci(psi: PureState) -> tuple[str, ...]:
@@ -464,9 +474,10 @@ def _negativity_AB(psi: PureState) -> tuple[_Cut, _Cut]:
     r = schmidt_rank(psi, cut)
     pairs = r * (r - 1) / 2.0
     n = negativity(psi, cut)
+    power = _xpow_each if isinstance(pairs, np.ndarray) else _xpow
     return _Cut("lower", n, foci, _lower_AB), _Cut(
         "upper", n, foci,
-        lambda v, rad, x: _xpow(pairs, x) * _upper(v, rad, x))
+        lambda v, rad, x: power(pairs, x) * _upper(v, rad, x))
 
 
 def _tripartite(psi: PureState) -> tuple[_Cut, _Cut]:
@@ -477,7 +488,7 @@ def _tripartite(psi: PureState) -> tuple[_Cut, _Cut]:
     c = pure_concurrence(psi, Bipartition.of(psi.shape, foci))
 
     def lower(v, rad, x):
-        return max(_lower_AB(v, rad, x) - v[2], rad[2] - v[0] - v[1])
+        return _max(_lower_AB(v, rad, x) - v[2], rad[2] - v[0] - v[1])
 
     return _Cut("lower", c, foci, lower), _Cut("upper", c, foci, _upper)
 
@@ -498,7 +509,7 @@ def monogamy_lower_AB(psi: PureState, exponents, p="auto") -> list[BoundReport]:
     Both one-sided expressions are valid lower bounds; the max is taken.
     The radicands use pair concurrence, the subtracted theta uses CoA.
     """
-    [lower], _ = _sweep(psi, exponents, p, _concurrence_AB(psi)[0])
+    [lower] = _sweep(psi, exponents, p, _concurrence_AB(psi)[0])
     return lower
 
 
@@ -514,7 +525,7 @@ def negativity_bounds_AB(psi: PureState, exponents, p="auto") -> list[SandwichBo
     lower bound reuses the concurrence construction; the upper bound picks
     up the Schmidt-rank factor (r(r-1)/2)^(alpha/2) of the cut.
     """
-    reports, _ = _sweep(psi, exponents, p, *_negativity_AB(psi))
+    reports = _sweep(psi, exponents, p, *_negativity_AB(psi))
     return list(map(SandwichBounds, *reports))
 
 
@@ -526,7 +537,7 @@ def tripartite_bounds(psi: PureState, exponents, p="auto") -> list[SandwichBound
     unconditionally, so the max needs no case detection).  Upper bound:
     theta_A + theta_B + theta_C1.
     """
-    reports, _ = _sweep(psi, exponents, p, *_tripartite(psi))
+    reports = _sweep(psi, exponents, p, *_tripartite(psi))
     return list(map(SandwichBounds, *reports))
 
 
@@ -539,7 +550,7 @@ def multi_partition_polygamy(psi: PureState, left, exponents,
     """
     cut = Bipartition.of(psi.shape, left)
     c = pure_concurrence(psi, cut)
-    [upper], _ = _sweep(psi, exponents, p, _Cut("upper", c, cut.left, _upper))
+    [upper] = _sweep(psi, exponents, p, _Cut("upper", c, cut.left, _upper))
     return upper
 
 
@@ -549,18 +560,39 @@ SANDWICH_NAMES = ("concurrence_lower_AB", "concurrence_upper_AB",
 
 
 def cut_sandwiches(psi: PureState, exponents) -> tuple[
-        tuple[np.ndarray, np.ndarray], dict[str, list[BoundReport]]]:
-    """Every cut sandwich of one qubit state from one resolve per focus.
+        tuple[np.ndarray, np.ndarray], dict[str, np.ndarray]]:
+    """Slacks of every cut sandwich of a stack of qubit states, from one
+    resolve per focus.
 
-    Returns ((c_sq, ca_sq) of the first label's pairs, reports), where
-    reports maps each of SANDWICH_NAMES to one report per exponent: the
-    concurrence and negativity bounds across AB|rest and, from 5
-    subsystems up, the bounds across ABC1|rest, all in auto mode.  Each
-    report equals the one the matching public report function gives.
+    ``psi`` holds N states (amplitudes (N, 2^n)).  Returns ((c_sq, ca_sq)
+    of the first label's pairs, each (N, partners)), slacks), where slacks
+    maps each of SANDWICH_NAMES to a (len(exponents), N) array: the
+    concurrence and negativity sandwiches across AB|rest and, from 5
+    subsystems up, across ABC1|rest, all in auto mode.  Each slack equals,
+    bit for bit, the gap of the matching report function on that state;
+    no comparator or report is built.
     """
+    exponents = [_check_exponent(e) for e in exponents]
     cuts = _concurrence_AB(psi) + _negativity_AB(psi)
     if len(psi.shape.labels) >= 5:
         cuts += _tripartite(psi)
-    reports, data = _sweep(psi, exponents, "auto", *cuts)
-    first = data[psi.shape.labels[0]]
-    return (first.c_sq, first.ca_sq), dict(zip(SANDWICH_NAMES, reports))
+    pairs, values, rads = {}, {}, {}
+    for f in dict.fromkeys(f for cut in cuts for f in cut.foci):
+        pairs[f] = c_sq, ca_sq = pair_measures_sq(psi, f)
+        # auto mode's "ours" is the single-group theta (module doc): the
+        # CoA^2 sum that _group_heads forms, to the power x
+        heads = np.array([(_group_heads([row]) or [0.0])[0]
+                          for row in ca_sq.tolist()])
+        radicand = c_sq.sum(axis=-1)
+        values[f] = [_xpow_each(heads, e / 2.0) for e in exponents]
+        rads[f] = [_xpow_each(radicand, e / 2.0) for e in exponents]
+    slacks = {}
+    for name, (side, base, foci, combine) in zip(SANDWICH_NAMES, cuts):
+        gaps = []
+        for i, exponent in enumerate(exponents):
+            lhs = _xpow_each(base, exponent)
+            ours = combine([values[f][i] for f in foci],
+                           [rads[f][i] for f in foci], exponent / 2.0)
+            gaps.append(ours - lhs if side == "upper" else lhs - ours)
+        slacks[name] = np.array(gaps)
+    return pairs[psi.shape.labels[0]], slacks

@@ -4,6 +4,11 @@ assistance, negativity, CREN/CRENoA for qubit pairs, Schmidt rank.
 Two-qubit convex roofs use the closed forms built from the spin-flip
 spectrum mu_1 >= ... >= mu_4: C = max(0, mu_1 - mu_2 - mu_3 - mu_4) and
 C_a = mu_1 + mu_2 + mu_3 + mu_4.
+
+Every measure also takes a stack of inputs on leading axes (a PureState
+holding amplitudes (N, 2^n), or density matrices (..., d, d)) and returns
+arrays over them, equal bit for bit to the values of the inputs one at a
+time; one input gives Python scalars.
 """
 
 from __future__ import annotations
@@ -92,26 +97,34 @@ class Bipartition:
         return bip
 
 
+def _scalar(x):
+    """One input's value as a Python scalar; a stack's stays an array."""
+    return x.item() if np.ndim(x) == 0 else x
+
+
 def _check_density(rho, name: str = "rho") -> np.ndarray:
+    """A density matrix or a stack (..., d, d) of them, each checked."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"{name} must be a square matrix")
-    if np.max(np.abs(rho - rho.conj().T)) > TAU_HERM:
+    if np.max(np.abs(rho - rho.conj().swapaxes(-1, -2))) > TAU_HERM:
         raise ValueError(f"{name} is not Hermitian")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > TAU_NUM:
-        raise ValueError(f"{name} has trace {tr!r}, expected 1")
+    tr = np.trace(rho, axis1=-2, axis2=-1)
+    off = tr[np.abs(tr - 1.0) > TAU_NUM]
+    if off.size:
+        raise ValueError(f"{name} has trace {complex(off[0])!r}, expected 1")
     return rho
 
 
 def linear_entropy(rho) -> float:
     """1 - Tr(rho^2) of a density matrix; zero iff pure."""
     rho = _check_density(rho)
-    return float(1.0 - np.trace(rho @ rho).real)
+    return _scalar(1.0 - np.trace(rho @ rho, axis1=-2, axis2=-1).real)
 
 
 def reduced_density(psi: PureState, keep) -> np.ndarray:
-    """Reduced density matrix of a pure state on the kept labels."""
+    """Reduced density matrix of a pure state (or of each state of a stack)
+    on the kept labels."""
     return partial_trace(psi.density(), psi.shape, keep)
 
 
@@ -125,8 +138,8 @@ def pure_concurrence(psi: PureState, cut: Bipartition) -> float:
     """sqrt(2 [1 - Tr rho_left^2]) across the cut; symmetric in the sides."""
     _check_cut(psi, cut)
     rho_left = reduced_density(psi, cut.left)
-    t = 1.0 - np.trace(rho_left @ rho_left).real
-    return float(np.sqrt(2.0 * max(t, 0.0)))
+    t = 1.0 - np.trace(rho_left @ rho_left, axis1=-2, axis2=-1).real
+    return _scalar(np.sqrt(2.0 * np.maximum(t, 0.0)))
 
 
 def _schmidt_values(psi: PureState, cut: Bipartition) -> np.ndarray:
@@ -134,9 +147,13 @@ def _schmidt_values(psi: PureState, cut: Bipartition) -> np.ndarray:
     tensor, axes in (left, right) order, as a 2^|left| x 2^|right| matrix.
     Their squares are the eigenvalues of rho_left."""
     _check_cut(psi, cut)
+    n = len(psi.shape.labels)
     axes = psi.shape.positions(cut.left) + psi.shape.positions(cut.right)
-    t = psi.amplitudes.reshape((2,) * len(axes)).transpose(axes)
-    return np.linalg.svd(t.reshape(2 ** len(cut.left), -1), compute_uv=False)
+    lead = psi.amplitudes.shape[:-1]
+    t = np.moveaxis(psi.amplitudes.reshape(lead + (2,) * n),
+                    [a - n for a in axes], range(-n, 0))
+    return np.linalg.svd(t.reshape(lead + (2 ** len(cut.left), -1)),
+                         compute_uv=False)
 
 
 def _mu_spectrum(rho: np.ndarray) -> np.ndarray:
@@ -152,18 +169,19 @@ def _mu_spectrum(rho: np.ndarray) -> np.ndarray:
     numerically unresolvable directions.
     """
     w, v = np.linalg.eigh(rho)
-    if w[0] < -TAU_PSD:
-        raise ValueError(f"density matrix has eigenvalue {w[0]:.3e}")
-    cutoff = 64.0 * np.finfo(float).eps * max(w[-1], 0.0)
+    if np.any(w[..., 0] < -TAU_PSD):
+        raise ValueError(
+            f"density matrix has eigenvalue {np.min(w[..., 0]):.3e}")
+    cutoff = 64.0 * np.finfo(float).eps * np.maximum(w[..., -1:], 0.0)
     w = np.where(w < cutoff, 0.0, w)
-    b = v * np.sqrt(w)
-    tau = b.T @ _SPIN_FLIP @ b
+    b = v * np.sqrt(w)[..., None, :]
+    tau = b.swapaxes(-1, -2) @ _SPIN_FLIP @ b
     return np.linalg.svd(tau, compute_uv=False)
 
 
 def _check_two_qubit(rho) -> np.ndarray:
     rho = _check_density(rho)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 two-qubit density matrix, "
                          f"got shape {rho.shape}")
     return rho
@@ -177,13 +195,19 @@ def cren_crenoa_two_qubit(rho) -> tuple[float, float]:
     from one spin-flip spectrum.
     """
     mu = _mu_spectrum(_check_two_qubit(rho))
-    return float(max(0.0, 2.0 * mu[0] - mu.sum())), float(mu.sum())
+    total = mu.sum(axis=-1)
+    return (_scalar(np.maximum(0.0, 2.0 * mu[..., 0] - total)),
+            _scalar(total))
 
 
 def negativity(psi: PureState, cut: Bipartition) -> float:
     """Trace norm of the partial transpose of the pure state minus one,
     clipped at zero: (sum of Schmidt values)^2 - 1 (Vidal-Werner 2002)."""
-    return max(0.0, float(_schmidt_values(psi, cut).sum() ** 2 - 1.0))
+    total = _schmidt_values(psi, cut).sum(axis=-1)
+    # Python's float power: numpy's array power can differ in the last bit
+    square = np.reshape([v ** 2 for v in np.ravel(total).tolist()],
+                        np.shape(total))
+    return _scalar(np.maximum(0.0, square - 1.0))
 
 
 def schmidt_rank(psi: PureState, cut: Bipartition) -> int:
@@ -194,4 +218,4 @@ def schmidt_rank(psi: PureState, cut: Bipartition) -> int:
     several decades between genuine zeros and round-off, so its value is
     uncritical.
     """
-    return int((_schmidt_values(psi, cut) ** 2 > SCHMIDT_TOL).sum())
+    return _scalar((_schmidt_values(psi, cut) ** 2 > SCHMIDT_TOL).sum(axis=-1))

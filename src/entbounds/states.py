@@ -26,22 +26,30 @@ class StateSpecError(ValueError):
 
 @dataclass(frozen=True)
 class PureState:
-    """Normalized pure state over labeled qubit subsystems."""
+    """Normalized pure state over labeled qubit subsystems.
+
+    ``amplitudes`` of shape (N, 2^n) hold a stack of N states on the same
+    register, each checked like one state; the measures evaluate such a
+    stack in one pass.
+    """
 
     shape: SubsystemShape
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1).copy()
-        if amp.size != self.shape.dim:
+        amp = np.array(self.amplitudes, dtype=complex)
+        if amp.ndim != 2 or amp.shape[1] != self.shape.dim:
+            amp = amp.reshape(-1)
+        if amp.shape[-1] != self.shape.dim:
             raise ValueError(f"amplitude count {amp.size} does not match "
                              f"shape dimension {self.shape.dim}")
         if not np.all(np.isfinite(amp.view(float))):
             raise ValueError("amplitudes must be finite")
-        sq = float(np.vdot(amp, amp).real)
-        if abs(sq - 1.0) > TAU_NUM:
-            raise ValueError(
-                f"state is not normalized: |psi| = {np.sqrt(sq)!r}")
+        for row in amp.reshape(-1, self.shape.dim):
+            sq = float(np.vdot(row, row).real)
+            if abs(sq - 1.0) > TAU_NUM:
+                raise ValueError(
+                    f"state is not normalized: |psi| = {np.sqrt(sq)!r}")
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
 

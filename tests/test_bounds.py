@@ -493,27 +493,34 @@ class TestSweep:
 
 
 class TestCutSandwiches:
-    """One sweep over foci A, B (and C1) gives, bit for bit, the reports of
-    the separate report functions and focus A's pair values."""
+    """One resolve per focus over a stack of states gives, bit for bit, the
+    gaps of the separate report functions and focus A's pair values of
+    every state."""
 
     EXPONENTS = (0.0, 0.35, 1.0, 1.5, 2.0)
 
     def test_equals_report_functions(self, example2_state):
-        states = ([example2_state]
-                  + [haar_random_pure(n, 8, stream=n) for n in (4, 5, 6)]
-                  + [geometric_w_state(n) for n in (5, 6)])
-        for psi in states:
-            expected = [monogamy_lower_AB(psi, self.EXPONENTS),
-                        polygamy_upper_AB(psi, self.EXPONENTS)]
-            neg = negativity_bounds_AB(psi, self.EXPONENTS)
-            expected += [[s.lower for s in neg], [s.upper for s in neg]]
-            if len(psi.shape.labels) >= 5:
-                tri = tripartite_bounds(psi, self.EXPONENTS)
-                expected += [[s.lower for s in tri], [s.upper for s in tri]]
-            pair, reports = cut_sandwiches(psi, self.EXPONENTS)
-            assert list(reports) == list(SANDWICH_NAMES[:len(expected)])
-            assert repr(list(reports.values())) == repr(expected)
-            assert repr(pair) == repr(pair_measures_sq(psi, "A"))
+        groups = [[example2_state, haar_random_pure(4, 8, stream=4)],
+                  [haar_random_pure(5, 8, stream=5), geometric_w_state(5)],
+                  [haar_random_pure(6, 8, stream=6), geometric_w_state(6)]]
+        for states in groups:
+            stack = PureState(states[0].shape, [s.amplitudes for s in states])
+            (c_sq, ca_sq), slacks = cut_sandwiches(stack, self.EXPONENTS)
+            for j, psi in enumerate(states):
+                expected = [monogamy_lower_AB(psi, self.EXPONENTS),
+                            polygamy_upper_AB(psi, self.EXPONENTS)]
+                neg = negativity_bounds_AB(psi, self.EXPONENTS)
+                expected += [[s.lower for s in neg], [s.upper for s in neg]]
+                if len(psi.shape.labels) >= 5:
+                    tri = tripartite_bounds(psi, self.EXPONENTS)
+                    expected += [[s.lower for s in tri], [s.upper for s in tri]]
+                assert list(slacks) == list(SANDWICH_NAMES[:len(expected)])
+                assert [[float(v).hex() for v in gaps[:, j]]
+                        for gaps in slacks.values()] == [
+                    [rep.gap.hex() for rep in reports] for reports in expected]
+                pair = pair_measures_sq(psi, "A")
+                assert np.array_equal(c_sq[j], pair[0])
+                assert np.array_equal(ca_sq[j], pair[1])
 
     def test_chains_equal_chain_bound(self):
         # the chains come from one sort per focus; chain_bound sorts per call

@@ -15,6 +15,7 @@ from entbounds.bounds import (
 )
 from entbounds.cli import (
     FIG1_PARAMS,
+    CheckStat,
     FigureSpec,
     VerifyConfig,
     VerifyResult,
@@ -177,7 +178,7 @@ class TestVerify:
 
 def per_function_verify(cfg: VerifyConfig) -> VerifyResult:
     """run_verify written as one call per report function per state: the
-    reference that the single-sweep trial must reproduce bit for bit."""
+    reference that the batched chunks must reproduce bit for bit."""
     res = VerifyResult()
     for trial in range(cfg.trials):
         chain = lemma_chain_grid(1, cfg.seed, cli._LEMMA_STREAM_BASE + trial)[0]
@@ -206,13 +207,60 @@ def per_function_verify(cfg: VerifyConfig) -> VerifyResult:
     return res
 
 
+class TestCheckStat:
+    """A check folds one slack or an array of slacks alike; a NaN slack is
+    a violation, never a held inequality."""
+
+    def test_nan_slack_is_a_violation(self):
+        st = CheckStat("x")
+        st.add(float("nan"), 1e-9)
+        assert (st.samples, st.violations) == (1, 1)
+        assert np.isnan(st.worst_slack)
+        st.add(-5.0, 1e-9)
+        assert (st.samples, st.violations) == (2, 2)
+        assert np.isnan(st.worst_slack)
+
+    @pytest.mark.parametrize("nans", [(), (0,), (7, 30)])
+    def test_array_fold_equals_scalar_adds(self, nans):
+        slacks = np.random.default_rng(3).normal(size=50) * 1e-8
+        slacks[list(nans)] = np.nan
+        one_by_one, folded = CheckStat("a"), CheckStat("b")
+        for slack in slacks:
+            one_by_one.add(float(slack), 1e-9)
+        folded.add(slacks[:20], 1e-9)
+        folded.add(slacks[20:], 1e-9)
+        for st in (one_by_one, folded):
+            assert st.samples == 50
+            assert st.violations == int((slacks < -1e-9).sum()) + len(nans)
+        assert repr(one_by_one.worst_slack) == repr(folded.worst_slack)
+        assert np.isnan(folded.worst_slack) == bool(nans)
+
+    def test_nan_slack_fails_verify(self, monkeypatch, capsys):
+        sandwiches = bounds.cut_sandwiches
+
+        def with_nan(psi, exponents):
+            pair, slacks = sandwiches(psi, exponents)
+            slacks["negativity_upper_AB"][0, 0] = np.nan
+            return pair, slacks
+
+        monkeypatch.setattr(cli, "cut_sandwiches", with_nan)
+        code = main(["verify", "--qubits", "4", "--trials", "2",
+                     "--exponents", "1"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "negativity_upper_AB   worst slack  nan  violations 1/2  [FAIL]" \
+            in out
+
+
 def summary(res: VerifyResult) -> list[tuple]:
     return [(st.name, st.violations, st.samples, float(st.worst_slack).hex())
             for st in res.stats.values()]
 
 
 class TestVerifyReference:
-    @pytest.mark.parametrize("qubits, trials", [(4, 12), (5, 6), (6, 4)])
+    @pytest.mark.parametrize("qubits, trials", [
+        (4, 12), (5, 6), (6, 4), (4, 1), (6, 1),
+        (4, 2 * cli.VERIFY_CHUNK + 1)])   # three chunks, the last of one trial
     @pytest.mark.parametrize("seed", [3, 17])
     def test_equals_per_function_loop(self, qubits, trials, seed):
         cfg = VerifyConfig(qubits=qubits, trials=trials, seed=seed,
@@ -412,8 +460,8 @@ class TestMainExitCodes:
 
 class TestOncePerState:
     """A report call resolves each focus once, whatever the number of
-    exponents, and a verify trial resolves each focus once for all its
-    checks."""
+    exponents, and a verify chunk resolves each focus once for all its
+    trials and checks."""
 
     @pytest.fixture
     def pair_calls(self, monkeypatch):
@@ -443,47 +491,44 @@ class TestOncePerState:
                              [(4, 2, 6), (5, 3, 12), (6, 3, 15)])
     def test_verify_trial(self, pair_calls, spectrum_calls, qubits, pairs,
                           spectra):
-        # foci A and B, plus C1 from 5 qubits; one spectrum per partner
-        run_verify(VerifyConfig(qubits=qubits, trials=1,
-                                exponents=(0.5, 1.0, 1.5, 2.0), seed=7))
-        assert pair_calls == ["A", "B", "C1"][:pairs]
-        assert len(spectrum_calls) == spectra
+        # foci A and B, plus C1 from 5 qubits: one stacked spin-flip
+        # spectrum call per focus, whatever the number of trials, over one
+        # 4x4 pair matrix per partner and trial
+        for trials in (1, 5):
+            pair_calls.clear()
+            spectrum_calls.clear()
+            run_verify(VerifyConfig(qubits=qubits, trials=trials,
+                                    exponents=(0.5, 1.0, 1.5, 2.0), seed=7))
+            assert pair_calls == ["A", "B", "C1"][:pairs]
+            assert len(spectrum_calls) == pairs
+            assert sum(rho.size // 16 for rho in spectrum_calls) \
+                == spectra * trials
 
     def test_figure(self, pair_calls):
         figure_rows(2, samples=11)
         assert pair_calls == ["A", "B"]
 
     @pytest.mark.parametrize("qubits", [4, 5])
-    def test_verify_trial_checks_once_and_shares_focus_params(
-            self, monkeypatch, qubits):
-        # each exponent is checked once per trial and the resolved p never
-        # again; every report of the trial's sweep holds the same
-        # FocusParams record for a focus, but each report its own mapping
+    def test_verify_checks_once_per_chunk(self, monkeypatch, pair_calls,
+                                          qubits):
+        # three trials in chunks of two: each cut_sandwiches call (one per
+        # chunk) checks each exponent once and resolves each focus once;
+        # no p is checked and no report, sweep or resolved grouping is built
         counting = TestLevelsOncePerFocus.counting
         exponent_checks = counting(monkeypatch, "_check_exponent")
         params_checks = counting(monkeypatch, "_check_params")
-        sweeps = []
-        sweep = bounds._sweep
-
-        def recording(*args):
-            sweeps.append(sweep(*args))
-            return sweeps[-1]
-
-        monkeypatch.setattr(bounds, "_sweep", recording)
+        built = [counting(monkeypatch, name)
+                 for name in ("_sweep", "_focus", "BoundReport")]
+        monkeypatch.setattr(cli, "VERIFY_CHUNK", 2)
         exponents = (0.5, 1.0, 1.5, 2.0)
-        run_verify(VerifyConfig(qubits=qubits, trials=1, exponents=exponents,
-                                seed=7))
-        assert exponent_checks == [(e,) for e in exponents]
+        res = run_verify(VerifyConfig(qubits=qubits, trials=3,
+                                      exponents=exponents, seed=7))
+        assert exponent_checks == [(e,) for e in exponents] * 2
+        assert pair_calls == ["A", "B", "C1"][:qubits - 2] * 2
         assert params_checks == []
-        [(reports, _)] = sweeps
-        for focus in ["A", "B", "C1"][:qubits - 2]:
-            records = [rep.foci[focus] for cut in reports for rep in cut
-                       if focus in rep.foci]
-            assert len(records) >= 2 * len(exponents)
-            assert isinstance(records[0], bounds.FocusParams)
-            assert all(r is records[0] for r in records)
-        mappings = [rep.foci for cut in reports for rep in cut]
-        assert len({id(m) for m in mappings}) == len(mappings)
+        assert built == [[], [], []]
+        assert {st.samples for name, st in res.stats.items()
+                if name.endswith(("_AB", "_ABC1"))} == {3 * len(exponents)}
 
     def test_bad_exponent_exits_two_before_any_focus(
             self, pair_calls, example1_spec_file, capsys):

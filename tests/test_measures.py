@@ -302,3 +302,99 @@ class TestSchmidtRoute:
                                - (trace_norm(pt) - 1.0)) < 1e-12
                     assert schmidt_rank(psi, cut) == 2 ** min(
                         len(cut.left), len(cut.right))
+
+
+def stacked_groups():
+    """50 Haar states at 4-6 qubits and the benchmark corpus (read only),
+    grouped by register and stacked: [(stack, its states)]."""
+    states = [haar_random_pure(4 + i % 3, 53, stream=i) for i in range(50)]
+    states += [parse_state_spec(path.read_text(encoding="utf-8"))
+               for path in sorted(CORPUS_DIR.glob("*.state"))]
+    groups = {}
+    for psi in states:
+        groups.setdefault(psi.shape, []).append(psi)
+    return [(PureState(shape, [psi.amplitudes for psi in group]), group)
+            for shape, group in groups.items()]
+
+
+class TestStacked:
+    """Every measure on a stack of states equals, bit for bit, the measure
+    of each state alone."""
+
+    def test_stack_equals_states(self):
+        from entbounds.bounds import pair_measures_sq
+        groups = stacked_groups()
+        assert sum(len(group) for _, group in groups) == 50 + 26
+        for stack, group in groups:
+            labels = stack.shape.labels
+            for focus in labels:
+                got = pair_measures_sq(stack, focus)
+                singles = [pair_measures_sq(psi, focus) for psi in group]
+                for k in (0, 1):
+                    assert np.array_equal(got[k],
+                                          [pair[k] for pair in singles])
+                for q in labels:
+                    if q == focus:
+                        continue
+                    rho = reduced_density(stack, [focus, q])
+                    single = [reduced_density(psi, [focus, q])
+                              for psi in group]
+                    assert np.array_equal(rho, single)
+                    got = cren_crenoa_two_qubit(rho)
+                    singles = [cren_crenoa_two_qubit(r) for r in single]
+                    assert np.array_equal(np.transpose(got), singles)
+                    assert np.array_equal(linear_entropy(rho),
+                                          [linear_entropy(r) for r in single])
+            lefts = [labels[:k] for k in range(1, len(labels))]
+            for left in lefts + [labels[1::2]]:
+                cut = Bipartition.of(stack.shape, left)
+                for measure in (pure_concurrence, negativity, schmidt_rank):
+                    assert np.array_equal(
+                        measure(stack, cut),
+                        [measure(psi, cut) for psi in group]), (measure, cut)
+
+    def test_single_state_gives_scalars(self, example2_state):
+        cut = Bipartition.of(example2_state.shape, ["A", "B"])
+        assert type(pure_concurrence(example2_state, cut)) is float
+        assert type(negativity(example2_state, cut)) is float
+        assert type(schmidt_rank(example2_state, cut)) is int
+        rho = reduced_density(example2_state, ["A", "C1"])
+        assert [type(v) for v in cren_crenoa_two_qubit(rho)] == [float, float]
+        assert type(linear_entropy(rho)) is float
+
+
+def bad_density(kind):
+    rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    if kind == "non-Hermitian":
+        rho[0, 1] = 1e-3
+    elif kind == "trace":
+        rho *= 1.5
+    else:  # a negative eigenvalue; Hermitian with unit trace
+        rho = np.diag([0.6, 0.3, 0.2, -0.1]).astype(complex)
+    return rho
+
+
+class TestStackedErrors:
+    """One bad member of a stack raises what that member raises alone."""
+
+    @pytest.mark.parametrize("kind", ["non-Hermitian", "trace", "negative"])
+    def test_bad_density_row(self, kind):
+        gen = np.random.default_rng(59)
+        stack = np.array([random_two_qubit_density(gen) for _ in range(5)])
+        cren_crenoa_two_qubit(stack)
+        stack[3] = bad_density(kind)
+        with pytest.raises(ValueError) as single:
+            cren_crenoa_two_qubit(stack[3])
+        with pytest.raises(type(single.value)) as stacked:
+            cren_crenoa_two_qubit(stack)
+        assert str(stacked.value) == str(single.value)
+
+    @pytest.mark.parametrize("row", [np.array([1.0, 1.0, 0.0, 0.0]),
+                                     np.array([np.nan, 1.0, 0.0, 0.0])])
+    def test_bad_state_row(self, row):
+        shape = qubit_shape(("A", "B"))
+        with pytest.raises(ValueError) as single:
+            PureState(shape, row)
+        with pytest.raises(type(single.value)) as stacked:
+            PureState(shape, [BELL, row, BELL])
+        assert str(stacked.value) == str(single.value)

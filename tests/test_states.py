@@ -224,6 +224,17 @@ class TestPureState:
         with pytest.raises(ValueError, match="normalized"):
             PureState(qubit_shape(("A", "B")), np.array([1.0, 1.0, 0.0, 0.0]))
 
+    def test_stack_of_states(self):
+        from entbounds.linalg import qubit_shape
+        states = [haar_random_pure(3, 61, stream=i) for i in range(4)]
+        shape = qubit_shape(("A", "B", "C"))
+        stack = PureState(shape, [psi.amplitudes for psi in states])
+        assert stack.amplitudes.shape == (4, 8)
+        npt.assert_array_equal(stack.amplitudes[2], states[2].amplitudes)
+        assert PureState(shape, stack.amplitudes[:1]).amplitudes.shape == (1, 8)
+        with pytest.raises(ValueError):
+            stack.amplitudes[0, 0] = 9.0
+
     def test_amplitudes_read_only(self, example1_state):
         with pytest.raises(ValueError):
             example1_state.amplitudes[0] = 9.0
