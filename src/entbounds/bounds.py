@@ -220,16 +220,16 @@ def chain_values(t: float, p: float, x: float) -> tuple[float, ...]:
     return tuple(float(v) for v in _chain_columns(float(t), float(p), float(x)))
 
 
-def lemma_chain_grid(count: int, seed: int, stream: int = 0) -> np.ndarray:
+def lemma_chain_grid(count: int, seed: int, stream=0) -> np.ndarray:
     """(count, 6) array of chain values on random admissible triples.
 
     Triples are drawn as x ~ U(0,1], p ~ U(0,1], t = u*p, from the
-    project RNG; used by the randomized verification harness.
+    project RNG; used by the randomized verification harness.  A sequence
+    of streams gives a (len(streams), count, 6) array, row for row the
+    one-stream grids.
     """
-    u = rng.uniforms(3 * count, seed, stream)
-    x, p = u[:count], u[count:2 * count]
-    t = u[2 * count:] * p
-    return np.column_stack(_chain_columns(t, p, x))
+    x, p, u = np.split(rng.uniforms(3 * count, seed, stream), 3, axis=-1)
+    return np.stack(_chain_columns(u * p, p, x), axis=-1)
 
 
 def _group_heads(group_coa_sq: Sequence[Sequence[float]]) -> list[float]:
@@ -415,6 +415,7 @@ def _sweep(psi: PureState, exponents, p, *cuts: _Cut
     one-exponent calls; cuts sharing a focus share its values and its
     FocusParams.  A ``p`` mapping may name foci no cut reads, but only
     labels of the state."""
+    psi.check_single()
     exponents = [_check_exponent(e) for e in exponents]
     if isinstance(p, Mapping):
         for label in p:

@@ -26,7 +26,6 @@ from .bounds import (
 from .measures import Bipartition, pure_concurrence
 from .states import (
     AcinParams,
-    PureState,
     StateSpecError,
     WClass4Params,
     acin_state,
@@ -232,25 +231,25 @@ def run_verify(cfg: VerifyConfig) -> VerifyResult:
     triple; at each exponent it checks the monogamy/polygamy sandwich for
     concurrence and negativity across AB|rest, and the tripartite
     sandwich when the register has at least 5 qubits.  Trials run in
-    chunks of VERIFY_CHUNK, each evaluated as one stack of states: one
-    ``cut_sandwiches`` call per chunk resolves each focus (A, B and, from
-    5 qubits, C1) once for all exponents and all six bounds, and its
-    focus-A pair values feed the two pair checks.  Slack is
+    chunks of VERIFY_CHUNK, each drawn by one state call and one lemma
+    call and evaluated as one stack of states: one ``cut_sandwiches``
+    call per chunk resolves each focus (A, B and, from 5 qubits, C1) once
+    for all exponents and all six bounds, every reduction reads the
+    stack's one projector, and the focus-A pair values feed the two pair
+    checks.  Slack is
     (larger side) - (smaller side) of each inequality; a violation is
     slack < -tol.
     """
     res = VerifyResult()
     for start in range(0, cfg.trials, VERIFY_CHUNK):
         trials = range(start, min(start + VERIFY_CHUNK, cfg.trials))
-        chain = np.array([lemma_chain_grid(1, cfg.seed, _LEMMA_STREAM_BASE + t)[0]
-                          for t in trials])
+        chain = lemma_chain_grid(
+            1, cfg.seed, [_LEMMA_STREAM_BASE + t for t in trials])[:, 0]
         res.record("lemma_key_inequality", chain[:, 1] - chain[:, 0], cfg.tol)
         res.record("lemma_chain_order", np.diff(chain[:, 1:]).min(axis=1),
                    cfg.tol)
 
-        draws = [haar_random_pure(cfg.qubits, cfg.seed, stream=t)
-                 for t in trials]
-        psi = PureState(draws[0].shape, [d.amplitudes for d in draws])
+        psi = haar_random_pure(cfg.qubits, cfg.seed, stream=trials)
         (c_sq, ca_sq), sandwiches = cut_sandwiches(psi, cfg.exponents)
         c_one_rest = pure_concurrence(
             psi, Bipartition.of(psi.shape, psi.shape.labels[:1]))

@@ -48,6 +48,7 @@ def ordered_set_partitions(n: int) -> Iterator[Grouping]:
 def optimize(psi: PureState, focus: str, exponent: float) -> OptimizationResult:
     """Tightest grouped bound for one focus: the single-group theta, which
     equals theta at p = t on every admissible grouping."""
+    psi.check_single()
     exponent = _check_exponent(exponent)  # before any pair measure
     _, ca_sq = pair_measures_sq(psi, focus)
     return OptimizationResult(best_grouping=full_grouping(ca_sq.size),

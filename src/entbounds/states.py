@@ -9,6 +9,7 @@ subsystem ``k``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +31,8 @@ class PureState:
 
     ``amplitudes`` of shape (N, 2^n) hold a stack of N states on the same
     register, each checked like one state; the measures evaluate such a
-    stack in one pass.
+    stack in one pass.  The report functions, ``optimize`` and
+    ``emit_state_spec`` take one state and raise ValueError on a stack.
     """
 
     shape: SubsystemShape
@@ -57,8 +59,22 @@ class PureState:
     def n_qubits(self) -> int:
         return len(self.shape.labels)
 
+    def check_single(self) -> None:
+        """Raise ValueError if this holds a stack of states."""
+        if self.amplitudes.ndim > 1:
+            raise ValueError(
+                f"expected one state, got a stack of {len(self.amplitudes)}")
+
     def density(self) -> np.ndarray:
-        return projector(self.amplitudes)
+        """|psi><psi| (a stack of projectors for a stack of states), built
+        on first use and shared, read-only, by every later call."""
+        return self._density
+
+    @cached_property
+    def _density(self) -> np.ndarray:
+        rho = projector(self.amplitudes)
+        rho.setflags(write=False)
+        return rho
 
 
 def _check_coefficients(lams) -> None:
@@ -134,16 +150,19 @@ def wclass4_state(p: WClass4Params) -> PureState:
     return PureState(qubit_shape(("A", "B", "C1", "C2")), amp)
 
 
-def haar_random_pure(n_qubits: int, seed: int, stream: int = 0) -> PureState:
+def haar_random_pure(n_qubits: int, seed: int, stream=0) -> PureState:
     """Haar-random pure state: normalized vector of i.i.d. complex normals.
 
     Deterministic per (seed, stream); distinct streams give independent
-    draws, which lets a harness derive one state per trial index.
+    draws, which lets a harness derive one state per trial index.  A
+    sequence of streams gives the stack of those states, row for row the
+    one-stream draws.
     """
     if not 2 <= n_qubits <= 6:
         raise ValueError(f"n_qubits must be in [2, 6], got {n_qubits}")
     z = rng.complex_normals(2 ** n_qubits, seed, stream)
-    z /= np.linalg.norm(z)
+    for row in z.reshape(-1, z.shape[-1]):
+        row /= np.linalg.norm(row)  # a 1-D norm, summed as for one state
     return PureState(qubit_shape(default_labels(n_qubits)), z)
 
 
@@ -211,6 +230,7 @@ def parse_state_spec(text: str, renormalize: bool = False) -> PureState:
 def emit_state_spec(psi: PureState) -> str:
     """Serialize a state in the state-spec format; round-trips bit-exactly,
     signed zeros included (only +0.0+0.0j amplitudes are left out)."""
+    psi.check_single()
     lines = [f"qubits {psi.n_qubits}"]
     for idx, a in enumerate(psi.amplitudes):
         if a != 0 or np.signbit(a.real) or np.signbit(a.imag):

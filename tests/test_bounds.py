@@ -92,6 +92,16 @@ class TestChain:
         npt.assert_array_equal(lemma_chain_grid(100, seed=3, stream=9),
                                lemma_chain_grid(100, seed=3, stream=9))
 
+    def test_stream_batch_equals_per_stream(self):
+        streams = [0, 9, 2 ** 32, 2 ** 32 + 1, 2 ** 64 - 1, -1]
+        for count in (1, 3, 50):
+            for seed in (0, 3, -5):
+                grids = lemma_chain_grid(count, seed, streams)
+                assert grids.shape == (len(streams), count, 6)
+                for grid, stream in zip(grids, streams):
+                    assert np.array_equal(
+                        grid, lemma_chain_grid(count, seed, stream))
+
 
 class TestTheta:
     def test_example1_hand_check(self):
@@ -485,6 +495,14 @@ class TestSweep:
                 self.REPORTS[name](psi, exponents, "auto")
 
     @pytest.mark.parametrize("name", sorted(REPORTS))
+    def test_stack_raises(self, name):
+        # a report is of one state: a stack is named, not failed on in numpy
+        stack = haar_random_pure(5, 5, stream=range(3))
+        with pytest.raises(ValueError,
+                           match="expected one state, got a stack of 3"):
+            self.REPORTS[name](stack, [1.0], "auto")
+
+    @pytest.mark.parametrize("name", sorted(REPORTS))
     def test_mistyped_mapping_key_raises(self, name):
         # "b" is no label: ignoring it would leave focus B on auto mode
         psi = haar_random_pure(5, 5, stream=0)
@@ -531,3 +549,63 @@ class TestCutSandwiches:
             for e, rep in zip(self.EXPONENTS, reports):
                 for kind in CHAIN_COEFFICIENTS:
                     assert rep.comparators[kind] == chain_bound(ca_sq, e, kind)
+
+
+def local_unitaries(seed: int, n: int) -> list[np.ndarray]:
+    """n Haar-random 2x2 unitaries (QR of a complex Gaussian, phases fixed)."""
+    gen = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        q, r = np.linalg.qr(gen.normal(size=(2, 2))
+                            + 1j * gen.normal(size=(2, 2)))
+        out.append(q * (np.diag(r) / np.abs(np.diag(r))))
+    return out
+
+
+def transformed(psi: PureState, unitaries=None, axes=None) -> PureState:
+    """psi with unitaries[k] applied on qubit k, then its qubit axes
+    permuted: qubit k of the result is qubit axes[k] of psi."""
+    n = len(psi.shape.labels)
+    t = psi.amplitudes.reshape((2,) * n)
+    for k, u in enumerate(unitaries or []):
+        t = np.moveaxis(np.tensordot(u, t, axes=([1], [k])), 0, k)
+    if axes is not None:
+        t = t.transpose(axes)
+    return PureState(psi.shape, t.reshape(-1))
+
+
+class TestInvariance:
+    """The pair measures and every sandwich slack are functions of the
+    state up to local unitaries; relabelling the partners relabels them."""
+
+    EXPONENTS = (0.5, 1.0, 1.5, 2.0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(4, 6), st.integers(0, 2 ** 32 - 1))
+    def test_local_unitaries(self, n, seed):
+        psi = haar_random_pure(n, seed)
+        phi = transformed(psi, local_unitaries(seed, n))
+        assert np.max(np.abs(phi.amplitudes - psi.amplitudes)) > 1e-3
+        for focus in psi.shape.labels:
+            for a, b in zip(pair_measures_sq(psi, focus),
+                            pair_measures_sq(phi, focus)):
+                npt.assert_allclose(b, a, rtol=0, atol=1e-10)
+        stack = PureState(psi.shape, [psi.amplitudes, phi.amplitudes])
+        pairs, slacks = cut_sandwiches(stack, self.EXPONENTS)
+        for values in pairs:            # (state, partner)
+            npt.assert_allclose(values[1], values[0], rtol=0, atol=1e-10)
+        for values in slacks.values():  # (exponent, state)
+            npt.assert_allclose(values[:, 1], values[:, 0],
+                                rtol=0, atol=1e-10)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(3, 6).flatmap(lambda n: st.tuples(
+        st.permutations(range(1, n)), st.integers(0, 2 ** 32 - 1))))
+    def test_partner_permutation(self, case):
+        partners, seed = case
+        psi = haar_random_pure(len(partners) + 1, seed)
+        phi = transformed(psi, axes=[0] + list(partners))
+        for a, b in zip(pair_measures_sq(psi, "A"), pair_measures_sq(phi, "A")):
+            # partner k of phi is partner partners[k] - 1 of psi
+            npt.assert_allclose(b, a[[j - 1 for j in partners]],
+                                rtol=0, atol=1e-10)

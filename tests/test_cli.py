@@ -504,6 +504,34 @@ class TestOncePerState:
             assert sum(rho.size // 16 for rho in spectrum_calls) \
                 == spectra * trials
 
+    @pytest.mark.parametrize("qubits", [4, 6])
+    def test_verify_chunk_set_up_once(self, monkeypatch, qubits):
+        # a chunk draws its states and its lemma triples in one call each,
+        # and every reduction and cut concurrence reads one projector stack
+        from entbounds import states
+        calls = []
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(states, "projector")
+        counting(cli, "haar_random_pure")
+        counting(cli, "lemma_chain_grid")
+        for trials, chunks in ((1, 1), (cli.VERIFY_CHUNK, 1),
+                               (2 * cli.VERIFY_CHUNK + 1, 3)):
+            calls.clear()
+            run_verify(VerifyConfig(qubits=qubits, trials=trials,
+                                    exponents=(0.5, 2.0), seed=7))
+            assert sorted(calls) == sorted(
+                ["haar_random_pure", "lemma_chain_grid", "projector"]
+                * chunks)
+
     def test_figure(self, pair_calls):
         figure_rows(2, samples=11)
         assert pair_calls == ["A", "B"]

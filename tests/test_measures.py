@@ -1,3 +1,4 @@
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -302,6 +303,49 @@ class TestSchmidtRoute:
                                - (trace_norm(pt) - 1.0)) < 1e-12
                     assert schmidt_rank(psi, cut) == 2 ** min(
                         len(cut.left), len(cut.right))
+
+
+class TestSpinFlipEigenRoute:
+    """cren_crenoa_two_qubit reads the singular values of the tau matrix
+    (measures._mu_spectrum).  The reference formulas read eigenvalues:
+
+    * Wootters: with lambda_i the square roots of the eigenvalues of
+      rho @ rho_tilde (rho_tilde = sy x sy rho* sy x sy) in descending
+      order, C = max(0, l1 - l2 - l3 - l4) and C_a = l1 + l2 + l3 + l4;
+    * Laustsen-Verstraete-van Enk (2003): C_a = Tr sqrt(sqrt(rho) rho_tilde
+      sqrt(rho)), from the Hermitian eigenvalues of that product.
+
+    Every pair reduction of 80 Haar states at 3-6 qubits and of the
+    benchmark corpus.  The tolerance is 1e-7, not the 1e-12 of the other
+    cross-checks: an eigenvalue that is zero in exact arithmetic (every
+    rank-deficient pair, such as the pairs of a 3-qubit pure state) comes
+    out at round-off size, ~1e-16, and its square root at ~1e-8, so the
+    eigenvalue route keeps only half the digits there; the worst gap over
+    these pairs is 3.3e-8.  That loss is why the package takes the tau
+    route."""
+
+    SY_SY = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+
+    def test_every_pair(self):
+        states = [haar_random_pure(3 + i % 4, 71, stream=i) for i in range(80)]
+        states += [parse_state_spec(path.read_text(encoding="utf-8"))
+                   for path in sorted(CORPUS_DIR.glob("*.state"))]
+        pairs = 0
+        for psi in states:
+            for pair in combinations(psi.shape.labels, 2):
+                rho = reduced_density(psi, list(pair))
+                rho_tilde = self.SY_SY @ rho.conj() @ self.SY_SY
+                ev = np.linalg.eigvals(rho @ rho_tilde).real
+                lam = np.sort(np.sqrt(np.maximum(ev, 0.0)))[::-1]
+                w, v = np.linalg.eigh(rho)
+                sqrt_rho = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
+                fid = np.linalg.eigvalsh(sqrt_rho @ rho_tilde @ sqrt_rho)
+                c, ca = cren_crenoa_two_qubit(rho)
+                assert abs(c - max(0.0, lam[0] - lam[1:].sum())) < 1e-7, pair
+                assert abs(ca - lam.sum()) < 1e-7, pair
+                assert abs(ca - np.sqrt(np.maximum(fid, 0.0)).sum()) < 1e-7
+                pairs += 1
+        assert pairs == 20 * (3 + 6 + 10 + 15) + 213  # 213 corpus pairs
 
 
 def stacked_groups():

@@ -143,6 +143,12 @@ class TestOptimize:
         lhs = pure_concurrence(psi, Bipartition.of(psi.shape, ["A"]))
         assert res.best_value >= lhs - 1e-9
 
+    def test_stack_raises(self):
+        stack = haar_random_pure(4, 5, stream=range(3))
+        with pytest.raises(ValueError,
+                           match="expected one state, got a stack of 3"):
+            optimize(stack, "A", 1.0)
+
     def test_exponent_validation(self, example1_state):
         with pytest.raises(ValueError, match="exponent"):
             optimize(example1_state, "A", 2.5)

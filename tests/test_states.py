@@ -128,6 +128,20 @@ class TestHaarRandom:
         with pytest.raises(ValueError):
             haar_random_pure(7, 0)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_stream_batch_equals_per_stream(self, n):
+        # one generator re-keyed per stream gives each one-stream draw
+        streams = [0, 1, 7, 2 ** 32, 2 ** 32 + 5, 2 ** 64 - 1, -1]
+        for seed in (0, 42, -3):
+            stack = haar_random_pure(n, seed, streams)
+            assert stack.amplitudes.shape == (len(streams), 2 ** n)
+            for row, stream in zip(stack.amplitudes, streams):
+                one = haar_random_pure(n, seed, stream)
+                assert one.amplitudes.ndim == 1
+                assert np.array_equal(row, one.amplitudes)
+        assert np.array_equal(haar_random_pure(n, 9, range(3)).amplitudes,
+                              haar_random_pure(n, 9, [0, 1, 2]).amplitudes)
+
 
 class TestRng:
     def test_uniforms_in_half_open_interval(self):
@@ -141,6 +155,33 @@ class TestRng:
 
     def test_raw_determinism(self):
         npt.assert_array_equal(rng.raw_draws(8, 5, 2), rng.raw_draws(8, 5, 2))
+
+    @pytest.mark.parametrize("draw", [rng.raw_draws, rng.uniforms,
+                                      rng.standard_normals,
+                                      rng.complex_normals])
+    def test_stream_batch_equals_per_stream(self, draw):
+        streams = [0, 5, 2 ** 32, 2 ** 64 - 1, -1]
+        for n in (1, 2, 7, 64):
+            rows = draw(n, 11, streams)
+            assert rows.shape == (len(streams), n)
+            for row, stream in zip(rows, streams):
+                assert np.array_equal(row, draw(n, 11, stream))
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, -7, 12345])
+    def test_rekeyed_words_equal_fresh_philox(self, seed):
+        # the one generator of a call, re-keyed per stream, gives the words
+        # of a fresh Philox per (seed, stream), also after earlier streams
+        from entbounds.cli import _LEMMA_STREAM_BASE
+        mask = 2 ** 64 - 1
+        streams = [0, 3, _LEMMA_STREAM_BASE, _LEMMA_STREAM_BASE + 1,
+                   _LEMMA_STREAM_BASE + 10 ** 6, 2 ** 64 - 1, -1]
+        rows = rng.raw_draws(9, seed, streams)
+        assert rows.shape == (len(streams), 9)
+        for row, stream in zip(rows, streams):
+            key = np.array([seed & mask, stream & mask], dtype=np.uint64)
+            fresh = np.random.Philox(key=key).random_raw(9)
+            npt.assert_array_equal(row, fresh)
+            npt.assert_array_equal(rng.raw_draws(9, seed, stream), fresh)
 
 
 class TestStateSpecFormat:
@@ -234,6 +275,31 @@ class TestPureState:
         assert PureState(shape, stack.amplitudes[:1]).amplitudes.shape == (1, 8)
         with pytest.raises(ValueError):
             stack.amplitudes[0, 0] = 9.0
+
+    def test_density_built_once_and_read_only(self, monkeypatch):
+        from entbounds import states as states_module
+        calls = []
+        original = states_module.projector
+
+        def counting(amplitudes):
+            calls.append(np.shape(amplitudes))
+            return original(amplitudes)
+
+        monkeypatch.setattr(states_module, "projector", counting)
+        one = haar_random_pure(3, 61, stream=2)
+        stack = haar_random_pure(3, 61, stream=range(4))
+        for psi in (one, stack):
+            rho = psi.density()
+            assert psi.density() is rho
+            with pytest.raises(ValueError):
+                rho[..., 0, 0] = 9.0
+        assert calls == [(8,), (4, 8)]
+        assert np.array_equal(stack.density()[2], one.density())
+
+    def test_stack_rejected_by_emit_state_spec(self):
+        stack = haar_random_pure(3, 61, stream=range(3))
+        with pytest.raises(ValueError, match="got a stack of 3"):
+            emit_state_spec(stack)
 
     def test_amplitudes_read_only(self, example1_state):
         with pytest.raises(ValueError):
