@@ -159,6 +159,25 @@ class TestTheta:
         with pytest.raises(ValueError, match="must be nonnegative"):
             theta([[-1.0]], 1.0, (1.0,))
 
+    @pytest.mark.parametrize("groups", [[[float("nan"), 0.5]],
+                                        [[float("inf")], [0.5]],
+                                        [[0.5], [0.25, float("inf")]]])
+    def test_non_finite_values_rejected(self, groups):
+        # nan used to come back as the bound, inf as a parameter count error
+        with pytest.raises(ValueError, match="must be finite"):
+            theta(groups, 1.0, (1.0,))
+
+
+class TestChainBound:
+    @pytest.mark.parametrize("exponent", [-1.0, 5.0, float("nan")])
+    def test_exponent_checked(self, exponent):
+        with pytest.raises(ValueError, match="exponent must be in"):
+            chain_bound([0.5, 0.25], exponent, "pow2_chain")
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown chain kind"):
+            chain_bound([0.5], 1.0, "cubic_chain")
+
 
 class TestPolygamyBoundCoa:
     def test_beta_two_equality(self, example1_state):
@@ -540,6 +559,23 @@ class TestCutSandwiches:
                 assert np.array_equal(c_sq[j], pair[0])
                 assert np.array_equal(ca_sq[j], pair[1])
 
+    def test_one_state(self):
+        # one unstacked state has no stack axis, as for the measures
+        psi = haar_random_pure(5, 8, stream=5)
+        (c_sq, ca_sq), slacks = cut_sandwiches(psi, self.EXPONENTS)
+        pair = pair_measures_sq(psi, "A")
+        assert c_sq.shape == ca_sq.shape == (4,)
+        assert np.array_equal(c_sq, pair[0]) and np.array_equal(ca_sq, pair[1])
+        neg, tri = (negativity_bounds_AB(psi, self.EXPONENTS),
+                    tripartite_bounds(psi, self.EXPONENTS))
+        expected = [monogamy_lower_AB(psi, self.EXPONENTS),
+                    polygamy_upper_AB(psi, self.EXPONENTS),
+                    [s.lower for s in neg], [s.upper for s in neg],
+                    [s.lower for s in tri], [s.upper for s in tri]]
+        assert list(slacks) == list(SANDWICH_NAMES)
+        assert [[float(v).hex() for v in gaps] for gaps in slacks.values()] \
+            == [[rep.gap.hex() for rep in reports] for reports in expected]
+
     def test_chains_equal_chain_bound(self):
         # the chains come from one sort per focus; chain_bound sorts per call
         for n in (3, 4, 5, 6):
@@ -549,6 +585,31 @@ class TestCutSandwiches:
             for e, rep in zip(self.EXPONENTS, reports):
                 for kind in CHAIN_COEFFICIENTS:
                     assert rep.comparators[kind] == chain_bound(ca_sq, e, kind)
+
+
+class TestOursBelowP1:
+    """The family's member is never looser than its p = 1 specialization
+    on the same grouping."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(3, 6), st.integers(0, 2 ** 32 - 1),
+           st.floats(0.0, 2.0), st.booleans())
+    def test_auto_on_haar_states(self, n, seed, exponent, focus_b):
+        psi = haar_random_pure(n, seed)
+        [rep] = polygamy_bound_coa(psi, "B" if focus_b else "A", [exponent])
+        assert rep.ours <= rep.comparators["p1_specialization"] + 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(4, 6), st.floats(0.0, 2.0), st.booleans(),
+           st.tuples(st.floats(0.5, 1.0), st.floats(0.5, 1.0)))
+    def test_explicit_levels(self, n, exponent, focus_b, p):
+        # both tail ratios of the geometric W foci lie below 1/2, so every
+        # p in [1/2, 1]^2 is admissible and no level falls back
+        focus = "B" if focus_b else "A"
+        [rep] = polygamy_bound_coa(geometric_w_state(n), focus, [exponent],
+                                   p=p + (1.0,) * 3)
+        assert len(rep.foci[focus].p) == 2 and not rep.foci[focus].fallback
+        assert rep.ours <= rep.comparators["p1_specialization"] + 1e-12
 
 
 def local_unitaries(seed: int, n: int) -> list[np.ndarray]:

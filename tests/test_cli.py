@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -540,19 +541,23 @@ class TestOncePerState:
     def test_verify_checks_once_per_chunk(self, monkeypatch, pair_calls,
                                           qubits):
         # three trials in chunks of two: each cut_sandwiches call (one per
-        # chunk) checks each exponent once and resolves each focus once;
-        # no p is checked and no report, sweep or resolved grouping is built
+        # chunk) checks each exponent once and resolves its foci once, in one
+        # resolve with one pair measure per focus; no p is checked and no
+        # report sweep, report or grouping is built
         counting = TestLevelsOncePerFocus.counting
         exponent_checks = counting(monkeypatch, "_check_exponent")
         params_checks = counting(monkeypatch, "_check_params")
+        resolves = counting(monkeypatch, "_resolve")
         built = [counting(monkeypatch, name)
-                 for name in ("_sweep", "_focus", "BoundReport")]
+                 for name in ("_sweep", "BoundReport", "Grouping")]
         monkeypatch.setattr(cli, "VERIFY_CHUNK", 2)
         exponents = (0.5, 1.0, 1.5, 2.0)
         res = run_verify(VerifyConfig(qubits=qubits, trials=3,
                                       exponents=exponents, seed=7))
         assert exponent_checks == [(e,) for e in exponents] * 2
         assert pair_calls == ["A", "B", "C1"][:qubits - 2] * 2
+        assert [foci for _, foci, _ in resolves] == [
+            ("A", "B", "C1")[:qubits - 2]] * 2
         assert params_checks == []
         assert built == [[], [], []]
         assert {st.samples for name, st in res.stats.items()
@@ -565,6 +570,34 @@ class TestOncePerState:
         assert code == 2
         assert "exponent must be in [0, 2]" in capsys.readouterr().err
         assert pair_calls == []
+
+
+class TestNoPerStateLoop:
+    """The Python calls a verify chunk makes into the bound core do not
+    grow with the number of states it checks."""
+
+    @staticmethod
+    def bounds_calls(qubits: int, trials: int) -> int:
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code.co_filename == bounds.__file__:
+                calls += 1
+
+        cfg = VerifyConfig(qubits=qubits, trials=trials, exponents=(0.5, 1.0),
+                           seed=7)
+        sys.setprofile(profile)
+        try:
+            run_verify(cfg)
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    @pytest.mark.parametrize("qubits", [4, 6])
+    def test_one_chunk(self, qubits):
+        assert cli.VERIFY_CHUNK >= 64
+        assert self.bounds_calls(qubits, 2) == self.bounds_calls(qubits, 64)
 
 
 class TestLevelsOncePerFocus:
@@ -585,12 +618,12 @@ class TestLevelsOncePerFocus:
         return calls
 
     def test_figure_heads_independent_of_samples(self, monkeypatch):
-        heads = self.counting(monkeypatch, "_group_heads")
+        resolves = self.counting(monkeypatch, "_resolve")
         figure_rows(2, samples=11)
-        few = len(heads)
+        few = len(resolves)
         figure_rows(2, samples=51)
         assert few > 0
-        assert len(heads) - few == few
+        assert len(resolves) - few == few
 
     def test_no_public_theta_call(self, monkeypatch):
         theta = self.counting(monkeypatch, "theta")

@@ -361,6 +361,56 @@ def stacked_groups():
             for shape, group in groups.items()]
 
 
+class TestThreeTangle:
+    """Coffman-Kundu-Wootters: for three qubits, C^2(f|rest) minus the
+    focus's squared pair concurrences is one value for f = A, B, C, and it
+    is 4 |Det| of the amplitudes (Cayley's hyperdeterminant), a formula
+    that shares no code with the cut or the pair route."""
+
+    @staticmethod
+    def four_det(a) -> np.ndarray:
+        a = a.reshape(-1, 2, 2, 2)
+        d = (a[:, 0, 0, 0] ** 2 * a[:, 1, 1, 1] ** 2
+             + a[:, 0, 0, 1] ** 2 * a[:, 1, 1, 0] ** 2
+             + a[:, 0, 1, 0] ** 2 * a[:, 1, 0, 1] ** 2
+             + a[:, 1, 0, 0] ** 2 * a[:, 0, 1, 1] ** 2)
+        d -= 2 * (a[:, 0, 0, 0] * a[:, 1, 1, 1] * (
+            a[:, 0, 0, 1] * a[:, 1, 1, 0] + a[:, 0, 1, 0] * a[:, 1, 0, 1]
+            + a[:, 1, 0, 0] * a[:, 0, 1, 1])
+            + a[:, 0, 0, 1] * a[:, 1, 1, 0] * (
+                a[:, 0, 1, 0] * a[:, 1, 0, 1] + a[:, 1, 0, 0] * a[:, 0, 1, 1])
+            + a[:, 0, 1, 0] * a[:, 1, 0, 1] * a[:, 1, 0, 0] * a[:, 0, 1, 1])
+        d += 4 * (a[:, 0, 0, 0] * a[:, 0, 1, 1] * a[:, 1, 0, 1] * a[:, 1, 1, 0]
+                  + a[:, 0, 0, 1] * a[:, 0, 1, 0] * a[:, 1, 0, 0] * a[:, 1, 1, 1])
+        return 4 * np.abs(d)
+
+    def test_haar_states(self):
+        from entbounds.bounds import pair_measures_sq
+        psi = haar_random_pure(3, 2000, stream=range(500))
+        tangles = []
+        for focus in psi.shape.labels:
+            cut = Bipartition.of(psi.shape, [focus])
+            tangles.append(pure_concurrence(psi, cut) ** 2
+                           - pair_measures_sq(psi, focus)[0].sum(axis=-1))
+        np.testing.assert_allclose(tangles[1], tangles[0], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(tangles[2], tangles[0], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(tangles[0], self.four_det(psi.amplitudes),
+                                   rtol=0, atol=1e-13)
+
+    def test_ghz_and_w(self):
+        from entbounds.bounds import pair_measures_sq
+        ghz = np.zeros(8, dtype=complex)
+        ghz[[0, 7]] = 2 ** -0.5
+        w = np.zeros(8, dtype=complex)
+        w[[1, 2, 4]] = 3 ** -0.5
+        for amp, tangle in ((ghz, 1.0), (w, 0.0)):
+            psi = PureState(qubit_shape(("A", "B", "C")), amp)
+            assert abs(self.four_det(amp)[0] - tangle) < 1e-13
+            cut = Bipartition.of(psi.shape, ["A"])
+            assert abs(pure_concurrence(psi, cut) ** 2
+                       - pair_measures_sq(psi, "A")[0].sum() - tangle) < 1e-13
+
+
 class TestStacked:
     """Every measure on a stack of states equals, bit for bit, the measure
     of each state alone."""
