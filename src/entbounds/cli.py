@@ -43,8 +43,8 @@ FIG23_PARAMS = WClass4Params(l1=3 / 4, l2=1 / 2, l3=np.sqrt(2) / 4, l4=1 / 4)
 FIG23_P = {"A": (4 / 5, 3 / 5), "B": (2 / 5, 3 / 5)}
 
 _LEMMA_STREAM_BASE = 2 ** 32  # keeps lemma triples off the state streams
-# Trials evaluated as one stack by run_verify; bounds its memory (a 6-qubit
-# chunk's projector stack is VERIFY_CHUNK x 64 x 64 complex numbers).
+# Trials evaluated as one stack by run_verify: a chunk pays the Python
+# overhead of its calls once, and 64 trials amortize most of it.
 VERIFY_CHUNK = 64
 
 
@@ -235,10 +235,10 @@ def run_verify(cfg: VerifyConfig) -> VerifyResult:
     call and evaluated as one stack of states: one ``cut_sandwiches``
     call per chunk resolves the foci (A, B and, from 5 qubits, C1) once,
     together and with no loop over the chunk's states, for all exponents
-    and all six bounds; every reduction reads the stack's one projector,
-    and the focus-A pair values feed the two pair checks.  Slack is
-    (larger side) - (smaller side) of each inequality; a violation is
-    slack < -tol.
+    and all six bounds; every reduction and cut reads the cut matrix of
+    the stack's amplitudes, and the focus-A pair values feed the two pair
+    checks.  Slack is (larger side) - (smaller side) of each inequality; a
+    violation is slack < -tol.
     """
     res = VerifyResult()
     for start in range(0, cfg.trials, VERIFY_CHUNK):

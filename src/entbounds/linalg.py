@@ -73,10 +73,10 @@ def default_labels(n_qubits: int) -> tuple[str, ...]:
     return ("A", "B") + tuple(f"C{i}" for i in range(1, n_qubits - 1))
 
 
-def _as_matrix(m, stacked: bool = False) -> np.ndarray:
-    """Finite complex matrix; with ``stacked``, also a stack (..., d, d)."""
+def _as_matrix(m) -> np.ndarray:
+    """Finite complex matrix."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 and not (stacked and a.ndim > 2):
+    if a.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={a.ndim}")
     if not np.all(np.isfinite(a.view(float))):
         raise ValueError("matrix has non-finite entries")
@@ -87,23 +87,22 @@ def partial_trace(rho, shape: SubsystemShape, keep: Iterable[str]) -> np.ndarray
     """Reduced matrix on the kept subsystems (induced label order).
 
     Tracing preserves the total trace; keeping every label returns the input
-    unchanged.  A stack of matrices (..., d, d) is reduced matrix by matrix.
+    unchanged.
     """
-    rho = _as_matrix(rho, stacked=True)
+    rho = _as_matrix(rho)
     n = len(shape.labels)
-    if rho.shape[-2:] != (shape.dim, shape.dim):
+    if rho.shape != (shape.dim, shape.dim):
         raise ValueError(f"matrix shape {rho.shape} does not match "
                          f"subsystem dimension {shape.dim}")
     keep_pos = shape.positions(keep)
     if len(keep_pos) == n:
         return rho.copy()
     kept = set(keep_pos)
-    lead = rho.shape[:-2]
-    t = rho.reshape(lead + (2,) * (2 * n))
-    in_sub = [..., *range(n), *(n + k if k in kept else k for k in range(n))]
-    out_sub = [..., *keep_pos, *(n + k for k in keep_pos)]
+    t = rho.reshape((2,) * (2 * n))
+    in_sub = [*range(n), *(n + k if k in kept else k for k in range(n))]
+    out_sub = [*keep_pos, *(n + k for k in keep_pos)]
     red_dim = 2 ** len(keep_pos)
-    return np.einsum(t, in_sub, out_sub).reshape(lead + (red_dim, red_dim))
+    return np.einsum(t, in_sub, out_sub).reshape(red_dim, red_dim)
 
 
 def partial_transpose(rho, shape: SubsystemShape, side: Iterable[str]) -> np.ndarray:

@@ -5,6 +5,10 @@ Two-qubit convex roofs use the closed forms built from the spin-flip
 spectrum mu_1 >= ... >= mu_4: C = max(0, mu_1 - mu_2 - mu_3 - mu_4) and
 C_a = mu_1 + mu_2 + mu_3 + mu_4.
 
+A pure state's quantities read its amplitude matrix M across a cut
+(``_cut_matrix``): rho_left = M M^dagger, and the Schmidt values are the
+singular values of M.  No 2^n x 2^n matrix is built.
+
 Every measure also takes a stack of inputs on leading axes (a PureState
 holding amplitudes (N, 2^n), or density matrices (..., d, d)) and returns
 arrays over them, equal bit for bit to the values of the inputs one at a
@@ -22,7 +26,6 @@ from .linalg import (
     TAU_NUM,
     TAU_PSD,
     SubsystemShape,
-    partial_trace,
 )
 from .states import PureState
 
@@ -122,10 +125,23 @@ def linear_entropy(rho) -> float:
     return _scalar(1.0 - np.trace(rho @ rho, axis1=-2, axis2=-1).real)
 
 
+def _cut_matrix(psi: PureState, left) -> np.ndarray:
+    """The amplitudes as a 2^|left| x 2^|rest| matrix (one per state of a
+    stack), each side in shape order."""
+    n = len(psi.shape.labels)
+    left_pos = psi.shape.positions(left)
+    axes = left_pos + [k for k in range(n) if k not in left_pos]
+    lead = psi.amplitudes.shape[:-1]
+    t = np.moveaxis(psi.amplitudes.reshape(lead + (2,) * n),
+                    [a - n for a in axes], range(-n, 0))
+    return t.reshape(lead + (2 ** len(left_pos), -1))
+
+
 def reduced_density(psi: PureState, keep) -> np.ndarray:
     """Reduced density matrix of a pure state (or of each state of a stack)
-    on the kept labels."""
-    return partial_trace(psi.density(), psi.shape, keep)
+    on the kept labels, in shape order: M M^dagger of the cut matrix."""
+    m = _cut_matrix(psi, keep)
+    return np.einsum("...kr,...lr->...kl", m, m.conj())
 
 
 def _check_cut(psi: PureState, cut: Bipartition) -> None:
@@ -143,17 +159,10 @@ def pure_concurrence(psi: PureState, cut: Bipartition) -> float:
 
 
 def _schmidt_values(psi: PureState, cut: Bipartition) -> np.ndarray:
-    """Schmidt values across the cut: the singular values of the amplitude
-    tensor, axes in (left, right) order, as a 2^|left| x 2^|right| matrix.
-    Their squares are the eigenvalues of rho_left."""
+    """Schmidt values across the cut, the singular values of its cut
+    matrix; their squares are the eigenvalues of rho_left."""
     _check_cut(psi, cut)
-    n = len(psi.shape.labels)
-    axes = psi.shape.positions(cut.left) + psi.shape.positions(cut.right)
-    lead = psi.amplitudes.shape[:-1]
-    t = np.moveaxis(psi.amplitudes.reshape(lead + (2,) * n),
-                    [a - n for a in axes], range(-n, 0))
-    return np.linalg.svd(t.reshape(lead + (2 ** len(cut.left), -1)),
-                         compute_uv=False)
+    return np.linalg.svd(_cut_matrix(psi, cut.left), compute_uv=False)
 
 
 def _mu_spectrum(rho: np.ndarray) -> np.ndarray:

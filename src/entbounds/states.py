@@ -9,12 +9,11 @@ subsystem ``k``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import rng
-from .linalg import TAU_NUM, SubsystemShape, default_labels, projector, qubit_shape
+from .linalg import TAU_NUM, SubsystemShape, default_labels, qubit_shape
 
 
 class StateSpecError(ValueError):
@@ -27,7 +26,9 @@ class StateSpecError(ValueError):
 
 @dataclass(frozen=True)
 class PureState:
-    """Normalized pure state over labeled qubit subsystems.
+    """Normalized pure state over labeled qubit subsystems, held as its
+    read-only amplitudes only; the measures read every reduction and cut
+    from them.
 
     ``amplitudes`` of shape (N, 2^n) hold a stack of N states on the same
     register, each checked like one state; the measures evaluate such a
@@ -64,17 +65,6 @@ class PureState:
         if self.amplitudes.ndim > 1:
             raise ValueError(
                 f"expected one state, got a stack of {len(self.amplitudes)}")
-
-    def density(self) -> np.ndarray:
-        """|psi><psi| (a stack of projectors for a stack of states), built
-        on first use and shared, read-only, by every later call."""
-        return self._density
-
-    @cached_property
-    def _density(self) -> np.ndarray:
-        rho = projector(self.amplitudes)
-        rho.setflags(write=False)
-        return rho
 
 
 def _check_coefficients(lams) -> None:

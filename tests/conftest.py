@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -30,3 +32,27 @@ def haar4_ensemble():
     """Shared 4-qubit Haar ensemble for the heavyweight invariant tests."""
     return [haar_random_pure(4, ENSEMBLE_SEED, stream=i)
             for i in range(ENSEMBLE_SIZE)]
+
+
+@pytest.fixture
+def dense_calls(monkeypatch):
+    """Names of the dense reference routes of ``linalg`` (2^n x 2^n
+    projectors, their partial traces and transposes, trace norms) called
+    while the test runs, under whatever name a package module holds them."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.split(".")[0] != "entbounds":
+            continue
+        for name in ("projector", "partial_trace", "partial_transpose",
+                     "trace_norm"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counted(name, getattr(module, name)))
+    return calls

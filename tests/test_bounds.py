@@ -1,5 +1,3 @@
-import sys
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -323,32 +321,11 @@ class TestNegativityBounds:
                 assert nb.lower.ours <= nb.lhs + 1e-9
                 assert nb.upper.ours >= nb.lhs - 1e-9
 
-    def test_cut_read_from_amplitudes(self, monkeypatch):
-        # N(AB|rest) and the Schmidt rank come from the amplitudes: the
-        # only projectors built are the ten pair reductions of foci A, B
-        from entbounds import linalg, measures, states
-        calls = []
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls.append(name)
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for module in (linalg, measures, bounds, states):
-            for name in ("partial_transpose", "trace_norm"):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name,
-                                        counted(name, getattr(module, name)))
-        density = PureState.density
-
-        def traced_density(psi):
-            calls.append(sys._getframe(1).f_code.co_name)
-            return density(psi)
-
-        monkeypatch.setattr(PureState, "density", traced_density)
+    def test_cut_read_from_amplitudes(self, dense_calls):
+        # N(AB|rest), the Schmidt rank and the ten pair reductions of foci
+        # A, B all come from cut matrices of the amplitudes
         negativity_bounds_AB(haar_random_pure(6, 3, stream=0), [0.5, 2.0])
-        assert calls == ["reduced_density"] * 10
+        assert dense_calls == []
 
 
 class TestTripartiteBounds:

@@ -7,6 +7,7 @@ import pytest
 
 from entbounds import bounds, cli
 from entbounds.bounds import (
+    COMPARATOR_NAMES,
     lemma_chain_grid,
     monogamy_lower_AB,
     negativity_bounds_AB,
@@ -27,9 +28,16 @@ from entbounds.cli import (
     run_verify,
 )
 from entbounds.measures import Bipartition, pure_concurrence
-from entbounds.states import acin_state, emit_state_spec, haar_random_pure
+from entbounds.optimizer import optimize
+from entbounds.states import (
+    acin_state,
+    emit_state_spec,
+    haar_random_pure,
+    parse_state_spec,
+)
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "benchmark" / "reference"
+CORPUS_DIR = REFERENCE_DIR.parent / "corpus"
 
 
 @pytest.fixture(scope="module")
@@ -286,6 +294,32 @@ class TestVerifyReference:
 
 
 class TestRunBounds:
+    def test_benchmark_fixed_state_reference(self):
+        # the benchmark's fixed-state gate on every corpus call, read from
+        # the committed reference without changing it: where the reference
+        # records a raise, the call may raise or give the closed form
+        ref = json.loads((REFERENCE_DIR / "fixed-state.json").read_text())
+        assert len(ref["calls"]) == 257
+        for key, want in ref["calls"]:
+            kind, name, arg, *p_mode = key.split()
+            path = CORPUS_DIR / f"{name}.state"
+            try:
+                if kind == "bounds":
+                    rep, _, _ = run_bounds(str(path), arg, ref["exponent"],
+                                           *p_mode)
+                    got = [rep.lhs, rep.ours] + [rep.comparators[k]
+                                                 for k in COMPARATOR_NAMES]
+                else:
+                    psi = parse_state_spec(path.read_text(encoding="utf-8"))
+                    got = [optimize(psi, arg, ref["exponent"]).best_value]
+            except ValueError:
+                assert "seed_error" in want, key
+                continue
+            expected = want.get("values", want.get("closed_form"))
+            assert len(got) == len(expected), key
+            assert all(abs(a - b) <= 1e-12 for a, b in zip(got, expected)), \
+                (key, got, expected)
+
     def test_example1_reference_value(self, example1_spec_file):
         rep, lines, csv_row = run_bounds(example1_spec_file, "A|BC", 1.0,
                                          "0.6")
@@ -506,10 +540,10 @@ class TestOncePerState:
                 == spectra * trials
 
     @pytest.mark.parametrize("qubits", [4, 6])
-    def test_verify_chunk_set_up_once(self, monkeypatch, qubits):
+    def test_verify_chunk_set_up_once(self, monkeypatch, dense_calls, qubits):
         # a chunk draws its states and its lemma triples in one call each,
-        # and every reduction and cut concurrence reads one projector stack
-        from entbounds import states
+        # and every reduction and cut concurrence reads cut matrices of the
+        # amplitudes, never a 2^n x 2^n projector
         calls = []
 
         def counting(module, name):
@@ -521,7 +555,6 @@ class TestOncePerState:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        counting(states, "projector")
         counting(cli, "haar_random_pure")
         counting(cli, "lemma_chain_grid")
         for trials, chunks in ((1, 1), (cli.VERIFY_CHUNK, 1),
@@ -530,8 +563,19 @@ class TestOncePerState:
             run_verify(VerifyConfig(qubits=qubits, trials=trials,
                                     exponents=(0.5, 2.0), seed=7))
             assert sorted(calls) == sorted(
-                ["haar_random_pure", "lemma_chain_grid", "projector"]
-                * chunks)
+                ["haar_random_pure", "lemma_chain_grid"] * chunks)
+        assert dense_calls == []
+
+    def test_reports_build_no_projector(self, dense_calls):
+        for path in sorted(CORPUS_DIR.glob("*.state")):
+            labels = parse_state_spec(path.read_text()).shape.labels
+            for k in range(1, min(len(labels), 4)):
+                cut = "".join(labels[:k]) + "|" + "".join(labels[k:])
+                for p_mode in ("auto", "1"):
+                    run_bounds(str(path), cut, 1.0, p_mode)
+        for fig_id in (1, 2, 3):
+            figure_rows(fig_id, samples=11)
+        assert dense_calls == []
 
     def test_figure(self, pair_calls):
         figure_rows(2, samples=11)

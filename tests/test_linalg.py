@@ -75,8 +75,8 @@ class TestPartialTrace:
 
     def test_acin_example_purity(self, example1_state):
         # Tr rho_A^2 = 1 - C^2/2 = 1 - (3/4)/2 = 5/8 for this parameter set
-        rho_a = partial_trace(example1_state.density(), example1_state.shape,
-                              ["A"])
+        rho_a = partial_trace(projector(example1_state.amplitudes),
+                              example1_state.shape, ["A"])
         assert abs(np.trace(rho_a @ rho_a).real - 5 / 8) < 1e-12
 
     def test_keep_all_is_identity(self):
@@ -105,7 +105,7 @@ class TestPartialTrace:
         # every reduction of a pure projector is a density matrix
         shape = haar4_ensemble[0].shape
         for psi in haar4_ensemble:
-            red = partial_trace(psi.density(), shape, ["A", "B"])
+            red = partial_trace(projector(psi.amplitudes), shape, ["A", "B"])
             assert abs(np.trace(red).real - 1.0) < 1e-12
             assert np.linalg.eigvalsh(red)[0] > -TAU_PSD
 
@@ -171,5 +171,5 @@ class TestTraceNorm:
         # ||rho^{T_A}||_1 >= 1 for every density matrix
         shape = haar4_ensemble[0].shape
         for psi in haar4_ensemble[:200]:
-            pt = partial_transpose(psi.density(), shape, ["A"])
+            pt = partial_transpose(projector(psi.amplitudes), shape, ["A"])
             assert trace_norm(pt) >= 1.0 - 1e-12

@@ -10,7 +10,7 @@ from entbounds.bounds import (
     tail_ratios,
     theta,
 )
-from entbounds.linalg import TAU_NUM, default_labels, qubit_shape
+from entbounds.linalg import TAU_NUM, default_labels, projector, qubit_shape
 from entbounds.measures import Bipartition, pure_concurrence
 from entbounds.optimizer import optimize, ordered_set_partitions
 from entbounds.states import PureState, haar_random_pure
@@ -98,7 +98,7 @@ class TestOptimize:
         amp[0] = amp[3] = 1 / np.sqrt(2)
         psi = PureState(qubit_shape(("A", "B")), amp)
         from entbounds.measures import cren_crenoa_two_qubit
-        _, ca = cren_crenoa_two_qubit(psi.density())
+        _, ca = cren_crenoa_two_qubit(projector(psi.amplitudes))
         for beta in (0.5, 1.0, 2.0):
             res = optimize(psi, "A", beta)
             assert abs(res.best_value - ca ** beta) < 1e-12

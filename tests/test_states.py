@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entbounds.linalg import partial_trace
+from entbounds.linalg import partial_trace, projector
 from entbounds.measures import (
     Bipartition,
     cren_crenoa_two_qubit,
@@ -35,7 +35,7 @@ class TestAcinState:
     def test_example_values(self, example1_state):
         cut = Bipartition.of(example1_state.shape, ["A"])
         assert abs(pure_concurrence(example1_state, cut) - np.sqrt(3) / 2) < 1e-12
-        rho = example1_state.density()
+        rho = projector(example1_state.amplitudes)
         shape = example1_state.shape
         _, ca_ab = cren_crenoa_two_qubit(partial_trace(rho, shape, ["A", "B"]))
         _, ca_ac = cren_crenoa_two_qubit(partial_trace(rho, shape, ["A", "C"]))
@@ -46,7 +46,7 @@ class TestAcinState:
         psi = acin_state(AcinParams(1.0, 0.0, 0.0, 0.0, 0.0))
         npt.assert_array_equal(psi.amplitudes[1:], 0)
         for pair in (["A", "B"], ["A", "C"]):
-            rho = partial_trace(psi.density(), psi.shape, pair)
+            rho = partial_trace(projector(psi.amplitudes), psi.shape, pair)
             assert cren_crenoa_two_qubit(rho)[1] < 1e-12
 
     def test_closed_form_concurrence_random(self):
@@ -74,7 +74,7 @@ class TestAcinState:
 
 class TestWClassState:
     def test_pairwise_concurrences(self, example2_state):
-        rho = example2_state.density()
+        rho = projector(example2_state.amplitudes)
         shape = example2_state.shape
         expected = {("A", "B"): 3 / 4, ("A", "C1"): 3 * np.sqrt(2) / 8,
                     ("B", "C1"): np.sqrt(2) / 4}
@@ -93,7 +93,7 @@ class TestWClassState:
     def test_product_case(self):
         psi = wclass4_state(WClass4Params(1.0, 0.0, 0.0, 0.0))
         for pair in (["A", "B"], ["A", "C1"], ["B", "C2"]):
-            red = partial_trace(psi.density(), psi.shape, pair)
+            red = partial_trace(projector(psi.amplitudes), psi.shape, pair)
             assert cren_crenoa_two_qubit(red)[0] < 1e-12
 
 
@@ -118,7 +118,7 @@ class TestHaarRandom:
         total = 0.0
         for i in range(10_000):
             psi = haar_random_pure(2, 7, stream=i)
-            rho_a = partial_trace(psi.density(), psi.shape, ["A"])
+            rho_a = partial_trace(projector(psi.amplitudes), psi.shape, ["A"])
             total += np.trace(rho_a @ rho_a).real
         assert abs(total / 10_000 - 0.8) < 0.01
 
@@ -275,26 +275,6 @@ class TestPureState:
         assert PureState(shape, stack.amplitudes[:1]).amplitudes.shape == (1, 8)
         with pytest.raises(ValueError):
             stack.amplitudes[0, 0] = 9.0
-
-    def test_density_built_once_and_read_only(self, monkeypatch):
-        from entbounds import states as states_module
-        calls = []
-        original = states_module.projector
-
-        def counting(amplitudes):
-            calls.append(np.shape(amplitudes))
-            return original(amplitudes)
-
-        monkeypatch.setattr(states_module, "projector", counting)
-        one = haar_random_pure(3, 61, stream=2)
-        stack = haar_random_pure(3, 61, stream=range(4))
-        for psi in (one, stack):
-            rho = psi.density()
-            assert psi.density() is rho
-            with pytest.raises(ValueError):
-                rho[..., 0, 0] = 9.0
-        assert calls == [(8,), (4, 8)]
-        assert np.array_equal(stack.density()[2], one.density())
 
     def test_stack_rejected_by_emit_state_spec(self):
         stack = haar_random_pure(3, 61, stream=range(3))
