@@ -2,12 +2,13 @@
 """Print every user-visible output of the package in one stable text dump.
 
 The dump covers the three figure tables, ``run_verify`` summaries (one
-per exponent) and ``run_bounds`` reports (text lines, CSV row and values)
-over the state files of ``benchmark/corpus``, with every float written
-by ``float.hex``.
-It calls only ``entbounds.cli`` entry points, so the same script runs
-against any checkout: diff two dumps to show that a change keeps every
-output bit-identical.
+per exponent), ``run_bounds`` reports (text lines, CSV row and values)
+and the six report functions of ``entbounds.bounds`` (values, comparators
+and focus records) over the state files of ``benchmark/corpus``, with
+every float written by ``float.hex``.
+It calls only public entry points, so the same script runs against any
+checkout: diff two dumps to show that a change keeps every output
+bit-identical.
 
     PYTHONPATH=src python scripts/dump_outputs.py > after.txt
     PYTHONPATH=/path/to/other/src python scripts/dump_outputs.py > before.txt
@@ -20,14 +21,21 @@ are only read.
 from __future__ import annotations
 
 import sys
+from functools import partial
 from pathlib import Path
 
+from entbounds.bounds import (SandwichBounds, monogamy_lower_AB,
+                              multi_partition_polygamy, negativity_bounds_AB,
+                              polygamy_bound_coa, polygamy_upper_AB,
+                              tripartite_bounds)
 from entbounds.cli import (VerifyConfig, figure_rows, parse_state_spec,
                            run_bounds, run_verify)
 
 CORPUS = Path(__file__).resolve().parent.parent / "benchmark" / "corpus"
 EXPONENTS = (0.0, 0.5, 1.0, 1.5, 2.0)
 P_MODES = ("auto", "1", "1,1,1,1,1", "0.9,0.95,1,1,1", "0.5")
+REPORT_P = ("auto", "one", (1,) * 5, (0.9, 0.95, 1, 1, 1), (0.5,),
+            {"A": (0.9, 1, 1, 1, 1)})
 SAMPLES = 201
 TRIALS = 15
 
@@ -81,11 +89,49 @@ def dump_bounds(out):
                                            + list(rep.comparators.values())))
 
 
+def _report_calls(psi):
+    """Each report function on the state, by name, awaiting (exponents, p)."""
+    labels = psi.shape.labels
+    calls = {f"polygamy_bound_coa {f}": partial(polygamy_bound_coa, psi, f)
+             for f in labels}
+    for k in (2, 3):
+        calls[f"multi_partition_polygamy {''.join(labels[:k])}"] = partial(
+            multi_partition_polygamy, psi, labels[:k])
+    for report in (monogamy_lower_AB, polygamy_upper_AB, negativity_bounds_AB,
+                   tripartite_bounds):
+        calls[report.__name__] = partial(report, psi)
+    return calls
+
+
+def dump_reports(out):
+    """Every report function on every corpus state and p spec: the focus
+    records of the call, then per exponent each report's lhs, ours, gap
+    and comparators (lower, then upper, for a sandwich)."""
+    for path in sorted(CORPUS.glob("*.state")):
+        psi = parse_state_spec(path.read_text(encoding="utf-8"))
+        for name, call in _report_calls(psi).items():
+            for p in REPORT_P:
+                out.append(f"reports {path.name} {name} {p}")
+                try:
+                    reports = call(EXPONENTS, p)
+                except ValueError as exc:
+                    out.append(f"  {type(exc).__name__}: {exc}")
+                    continue
+                rows = [(r.lower, r.upper) if isinstance(r, SandwichBounds)
+                        else (r,) for r in reports]
+                out.extend(f"  focus {f}: {fp.grouping.groups} {_hex(fp.p)} "
+                           f"{fp.fallback}" for f, fp in rows[0][0].foci.items())
+                out.extend(f"  {exponent} " + _hex(
+                    [r.lhs, r.ours, r.gap] + list(r.comparators.values()))
+                    for exponent, row in zip(EXPONENTS, rows) for r in row)
+
+
 def main() -> int:
     out: list[str] = []
     dump_figures(out)
     dump_verify(out)
     dump_bounds(out)
+    dump_reports(out)
     sys.stdout.write("\n".join(out) + "\n")
     return 0
 

@@ -27,13 +27,14 @@ reports the descending grouping and p = t for inspection but evaluates
 "ours" as the single-group theta; explicit p vectors between t and 1 are
 the family proper.
 
-One resolve, ``_resolve``, serves every bound: it takes the foci of a
-stack of N states at once, with no loop over states.  ``cut_sandwiches``
-evaluates auto mode's "ours" from it on the (exponent, state) grid; the
-report functions read its row for their one state and evaluate each
-exponent in Python floats.  Every power of an exponent-dependent value is
-Python's float power and every sum keeps its order, so a stack's rows
-equal the one-state values bit for bit.
+The report functions resolve each focus of their one state once
+(``_focus``: grouping, trimmed heads, tail ratios, fallback and checked p)
+and evaluate each exponent in Python floats.  ``cut_sandwiches`` reads
+only what auto mode needs, the single group's head and the radicand of
+each focus, and evaluates them for a stack of N states on the (exponent,
+state) grid.  Every power of an exponent-dependent value is Python's
+float power and every sum keeps its order, so a stack's rows equal the
+one-state values bit for bit.
 
 Convention used throughout: 0^0 := 1 and v^0 := 1, so exponent-zero
 curves are defined.
@@ -41,6 +42,7 @@ curves are defined.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
@@ -118,14 +120,6 @@ def _pow(base, expo) -> np.ndarray:
     flat = base.ravel().tolist()
     return np.array([[b ** e for b in flat] for e in expo]).reshape(
         (len(expo),) + base.shape)
-
-
-def _lsum(values: np.ndarray) -> np.ndarray:
-    """Sum over the last axis term by term from the left, as Python's sum
-    adds (numpy's sum may pair terms); 0 for no terms."""
-    if not values.shape[-1]:
-        return np.zeros(values.shape[:-1])
-    return values.cumsum(axis=-1)[..., -1]
 
 
 @dataclass(frozen=True)
@@ -250,74 +244,61 @@ def lemma_chain_grid(count: int, seed: int, stream=0) -> np.ndarray:
     return np.stack(_chain_columns(u * p, p, x), axis=-1)
 
 
-def _clipped(values: np.ndarray) -> np.ndarray:
-    """Squared CoA values (N, size) with round-off negatives and -0 set to
-    +0 (sums of them start as Python's sum does); below -TAU_NUM raises."""
-    negative = values < -TAU_NUM
-    if negative.any():
-        raise ValueError("squared CoA values must be nonnegative: "
-                         f"{values[negative.any(axis=-1)][0].tolist()}")
-    return np.maximum(values, 0.0) + 0.0
+def _group_heads(group_coa_sq: Sequence[Sequence[float]]) -> list[float]:
+    """Group CoA^2 sums, each left to right, trimmed to their recursion
+    levels.
 
-
-def _trim_heads(heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group heads (N, k) trimmed to their recursion levels.
-
-    A row keeps its heads up to its last one >= TAU_NUM, masking the rest
-    to 0 (exact: a trailing zero group adds nothing to a tail sum), and has
-    one level per kept head but the last, which sits at index ``levels``.
-    An interior zero would put 0/0 into Omega and raises (reorder or merge
-    groups first), as does a non-finite head.
+    Round-off negatives and -0 count as +0; a value below -TAU_NUM or a
+    non-finite sum raises.  Trailing heads below TAU_NUM are dropped
+    (exact: a trailing zero group adds nothing to a tail sum); an interior
+    one would put 0/0 into Omega and raises (reorder or merge groups
+    first).
     """
-    if not np.isfinite(heads).all():
+    groups = [np.asarray(g, dtype=float).ravel().tolist()
+              for g in group_coa_sq]
+    for vals in groups:
+        if any(v < -TAU_NUM for v in vals):
+            raise ValueError(f"squared CoA values must be nonnegative: {vals}")
+    heads = [sum(max(v, 0.0) + 0.0 for v in vals) for vals in groups]
+    if not all(map(math.isfinite, heads)):
         raise ValueError("squared CoA values must be finite")
-    keep = heads >= TAU_NUM
-    if (keep[:, 1:] > keep[:, :-1]).any():
+    while heads and heads[-1] < TAU_NUM:
+        heads.pop()
+    if any(h < TAU_NUM for h in heads):
         raise ValueError(
             "a group with zero CoA^2 precedes nonzero groups; "
             "reorder or merge groups so zero groups trail")
-    return heads * keep, keep[:, 1:].sum(axis=-1)   # keep is a prefix
+    return heads
 
 
-def tail_ratios(heads) -> np.ndarray:
+def tail_ratios(heads: Sequence[float]) -> list[float]:
     """t_l = (sum of heads after level l) / head_l for each non-final level,
-    on the last axis, each sum left to right; 0 where head_l is 0."""
-    heads = np.asarray(heads, dtype=float)
-    after = np.arange(heads.shape[-1]) > np.arange(heads.shape[-1] - 1)[:, None]
-    tails = _lsum(heads[..., None, :] * after)   # after[l, j]: j > l
-    return np.divide(tails, heads[..., :-1], out=np.zeros(tails.shape),
-                     where=heads[..., :-1] != 0.0)
+    each sum left to right; 0 where head_l is 0."""
+    return [sum(heads[i + 1:]) / heads[i] if heads[i] else 0.0
+            for i in range(len(heads) - 1)]
 
 
-def _admissible(t: np.ndarray, levels: np.ndarray, p) -> np.ndarray:
-    """The vector ``p`` as each row's parameters (N, most levels of any row),
-    1 past a row's levels.  Raises ValueError if p is too short, and
-    InfeasibleParamsError at the first p_l < t_l of the first such row."""
-    need, p = levels.max(initial=0), np.asarray(p, dtype=float)
-    if p.shape[-1] < need:
-        raise ValueError(
-            f"grouping needs {need} parameters, got {p.shape[-1]}")
-    active = np.arange(need) < levels[:, None]
-    p = np.where(active, p[..., :need], 1.0)
-    bad = active & (t[:, :need] > p + _FEAS_SLACK)
-    if bad.any():
-        row = bad.any(axis=-1).argmax()
-        level = bad[row].argmax()
-        raise InfeasibleParamsError(level=int(level) + 1,
-                                    min_p=float(t[row, level]))
-    return p
+def _admissible(ts: Sequence[float], p: Sequence[float]) -> tuple[float, ...]:
+    """The entries of ``p`` the levels with tail ratios ``ts`` use; raises
+    ValueError if too few, InfeasibleParamsError at the first p_l < t_l."""
+    if len(p) < len(ts):
+        raise ValueError(f"grouping needs {len(ts)} parameters, got {len(p)}")
+    for level, (t, pl) in enumerate(zip(ts, p)):
+        if t > pl + _FEAS_SLACK:
+            raise InfeasibleParamsError(level=level + 1, min_p=float(t))
+    return tuple(p[:len(ts)])
 
 
 def _theta_value(heads: Sequence[float], ts: Sequence[float],
                  p: Sequence[float], x: float) -> float:
-    """The recursion behind theta at x = exponent/2, over the levels given
-    by ts and p; heads holds one more entry, the last head (0 if none)."""
+    """The recursion behind theta at x = exponent/2, from the trimmed heads,
+    their tail ratios and admissible parameters; 0^x when no head is left."""
     value, prefix = 0.0, 1.0
     for head, t, pl in zip(heads, ts, p):
         omega, _, upsilon = _omega_phi_upsilon(min(t, pl), pl, x)
         value += prefix * omega * _xpow(head, x)
         prefix *= upsilon
-    return value + prefix * _xpow(heads[len(ts)], x)
+    return value + prefix * _xpow(heads[-1] if heads else 0.0, x)
 
 
 def _chain(powers: Sequence[float], c: float) -> float:
@@ -344,14 +325,9 @@ def theta(group_coa_sq: Sequence[Sequence[float]], exponent: float,
     """
     x = _check_exponent(exponent) / 2.0
     p = _check_params(p)
-    heads = [_lsum(_clipped(np.asarray(g, dtype=float).reshape(1, -1)))
-             for g in group_coa_sq]
-    # no group at all is one empty, trimmed group
-    heads, levels = _trim_heads(np.concatenate(heads)[None] if heads
-                                else np.zeros((1, 1)))
-    t = tail_ratios(heads)
-    p = _admissible(t, levels, p)[0].tolist()
-    return _theta_value(heads[0].tolist(), t[0, :len(p)].tolist(), p, x)
+    heads = _group_heads(group_coa_sq)
+    ts = tail_ratios(heads)
+    return _theta_value(heads, ts, _admissible(ts, p), x)
 
 
 # ---------------------------------------------------------------------------
@@ -384,107 +360,60 @@ def chain_bound(values_sq, exponent: float, kind: str) -> float:
                   CHAIN_COEFFICIENTS[kind](x))
 
 
-class _Foci(NamedTuple):
-    """The exponent-free ingredients of the bounds of K foci for N states,
-    one row per (focus, state), focus by focus (row i*N + s)."""
+class _Focus(NamedTuple):
+    """The exponent-free ingredients of one focus's bounds."""
 
-    pairs: list           # (c_sq, ca_sq) of each focus, from pair_measures_sq
-    radicand: np.ndarray  # sum of the squared pair concurrences
-    descending: np.ndarray  # clipped squared CoA values in chain order
-    fallback: np.ndarray  # rows collapsed to the single group
-    auto: tuple           # whether each focus is in auto mode
-    # (heads, levels, t, p) of 2KN rows: ours, then the grouping at p = 1
-    recursion: tuple
-
-    def params(self, row: int) -> FocusParams:
-        """One row's parameters: p = min(t, 1) in auto mode, otherwise the
-        p that ours evaluates."""
-        rows, m = self.descending.shape
-        focus, state = divmod(row, rows // len(self.pairs))
-        fallback = bool(self.fallback[row])
-        ca_sq = self.pairs[focus][1].reshape(-1, m)[state].tolist()
-        grouping = full_grouping(m) if fallback else Grouping(tuple(
-            (i,) for i in sorted(range(m), key=ca_sq.__getitem__,
-                                 reverse=True)))
-        _, levels, t, p = self.recursion
-        levels = int(levels[rows + row])
-        p = ([min(v, 1.0) for v in t[rows + row, :levels].tolist()]
-             if self.auto[focus] else p[row, :levels].tolist())
-        return FocusParams(grouping, tuple(p), fallback)
-
-    def scalars(self, row: int) -> tuple:
-        """One row's chain values, radicand, and the (heads, t, p) of ours
-        and of the p = 1 recursion, as Python floats."""
-        heads, levels, t, p = self.recursion
-        return (self.descending[row].tolist(), float(self.radicand[row]),
-                *((heads[r, :levels[r] + 1].tolist(),
-                   t[r, :levels[r]].tolist(), p[r, :levels[r]].tolist())
-                  for r in (row, len(self.fallback) + row)))
+    descending: list[float]   # squared CoA values in chain order
+    params: FocusParams
+    radicand: float
+    ours: tuple               # (heads, tail ratios, p) that ours evaluates
+    p1: tuple                 # the same for the grouping at p = 1
 
 
-def _resolve(psi: PureState, foci: Sequence[str], p) -> _Foci:
-    """Resolve the grouping, its levels and the parameters of each focus,
-    for every state of ``psi`` at once.
+def _focus(psi: PureState, focus: str, p) -> _Focus:
+    """Resolve the grouping, its levels and the parameters of one focus.
 
     The grouping is the descending singleton ordering of the partners (a
-    stable sort per row).  ``p`` holds one value for every focus or a
-    mapping by focus (default auto): "auto" (p = tail/head ratio, the
-    tightest choice), "one" (the p=1 literature specialization) or an
-    explicit sequence.  For "auto"/"one" a row whose grouping is
-    infeasible (some t_l > 1) falls back to the always-valid single-group
-    bound and is flagged; an explicit vector that is too short or
-    infeasible raises here, before any exponent, focus by focus.
+    stable sort).  ``p`` holds one value for every focus or a mapping by
+    focus (default auto): "auto" (p = tail/head ratio, the tightest
+    choice), "one" (the p=1 literature specialization) or an explicit
+    sequence.  For "auto"/"one" an infeasible grouping (some t_l > 1)
+    falls back to the always-valid single-group bound and is flagged; an
+    explicit vector that is too short or infeasible raises here, before
+    any exponent.
     """
-    pairs = [pair_measures_sq(psi, f) for f in foci]
-    c_sq, ca_sq = (np.concatenate([v.reshape(-1, v.shape[-1]) for v in vs])
-                   for vs in zip(*pairs))
-    clipped = _clipped(ca_sq)
-    rows, n = len(clipped), len(clipped) // len(foci)
-    # rows [:rows]: the single group, its one head the sum in shape order;
-    # rows [rows:]: the descending singletons
-    groups = np.zeros((2 * rows, clipped.shape[-1]))
-    groups[:rows, 0] = _lsum(clipped)
-    clipped.sort(axis=-1)
-    groups[rows:] = clipped[:, ::-1]
-    heads, levels = _trim_heads(groups)
-    t = tail_ratios(heads)   # 0 on the single-group rows
-    p_rows, auto = np.ones(t.shape), []
-    for i, focus in enumerate(foci):
-        spec = p.get(focus, "auto") if isinstance(p, Mapping) else p
-        auto.append(isinstance(spec, str) and spec == "auto")
-        if isinstance(spec, str):
-            if spec not in ("auto", "one"):
-                raise ValueError(
-                    f"p mode must be 'auto' or 'one', got {spec!r}")
-        else:
-            ours, grouping = slice(i * n, (i + 1) * n), slice(
-                rows + i * n, rows + (i + 1) * n)
-            p_spec = _admissible(t[grouping], levels[grouping],
-                                 _check_params(spec))  # checks every entry
-            p_rows[ours, :p_spec.shape[-1]] = p_spec
-    # a row with some t_l > 1 collapses to the single group: in "auto" and
-    # "one" p stays admissible, and an explicit p has raised
-    fallback = (t[rows:] > 1.0 + _FEAS_SLACK).any(axis=-1)  # t = 0 past levels
-    if fallback.any():
-        heads[rows:][fallback] = heads[:rows][fallback]
-        levels[rows:][fallback] = 0
-    # ours: theta at p = t is the single group (module doc), so auto mode
-    # keeps the single-group rows; otherwise the grouping at the checked p
-    for i in [i for i, is_auto in enumerate(auto) if not is_auto]:
-        ours = slice(i * n, (i + 1) * n)
-        for a in (heads, levels, t):
-            a[ours] = a[rows:][ours]
-    return _Foci(pairs, c_sq.sum(axis=-1), groups[rows:], fallback,
-                 tuple(auto), (heads, levels, t, p_rows))
+    spec = p.get(focus, "auto") if isinstance(p, Mapping) else p
+    c_sq, ca_sq = pair_measures_sq(psi, focus)
+    ca = ca_sq.tolist()
+    single = (_group_heads([ca]), [], ())
+    order = sorted(range(len(ca)), key=ca.__getitem__, reverse=True)
+    grouping = Grouping(tuple((i,) for i in order))
+    descending = [ca[i] for i in order]
+    heads = _group_heads([[v] for v in descending])
+    ts = tail_ratios(heads)
+    fallback = auto = False
+    if isinstance(spec, str):
+        if spec not in ("auto", "one"):
+            raise ValueError(f"p mode must be 'auto' or 'one', got {spec!r}")
+        auto = spec == "auto"
+        if any(t > 1.0 + _FEAS_SLACK for t in ts):
+            grouping, fallback = full_grouping(len(ca)), True
+            heads, ts = single[0], []
+        p = [min(t, 1.0) if auto else 1.0 for t in ts]
+    else:
+        p = _check_params(spec)  # every entry, also those past the levels
+    p = _admissible(ts, p)
+    # theta at p = t equals the single-group value (module doc)
+    return _Focus(descending, FocusParams(grouping, p, fallback),
+                  float(c_sq.sum()), single if auto else (heads, ts, p),
+                  (heads, ts, (1.0,) * len(ts)))
 
 
-def _values(f: tuple, x: float) -> dict[str, float]:
-    """Our bound and every comparator for one focus of one state, from its
-    _Foci.scalars, at x = exponent/2."""
-    descending, _, ours, p1 = f
-    powers = [_xpow(v, x) for v in descending]
-    return {"ours": _theta_value(*ours, x),
-            "p1_specialization": _theta_value(*p1, x)} | {
+def _values(f: _Focus, x: float) -> dict[str, float]:
+    """Our bound and every comparator for one focus at x = exponent/2."""
+    powers = [_xpow(v, x) for v in f.descending]
+    return {"ours": _theta_value(*f.ours, x),
+            "p1_specialization": _theta_value(*f.p1, x)} | {
         kind: _chain(powers, c(x)) for kind, c in CHAIN_COEFFICIENTS.items()}
 
 
@@ -504,23 +433,22 @@ def _sweep(psi: PureState, exponents, p, *cuts: _Cut
            ) -> list[list[BoundReport]]:
     """Reports of each cut of one state, one per exponent.
 
-    The foci the cuts read are resolved once, together, focus by focus in
-    first-read order, so errors come as in one-exponent calls; cuts
-    sharing a focus share its values and its FocusParams.  A ``p``
-    mapping may name foci no cut reads, but only labels of the state."""
+    Every focus a cut reads is resolved once, in first-read order, so
+    errors come as in one-exponent calls; cuts sharing a focus share its
+    values and its FocusParams.  A ``p`` mapping may name foci no cut
+    reads, but only labels of the state."""
     psi.check_single()
     exponents = [_check_exponent(e) for e in exponents]
     if isinstance(p, Mapping):
         for label in p:
             if label not in psi.shape.labels:
                 raise ValueError(f"unknown focus label {label!r} in p mapping")
-    foci = tuple(dict.fromkeys(f for cut in cuts for f in cut.foci))
-    r = _resolve(psi, foci, p)
     params, values, rads = {}, {}, {}
-    for i, f in enumerate(foci):
-        params[f], scalars = r.params(i), r.scalars(i)   # row i: one state
-        values[f] = [_values(scalars, e / 2.0) for e in exponents]
-        rads[f] = [_xpow(scalars[1], e / 2.0) for e in exponents]
+    for f in dict.fromkeys(f for cut in cuts for f in cut.foci):
+        d = _focus(psi, f, p)
+        params[f] = d.params
+        values[f] = [_values(d, e / 2.0) for e in exponents]
+        rads[f] = [_xpow(d.radicand, e / 2.0) for e in exponents]
     out = []
     for side, base, cut_foci, combine in cuts:
         reports = []
@@ -658,7 +586,7 @@ SANDWICH_NAMES = ("concurrence_lower_AB", "concurrence_upper_AB",
 def cut_sandwiches(psi: PureState, exponents) -> tuple[
         tuple[np.ndarray, np.ndarray], dict[str, np.ndarray]]:
     """Slacks of every cut sandwich of a stack of qubit states, from one
-    resolve of their foci.
+    pair measure per focus.
 
     ``psi`` holds N states (amplitudes (N, 2^n)).  Returns ((c_sq, ca_sq)
     of the first label's pairs, each (N, partners)), slacks), where slacks
@@ -666,28 +594,30 @@ def cut_sandwiches(psi: PureState, exponents) -> tuple[
     concurrence and negativity sandwiches across AB|rest and, from 5
     subsystems up, across ABC1|rest, all in auto mode.  As for the
     measures, one state has no stack axis: (partners,) pair values and
-    (len(exponents),) slacks.  Each slack equals, bit for bit, the gap of
-    the matching report function on that state; no comparator or report
-    is built.
+    (len(exponents),) slacks.  Auto mode's "ours" is the single group's
+    power (module doc), so each focus needs only its CoA^2 sum, trimmed
+    as ``theta`` trims it, and its radicand.  Each slack equals, bit for
+    bit, the gap of the matching report function on that state; no
+    grouping, comparator or report is built.
     """
     exponents = np.array([_check_exponent(e) for e in exponents])
     x = exponents[:, None] / 2.0
     cuts = _concurrence_AB(psi) + _negativity_AB(psi)
     if len(psi.shape.labels) >= 5:
         cuts += _tripartite(psi)
-    foci = tuple(dict.fromkeys(f for cut in cuts for f in cut.foci))
-    r = _resolve(psi, foci, "auto")
-    rows = len(r.fallback)
-    # auto mode's ours is the single group's head to the power x (module
-    # doc): the first head of each of ours' rows
-    ours, rads = _pow(r.recursion[0][:rows, 0], x), _pow(r.radicand, x)
-    at = {f: slice(i * rows // len(foci), (i + 1) * rows // len(foci))
-          for i, f in enumerate(foci)}
+    pairs, ours, rads = {}, {}, {}
+    for f in dict.fromkeys(f for cut in cuts for f in cut.foci):
+        pairs[f] = pair_measures_sq(psi, f)
+        # (N, partners), N = 1 for one state; the pair values of a checked
+        # state are nonnegative and finite
+        c_sq, ca_sq = (v.reshape(-1, v.shape[-1]) for v in pairs[f])
+        head = ca_sq.cumsum(axis=-1)[:, -1]   # left to right, as theta adds
+        ours[f] = _pow(np.where(head >= TAU_NUM, head, 0.0), x)
+        rads[f] = _pow(c_sq.sum(axis=-1), x)
     slacks = {}
-    for name, (side, base, cut_foci, combine) in zip(SANDWICH_NAMES, cuts):
+    for name, (side, base, foci, combine) in zip(SANDWICH_NAMES, cuts):
         lhs = _pow(np.reshape(base, -1), exponents)
-        v = combine([ours[:, at[f]] for f in cut_foci],
-                    [rads[:, at[f]] for f in cut_foci], x)
+        v = combine([ours[f] for f in foci], [rads[f] for f in foci], x)
         gap = v - lhs if side == "upper" else lhs - v
         slacks[name] = gap.reshape(gap.shape[:1] + np.shape(base))
-    return r.pairs[0], slacks
+    return pairs[psi.shape.labels[0]], slacks

@@ -233,12 +233,12 @@ def run_verify(cfg: VerifyConfig) -> VerifyResult:
     sandwich when the register has at least 5 qubits.  Trials run in
     chunks of VERIFY_CHUNK, each drawn by one state call and one lemma
     call and evaluated as one stack of states: one ``cut_sandwiches``
-    call per chunk resolves the foci (A, B and, from 5 qubits, C1) once,
-    together and with no loop over the chunk's states, for all exponents
-    and all six bounds; every reduction and cut reads the cut matrix of
-    the stack's amplitudes, and the focus-A pair values feed the two pair
-    checks.  Slack is (larger side) - (smaller side) of each inequality; a
-    violation is slack < -tol.
+    call per chunk makes one pair measure per focus (A, B and, from 5
+    qubits, C1), with no loop over the chunk's states, and evaluates auto
+    mode's single-group bound for all exponents and all six bounds; every
+    reduction and cut reads the cut matrix of the stack's amplitudes, and
+    the focus-A pair values feed the two pair checks.  Slack is (larger
+    side) - (smaller side) of each inequality; a violation is slack < -tol.
     """
     res = VerifyResult()
     for start in range(0, cfg.trials, VERIFY_CHUNK):

@@ -132,8 +132,8 @@ def _cut_matrix(psi: PureState, left) -> np.ndarray:
     left_pos = psi.shape.positions(left)
     axes = left_pos + [k for k in range(n) if k not in left_pos]
     lead = psi.amplitudes.shape[:-1]
-    t = np.moveaxis(psi.amplitudes.reshape(lead + (2,) * n),
-                    [a - n for a in axes], range(-n, 0))
+    t = psi.amplitudes.reshape(lead + (2,) * n).transpose(
+        [*range(len(lead)), *(len(lead) + a for a in axes)])
     return t.reshape(lead + (2 ** len(left_pos), -1))
 
 

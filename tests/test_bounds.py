@@ -20,6 +20,7 @@ from entbounds.bounds import (
     pair_measures_sq,
     polygamy_bound_coa,
     polygamy_upper_AB,
+    tail_ratios,
     theta,
     tripartite_bounds,
 )
@@ -164,6 +165,17 @@ class TestTheta:
         # nan used to come back as the bound, inf as a parameter count error
         with pytest.raises(ValueError, match="must be finite"):
             theta(groups, 1.0, (1.0,))
+
+
+class TestTailRatios:
+    def test_one_sequence_to_a_list(self):
+        ratios = tail_ratios([0.5, 0.25, 0.0])
+        assert type(ratios) is list and ratios == [0.5, 0.0]
+        assert tail_ratios([0.5]) == []
+
+    def test_zero_head_gives_zero(self):
+        assert tail_ratios([0.5, 0.0, 0.0]) == [0.0, 0.0]
+        assert tail_ratios([0.0, 0.25]) == [0.0]
 
 
 class TestChainBound:
@@ -506,10 +518,17 @@ class TestSweep:
             self.REPORTS[name](psi, [1.0], {"A": "one", "b": "one"})
 
 
+def two_term_state(n: int, index: int, eps: float) -> PureState:
+    """cos(eps)|0...0> + sin(eps)|index> on n qubits."""
+    amp = np.zeros(2 ** n, dtype=complex)
+    amp[0], amp[index] = np.cos(eps), np.sin(eps)
+    return PureState(qubit_shape(default_labels(n)), amp)
+
+
 class TestCutSandwiches:
-    """One resolve per focus over a stack of states gives, bit for bit, the
-    gaps of the separate report functions and focus A's pair values of
-    every state."""
+    """One pair measure per focus over a stack of states gives, bit for
+    bit, the gaps of the separate report functions and focus A's pair
+    values of every state."""
 
     EXPONENTS = (0.0, 0.35, 1.0, 1.5, 2.0)
 
@@ -517,6 +536,14 @@ class TestCutSandwiches:
         groups = [[example2_state, haar_random_pure(4, 8, stream=4)],
                   [haar_random_pure(5, 8, stream=5), geometric_w_state(5)],
                   [haar_random_pure(6, 8, stream=6), geometric_w_state(6)]]
+        # cos(eps)|0...0> + sin(eps)|110...0> gives focus A the single-group
+        # head sin^2(2 eps): 0, 4e-12, 4e-10, 3.6e-9 and 0.32 lie on both
+        # sides of TAU_NUM, so the stacked trimming must agree with theta's;
+        # GHZ ends each stack
+        groups += [[two_term_state(n, 3 * 2 ** (n - 2), eps)
+                    for eps in (0.0, 1e-6, 1e-5, 3e-5, 0.3)]
+                   + [two_term_state(n, 2 ** n - 1, np.pi / 4)]
+                   for n in (4, 5, 6)]
         for states in groups:
             stack = PureState(states[0].shape, [s.amplitudes for s in states])
             (c_sq, ca_sq), slacks = cut_sandwiches(stack, self.EXPONENTS)

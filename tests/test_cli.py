@@ -495,8 +495,8 @@ class TestMainExitCodes:
 
 class TestOncePerState:
     """A report call resolves each focus once, whatever the number of
-    exponents, and a verify chunk resolves each focus once for all its
-    trials and checks."""
+    exponents, and a verify chunk makes one pair measure per focus for all
+    its trials and checks."""
 
     @pytest.fixture
     def pair_calls(self, monkeypatch):
@@ -585,25 +585,22 @@ class TestOncePerState:
     def test_verify_checks_once_per_chunk(self, monkeypatch, pair_calls,
                                           qubits):
         # three trials in chunks of two: each cut_sandwiches call (one per
-        # chunk) checks each exponent once and resolves its foci once, in one
-        # resolve with one pair measure per focus; no p is checked and no
-        # report sweep, report or grouping is built
+        # chunk) checks each exponent once and makes one pair measure per
+        # focus; no p is checked, no focus is resolved and no report
+        # sweep, report or grouping is built
         counting = TestLevelsOncePerFocus.counting
         exponent_checks = counting(monkeypatch, "_check_exponent")
         params_checks = counting(monkeypatch, "_check_params")
-        resolves = counting(monkeypatch, "_resolve")
-        built = [counting(monkeypatch, name)
-                 for name in ("_sweep", "BoundReport", "Grouping")]
+        built = [counting(monkeypatch, name) for name in
+                 ("_focus", "_sweep", "BoundReport", "Grouping")]
         monkeypatch.setattr(cli, "VERIFY_CHUNK", 2)
         exponents = (0.5, 1.0, 1.5, 2.0)
         res = run_verify(VerifyConfig(qubits=qubits, trials=3,
                                       exponents=exponents, seed=7))
         assert exponent_checks == [(e,) for e in exponents] * 2
         assert pair_calls == ["A", "B", "C1"][:qubits - 2] * 2
-        assert [foci for _, foci, _ in resolves] == [
-            ("A", "B", "C1")[:qubits - 2]] * 2
         assert params_checks == []
-        assert built == [[], [], []]
+        assert built == [[], [], [], []]
         assert {st.samples for name, st in res.stats.items()
                 if name.endswith(("_AB", "_ABC1"))} == {3 * len(exponents)}
 
@@ -662,12 +659,12 @@ class TestLevelsOncePerFocus:
         return calls
 
     def test_figure_heads_independent_of_samples(self, monkeypatch):
-        resolves = self.counting(monkeypatch, "_resolve")
+        foci = self.counting(monkeypatch, "_focus")
         figure_rows(2, samples=11)
-        few = len(resolves)
+        few = len(foci)
         figure_rows(2, samples=51)
         assert few > 0
-        assert len(resolves) - few == few
+        assert len(foci) - few == few
 
     def test_no_public_theta_call(self, monkeypatch):
         theta = self.counting(monkeypatch, "theta")

@@ -34,3 +34,19 @@ def test_verify_section_shows_every_sandwich_bound():
             for name in names:
                 values = slacks[(f"verify qubits={qubits} seed={seed}", name)]
                 assert len(values) > 1, (qubits, seed, name)
+
+
+def test_reports_section_reaches_every_report_function():
+    """Each of the six report functions is called directly, and each
+    returns reports (not only errors) on some corpus state and p spec."""
+    out = []
+    load_dump_script().dump_reports(out)
+    reported = set()
+    for line in out:
+        if line.startswith("reports "):
+            name = line.split()[2]
+        elif line.startswith("  focus "):
+            reported.add(name)
+    assert reported == {"polygamy_bound_coa", "multi_partition_polygamy",
+                        "monogamy_lower_AB", "polygamy_upper_AB",
+                        "negativity_bounds_AB", "tripartite_bounds"}
