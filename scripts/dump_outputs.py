@@ -2,12 +2,16 @@
 """Print every user-visible output of the package in one stable text dump.
 
 The dump covers the three figure tables, ``run_verify`` summaries (one
-per exponent), ``run_bounds`` reports (text lines, CSV row and values)
-and the six report functions of ``entbounds.bounds`` (values, comparators
-and focus records) over the state files of ``benchmark/corpus``, with
+per exponent), ``run_bounds`` reports (text lines, CSV row and values),
+the six report functions of ``entbounds.bounds`` (values, comparators
+and focus records) over the state files of ``benchmark/corpus``, the pair
+values of ``pair_measures_sq`` for every focus of every corpus state
+(each focus alone and all foci in one call), and the slacks of
+``cut_sandwiches`` on stacks of corpus states and of Haar states, with
 every float written by ``float.hex``.
 It calls only public entry points, so the same script runs against any
-checkout: diff two dumps to show that a change keeps every output
+checkout whose ``pair_measures_sq`` takes a tuple of foci (older ones
+take one label): diff two dumps to show that a change keeps every output
 bit-identical.
 
     PYTHONPATH=src python scripts/dump_outputs.py > after.txt
@@ -24,12 +28,16 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from entbounds.bounds import (SandwichBounds, monogamy_lower_AB,
-                              multi_partition_polygamy, negativity_bounds_AB,
+import numpy as np
+
+from entbounds.bounds import (SandwichBounds, cut_sandwiches,
+                              monogamy_lower_AB, multi_partition_polygamy,
+                              negativity_bounds_AB, pair_measures_sq,
                               polygamy_bound_coa, polygamy_upper_AB,
                               tripartite_bounds)
 from entbounds.cli import (VerifyConfig, figure_rows, parse_state_spec,
                            run_bounds, run_verify)
+from entbounds.states import PureState, haar_random_pure
 
 CORPUS = Path(__file__).resolve().parent.parent / "benchmark" / "corpus"
 EXPONENTS = (0.0, 0.5, 1.0, 1.5, 2.0)
@@ -126,12 +134,59 @@ def dump_reports(out):
                     for exponent, row in zip(EXPONENTS, rows) for r in row)
 
 
+def _corpus_states():
+    return {path.name: parse_state_spec(path.read_text(encoding="utf-8"))
+            for path in sorted(CORPUS.glob("*.state"))}
+
+
+def dump_pairs(out):
+    """``pair_measures_sq`` on every corpus state: each focus alone, then
+    every focus from one call with all foci, in shape order and reversed;
+    one line of squared concurrences | squared CoAs per focus."""
+    for name, psi in _corpus_states().items():
+        labels = psi.shape.labels
+        rows = [(f, f, *pair_measures_sq(psi, f)) for f in labels]
+        for foci in (labels, labels[::-1]):
+            rows += [("".join(foci), f, *row) for f, *row in
+                     zip(foci, *pair_measures_sq(psi, foci))]
+        out.extend(f"pairs {name} {call} {f} {_hex(c_sq)} | {_hex(ca_sq)}"
+                   for call, f, c_sq, ca_sq in rows)
+
+
+def _sandwich_stacks():
+    """Stacks of 4-6 qubits: the corpus states of each size, then 9 Haar
+    states."""
+    by_size = {}
+    for psi in _corpus_states().values():
+        by_size.setdefault(psi.shape, []).append(psi.amplitudes)
+    stacks = {f"corpus {len(shape.labels)}q": PureState(shape, np.stack(amps))
+              for shape, amps in by_size.items() if len(shape.labels) >= 4}
+    for qubits in (4, 5, 6):
+        stacks[f"haar {qubits}q"] = haar_random_pure(qubits, 5, range(9))
+    return stacks
+
+
+def dump_sandwiches(out):
+    """``cut_sandwiches`` on each stack: the first focus's pair values per
+    state, then every bound's slacks per exponent."""
+    for name, psi in _sandwich_stacks().items():
+        (c_sq, ca_sq), slacks = cut_sandwiches(psi, EXPONENTS)
+        out.append(f"sandwiches {name}")
+        out.extend(f"  pairs {_hex(c)} | {_hex(ca)}"
+                   for c, ca in zip(c_sq, ca_sq))
+        out.extend(f"  {bound} {exponent} {_hex(row)}"
+                   for bound, rows in slacks.items()
+                   for exponent, row in zip(EXPONENTS, rows))
+
+
 def main() -> int:
     out: list[str] = []
     dump_figures(out)
     dump_verify(out)
     dump_bounds(out)
     dump_reports(out)
+    dump_pairs(out)
+    dump_sandwiches(out)
     sys.stdout.write("\n".join(out) + "\n")
     return 0
 

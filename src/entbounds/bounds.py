@@ -27,11 +27,14 @@ reports the descending grouping and p = t for inspection but evaluates
 "ours" as the single-group theta; explicit p vectors between t and 1 are
 the family proper.
 
-The report functions resolve each focus of their one state once
-(``_focus``: grouping, trimmed heads, tail ratios, fallback and checked p)
-and evaluate each exponent in Python floats.  ``cut_sandwiches`` reads
-only what auto mode needs, the single group's head and the radicand of
-each focus, and evaluates them for a stack of N states on the (exponent,
+Every caller reads the pair values of all its foci from one
+``pair_measures_sq`` call, which evaluates each unordered qubit pair the
+foci touch once, all in one stacked spin-flip spectrum.  The report
+functions resolve each focus of their one state once (``_focus``:
+grouping, trimmed heads, tail ratios, fallback and checked p) and
+evaluate each exponent in Python floats.  ``cut_sandwiches`` reads only
+what auto mode needs, the single group's head and the radicand of each
+focus, and evaluates them for a stack of N states on the (exponent,
 state) grid.  Every power of an exponent-dependent value is Python's
 float power and every sum keeps its order, so a stack's rows equal the
 one-state values bit for bit.
@@ -42,6 +45,8 @@ curves are defined.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -54,11 +59,12 @@ from . import rng
 from .linalg import TAU_NUM
 from .measures import (
     Bipartition,
+    _densities,
+    _negativity_from,
+    _rank_from,
+    _schmidt_values,
     cren_crenoa_two_qubit,
-    negativity,
     pure_concurrence,
-    reduced_density,
-    schmidt_rank,
 )
 from .states import PureState
 
@@ -334,19 +340,45 @@ def theta(group_coa_sq: Sequence[Sequence[float]], exponent: float,
 # state-level plumbing
 
 
-def pair_measures_sq(psi: PureState, focus: str) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=256)
+def _pair_plan(labels: tuple[str, ...], foci: tuple[str, ...]
+               ) -> tuple[tuple[tuple[str, str], ...], np.ndarray]:
+    """The unordered pairs (i < j in shape order) the foci touch, and for
+    each focus the index of each partner's pair in that list, in shape
+    order: an (F, n-1) array.  Built on first use for each register and
+    foci."""
+    n, at = len(labels), [labels.index(f) for f in foci]
+    pairs = [(i, j) for i, j in itertools.combinations(range(n), 2)
+             if i in at or j in at]
+    where = {pair: k for k, pair in enumerate(pairs)}
+    rows = np.array([[where[min(f, q), max(f, q)] for q in range(n) if q != f]
+                     for f in at])
+    rows.setflags(write=False)
+    return tuple((labels[i], labels[j]) for i, j in pairs), rows
+
+
+def pair_measures_sq(psi: PureState, focus) -> tuple[np.ndarray, np.ndarray]:
     """Squared pair concurrence and CoA of the focus with each partner.
 
     Returns (c_sq, ca_sq) over the other labels in shape order, on the
-    last axis (a stack of N states gives two (N, partners) arrays).  One
-    spin-flip spectrum per pair serves both, all pairs in one stack.
+    last axis (a stack of N states gives two (N, partners) arrays).  A
+    tuple of foci adds a foci axis before the partner axis: (..., F,
+    partners).  Each unordered pair the foci touch is evaluated once (its
+    matrix is built in shape order, so (f, q) and (q, f) are one matrix):
+    one gather of the pair cut matrices, one M M^dagger and one spin-flip
+    spectrum call for all of them.
     """
-    if focus not in psi.shape.labels:
-        raise ValueError(f"unknown focus label {focus!r}")
-    rho = np.stack([reduced_density(psi, [focus, q])
-                    for q in psi.shape.labels if q != focus], axis=-3)
-    c, ca = cren_crenoa_two_qubit(rho)
-    return c * c, ca * ca
+    foci = (focus,) if isinstance(focus, str) else tuple(focus)
+    labels = psi.shape.labels
+    if not foci:
+        raise ValueError("need at least one focus")
+    for f in foci:
+        if f not in labels:
+            raise ValueError(f"unknown focus label {f!r}")
+    pairs, rows = _pair_plan(labels, foci)
+    c, ca = cren_crenoa_two_qubit(_densities(psi, pairs))
+    rows = rows[0] if isinstance(focus, str) else rows
+    return (c * c)[..., rows], (ca * ca)[..., rows]
 
 
 def chain_bound(values_sq, exponent: float, kind: str) -> float:
@@ -370,8 +402,9 @@ class _Focus(NamedTuple):
     p1: tuple                 # the same for the grouping at p = 1
 
 
-def _focus(psi: PureState, focus: str, p) -> _Focus:
-    """Resolve the grouping, its levels and the parameters of one focus.
+def _focus(focus: str, c_sq: np.ndarray, ca_sq: np.ndarray, p) -> _Focus:
+    """Resolve the grouping, its levels and the parameters of one focus
+    from its squared pair concurrence and CoA with each partner.
 
     The grouping is the descending singleton ordering of the partners (a
     stable sort).  ``p`` holds one value for every focus or a mapping by
@@ -383,7 +416,6 @@ def _focus(psi: PureState, focus: str, p) -> _Focus:
     any exponent.
     """
     spec = p.get(focus, "auto") if isinstance(p, Mapping) else p
-    c_sq, ca_sq = pair_measures_sq(psi, focus)
     ca = ca_sq.tolist()
     single = (_group_heads([ca]), [], ())
     order = sorted(range(len(ca)), key=ca.__getitem__, reverse=True)
@@ -433,9 +465,10 @@ def _sweep(psi: PureState, exponents, p, *cuts: _Cut
            ) -> list[list[BoundReport]]:
     """Reports of each cut of one state, one per exponent.
 
-    Every focus a cut reads is resolved once, in first-read order, so
-    errors come as in one-exponent calls; cuts sharing a focus share its
-    values and its FocusParams.  A ``p`` mapping may name foci no cut
+    The pair values of every focus the cuts read come from one pair
+    measure call; each focus is then resolved once, in first-read order,
+    so errors come as in one-exponent calls; cuts sharing a focus share
+    its values and its FocusParams.  A ``p`` mapping may name foci no cut
     reads, but only labels of the state."""
     psi.check_single()
     exponents = [_check_exponent(e) for e in exponents]
@@ -443,9 +476,10 @@ def _sweep(psi: PureState, exponents, p, *cuts: _Cut
         for label in p:
             if label not in psi.shape.labels:
                 raise ValueError(f"unknown focus label {label!r} in p mapping")
+    foci = tuple(dict.fromkeys(f for cut in cuts for f in cut.foci))
     params, values, rads = {}, {}, {}
-    for f in dict.fromkeys(f for cut in cuts for f in cut.foci):
-        d = _focus(psi, f, p)
+    for f, c_sq, ca_sq in zip(foci, *pair_measures_sq(psi, foci)):
+        d = _focus(f, c_sq, ca_sq, p)
         params[f] = d.params
         values[f] = [_values(d, e / 2.0) for e in exponents]
         rads[f] = [_xpow(d.radicand, e / 2.0) for e in exponents]
@@ -492,10 +526,10 @@ def _concurrence_AB(psi: PureState) -> tuple[_Cut, _Cut]:
 
 def _negativity_AB(psi: PureState) -> tuple[_Cut, _Cut]:
     foci = _ab_foci(psi)
-    cut = Bipartition.of(psi.shape, foci)
-    r = schmidt_rank(psi, cut)
+    schmidt = _schmidt_values(psi, Bipartition.of(psi.shape, foci))
+    r = _rank_from(schmidt)
     pairs = np.asarray(r * (r - 1) / 2.0)
-    n = negativity(psi, cut)
+    n = _negativity_from(schmidt)
 
     def upper(v, rad, x):
         total = _upper(v, rad, x)
@@ -586,7 +620,7 @@ SANDWICH_NAMES = ("concurrence_lower_AB", "concurrence_upper_AB",
 def cut_sandwiches(psi: PureState, exponents) -> tuple[
         tuple[np.ndarray, np.ndarray], dict[str, np.ndarray]]:
     """Slacks of every cut sandwich of a stack of qubit states, from one
-    pair measure per focus.
+    pair measure call for all foci (A, B and, from 5 subsystems, C1).
 
     ``psi`` holds N states (amplitudes (N, 2^n)).  Returns ((c_sq, ca_sq)
     of the first label's pairs, each (N, partners)), slacks), where slacks
@@ -605,19 +639,20 @@ def cut_sandwiches(psi: PureState, exponents) -> tuple[
     cuts = _concurrence_AB(psi) + _negativity_AB(psi)
     if len(psi.shape.labels) >= 5:
         cuts += _tripartite(psi)
-    pairs, ours, rads = {}, {}, {}
-    for f in dict.fromkeys(f for cut in cuts for f in cut.foci):
-        pairs[f] = pair_measures_sq(psi, f)
-        # (N, partners), N = 1 for one state; the pair values of a checked
-        # state are nonnegative and finite
-        c_sq, ca_sq = (v.reshape(-1, v.shape[-1]) for v in pairs[f])
-        head = ca_sq.cumsum(axis=-1)[:, -1]   # left to right, as theta adds
-        ours[f] = _pow(np.where(head >= TAU_NUM, head, 0.0), x)
-        rads[f] = _pow(c_sq.sum(axis=-1), x)
+    foci = tuple(dict.fromkeys(f for cut in cuts for f in cut.foci))
+    pairs = pair_measures_sq(psi, foci)
+    # (N, F, partners), N = 1 for one state; the pair values of a checked
+    # state are nonnegative and finite
+    c_sq, ca_sq = (v.reshape((-1,) + v.shape[-2:]) for v in pairs)
+    head = ca_sq.cumsum(axis=-1)[..., -1]   # left to right, as theta adds
+    # (E, N) arrays per focus
+    ours = dict(zip(foci, np.moveaxis(
+        _pow(np.where(head >= TAU_NUM, head, 0.0), x), -1, 0)))
+    rads = dict(zip(foci, np.moveaxis(_pow(c_sq.sum(axis=-1), x), -1, 0)))
     slacks = {}
     for name, (side, base, foci, combine) in zip(SANDWICH_NAMES, cuts):
         lhs = _pow(np.reshape(base, -1), exponents)
         v = combine([ours[f] for f in foci], [rads[f] for f in foci], x)
         gap = v - lhs if side == "upper" else lhs - v
         slacks[name] = gap.reshape(gap.shape[:1] + np.shape(base))
-    return pairs[psi.shape.labels[0]], slacks
+    return tuple(v[..., 0, :] for v in pairs), slacks

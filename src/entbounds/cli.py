@@ -233,11 +233,13 @@ def run_verify(cfg: VerifyConfig) -> VerifyResult:
     sandwich when the register has at least 5 qubits.  Trials run in
     chunks of VERIFY_CHUNK, each drawn by one state call and one lemma
     call and evaluated as one stack of states: one ``cut_sandwiches``
-    call per chunk makes one pair measure per focus (A, B and, from 5
-    qubits, C1), with no loop over the chunk's states, and evaluates auto
-    mode's single-group bound for all exponents and all six bounds; every
-    reduction and cut reads the cut matrix of the stack's amplitudes, and
-    the focus-A pair values feed the two pair checks.  Slack is (larger
+    call per chunk makes one pair measure call for foci A, B and, from 5
+    qubits, C1 (one spin-flip spectrum call over the 5, 9 or 12 qubit
+    pairs they touch, at 4, 5 or 6 qubits, for every state of the chunk)
+    and evaluates auto mode's single-group bound for all exponents and
+    all six bounds; every reduction and cut reads cut matrices of the
+    stack's amplitudes, and the focus-A pair values feed the two pair
+    checks.  Slack is (larger
     side) - (smaller side) of each inequality; a violation is slack < -tol.
     """
     res = VerifyResult()

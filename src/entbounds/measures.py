@@ -6,8 +6,10 @@ spectrum mu_1 >= ... >= mu_4: C = max(0, mu_1 - mu_2 - mu_3 - mu_4) and
 C_a = mu_1 + mu_2 + mu_3 + mu_4.
 
 A pure state's quantities read its amplitude matrix M across a cut
-(``_cut_matrix``): rho_left = M M^dagger, and the Schmidt values are the
-singular values of M.  No 2^n x 2^n matrix is built.
+(``_cut_matrix``, one gather of the amplitudes through an index cached per
+register size and cuts, for any number of cuts of one size):
+rho_left = M M^dagger, and the Schmidt values are the singular values of
+M.  No 2^n x 2^n matrix is built.
 
 Every measure also takes a stack of inputs on leading axes (a PureState
 holding amplitudes (N, 2^n), or density matrices (..., d, d)) and returns
@@ -17,6 +19,7 @@ time; one input gives Python scalars.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,23 +128,42 @@ def linear_entropy(rho) -> float:
     return _scalar(1.0 - np.trace(rho @ rho, axis1=-2, axis2=-1).real)
 
 
-def _cut_matrix(psi: PureState, left) -> np.ndarray:
-    """The amplitudes as a 2^|left| x 2^|rest| matrix (one per state of a
-    stack), each side in shape order."""
-    n = len(psi.shape.labels)
-    left_pos = psi.shape.positions(left)
-    axes = left_pos + [k for k in range(n) if k not in left_pos]
-    lead = psi.amplitudes.shape[:-1]
-    t = psi.amplitudes.reshape(lead + (2,) * n).transpose(
-        [*range(len(lead)), *(len(lead) + a for a in axes)])
-    return t.reshape(lead + (2 ** len(left_pos), -1))
+@functools.lru_cache(maxsize=256)
+def _cut_index(shape: SubsystemShape, lefts: tuple[tuple[str, ...], ...]
+               ) -> np.ndarray:
+    """Where each entry of the cut matrices of a state on ``shape`` sits in
+    its amplitudes: one 2^k x 2^(n-k) index matrix per left side of
+    ``lefts`` (label tuples of one size k), each side in shape order.
+    Built on first use for each register and set of cuts."""
+    n = len(shape.labels)
+    grid = np.arange(2 ** n).reshape((2,) * n)
+    index = np.stack([grid.transpose(
+        left + [k for k in range(n) if k not in left]).reshape(
+            2 ** len(left), -1) for left in map(shape.positions, lefts)])
+    index.setflags(write=False)
+    return index
+
+
+def _cut_matrix(psi: PureState, lefts) -> np.ndarray:
+    """The amplitudes as a 2^k x 2^(n-k) matrix across the cut of each of
+    ``lefts`` (label sets of one size k), each side in shape order, all
+    gathered in one indexing: (..., len(lefts), 2^k, 2^(n-k)), the stack
+    axis of a stack first."""
+    return psi.amplitudes[..., _cut_index(psi.shape, tuple(map(tuple, lefts)))]
+
+
+def _densities(psi: PureState, keeps) -> np.ndarray:
+    """Reduced density matrix on each label set of ``keeps`` (sets of one
+    size), in shape order: M M^dagger of its cut matrix, on a set axis
+    before the matrix axes."""
+    m = _cut_matrix(psi, keeps)
+    return np.einsum("...kr,...lr->...kl", m, m.conj())
 
 
 def reduced_density(psi: PureState, keep) -> np.ndarray:
     """Reduced density matrix of a pure state (or of each state of a stack)
-    on the kept labels, in shape order: M M^dagger of the cut matrix."""
-    m = _cut_matrix(psi, keep)
-    return np.einsum("...kr,...lr->...kl", m, m.conj())
+    on the kept labels, in shape order."""
+    return _densities(psi, [keep])[..., 0, :, :]
 
 
 def _check_cut(psi: PureState, cut: Bipartition) -> None:
@@ -162,7 +184,8 @@ def _schmidt_values(psi: PureState, cut: Bipartition) -> np.ndarray:
     """Schmidt values across the cut, the singular values of its cut
     matrix; their squares are the eigenvalues of rho_left."""
     _check_cut(psi, cut)
-    return np.linalg.svd(_cut_matrix(psi, cut.left), compute_uv=False)
+    return np.linalg.svd(_cut_matrix(psi, [cut.left])[..., 0, :, :],
+                         compute_uv=False)
 
 
 def _mu_spectrum(rho: np.ndarray) -> np.ndarray:
@@ -209,14 +232,24 @@ def cren_crenoa_two_qubit(rho) -> tuple[float, float]:
             _scalar(total))
 
 
-def negativity(psi: PureState, cut: Bipartition) -> float:
-    """Trace norm of the partial transpose of the pure state minus one,
-    clipped at zero: (sum of Schmidt values)^2 - 1 (Vidal-Werner 2002)."""
-    total = _schmidt_values(psi, cut).sum(axis=-1)
+def _negativity_from(schmidt: np.ndarray) -> float:
+    """(sum of Schmidt values)^2 - 1, clipped at zero."""
+    total = schmidt.sum(axis=-1)
     # Python's float power: numpy's array power can differ in the last bit
     square = np.reshape([v ** 2 for v in np.ravel(total).tolist()],
                         np.shape(total))
     return _scalar(np.maximum(0.0, square - 1.0))
+
+
+def _rank_from(schmidt: np.ndarray) -> int:
+    """Number of Schmidt values whose square exceeds SCHMIDT_TOL."""
+    return _scalar((schmidt ** 2 > SCHMIDT_TOL).sum(axis=-1))
+
+
+def negativity(psi: PureState, cut: Bipartition) -> float:
+    """Trace norm of the partial transpose of the pure state minus one,
+    clipped at zero: (sum of Schmidt values)^2 - 1 (Vidal-Werner 2002)."""
+    return _negativity_from(_schmidt_values(psi, cut))
 
 
 def schmidt_rank(psi: PureState, cut: Bipartition) -> int:
@@ -227,4 +260,4 @@ def schmidt_rank(psi: PureState, cut: Bipartition) -> int:
     several decades between genuine zeros and round-off, so its value is
     uncritical.
     """
-    return _scalar((_schmidt_values(psi, cut) ** 2 > SCHMIDT_TOL).sum(axis=-1))
+    return _rank_from(_schmidt_values(psi, cut))

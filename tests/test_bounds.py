@@ -1,3 +1,6 @@
+from itertools import combinations, permutations
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -25,7 +28,9 @@ from entbounds.bounds import (
     tripartite_bounds,
 )
 from entbounds.cli import FIG23_P, FIG23_PARAMS
-from entbounds.states import PureState, haar_random_pure, wclass4_state
+from entbounds.measures import cren_crenoa_two_qubit, reduced_density
+from entbounds.states import (PureState, haar_random_pure, parse_state_spec,
+                              wclass4_state)
 from entbounds.linalg import default_labels, qubit_shape
 
 P_EXAMPLE2 = {"A": (4 / 5, 3 / 5), "B": (2 / 5, 3 / 5)}
@@ -232,13 +237,20 @@ class TestAutoThreshold:
     def test_tail_ratio_at_one(self, monkeypatch, example2_state, excess):
         # descending CoA^2 (1/2, 1/4 (1 + 2 excess), 1/4): t_1 = 1 + excess
         ca_sq = np.array([0.5, 0.25 * (1 + 2 * excess), 0.25])
-        monkeypatch.setattr(bounds, "pair_measures_sq",
-                            lambda psi, focus: (ca_sq, ca_sq))
+        seen = []
+
+        def pair_values(psi, foci):
+            # the one pair measure call of the sweep, one row per focus
+            seen.append(foci)
+            return (np.array([ca_sq] * len(foci)),) * 2
+
+        monkeypatch.setattr(bounds, "pair_measures_sq", pair_values)
         t_1 = (ca_sq[1] + ca_sq[2]) / ca_sq[0]
         assert 1.0 + excess - 1e-15 <= t_1 <= 1.0 + 1e-12
         exponents = (0.0, 1.0, 2.0)
-        for expo, rep in zip(exponents,
-                             polygamy_bound_coa(example2_state, "A", exponents)):
+        reports = polygamy_bound_coa(example2_state, "A", exponents)
+        assert seen == [("A",)]
+        for expo, rep in zip(exponents, reports):
             assert not rep.foci["A"].fallback
             assert rep.foci["A"].p[0] == 1.0
             assert abs(rep.foci["A"].p[1] - ca_sq[2] / ca_sq[1]) < 1e-15
@@ -589,6 +601,100 @@ class TestCutSandwiches:
             for e, rep in zip(self.EXPONENTS, reports):
                 for kind in CHAIN_COEFFICIENTS:
                     assert rep.comparators[kind] == chain_bound(ca_sq, e, kind)
+
+
+CORPUS_DIR = Path(__file__).resolve().parents[1] / "benchmark" / "corpus"
+
+
+def pair_kernel_inputs():
+    """Single states and stacks at 2-6 qubits: Haar states, the benchmark
+    corpus (read only, stacked by register), and near-product states
+    (|0...0> plus a 1e-9 Haar admixture, and one exact product state)."""
+    inputs = []
+    for n in range(2, 7):
+        inputs += [haar_random_pure(n, 61, stream=n),
+                   haar_random_pure(n, 61, stream=range(10, 15))]
+        near = haar_random_pure(n, 67, stream=range(3)).amplitudes * 1e-9
+        near[:, 0] += 1.0
+        near /= np.linalg.norm(near, axis=1, keepdims=True)
+        inputs += [PureState(qubit_shape(default_labels(n)), near[0]),
+                   PureState(qubit_shape(default_labels(n)),
+                             np.r_[near[1:], np.eye(1, 2 ** n)])]
+    corpus = {}
+    for path in sorted(CORPUS_DIR.glob("*.state")):
+        psi = parse_state_spec(path.read_text(encoding="utf-8"))
+        inputs.append(psi)
+        corpus.setdefault(psi.shape, []).append(psi.amplitudes)
+    inputs += [PureState(shape, amps) for shape, amps in corpus.items()]
+    return inputs
+
+
+class TestPairKernel:
+    """pair_measures_sq with a tuple of foci gives each focus the row,
+    bit for bit, of the spin-flip spectrum of each of its pair reductions
+    alone, and of its one-label call; (f, q) and (q, f) read one pair."""
+
+    @staticmethod
+    def foci_tuples(labels):
+        """Every tuple of distinct labels up to 4 qubits; from 5, every
+        subset in shape order, reversed and rotated by one."""
+        if len(labels) <= 4:
+            return [foci for k in range(1, len(labels) + 1)
+                    for foci in permutations(labels, k)]
+        subsets = [c for k in range(1, len(labels) + 1)
+                   for c in combinations(labels, k)]
+        return [foci for c in subsets
+                for foci in dict.fromkeys((c, c[::-1], c[1:] + c[:1]))]
+
+    def test_rows_equal_pair_reductions(self):
+        inputs = pair_kernel_inputs()
+        assert len(inputs) == 5 * 4 + 26 + 4   # an empty corpus glob fails
+        calls = 0
+        for psi in inputs:
+            labels = psi.shape.labels
+            reference, one_label = {}, {}
+            for f in labels:
+                pairs = [cren_crenoa_two_qubit(reduced_density(psi, [f, q]))
+                         for q in labels if q != f]
+                reference[f] = [np.stack([np.multiply(v[k], v[k])
+                                          for v in pairs], axis=-1)
+                                for k in (0, 1)]
+                one_label[f] = pair_measures_sq(psi, f)
+                for k in (0, 1):
+                    assert np.array_equal(one_label[f][k], reference[f][k])
+            for foci in self.foci_tuples(labels):
+                got = pair_measures_sq(psi, foci)
+                for k in (0, 1):
+                    lead = np.shape(reference[labels[0]][k])[:-1]
+                    assert got[k].shape == lead + (len(foci), len(labels) - 1)
+                    for i, f in enumerate(foci):
+                        assert np.array_equal(got[k][..., i, :],
+                                              reference[f][k]), (foci, f)
+                calls += 1
+            # the pair (f, q) in f's row is the pair (q, f) in q's row
+            c_sq, ca_sq = pair_measures_sq(psi, labels)
+            for i, j in combinations(range(len(labels)), 2):
+                for v in (c_sq, ca_sq):
+                    assert np.array_equal(v[..., i, j - 1], v[..., j, i])
+        assert calls > 2000
+
+    def test_one_label_has_no_foci_axis(self):
+        psi = haar_random_pure(5, 3, stream=range(4))
+        c_sq, ca_sq = pair_measures_sq(psi, "B")
+        assert c_sq.shape == ca_sq.shape == (4, 4)
+        c_sq, ca_sq = pair_measures_sq(psi, ("B",))
+        assert c_sq.shape == ca_sq.shape == (4, 1, 4)
+        c_sq, ca_sq = pair_measures_sq(haar_random_pure(5, 3), ("C2", "A"))
+        assert c_sq.shape == ca_sq.shape == (2, 4)
+
+    def test_bad_foci(self):
+        psi = haar_random_pure(4, 3)
+        with pytest.raises(ValueError, match="unknown focus label 'D'"):
+            pair_measures_sq(psi, ("A", "D"))
+        with pytest.raises(ValueError, match="unknown focus label"):
+            pair_measures_sq(psi, "AB")
+        with pytest.raises(ValueError, match="at least one focus"):
+            pair_measures_sq(psi, ())
 
 
 class TestOursBelowP1:

@@ -495,8 +495,8 @@ class TestMainExitCodes:
 
 class TestOncePerState:
     """A report call resolves each focus once, whatever the number of
-    exponents, and a verify chunk makes one pair measure per focus for all
-    its trials and checks."""
+    exponents, and a report call or a verify chunk makes one pair measure
+    call for all its foci, trials and checks."""
 
     @pytest.fixture
     def pair_calls(self, monkeypatch):
@@ -522,22 +522,25 @@ class TestOncePerState:
         monkeypatch.setattr(bounds, "cren_crenoa_two_qubit", counting)
         return calls
 
-    @pytest.mark.parametrize("qubits, pairs, spectra",
+    @pytest.mark.parametrize("qubits, foci, partner_rows",
                              [(4, 2, 6), (5, 3, 12), (6, 3, 15)])
-    def test_verify_trial(self, pair_calls, spectrum_calls, qubits, pairs,
-                          spectra):
-        # foci A and B, plus C1 from 5 qubits: one stacked spin-flip
-        # spectrum call per focus, whatever the number of trials, over one
-        # 4x4 pair matrix per partner and trial
+    def test_verify_trial(self, pair_calls, spectrum_calls, qubits, foci,
+                          partner_rows):
+        # foci A and B, plus C1 from 5 qubits, in one pair measure call and
+        # one stacked spin-flip spectrum call, whatever the number of
+        # trials; the foci read partner_rows pair values per trial, but a
+        # pair of two foci is one matrix: 5, 9 and 12 matrices per trial
+        # (of 6, 10 and 15 pairs)
+        distinct = partner_rows - foci * (foci - 1) // 2
+        assert distinct == {4: 5, 5: 9, 6: 12}[qubits]
         for trials in (1, 5):
             pair_calls.clear()
             spectrum_calls.clear()
             run_verify(VerifyConfig(qubits=qubits, trials=trials,
                                     exponents=(0.5, 1.0, 1.5, 2.0), seed=7))
-            assert pair_calls == ["A", "B", "C1"][:pairs]
-            assert len(spectrum_calls) == pairs
-            assert sum(rho.size // 16 for rho in spectrum_calls) \
-                == spectra * trials
+            assert pair_calls == [("A", "B", "C1")[:foci]]
+            [rho] = spectrum_calls
+            assert rho.shape == (trials, distinct, 4, 4)
 
     @pytest.mark.parametrize("qubits", [4, 6])
     def test_verify_chunk_set_up_once(self, monkeypatch, dense_calls, qubits):
@@ -577,9 +580,11 @@ class TestOncePerState:
             figure_rows(fig_id, samples=11)
         assert dense_calls == []
 
-    def test_figure(self, pair_calls):
+    def test_figure(self, pair_calls, spectrum_calls):
         figure_rows(2, samples=11)
-        assert pair_calls == ["A", "B"]
+        assert pair_calls == [("A", "B")]
+        [rho] = spectrum_calls
+        assert rho.shape == (5, 4, 4)   # AB, AC1, AC2, BC1, BC2
 
     @pytest.mark.parametrize("qubits", [4, 5])
     def test_verify_checks_once_per_chunk(self, monkeypatch, pair_calls,
@@ -598,7 +603,7 @@ class TestOncePerState:
         res = run_verify(VerifyConfig(qubits=qubits, trials=3,
                                       exponents=exponents, seed=7))
         assert exponent_checks == [(e,) for e in exponents] * 2
-        assert pair_calls == ["A", "B", "C1"][:qubits - 2] * 2
+        assert pair_calls == [("A", "B", "C1")[:qubits - 2]] * 2
         assert params_checks == []
         assert built == [[], [], [], []]
         assert {st.samples for name, st in res.stats.items()

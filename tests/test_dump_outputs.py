@@ -50,3 +50,44 @@ def test_reports_section_reaches_every_report_function():
     assert reported == {"polygamy_bound_coa", "multi_partition_polygamy",
                         "monogamy_lower_AB", "polygamy_upper_AB",
                         "negativity_bounds_AB", "tripartite_bounds"}
+
+
+def test_pairs_section_gives_every_focus_one_row():
+    """Every focus of every corpus state has a row from its one-label call
+    and from the two all-foci calls, and the three rows are equal."""
+    out = []
+    load_dump_script().dump_pairs(out)
+    rows = {}
+    for line in out:
+        _, state, call, focus, values = line.split(" ", 4)
+        rows.setdefault((state, focus), {})[call] = values
+    assert len({state for state, _ in rows}) == 26
+    for (state, focus), calls in rows.items():
+        assert len(calls) == 3 and focus in calls, (state, focus)
+        assert len(set(calls.values())) == 1, (state, focus)
+
+
+def test_sandwiches_section_covers_every_stack_and_bound():
+    """Each of the six stacks (corpus and Haar, 4-6 qubits) shows every
+    state's pair values and every bound's slacks at every exponent."""
+    script = load_dump_script()
+    out = []
+    script.dump_sandwiches(out)
+    seen, pairs = {}, {}
+    for line in out:
+        if line.startswith("sandwiches "):
+            stack = line.split(" ", 1)[1]
+            continue
+        kind, rest = line.split(maxsplit=1)
+        if kind == "pairs":
+            pairs[stack] = pairs.get(stack, 0) + 1
+        else:
+            exponent, slacks = rest.split(" ", 1)
+            seen.setdefault(stack, set()).add((kind, float(exponent)))
+            assert len(slacks.split()) == pairs[stack]
+    assert sorted(seen) == sorted(f"{kind} {n}q" for kind in ("corpus", "haar")
+                                  for n in (4, 5, 6))
+    for stack, bounds in seen.items():
+        names = SANDWICH_NAMES[:4] if stack.endswith("4q") else SANDWICH_NAMES
+        assert bounds == {(name, e) for name in names
+                          for e in script.EXPONENTS}, stack
