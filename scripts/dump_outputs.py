@@ -6,9 +6,10 @@ per exponent), ``run_bounds`` reports (text lines, CSV row and values),
 the six report functions of ``entbounds.bounds`` (values, comparators
 and focus records) over the state files of ``benchmark/corpus``, the pair
 values of ``pair_measures_sq`` for every focus of every corpus state
-(each focus alone and all foci in one call), and the slacks of
-``cut_sandwiches`` on stacks of corpus states and of Haar states, with
-every float written by ``float.hex``.
+(each focus alone and all foci in one call), the slacks of
+``cut_sandwiches`` on stacks of corpus states and of Haar states, and
+``theta``, ``chain_bound`` and ``lemma_rhs`` on a fixed grid, with every
+float written by ``float.hex``.
 It calls only public entry points, so the same script runs against any
 checkout whose ``pair_measures_sq`` takes a tuple of foci (older ones
 take one label): diff two dumps to show that a change keeps every output
@@ -30,11 +31,11 @@ from pathlib import Path
 
 import numpy as np
 
-from entbounds.bounds import (SandwichBounds, cut_sandwiches,
-                              monogamy_lower_AB, multi_partition_polygamy,
-                              negativity_bounds_AB, pair_measures_sq,
-                              polygamy_bound_coa, polygamy_upper_AB,
-                              tripartite_bounds)
+from entbounds.bounds import (SandwichBounds, chain_bound, cut_sandwiches,
+                              lemma_rhs, monogamy_lower_AB,
+                              multi_partition_polygamy, negativity_bounds_AB,
+                              pair_measures_sq, polygamy_bound_coa,
+                              polygamy_upper_AB, theta, tripartite_bounds)
 from entbounds.cli import (VerifyConfig, figure_rows, parse_state_spec,
                            run_bounds, run_verify)
 from entbounds.states import PureState, haar_random_pure
@@ -46,6 +47,25 @@ REPORT_P = ("auto", "one", (1,) * 5, (0.9, 0.95, 1, 1, 1), (0.5,),
             {"A": (0.9, 1, 1, 1, 1)})
 SAMPLES = 201
 TRIALS = 15
+# The theta section: exponents and x = exponent/2 past both ends of their
+# ranges; groups with trailing, interior and all-zero heads, a head below
+# the trimming tolerance, a tail ratio of exactly 1 and above 1, round-off
+# and real negatives; p vectors too short, infeasible, infeasible past the
+# levels and outside (0, 1].
+GRID_EXPONENTS = (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5)
+THETA_GROUPS = ([[0.5], [0.25]], [[36 / 64], [8 / 64], [4 / 64]],
+                [[0.3, 0.2, 0.1]], [[0.5], [0.25], [0.0]],
+                [[0.5], [0.25], [1e-10]], [[0.4, 0.1], [0.3], [0.2, -1e-13]],
+                [[0.5], [0.0], [0.25]], [[0.0], [0.0]], [[0.2], [0.5]],
+                [[0.9], [0.6], [0.3]], [[0.5], [-0.1]])
+THETA_P = ((), (1.0,), (1.0, 1.0), (0.6,), (0.6, 0.6), (0.4, 0.9, 1.0),
+           (0.5, 0.5), (0.6, 0.3), (0.0,), (1.5,))
+# chain_bound values: only what every version accepts alike (a value below
+# -1e-9 or a non-finite one was clamped or passed through before it raised)
+CHAIN_VALUES = ([0.5, 0.25], [0.3, 0.2, 0.1], [0.7, 0.1, 0.4],
+                [0.5, 0.25, 0.0], [0.4, 0.1, 0.3, 0.2, -1e-13], [0.0, 0.0],
+                [], [1e-10, 0.9])
+CHAIN_KINDS = ("pow2_chain", "beta_half_chain", "trivial_sum", "cubic_chain")
 
 
 def _hex(values) -> str:
@@ -179,6 +199,35 @@ def dump_sandwiches(out):
                    for exponent, row in zip(EXPONENTS, rows))
 
 
+def _outcome(call) -> str:
+    """The hex value(s) a call returns, or the ValueError it raises."""
+    try:
+        value = call()
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return _hex(value if isinstance(value, tuple) else [value])
+
+
+def dump_theta(out):
+    """``theta`` and ``chain_bound`` per exponent, and ``lemma_rhs`` per x,
+    on the grid above: one line per call, its value(s) or its error."""
+    for groups in THETA_GROUPS:
+        for exponent in GRID_EXPONENTS:
+            out.extend(f"theta {exponent} {groups} {p} "
+                       + _outcome(lambda: theta(groups, exponent, p))
+                       for p in THETA_P)
+    for values in CHAIN_VALUES:
+        for exponent in GRID_EXPONENTS:
+            out.extend(f"chain_bound {exponent} {values} {kind} "
+                       + _outcome(lambda: chain_bound(values, exponent, kind))
+                       for kind in CHAIN_KINDS)
+    for p in (0.25, 0.6, 1.0, 0.0, 1.2):
+        for t in (0.0, p / 2, p, 1.5 * p):
+            out.extend(f"lemma_rhs {exponent / 2} {t} {p} "
+                       + _outcome(lambda: lemma_rhs(t, p, exponent / 2))
+                       for exponent in GRID_EXPONENTS + (3.0,))
+
+
 def main() -> int:
     out: list[str] = []
     dump_figures(out)
@@ -187,6 +236,7 @@ def main() -> int:
     dump_reports(out)
     dump_pairs(out)
     dump_sandwiches(out)
+    dump_theta(out)
     sys.stdout.write("\n".join(out) + "\n")
     return 0
 

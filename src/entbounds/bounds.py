@@ -31,16 +31,18 @@ Every caller reads the pair values of all its foci from one
 ``pair_measures_sq`` call, which evaluates each unordered qubit pair the
 foci touch once, all in one stacked spin-flip spectrum.  The report
 functions resolve each focus of their one state once (``_focus``:
-grouping, trimmed heads, tail ratios, fallback and checked p) and
-evaluate each exponent in Python floats.  ``cut_sandwiches`` reads only
-what auto mode needs, the single group's head and the radicand of each
-focus, and evaluates them for a stack of N states on the (exponent,
-state) grid.  Every power of an exponent-dependent value is Python's
-float power and every sum keeps its order, so a stack's rows equal the
-one-state values bit for bit.
+grouping, fallback, checked p, and the exponent-free constants of each
+recursion level of "ours" and of the p = 1 specialization, which
+``theta`` evaluates too).  Each exponent is then one pass in Python
+floats: per focus both recursions and the powers all chains share, per
+cut the combine step.  ``cut_sandwiches`` evaluates auto mode's single
+group head and the radicand of each focus for a stack of N states on the
+(exponent, state) grid.  Every power of an exponent-dependent value is
+Python's float power and every sum keeps its order, so a stack's rows
+equal the one-state values bit for bit.
 
-Convention used throughout: 0^0 := 1 and v^0 := 1, so exponent-zero
-curves are defined.
+Convention used throughout: 0^0 := 1 and v^0 := 1, as Python's float
+power gives them, so exponent-zero curves are defined.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -70,15 +71,14 @@ from .states import PureState
 
 _FEAS_SLACK = 1e-12   # numerical slack in admissibility comparisons
 
-COMPARATOR_NAMES = ("p1_specialization", "pow2_chain", "beta_half_chain",
-                    "trivial_sum")
-
 # Coefficient c(x) of each literature chain sum_l c^(l-1) v_l^x.
 CHAIN_COEFFICIENTS = {
     "pow2_chain": lambda x: 2.0 ** x - 1.0,
     "beta_half_chain": lambda x: x,
     "trivial_sum": lambda x: 1.0,
 }
+
+COMPARATOR_NAMES = ("p1_specialization", *CHAIN_COEFFICIENTS)
 
 
 class InfeasibleParamsError(ValueError):
@@ -111,21 +111,21 @@ def _check_params(p) -> tuple[float, ...]:
     return p
 
 
-def _xpow(base: float, expo: float) -> float:
-    """base**expo with the 0^0 := 1 and v^0 := 1 convention."""
-    if expo == 0.0:
-        return 1.0
-    return float(base) ** expo
-
-
-def _pow(base, expo) -> np.ndarray:
-    """_xpow of each entry of ``base`` at each exponent: a (expo.size,) +
-    base.shape array, in Python's float power (numpy's array power can
-    differ from it in the last bit)."""
+def _pow(base, expo):
+    """Python's float power of ``base`` at each exponent (numpy's array
+    power can differ from it in the last bit): base ** expo for a float
+    exponent, else a (len(expo),) + base.shape array."""
+    if isinstance(expo, float):
+        return base ** expo
     base, expo = np.asarray(base, dtype=float), np.ravel(expo).tolist()
     flat = base.ravel().tolist()
     return np.array([[b ** e for b in flat] for e in expo]).reshape(
         (len(expo),) + base.shape)
+
+
+def _max(a, b):
+    """max of two floats, or the elementwise maximum of two arrays."""
+    return max(a, b) if isinstance(a, float) else np.maximum(a, b)
 
 
 @dataclass(frozen=True)
@@ -200,12 +200,12 @@ class SandwichBounds:
         return self.lower.lhs
 
 
-def _omega_phi_upsilon(t, p, x) -> tuple:
-    """Omega, Phi = ((1+p)^x - 1)/p^x and Upsilon of the key inequality,
-    elementwise on scalars or arrays."""
-    omega = 1.0 + x * t / (1.0 + p) ** 2
-    phi = ((1.0 + p) ** x - 1.0) / p ** x
-    return omega, phi, phi - x * p / ((1.0 + p) ** 2 * p ** x)
+def _omega_phi_upsilon(t, p, q, q2, x) -> tuple:
+    """Omega, Phi = (q^x - 1)/p^x and Upsilon of the key inequality at
+    q = 1 + p and q2 = (1 + p)^2, elementwise on scalars or arrays."""
+    px = p ** x
+    phi = (q ** x - 1.0) / px
+    return 1.0 + x * t / q2, phi, phi - x * p / (q2 * px)
 
 
 def lemma_rhs(t: float, p: float, x: float) -> LemmaCoefficients:
@@ -216,14 +216,14 @@ def lemma_rhs(t: float, p: float, x: float) -> LemmaCoefficients:
         raise ValueError(f"p must be in (0, 1], got {p}")
     if not 0.0 <= t <= p:
         raise ValueError(f"t must be in [0, p] = [0, {p}], got {t}")
-    omega, _, upsilon = _omega_phi_upsilon(t, p, x)
-    return LemmaCoefficients(omega, upsilon, omega + upsilon * _xpow(t, x))
+    omega, _, upsilon = _omega_phi_upsilon(t, p, 1.0 + p, (1.0 + p) ** 2, x)
+    return LemmaCoefficients(omega, upsilon, omega + upsilon * float(t) ** x)
 
 
 def _chain_columns(t, p, x) -> list:
     """The six chain expressions, elementwise on scalars or arrays."""
     tx = t ** x
-    omega, phi, upsilon = _omega_phi_upsilon(t, p, x)
+    omega, phi, upsilon = _omega_phi_upsilon(t, p, 1.0 + p, (1.0 + p) ** 2, x)
     return [(1.0 + t) ** x, omega + upsilon * tx, 1.0 + phi * tx] + [
         1.0 + c(x) * tx for c in CHAIN_COEFFICIENTS.values()]
 
@@ -250,24 +250,25 @@ def lemma_chain_grid(count: int, seed: int, stream=0) -> np.ndarray:
     return np.stack(_chain_columns(u * p, p, x), axis=-1)
 
 
-def _group_heads(group_coa_sq: Sequence[Sequence[float]]) -> list[float]:
-    """Group CoA^2 sums, each left to right, trimmed to their recursion
-    levels.
-
-    Round-off negatives and -0 count as +0; a value below -TAU_NUM or a
-    non-finite sum raises.  Trailing heads below TAU_NUM are dropped
-    (exact: a trailing zero group adds nothing to a tail sum); an interior
-    one would put 0/0 into Omega and raises (reorder or merge groups
-    first).
-    """
+def _group_sums(group_coa_sq: Sequence[Sequence[float]]) -> list[float]:
+    """Group CoA^2 sums, each left to right.  Round-off negatives and -0
+    count as +0; a value below -TAU_NUM or a non-finite sum raises."""
     groups = [np.asarray(g, dtype=float).ravel().tolist()
               for g in group_coa_sq]
     for vals in groups:
         if any(v < -TAU_NUM for v in vals):
             raise ValueError(f"squared CoA values must be nonnegative: {vals}")
-    heads = [sum(max(v, 0.0) + 0.0 for v in vals) for vals in groups]
-    if not all(map(math.isfinite, heads)):
+    sums = [sum(max(v, 0.0) + 0.0 for v in vals) for vals in groups]
+    if not all(map(math.isfinite, sums)):
         raise ValueError("squared CoA values must be finite")
+    return sums
+
+
+def _group_heads(group_coa_sq: Sequence[Sequence[float]]) -> list[float]:
+    """``_group_sums`` trimmed to the recursion levels: trailing heads below
+    TAU_NUM are dropped (exact: a trailing zero group adds nothing to a
+    tail sum); an interior one would put 0/0 into Omega and raises."""
+    heads = _group_sums(group_coa_sq)
     while heads and heads[-1] < TAU_NUM:
         heads.pop()
     if any(h < TAU_NUM for h in heads):
@@ -284,37 +285,41 @@ def tail_ratios(heads: Sequence[float]) -> list[float]:
             for i in range(len(heads) - 1)]
 
 
-def _admissible(ts: Sequence[float], p: Sequence[float]) -> tuple[float, ...]:
-    """The entries of ``p`` the levels with tail ratios ``ts`` use; raises
-    ValueError if too few, InfeasibleParamsError at the first p_l < t_l."""
+def _levels(heads: Sequence[float], ts: Sequence[float], p) -> tuple:
+    """The exponent-free constants of theta's recursion from the trimmed
+    heads and their tail ratios: (head, min(t, p), p, 1 + p, (1 + p)^2)
+    per non-final level, and the last head or 0.  Raises ValueError if
+    ``p`` is too short, InfeasibleParamsError at the first p_l < t_l."""
     if len(p) < len(ts):
         raise ValueError(f"grouping needs {len(ts)} parameters, got {len(p)}")
-    for level, (t, pl) in enumerate(zip(ts, p)):
+    levels = []
+    for level, (head, t, pl) in enumerate(zip(heads, ts, p)):
         if t > pl + _FEAS_SLACK:
             raise InfeasibleParamsError(level=level + 1, min_p=float(t))
-    return tuple(p[:len(ts)])
+        levels.append((head, min(t, pl), pl, 1.0 + pl, (1.0 + pl) ** 2))
+    return tuple(levels), heads[-1] if heads else 0.0
 
 
-def _theta_value(heads: Sequence[float], ts: Sequence[float],
-                 p: Sequence[float], x: float) -> float:
-    """The recursion behind theta at x = exponent/2, from the trimmed heads,
-    their tail ratios and admissible parameters; 0^x when no head is left."""
+def _recursion(levels: Sequence[tuple], last: float, x: float) -> float:
+    """theta at x = exponent/2 from its ``_levels``."""
     value, prefix = 0.0, 1.0
-    for head, t, pl in zip(heads, ts, p):
-        omega, _, upsilon = _omega_phi_upsilon(min(t, pl), pl, x)
-        value += prefix * omega * _xpow(head, x)
+    for head, t, p, q, q2 in levels:
+        omega, _, upsilon = _omega_phi_upsilon(t, p, q, q2, x)
+        value += prefix * omega * head ** x
         prefix *= upsilon
-    return value + prefix * _xpow(heads[-1] if heads else 0.0, x)
+    return value + prefix * last ** x
 
 
-def _chain(powers: Sequence[float], c: float) -> float:
-    """sum_l c^(l-1) powers_l, left to right."""
-    total = 0.0
-    weight = 1.0
-    for vx in powers:
-        total += weight * vx
-        weight *= c
-    return total
+def _chains(powers: Sequence[float], coefficients) -> list[float]:
+    """sum_l c^(l-1) powers_l, left to right, for each coefficient c."""
+    out = []
+    for c in coefficients:
+        total, weight = 0.0, 1.0
+        for vx in powers:
+            total += weight * vx
+            weight *= c
+        out.append(total)
+    return out
 
 
 def theta(group_coa_sq: Sequence[Sequence[float]], exponent: float,
@@ -333,7 +338,7 @@ def theta(group_coa_sq: Sequence[Sequence[float]], exponent: float,
     p = _check_params(p)
     heads = _group_heads(group_coa_sq)
     ts = tail_ratios(heads)
-    return _theta_value(heads, ts, _admissible(ts, p), x)
+    return _recursion(*_levels(heads, ts, p), x)
 
 
 # ---------------------------------------------------------------------------
@@ -383,13 +388,14 @@ def pair_measures_sq(psi: PureState, focus) -> tuple[np.ndarray, np.ndarray]:
 
 def chain_bound(values_sq, exponent: float, kind: str) -> float:
     """Literature chain bound sum_l c^(l-1) (v_l)^(exponent/2) over the
-    descending singleton ordering; c is 2^(x)-1, x, or 1."""
+    descending singleton ordering; c is 2^(x)-1, x, or 1.  Raises
+    ValueError on a negative or non-finite value, as ``theta`` does."""
     x = _check_exponent(exponent) / 2.0
     if kind not in CHAIN_COEFFICIENTS:
         raise ValueError(f"unknown chain kind {kind!r}")
-    descending = sorted((max(float(v), 0.0) for v in values_sq), reverse=True)
-    return _chain([_xpow(v, x) for v in descending],
-                  CHAIN_COEFFICIENTS[kind](x))
+    values = np.asarray(values_sq, dtype=float).reshape(-1, 1)
+    powers = [v ** x for v in sorted(_group_sums(values), reverse=True)]
+    return _chains(powers, [CHAIN_COEFFICIENTS[kind](x)])[0]
 
 
 class _Focus(NamedTuple):
@@ -398,7 +404,7 @@ class _Focus(NamedTuple):
     descending: list[float]   # squared CoA values in chain order
     params: FocusParams
     radicand: float
-    ours: tuple               # (heads, tail ratios, p) that ours evaluates
+    ours: tuple               # (levels, last head) that ours evaluates
     p1: tuple                 # the same for the grouping at p = 1
 
 
@@ -417,7 +423,6 @@ def _focus(focus: str, c_sq: np.ndarray, ca_sq: np.ndarray, p) -> _Focus:
     """
     spec = p.get(focus, "auto") if isinstance(p, Mapping) else p
     ca = ca_sq.tolist()
-    single = (_group_heads([ca]), [], ())
     order = sorted(range(len(ca)), key=ca.__getitem__, reverse=True)
     grouping = Grouping(tuple((i,) for i in order))
     descending = [ca[i] for i in order]
@@ -430,23 +435,24 @@ def _focus(focus: str, c_sq: np.ndarray, ca_sq: np.ndarray, p) -> _Focus:
         auto = spec == "auto"
         if any(t > 1.0 + _FEAS_SLACK for t in ts):
             grouping, fallback = full_grouping(len(ca)), True
-            heads, ts = single[0], []
+            heads, ts = _group_heads([ca]), []
         p = [min(t, 1.0) if auto else 1.0 for t in ts]
     else:
         p = _check_params(spec)  # every entry, also those past the levels
-    p = _admissible(ts, p)
-    # theta at p = t equals the single-group value (module doc)
-    return _Focus(descending, FocusParams(grouping, p, fallback),
-                  float(c_sq.sum()), single if auto else (heads, ts, p),
-                  (heads, ts, (1.0,) * len(ts)))
+    ours = _levels(heads, ts, p)   # checks p
+    if auto:  # theta at p = t is the single-group value (module doc)
+        ours = _levels(_group_heads([ca]), (), ())
+    return _Focus(descending, FocusParams(grouping, tuple(p[:len(ts)]),
+                                          fallback), float(c_sq.sum()), ours,
+                  _levels(heads, ts, (1.0,) * len(ts)))
 
 
-def _values(f: _Focus, x: float) -> dict[str, float]:
-    """Our bound and every comparator for one focus at x = exponent/2."""
-    powers = [_xpow(v, x) for v in f.descending]
-    return {"ours": _theta_value(*f.ours, x),
-            "p1_specialization": _theta_value(*f.p1, x)} | {
-        kind: _chain(powers, c(x)) for kind, c in CHAIN_COEFFICIENTS.items()}
+def _values(f: _Focus, x: float, coefficients: list) -> tuple[float, ...]:
+    """Ours, then each comparator in COMPARATOR_NAMES order, for one focus
+    at x = exponent/2; ``coefficients`` are the chains' c(x)."""
+    powers = [v ** x for v in f.descending]
+    return (_recursion(*f.ours, x), _recursion(*f.p1, x),
+            *_chains(powers, coefficients))
 
 
 class _Cut(NamedTuple):
@@ -477,39 +483,35 @@ def _sweep(psi: PureState, exponents, p, *cuts: _Cut
             if label not in psi.shape.labels:
                 raise ValueError(f"unknown focus label {label!r} in p mapping")
     foci = tuple(dict.fromkeys(f for cut in cuts for f in cut.foci))
-    params, values, rads = {}, {}, {}
-    for f, c_sq, ca_sq in zip(foci, *pair_measures_sq(psi, foci)):
-        d = _focus(f, c_sq, ca_sq, p)
-        params[f] = d.params
-        values[f] = [_values(d, e / 2.0) for e in exponents]
-        rads[f] = [_xpow(d.radicand, e / 2.0) for e in exponents]
-    out = []
-    for side, base, cut_foci, combine in cuts:
-        reports = []
-        for i, exponent in enumerate(exponents):
-            lhs, x = _xpow(base, exponent), exponent / 2.0
-            v = [values[f][i] for f in cut_foci]
-            rad = [rads[f][i] for f in cut_foci]
-            # floats in, numpy scalars out of np.maximum: reports hold floats
-            ours, *cmp = (float(combine([vf[key] for vf in v], rad, x))
-                          for key in ("ours",) + COMPARATOR_NAMES)
+    resolved = {f: _focus(f, c_sq, ca_sq, p)
+                for f, c_sq, ca_sq in zip(foci, *pair_measures_sq(psi, foci))}
+    out = [[] for _ in cuts]
+    params = [{f: resolved[f].params for f in cut.foci} for cut in cuts]
+    for exponent in exponents:
+        x = exponent / 2.0
+        coefficients = [c(x) for c in CHAIN_COEFFICIENTS.values()]
+        values = {f: _values(d, x, coefficients) for f, d in resolved.items()}
+        for reports, foci, (side, base, cut_foci, combine) in zip(
+                out, params, cuts):
+            lhs = base ** exponent
+            rad = [resolved[f].radicand ** x for f in cut_foci]
+            # one combine per key: ours, then each comparator
+            ours, *cmp = [combine(v, rad, x)
+                          for v in zip(*[values[f] for f in cut_foci])]
             reports.append(BoundReport(
-                lhs=lhs, ours=ours,
-                comparators=dict(zip(COMPARATOR_NAMES, cmp)),
-                gap=ours - lhs if side == "upper" else lhs - ours,
-                foci={f: params[f] for f in cut_foci}))
-        out.append(reports)
+                lhs, ours, dict(zip(COMPARATOR_NAMES, cmp)),
+                ours - lhs if side == "upper" else lhs - ours, dict(foci)))
     return out
 
 
 def _upper(v, rad, x):
     """Left-to-right sum of the per-focus upper bounds."""
-    return reduce(operator.add, v)
+    return functools.reduce(operator.add, v)
 
 
 def _lower_AB(v, rad, x):
     """max(rad_A - theta_B, rad_B - theta_A); both arms are valid."""
-    return np.maximum(rad[0] - v[1], rad[1] - v[0])
+    return _max(rad[0] - v[1], rad[1] - v[0])
 
 
 def _ab_foci(psi: PureState) -> tuple[str, ...]:
@@ -528,12 +530,11 @@ def _negativity_AB(psi: PureState) -> tuple[_Cut, _Cut]:
     foci = _ab_foci(psi)
     schmidt = _schmidt_values(psi, Bipartition.of(psi.shape, foci))
     r = _rank_from(schmidt)
-    pairs = np.asarray(r * (r - 1) / 2.0)
+    pairs = r * (r - 1) / 2.0   # a float for one state, (N,) for a stack
     n = _negativity_from(schmidt)
 
     def upper(v, rad, x):
-        total = _upper(v, rad, x)
-        return _pow(pairs, x).reshape(np.shape(total)) * total
+        return _pow(pairs, x) * _upper(v, rad, x)
 
     return _Cut("lower", n, foci, _lower_AB), _Cut("upper", n, foci, upper)
 
@@ -546,7 +547,7 @@ def _tripartite(psi: PureState) -> tuple[_Cut, _Cut]:
     c = pure_concurrence(psi, Bipartition.of(psi.shape, foci))
 
     def lower(v, rad, x):
-        return np.maximum(_lower_AB(v, rad, x) - v[2], rad[2] - v[0] - v[1])
+        return _max(_lower_AB(v, rad, x) - v[2], rad[2] - v[0] - v[1])
 
     return _Cut("lower", c, foci, lower), _Cut("upper", c, foci, _upper)
 
@@ -634,25 +635,23 @@ def cut_sandwiches(psi: PureState, exponents) -> tuple[
     bit, the gap of the matching report function on that state; no
     grouping, comparator or report is built.
     """
-    exponents = np.array([_check_exponent(e) for e in exponents])
-    x = exponents[:, None] / 2.0
+    exponents = [_check_exponent(e) for e in exponents]
+    x = np.array(exponents) / 2.0
     cuts = _concurrence_AB(psi) + _negativity_AB(psi)
     if len(psi.shape.labels) >= 5:
         cuts += _tripartite(psi)
     foci = tuple(dict.fromkeys(f for cut in cuts for f in cut.foci))
-    pairs = pair_measures_sq(psi, foci)
-    # (N, F, partners), N = 1 for one state; the pair values of a checked
-    # state are nonnegative and finite
-    c_sq, ca_sq = (v.reshape((-1,) + v.shape[-2:]) for v in pairs)
+    # (..., F, partners), ... = (N,) for a stack; the pair values of a
+    # checked state are nonnegative and finite
+    c_sq, ca_sq = pair_measures_sq(psi, foci)
     head = ca_sq.cumsum(axis=-1)[..., -1]   # left to right, as theta adds
-    # (E, N) arrays per focus
+    # (E,) + stack shape per focus
     ours = dict(zip(foci, np.moveaxis(
         _pow(np.where(head >= TAU_NUM, head, 0.0), x), -1, 0)))
     rads = dict(zip(foci, np.moveaxis(_pow(c_sq.sum(axis=-1), x), -1, 0)))
     slacks = {}
     for name, (side, base, foci, combine) in zip(SANDWICH_NAMES, cuts):
-        lhs = _pow(np.reshape(base, -1), exponents)
+        lhs = _pow(base, exponents)
         v = combine([ours[f] for f in foci], [rads[f] for f in foci], x)
-        gap = v - lhs if side == "upper" else lhs - v
-        slacks[name] = gap.reshape(gap.shape[:1] + np.shape(base))
-    return tuple(v[..., 0, :] for v in pairs), slacks
+        slacks[name] = v - lhs if side == "upper" else lhs - v
+    return (c_sq[..., 0, :], ca_sq[..., 0, :]), slacks

@@ -127,7 +127,7 @@ def _fmt(value: float) -> str:
 def _write_csv(path: str, header: list[str], rows: list[list[float]]):
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(map(_fmt, row)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -209,7 +209,7 @@ def figure_rows(fig_id: int, samples: int = 201) -> tuple[list[str], list[list[f
         raise ValueError(f"unknown figure id {fig_id}")
     expo_name, letter, make_state, report = _FIGURES[fig_id]
     header = [expo_name, "lhs"] + [f"{letter}{i}" for i in range(1, 5)]
-    exponents = np.linspace(0.0, 2.0, samples)
+    exponents = np.linspace(0.0, 2.0, samples).tolist()  # floats format fast
     return header, [[e, rep.lhs, rep.ours]
                     + [rep.comparators[name] for name in COMPARATOR_NAMES[:3]]
                     for e, rep in zip(exponents, report(make_state(), exponents))]

@@ -22,12 +22,12 @@ _MASK64 = (1 << 64) - 1
 def raw_draws(n: int, seed: int, stream=0) -> np.ndarray:
     """n raw 64-bit words from the (seed, stream) Philox counter.
 
-    One generator serves a call: per stream it gets counter 0, key
-    (seed, stream) and an empty buffer, the state ``Philox(key=...)``
-    starts in, without seeding a new generator from OS entropy.
+    One generator, built from a fixed seed so that no OS entropy is read,
+    serves a call: per stream it gets counter 0, key (seed, stream) and an
+    empty buffer, the state ``Philox(key=...)`` starts in.
     """
     streams = [stream] if np.ndim(stream) == 0 else list(stream)
-    gen = np.random.Philox()
+    gen = np.random.Philox(0)  # Philox() and Philox(key=...) read OS entropy
     state = gen.state  # a copy: counter 0 and an empty buffer
     out = np.empty((len(streams), n), dtype=np.uint64)
     for row, s in zip(out, streams):

@@ -11,6 +11,7 @@ from entbounds import bounds
 from entbounds.bounds import (
     InfeasibleParamsError,
     CHAIN_COEFFICIENTS,
+    COMPARATOR_NAMES,
     SANDWICH_NAMES,
     chain_bound,
     chain_values,
@@ -192,6 +193,27 @@ class TestChainBound:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown chain kind"):
             chain_bound([0.5], 1.0, "cubic_chain")
+
+    @pytest.mark.parametrize("kind", sorted(CHAIN_COEFFICIENTS))
+    @pytest.mark.parametrize("values", [[0.5, float("nan")],
+                                        [float("inf"), 0.1],
+                                        [0.3, 0.2, float("inf")]])
+    def test_non_finite_values_rejected(self, values, kind):
+        # nan and inf used to come back as the bound, as in theta
+        with pytest.raises(ValueError, match="must be finite"):
+            chain_bound(values, 1.0, kind)
+
+    @pytest.mark.parametrize("kind", sorted(CHAIN_COEFFICIENTS))
+    def test_negative_value_rejected(self, kind):
+        # -1 used to be clamped to 0 silently
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            chain_bound([0.5, -1.0], 1.0, kind)
+
+    @pytest.mark.parametrize("kind", sorted(CHAIN_COEFFICIENTS))
+    def test_round_off_negative_counts_as_zero(self, kind):
+        for exponent in (0.0, 1.0, 2.0):
+            assert (chain_bound([0.5, -1e-13, 0.25], exponent, kind).hex()
+                    == chain_bound([0.5, 0.0, 0.25], exponent, kind).hex())
 
 
 class TestPolygamyBoundCoa:
@@ -604,6 +626,131 @@ class TestCutSandwiches:
 
 
 CORPUS_DIR = Path(__file__).resolve().parents[1] / "benchmark" / "corpus"
+
+
+def reference_theta(groups, exponent, p):
+    """theta written out from the key inequality: group sums left to
+    right, trailing heads below 1e-9 dropped, and at level l the tail ratio
+    t capped at p_l, Omega = 1 + x t/(1+p)^2 and Upsilon = ((1+p)^x - 1)/p^x
+    - x p/((1+p)^2 p^x) at x = exponent/2."""
+    x = exponent / 2.0
+    heads = [sum(g) for g in groups]
+    while heads and heads[-1] < 1e-9:
+        heads.pop()
+    value, prefix = 0.0, 1.0
+    for level in range(len(heads) - 1):
+        pl = p[level]
+        t = min(sum(heads[level + 1:]) / heads[level], pl)
+        omega = 1.0 + x * t / (1.0 + pl) ** 2
+        upsilon = (((1.0 + pl) ** x - 1.0) / pl ** x
+                   - x * pl / ((1.0 + pl) ** 2 * pl ** x))
+        value += prefix * omega * heads[level] ** x
+        prefix *= upsilon
+    return value + prefix * (heads[-1] if heads else 0.0) ** x
+
+
+def assert_bitwise(*values):
+    assert len({float(v).hex() for v in values}) == 1, values
+
+
+class TestFlatPass:
+    """The report functions resolve each focus's recursion constants once
+    and evaluate each exponent in one pass of Python floats: every value
+    equals theta, chain_bound and the lemma's recursion written out, bit
+    for bit, and each cut combines its foci's values in Python floats."""
+
+    EXPONENTS = (0.0, 0.35, 1.0, 1.5, 2.0)
+    MODES = ["auto", "one", "explicit"]
+
+    @staticmethod
+    def states():
+        """Haar states (most foci fall back), geometric W states (tail
+        ratios below 1/2, trailing zero heads), and corpus states: Bell on
+        AB with |0...0> (trailing zero heads and foci with no head at
+        all), GHZ (every focus falls back) and W."""
+        corpus = [parse_state_spec((CORPUS_DIR / f"{name}.state").read_text())
+                  for name in ("bell-ab-4q", "bell-ab-6q", "ghz-5q", "w-4q")]
+        return ([haar_random_pure(n, 9, stream=n) for n in (3, 4, 5, 6)]
+                + [geometric_w_state(n) for n in (5, 6)] + corpus)
+
+    @staticmethod
+    def p_spec(psi, mode):
+        """"auto", "one", or for "explicit" a mapping that gives every
+        focus auto mode resolves without fallback a p halfway between each
+        tail ratio and 1, plus one entry past the levels; the other foci
+        stay on auto mode."""
+        if mode != "explicit":
+            return mode
+        spec = {}
+        for f in psi.shape.labels:
+            [rep] = polygamy_bound_coa(psi, f, [1.0])
+            if not rep.foci[f].fallback:   # auto's p is the tail ratios
+                spec[f] = tuple((t + 1.0) / 2.0 for t in rep.foci[f].p) + (1.0,)
+        return spec
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_focus_values_equal_theta_chain_bound_and_reference(self, mode):
+        seen = set()
+        for psi in self.states():
+            p = self.p_spec(psi, mode)
+            for focus in psi.shape.labels:
+                ca = pair_measures_sq(psi, focus)[1].tolist()
+                reports = polygamy_bound_coa(psi, focus, self.EXPONENTS, p)
+                fp = reports[0].foci[focus]
+                groups = [[ca[i] for i in g] for g in fp.grouping.groups]
+                spec = p.get(focus, "auto") if isinstance(p, dict) else p
+                ours = ([ca], ()) if spec == "auto" else (groups, fp.p)
+                ones = (1.0,) * len(fp.p)
+                for exponent, rep in zip(self.EXPONENTS, reports):
+                    assert_bitwise(rep.ours, theta(ours[0], exponent, ours[1]),
+                                   reference_theta(ours[0], exponent, ours[1]))
+                    assert_bitwise(rep.comparators["p1_specialization"],
+                                   theta(groups, exponent, ones),
+                                   reference_theta(groups, exponent, ones))
+                    for kind in CHAIN_COEFFICIENTS:
+                        assert_bitwise(rep.comparators[kind],
+                                       chain_bound(ca, exponent, kind))
+                seen.add(spec if isinstance(spec, str) else "explicit")
+                if fp.fallback:
+                    seen.add("fallback")
+                elif len(fp.p) < len(groups) - 1:
+                    seen.add("trailing zero heads")
+                if not fp.p and max(ca) < 1e-9:
+                    seen.add("no head")
+        assert {mode, "trailing zero heads", "no head"} <= seen
+        assert "fallback" in seen or mode == "explicit"
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_cuts_combine_focus_values(self, mode):
+        # the combine step works on the foci's floats: sums left to right,
+        # and the larger arm of the lower bound
+        for psi in self.states():
+            labels = psi.shape.labels
+            if len(labels) < 4:
+                continue
+            p = self.p_spec(psi, mode)
+            single = {f: polygamy_bound_coa(psi, f, self.EXPONENTS, p)
+                      for f in labels[:3]}
+            c_sq = {f: pair_measures_sq(psi, f)[0].sum() for f in labels[:2]}
+            for k in (2, 3):
+                for i, rep in enumerate(multi_partition_polygamy(
+                        psi, labels[:k], self.EXPONENTS, p)):
+                    for key in ("ours",) + COMPARATOR_NAMES:
+                        parts = [single[f][i].ours if key == "ours"
+                                 else single[f][i].comparators[key]
+                                 for f in labels[:k]]
+                        total = parts[0]
+                        for part in parts[1:]:
+                            total += part
+                        assert_bitwise(rep.ours if key == "ours"
+                                       else rep.comparators[key], total)
+            a, b = labels[:2]
+            for i, (exponent, rep) in enumerate(zip(
+                    self.EXPONENTS, monogamy_lower_AB(psi, self.EXPONENTS, p))):
+                rad = {f: float(c_sq[f]) ** (exponent / 2) for f in (a, b)}
+                assert_bitwise(rep.ours, max(rad[a] - single[b][i].ours,
+                                             rad[b] - single[a][i].ours))
+                assert type(rep.ours) is float
 
 
 def pair_kernel_inputs():

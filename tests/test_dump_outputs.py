@@ -91,3 +91,22 @@ def test_sandwiches_section_covers_every_stack_and_bound():
         names = SANDWICH_NAMES[:4] if stack.endswith("4q") else SANDWICH_NAMES
         assert bounds == {(name, e) for name in names
                           for e in script.EXPONENTS}, stack
+
+
+def test_theta_section_reaches_each_function_at_exponents_zero_and_two():
+    """theta, chain_bound and lemma_rhs each return values (not only
+    errors) at exponent 0 and at exponent 2 (x = 0 and x = 1 for the
+    lemma), and each also shows an error."""
+    out = []
+    load_dump_script().dump_theta(out)
+    values, errors = {}, set()
+    for line in out:
+        name, exponent, rest = line.split(" ", 2)
+        if "Error: " in rest:
+            errors.add(name)
+        else:
+            values.setdefault(name, set()).add(float(exponent))
+    assert errors == {"theta", "chain_bound", "lemma_rhs"}
+    assert {0.0, 2.0} <= values["theta"]
+    assert {0.0, 2.0} <= values["chain_bound"]
+    assert {0.0, 1.0} <= values["lemma_rhs"]

@@ -183,6 +183,21 @@ class TestRng:
             npt.assert_array_equal(row, fresh)
             npt.assert_array_equal(rng.raw_draws(9, seed, stream), fresh)
 
+    def test_no_os_entropy_drawn(self, monkeypatch):
+        # numpy seeds a generator built without a seed from OS entropy
+        # through bit_generator.randbits; a call must not do that
+        from numpy.random import bit_generator
+        drawn = []
+        real = bit_generator.randbits
+        monkeypatch.setattr(bit_generator, "randbits",
+                            lambda *args: drawn.append(args) or real(*args))
+        np.random.Philox()
+        assert drawn  # the spy sees an entropy-seeded generator
+        drawn.clear()
+        rng.raw_draws(9, 5, [0, 3, 2 ** 32])
+        rng.uniforms(4, 5)
+        assert drawn == []
+
 
 class TestStateSpecFormat:
     def test_bell_example(self):
