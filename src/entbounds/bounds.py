@@ -29,15 +29,15 @@ the family proper.
 
 Every caller reads the pair values of all its foci from one
 ``pair_measures_sq`` call, which evaluates each unordered qubit pair the
-foci touch once, all in one stacked spin-flip spectrum.  The report
-functions resolve each focus of their one state once (``_focus``:
-grouping, fallback, checked p, and the exponent-free constants of each
-recursion level of "ours" and of the p = 1 specialization, which
-``theta`` evaluates too).  Each exponent is then one pass in Python
-floats: per focus both recursions and the powers all chains share, per
-cut the combine step.  ``cut_sandwiches`` evaluates auto mode's single
-group head and the radicand of each focus for a stack of N states on the
-(exponent, state) grid.  Every power of an exponent-dependent value is
+foci touch once, all in one stacked spin-flip spectrum of their cut
+matrices.  The report functions resolve each focus of their one state
+once (``_focus``: grouping, fallback, checked p, and the exponent-free
+constants of each recursion level of "ours" and of the p = 1
+specialization, which ``theta`` evaluates too).  Each exponent is then
+one pass in Python floats: per focus both recursions and the powers all
+chains share, per cut the combine step.  ``cut_sandwiches`` evaluates
+auto mode's single group head and the radicand of each focus for a
+stack of N states on the (exponent, state) grid.  Every power of an exponent-dependent value is
 Python's float power and every sum keeps its order, so a stack's rows
 equal the one-state values bit for bit.
 
@@ -60,11 +60,11 @@ from . import rng
 from .linalg import TAU_NUM
 from .measures import (
     Bipartition,
-    _densities,
+    _cut_matrix,
     _negativity_from,
+    _pair_roofs,
     _rank_from,
     _schmidt_values,
-    cren_crenoa_two_qubit,
     pure_concurrence,
 )
 from .states import PureState
@@ -209,7 +209,9 @@ def _omega_phi_upsilon(t, p, q, q2, x) -> tuple:
 
 
 def lemma_rhs(t: float, p: float, x: float) -> LemmaCoefficients:
-    """Coefficients of the key inequality; rhs >= (1+t)^x on the domain."""
+    """Coefficients of the key inequality; rhs >= (1+t)^x on the domain.
+    The fields are Python floats whatever the real input types."""
+    t, p, x = float(t), float(p), float(x)
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must be in [0, 1], got {x}")
     if not 0.0 < p <= 1.0:
@@ -217,7 +219,7 @@ def lemma_rhs(t: float, p: float, x: float) -> LemmaCoefficients:
     if not 0.0 <= t <= p:
         raise ValueError(f"t must be in [0, p] = [0, {p}], got {t}")
     omega, _, upsilon = _omega_phi_upsilon(t, p, 1.0 + p, (1.0 + p) ** 2, x)
-    return LemmaCoefficients(omega, upsilon, omega + upsilon * float(t) ** x)
+    return LemmaCoefficients(omega, upsilon, omega + upsilon * t ** x)
 
 
 def _chain_columns(t, p, x) -> list:
@@ -370,8 +372,10 @@ def pair_measures_sq(psi: PureState, focus) -> tuple[np.ndarray, np.ndarray]:
     tuple of foci adds a foci axis before the partner axis: (..., F,
     partners).  Each unordered pair the foci touch is evaluated once (its
     matrix is built in shape order, so (f, q) and (q, f) are one matrix):
-    one gather of the pair cut matrices, one M M^dagger and one spin-flip
-    spectrum call for all of them.
+    one gather of the pair cut matrices and one spin-flip spectrum call
+    for all of them.  A cut matrix M decomposes its pair's state M M^dagger
+    (Hermitian and positive by construction), so no pair density matrix,
+    eigendecomposition or density check is needed.
     """
     foci = (focus,) if isinstance(focus, str) else tuple(focus)
     labels = psi.shape.labels
@@ -381,7 +385,7 @@ def pair_measures_sq(psi: PureState, focus) -> tuple[np.ndarray, np.ndarray]:
         if f not in labels:
             raise ValueError(f"unknown focus label {f!r}")
     pairs, rows = _pair_plan(labels, foci)
-    c, ca = cren_crenoa_two_qubit(_densities(psi, pairs))
+    c, ca = _pair_roofs(_cut_matrix(psi, pairs))
     rows = rows[0] if isinstance(focus, str) else rows
     return (c * c)[..., rows], (ca * ca)[..., rows]
 

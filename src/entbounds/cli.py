@@ -234,8 +234,9 @@ def run_verify(cfg: VerifyConfig) -> VerifyResult:
     chunks of VERIFY_CHUNK, each drawn by one state call and one lemma
     call and evaluated as one stack of states: one ``cut_sandwiches``
     call per chunk makes one pair measure call for foci A, B and, from 5
-    qubits, C1 (one spin-flip spectrum call over the 5, 9 or 12 qubit
-    pairs they touch, at 4, 5 or 6 qubits, for every state of the chunk)
+    qubits, C1 (one spin-flip spectrum call on the cut matrices of the 5,
+    9 or 12 qubit pairs they touch, at 4, 5 or 6 qubits, for every state
+    of the chunk, with no pair density matrix or eigendecomposition)
     and evaluates auto mode's single-group bound for all exponents and
     all six bounds; every reduction and cut reads cut matrices of the
     stack's amplitudes, and the focus-A pair values feed the two pair

@@ -3,7 +3,8 @@ assistance, negativity, CREN/CRENoA for qubit pairs, Schmidt rank.
 
 Two-qubit convex roofs use the closed forms built from the spin-flip
 spectrum mu_1 >= ... >= mu_4: C = max(0, mu_1 - mu_2 - mu_3 - mu_4) and
-C_a = mu_1 + mu_2 + mu_3 + mu_4.
+C_a = mu_1 + mu_2 + mu_3 + mu_4, from any rho = V V^dagger: ``eigh`` gives
+V for a checked mixed input; a pure state's pair cut matrix is such a V.
 
 A pure state's quantities read its amplitude matrix M across a cut
 (``_cut_matrix``, one gather of the amplitudes through an index cached per
@@ -32,9 +33,9 @@ from .linalg import (
 )
 from .states import PureState
 
-# sigma_y (x) sigma_y; real in the computational basis.
-_SPIN_FLIP = np.kron(np.array([[0.0, -1.0], [1.0, 0.0]]),
-                     np.array([[0.0, -1.0], [1.0, 0.0]])) * -1.0
+# sigma_y (x) sigma_y is real and antidiagonal: it reverses the four rows
+# of a two-qubit vector and flips the sign of the first and the last.
+_SPIN_FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]
 
 SCHMIDT_TOL = 1e-10
 
@@ -152,18 +153,11 @@ def _cut_matrix(psi: PureState, lefts) -> np.ndarray:
     return psi.amplitudes[..., _cut_index(psi.shape, tuple(map(tuple, lefts)))]
 
 
-def _densities(psi: PureState, keeps) -> np.ndarray:
-    """Reduced density matrix on each label set of ``keeps`` (sets of one
-    size), in shape order: M M^dagger of its cut matrix, on a set axis
-    before the matrix axes."""
-    m = _cut_matrix(psi, keeps)
-    return np.einsum("...kr,...lr->...kl", m, m.conj())
-
-
 def reduced_density(psi: PureState, keep) -> np.ndarray:
     """Reduced density matrix of a pure state (or of each state of a stack)
-    on the kept labels, in shape order."""
-    return _densities(psi, [keep])[..., 0, :, :]
+    on the kept labels, in shape order: M M^dagger of its cut matrix."""
+    m = _cut_matrix(psi, [keep])[..., 0, :, :]
+    return np.einsum("...kr,...lr->...kl", m, m.conj())
 
 
 def _check_cut(psi: PureState, cut: Bipartition) -> None:
@@ -188,27 +182,31 @@ def _schmidt_values(psi: PureState, cut: Bipartition) -> np.ndarray:
                          compute_uv=False)
 
 
-def _mu_spectrum(rho: np.ndarray) -> np.ndarray:
-    """Descending spin-flip spectrum mu_i of a two-qubit density matrix.
+def _mu_spectrum(v: np.ndarray) -> np.ndarray:
+    """Descending spin-flip spectrum mu_i, min(r, 4) values, of the
+    two-qubit state rho = V V^dagger of each V of a stack (..., 4, r).
 
     The mu_i are the square roots of the eigenvalues of rho @ rho_tilde,
     equivalently the singular values of the symmetric preconcurrence matrix
-    tau_ij = v_i^T (sigma_y x sigma_y) v_j over any subnormalized
-    decomposition rho = sum_i |v_i><v_i|.  The tau route is used because
-    SVD keeps absolute accuracy near zero, where sqrt of an eigenvalue of
-    rho @ rho_tilde loses half the digits.  Decomposition vectors with
-    weight below 64 eps of the largest are dropped; that removes only
-    numerically unresolvable directions.
+    tau = V^T (sigma_y x sigma_y) V for any such V (Wootters 1998; Uhlmann
+    2000).  The tau route is used because SVD keeps absolute accuracy near
+    zero, where sqrt of an eigenvalue of rho @ rho_tilde loses half the
+    digits.  For r > 4 an LQ step V = L Q^dagger first reduces V to its
+    4 x 4 factor L, whose tau has the same singular values.
     """
-    w, v = np.linalg.eigh(rho)
-    if np.any(w[..., 0] < -TAU_PSD):
-        raise ValueError(
-            f"density matrix has eigenvalue {np.min(w[..., 0]):.3e}")
-    cutoff = 64.0 * np.finfo(float).eps * np.maximum(w[..., -1:], 0.0)
-    w = np.where(w < cutoff, 0.0, w)
-    b = v * np.sqrt(w)[..., None, :]
-    tau = b.swapaxes(-1, -2) @ _SPIN_FLIP @ b
+    if v.shape[-1] > 4:
+        v = np.linalg.qr(v.conj().swapaxes(-1, -2), mode="r")
+        v = v.conj().swapaxes(-1, -2)
+    tau = v.swapaxes(-1, -2) @ (_SPIN_FLIP_SIGNS * v[..., ::-1, :])
     return np.linalg.svd(tau, compute_uv=False)
+
+
+def _pair_roofs(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(C, C_a) = (max(0, mu_1 - mu_2 - ...), sum of mu) of the two-qubit
+    state of each decomposition (..., 4, r), from one ``_mu_spectrum``."""
+    mu = _mu_spectrum(v)
+    total = mu.sum(axis=-1)
+    return np.maximum(0.0, 2.0 * mu[..., 0] - total), total
 
 
 def _check_two_qubit(rho) -> np.ndarray:
@@ -224,12 +222,17 @@ def cren_crenoa_two_qubit(rho) -> tuple[float, float]:
 
     For qubit pairs the convex-roof extended negativity and its assistance
     version coincide with concurrence and CoA, so the pair is evaluated
-    from one spin-flip spectrum.
+    from one spin-flip spectrum.  ``eigh`` decomposes the checked input;
+    weights below 64 eps of the largest are unresolvable and dropped.
     """
-    mu = _mu_spectrum(_check_two_qubit(rho))
-    total = mu.sum(axis=-1)
-    return (_scalar(np.maximum(0.0, 2.0 * mu[..., 0] - total)),
-            _scalar(total))
+    w, v = np.linalg.eigh(_check_two_qubit(rho))
+    if np.any(w[..., 0] < -TAU_PSD):
+        raise ValueError(
+            f"density matrix has eigenvalue {np.min(w[..., 0]):.3e}")
+    cutoff = 64.0 * np.finfo(float).eps * np.maximum(w[..., -1:], 0.0)
+    w = np.where(w < cutoff, 0.0, w)
+    c, ca = _pair_roofs(v * np.sqrt(w)[..., None, :])
+    return _scalar(c), _scalar(ca)
 
 
 def _negativity_from(schmidt: np.ndarray) -> float:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entbounds import bounds
+from entbounds import bounds, measures
 from entbounds.bounds import (
     InfeasibleParamsError,
     CHAIN_COEFFICIENTS,
@@ -54,6 +54,14 @@ class TestLemma:
         assert abs(c.upsilon - upsilon) < 1e-15
         assert abs(c.rhs - 1.23251) < 5e-6
         assert c.rhs >= 1.5 ** 0.5
+
+    @pytest.mark.parametrize("t, p, x", [(0.1, 0.5, 0.5), (0.0, 1.0, 0.0),
+                                         (0.3, 0.3, 1.0), (0.25, 0.7, 0.9)])
+    def test_numpy_inputs_give_python_floats(self, t, p, x):
+        want = lemma_rhs(t, p, x)
+        got = lemma_rhs(np.float64(t), np.float64(p), np.float64(x))
+        assert [type(v) for v in got] == [float, float, float]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -778,8 +786,10 @@ def pair_kernel_inputs():
 
 class TestPairKernel:
     """pair_measures_sq with a tuple of foci gives each focus the row,
-    bit for bit, of the spin-flip spectrum of each of its pair reductions
-    alone, and of its one-label call; (f, q) and (q, f) read one pair."""
+    bit for bit, of the spin-flip spectrum of each of its pair cut
+    matrices alone, and of its one-label call; (f, q) and (q, f) read one
+    pair.  The density-matrix route (reduced density, its checks, eigh
+    and the tau of its eigenvectors) is the independent second route."""
 
     @staticmethod
     def foci_tuples(labels):
@@ -801,14 +811,23 @@ class TestPairKernel:
             labels = psi.shape.labels
             reference, one_label = {}, {}
             for f in labels:
-                pairs = [cren_crenoa_two_qubit(reduced_density(psi, [f, q]))
-                         for q in labels if q != f]
-                reference[f] = [np.stack([np.multiply(v[k], v[k])
-                                          for v in pairs], axis=-1)
+                partners = [q for q in labels if q != f]
+                pairs = [measures._pair_roofs(
+                    measures._cut_matrix(psi, [(f, q)]))
+                    for q in partners]
+                reference[f] = [np.concatenate([np.multiply(v[k], v[k])
+                                                for v in pairs], axis=-1)
                                 for k in (0, 1)]
                 one_label[f] = pair_measures_sq(psi, f)
                 for k in (0, 1):
                     assert np.array_equal(one_label[f][k], reference[f][k])
+                densities = [cren_crenoa_two_qubit(reduced_density(psi, [f, q]))
+                             for q in partners]
+                for k in (0, 1):
+                    second = np.stack([np.multiply(v[k], v[k])
+                                       for v in densities], axis=-1)
+                    npt.assert_allclose(one_label[f][k], second,
+                                        rtol=0, atol=1e-14)
             for foci in self.foci_tuples(labels):
                 got = pair_measures_sq(psi, foci)
                 for k in (0, 1):
@@ -824,6 +843,18 @@ class TestPairKernel:
                 for v in (c_sq, ca_sq):
                     assert np.array_equal(v[..., i, j - 1], v[..., j, i])
         assert calls > 2000
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_haar_stacks_match_density_route(self, n):
+        psi = haar_random_pure(n, 71, stream=range(64))
+        labels = psi.shape.labels
+        c_sq, ca_sq = pair_measures_sq(psi, labels)
+        for i, f in enumerate(labels):
+            for k, q in enumerate(q for q in labels if q != f):
+                c, ca = cren_crenoa_two_qubit(reduced_density(psi, [f, q]))
+                npt.assert_allclose(c_sq[:, i, k], c * c, rtol=0, atol=1e-14)
+                npt.assert_allclose(ca_sq[:, i, k], ca * ca, rtol=0,
+                                    atol=1e-14)
 
     def test_one_label_has_no_foci_axis(self):
         psi = haar_random_pure(5, 3, stream=range(4))

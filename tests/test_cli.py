@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entbounds import bounds, cli
+from entbounds import bounds, cli, measures
 from entbounds.bounds import (
     COMPARATOR_NAMES,
     lemma_chain_grid,
@@ -34,6 +34,7 @@ from entbounds.states import (
     emit_state_spec,
     haar_random_pure,
     parse_state_spec,
+    wclass4_state,
 )
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "benchmark" / "reference"
@@ -362,10 +363,13 @@ GOLDEN_AUTO_LINES = {
         "focus A: groups [(0, 1, 2)] p = [] (fallback to single group)",
         "focus B: groups [(0, 1, 2)] p = [] (fallback to single group)",
     ],
-    "A|BC1C2": [  # Bell(AB) x |00>: the zero-CoA partners trail, no p needed
+    # Bell(AB) x |00>: the zero-CoA partners trail, no p needed.  The bound
+    # is an exact equality here (C(A|rest) = C_a(A, B) = 1), so the gap's
+    # sign and size are round-off of the lhs and the pair spectrum.
+    "A|BC1C2": [
         "cut: A|BC1C2   exponent: 1",
         "lhs  C^b(left|rest) = 1",
-        "ours (parametrized) = 1   gap = -6.66133814775e-16",
+        "ours (parametrized) = 1   gap = -4.4408920985e-16",
         "p1_specialization   = 1",
         "pow2_chain          = 1",
         "beta_half_chain     = 1",
@@ -379,7 +383,7 @@ GOLDEN_AUTO_CSV = {
             "0.914213562373,0.957106781187,1.20710678119,3.33066907388e-16",
     "AB|C1C2": "AB|C1C2,1,1,3.46410161514,3.46410161514,3.17157287525,3.5,6,"
                "2.46410161514",
-    "A|BC1C2": "A|BC1C2,1,1,1,1,1,1,1,-6.66133814775e-16",
+    "A|BC1C2": "A|BC1C2,1,1,1,1,1,1,1,-4.4408920985e-16",   # exact equality
 }
 GOLDEN_CSV_HEADER = ("cut,exponent,lhs,ours,p1_specialization,pow2_chain,"
                      "beta_half_chain,trivial_sum,gap")
@@ -493,6 +497,39 @@ class TestMainExitCodes:
         assert "tol must be finite" in capsys.readouterr().err
 
 
+class TestPurePathNoDensityRoute:
+    """A pure state's pair measures read its cut matrices: no pair density
+    matrix is checked and no eigendecomposition runs, in verify, the
+    figures or a bounds report."""
+
+    @pytest.fixture
+    def forbidden(self, monkeypatch):
+        def raising(*args, **kwargs):
+            raise AssertionError("density route called on a pure state")
+
+        monkeypatch.setattr(measures.np.linalg, "eigh", raising)
+        monkeypatch.setattr(measures, "_check_density", raising)
+
+    @pytest.mark.parametrize("qubits", [4, 5, 6])
+    def test_verify(self, forbidden, qubits):
+        res = run_verify(VerifyConfig(qubits=qubits, trials=3,
+                                      exponents=(0.5, 1.0, 2.0), seed=7))
+        assert len(res.stats) == (8 if qubits == 4 else 10)
+        assert res.violations == 0
+
+    def test_figures_and_bounds(self, forbidden):
+        for fig_id in (1, 2, 3):
+            figure_rows(fig_id, samples=11)
+        run_bounds(str(CORPUS_DIR / "haar-5q-a.state"), "AB|C1C2C3", 1.0,
+                   "auto")
+
+    def test_guard_is_live(self, forbidden):
+        with pytest.raises(AssertionError, match="density route"):
+            measures.cren_crenoa_two_qubit(np.eye(4) / 4)
+        with pytest.raises(AssertionError, match="density route"):
+            measures.np.linalg.eigh(np.eye(4))
+
+
 class TestOncePerState:
     """A report call resolves each focus once, whatever the number of
     exponents, and a report call or a verify chunk makes one pair measure
@@ -513,13 +550,13 @@ class TestOncePerState:
     @pytest.fixture
     def spectrum_calls(self, monkeypatch):
         calls = []
-        original = bounds.cren_crenoa_two_qubit
+        original = measures._mu_spectrum
 
-        def counting(rho):
-            calls.append(rho)
-            return original(rho)
+        def counting(v):
+            calls.append(v)
+            return original(v)
 
-        monkeypatch.setattr(bounds, "cren_crenoa_two_qubit", counting)
+        monkeypatch.setattr(measures, "_mu_spectrum", counting)
         return calls
 
     @pytest.mark.parametrize("qubits, foci, partner_rows",
@@ -527,10 +564,10 @@ class TestOncePerState:
     def test_verify_trial(self, pair_calls, spectrum_calls, qubits, foci,
                           partner_rows):
         # foci A and B, plus C1 from 5 qubits, in one pair measure call and
-        # one stacked spin-flip spectrum call, whatever the number of
-        # trials; the foci read partner_rows pair values per trial, but a
-        # pair of two foci is one matrix: 5, 9 and 12 matrices per trial
-        # (of 6, 10 and 15 pairs)
+        # one stacked spin-flip spectrum call on the pair cut matrices
+        # (4 x 2^(n-2) each), whatever the number of trials; the foci read
+        # partner_rows pair values per trial, but a pair of two foci is one
+        # matrix: 5, 9 and 12 matrices per trial (of 6, 10 and 15 pairs)
         distinct = partner_rows - foci * (foci - 1) // 2
         assert distinct == {4: 5, 5: 9, 6: 12}[qubits]
         for trials in (1, 5):
@@ -539,8 +576,11 @@ class TestOncePerState:
             run_verify(VerifyConfig(qubits=qubits, trials=trials,
                                     exponents=(0.5, 1.0, 1.5, 2.0), seed=7))
             assert pair_calls == [("A", "B", "C1")[:foci]]
-            [rho] = spectrum_calls
-            assert rho.shape == (trials, distinct, 4, 4)
+            [m] = spectrum_calls
+            assert m.shape == (trials, distinct, 4, 2 ** (qubits - 2))
+            psi = haar_random_pure(qubits, 7, stream=range(trials))
+            pairs, _ = bounds._pair_plan(psi.shape.labels, pair_calls[0])
+            assert np.array_equal(m, measures._cut_matrix(psi, pairs))
 
     @pytest.mark.parametrize("qubits", [4, 6])
     def test_verify_chunk_set_up_once(self, monkeypatch, dense_calls, qubits):
@@ -583,8 +623,11 @@ class TestOncePerState:
     def test_figure(self, pair_calls, spectrum_calls):
         figure_rows(2, samples=11)
         assert pair_calls == [("A", "B")]
-        [rho] = spectrum_calls
-        assert rho.shape == (5, 4, 4)   # AB, AC1, AC2, BC1, BC2
+        [m] = spectrum_calls
+        assert m.shape == (5, 4, 4)   # AB, AC1, AC2, BC1, BC2 cut matrices
+        assert np.array_equal(m, measures._cut_matrix(
+            wclass4_state(cli.FIG23_PARAMS),
+            [("A", "B"), ("A", "C1"), ("A", "C2"), ("B", "C1"), ("B", "C2")]))
 
     @pytest.mark.parametrize("qubits", [4, 5])
     def test_verify_checks_once_per_chunk(self, monkeypatch, pair_calls,

@@ -4,7 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from entbounds.bounds import pair_measures_sq
 from entbounds.linalg import (
+    default_labels,
     partial_trace,
     partial_transpose,
     projector,
@@ -517,3 +519,91 @@ class TestStackedErrors:
         with pytest.raises(type(single.value)) as stacked:
             PureState(shape, [BELL, row, BELL])
         assert str(stacked.value) == str(single.value)
+
+
+class TestMixedPathChecks:
+    """The mixed-state entry point keeps every density check, although the
+    pure-state pair kernel no longer goes through it."""
+
+    @pytest.mark.parametrize("kind, message", [
+        ("non-Hermitian", "not Hermitian"),
+        ("trace", "has trace"),
+        ("negative", "density matrix has eigenvalue -1.000e-01")])
+    def test_bad_density_raises(self, kind, message):
+        with pytest.raises(ValueError, match=message):
+            cren_crenoa_two_qubit(bad_density(kind))
+
+
+def tight_family_states():
+    """(name, state, C(A|rest), pair (C, C_a) of each pair (f, q) as a
+    function) of the closed-form families at 3-6 qubits: W_n, GHZ_n,
+    Dicke D_n^k (2 <= k < n) and Bell(AB) x |0...0>."""
+
+    def state(n, indices):
+        amps = np.zeros(2 ** n)
+        amps[indices] = 1.0 / np.sqrt(len(indices))
+        return PureState(qubit_shape(default_labels(n)), amps)
+
+    def dicke_pair(n, k):
+        # rho_pair = a|00><00| + d|11><11| + 2b|Psi+><Psi+| with
+        # a = P(00), d = P(11) and b = P(01) = P(10); sy x sy swaps |00>
+        # and |11> and fixes |Psi+>, so the spin-flip spectrum is
+        # {2b, sqrt(ad), sqrt(ad), 0}: C = 2b - 2 sqrt(ad) (Wang and
+        # Molmer 2002) and C_a = 2b + 2 sqrt(ad)
+        root = np.sqrt(k * (k - 1) * (n - k) * (n - k - 1))
+        scale = 2.0 / (n * (n - 1))
+        return scale * (k * (n - k) - root), scale * (k * (n - k) + root)
+
+    out = []
+    for n in range(3, 7):
+        weight = [bin(i).count("1") for i in range(2 ** n)]
+        labels = default_labels(n)
+        for k in range(1, n):
+            name = "w" if k == 1 else f"dicke{k}"
+            psi = state(n, [i for i in range(2 ** n) if weight[i] == k])
+            c_pair = dicke_pair(n, k)
+            out.append((f"{name}-{n}q", psi, 2 * np.sqrt(k * (n - k)) / n,
+                        lambda f, q, c_pair=c_pair: c_pair))
+        out.append((f"ghz-{n}q", state(n, [0, 2 ** n - 1]), 1.0,
+                    lambda f, q: (0.0, 1.0)))
+        ab = set(labels[:2])
+        out.append((f"bell-ab-{n}q", state(n, [0, 3 * 2 ** (n - 2)]), 1.0,
+                    lambda f, q, ab=ab: (1.0, 1.0) if {f, q} == ab
+                    else (0.0, 0.0)))
+    return out
+
+
+class TestTightFamilies:
+    """Closed forms of every measure the bounds read, on the families that
+    meet some bound with equality; each route within 1e-15."""
+
+    @pytest.mark.parametrize("psi, c_rest, pair", [
+        pytest.param(*case, id=name)
+        for name, *case in tight_family_states()])
+    def test_closed_forms(self, psi, c_rest, pair):
+        labels = psi.shape.labels
+        cut = Bipartition.of(psi.shape, labels[:1])
+        assert abs(pure_concurrence(psi, cut) - c_rest) <= 1e-15
+        c_sq, ca_sq = pair_measures_sq(psi, labels)
+        for i, f in enumerate(labels):
+            for j, q in enumerate(q for q in labels if q != f):
+                c, ca = pair(f, q)
+                assert abs(c_sq[i, j] - c * c) <= 1e-15, (f, q)
+                assert abs(ca_sq[i, j] - ca * ca) <= 1e-15, (f, q)
+                got = cren_crenoa_two_qubit(reduced_density(psi, [f, q]))
+                assert abs(got[0] - c) <= 1e-15, (f, q)
+                assert abs(got[1] - ca) <= 1e-15, (f, q)
+
+    @pytest.mark.parametrize("n, k", [(n, k) for n in range(3, 7)
+                                      for k in range(1, n)])
+    def test_dicke_pair_density(self, n, k):
+        # the analytic rho_pair that the Dicke oracle's spectrum reads
+        psi = next(s for name, s, *_ in tight_family_states()
+                   if name == f"{'w' if k == 1 else f'dicke{k}'}-{n}q")
+        norm = n * (n - 1)
+        a, d = (n - k) * (n - k - 1) / norm, k * (k - 1) / norm
+        b = k * (n - k) / norm
+        rho = np.array([[a, 0, 0, 0], [0, b, b, 0], [0, b, b, 0],
+                        [0, 0, 0, d]])
+        for f, q in combinations(psi.shape.labels, 2):
+            assert np.max(np.abs(reduced_density(psi, [f, q]) - rho)) <= 1e-15
