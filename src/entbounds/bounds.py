@@ -35,9 +35,9 @@ once (``_focus``: grouping, fallback, checked p, and the exponent-free
 constants of each recursion level of "ours" and of the p = 1
 specialization, which ``theta`` evaluates too).  Each exponent is then
 one pass in Python floats: per focus both recursions and the powers all
-chains share, per cut the combine step.  ``cut_sandwiches`` evaluates
-auto mode's single group head and the radicand of each focus for a
-stack of N states on the (exponent, state) grid.  Every power of an exponent-dependent value is
+chains share, per cut the combine step.  ``cut_sandwiches`` evaluates a
+stack of N states on the (exponent, state) grid, in one power call for
+all heads and radicands and one for all lhs.  Every exponent's power is
 Python's float power and every sum keeps its order, so a stack's rows
 equal the one-state values bit for bit.
 
@@ -60,6 +60,7 @@ from . import rng
 from .linalg import TAU_NUM
 from .measures import (
     Bipartition,
+    _concurrence_from,
     _cut_matrix,
     _negativity_from,
     _pair_roofs,
@@ -524,15 +525,13 @@ def _ab_foci(psi: PureState) -> tuple[str, ...]:
     return psi.shape.labels[:2]
 
 
-def _concurrence_AB(psi: PureState) -> tuple[_Cut, _Cut]:
-    foci = _ab_foci(psi)
-    c = pure_concurrence(psi, Bipartition.of(psi.shape, foci))
+def _concurrence_AB(foci: tuple[str, ...], c) -> tuple[_Cut, _Cut]:
+    """The AB|rest concurrence cuts, from C(AB|rest)."""
     return _Cut("lower", c, foci, _lower_AB), _Cut("upper", c, foci, _upper)
 
 
-def _negativity_AB(psi: PureState) -> tuple[_Cut, _Cut]:
-    foci = _ab_foci(psi)
-    schmidt = _schmidt_values(psi, Bipartition.of(psi.shape, foci))
+def _negativity_AB(foci: tuple[str, ...], schmidt) -> tuple[_Cut, _Cut]:
+    """The AB|rest negativity cuts, from the Schmidt values of the cut."""
     r = _rank_from(schmidt)
     pairs = r * (r - 1) / 2.0   # a float for one state, (N,) for a stack
     n = _negativity_from(schmidt)
@@ -572,7 +571,9 @@ def monogamy_lower_AB(psi: PureState, exponents, p="auto") -> list[BoundReport]:
     Both one-sided expressions are valid lower bounds; the max is taken.
     The radicands use pair concurrence, the subtracted theta uses CoA.
     """
-    [lower] = _sweep(psi, exponents, p, _concurrence_AB(psi)[0])
+    foci = _ab_foci(psi)
+    c = pure_concurrence(psi, Bipartition.of(psi.shape, foci))
+    [lower] = _sweep(psi, exponents, p, _concurrence_AB(foci, c)[0])
     return lower
 
 
@@ -588,7 +589,9 @@ def negativity_bounds_AB(psi: PureState, exponents, p="auto") -> list[SandwichBo
     lower bound reuses the concurrence construction; the upper bound picks
     up the Schmidt-rank factor (r(r-1)/2)^(alpha/2) of the cut.
     """
-    reports = _sweep(psi, exponents, p, *_negativity_AB(psi))
+    foci = _ab_foci(psi)
+    schmidt = _schmidt_values(psi, Bipartition.of(psi.shape, foci))
+    reports = _sweep(psi, exponents, p, *_negativity_AB(foci, schmidt))
     return list(map(SandwichBounds, *reports))
 
 
@@ -641,7 +644,10 @@ def cut_sandwiches(psi: PureState, exponents) -> tuple[
     """
     exponents = [_check_exponent(e) for e in exponents]
     x = np.array(exponents) / 2.0
-    cuts = _concurrence_AB(psi) + _negativity_AB(psi)
+    ab = _ab_foci(psi)
+    m = _cut_matrix(psi, [ab])[..., 0, :, :]   # one gather for both AB cuts
+    cuts = _concurrence_AB(ab, _concurrence_from(m)) + _negativity_AB(
+        ab, np.linalg.svd(m, compute_uv=False))
     if len(psi.shape.labels) >= 5:
         cuts += _tripartite(psi)
     foci = tuple(dict.fromkeys(f for cut in cuts for f in cut.foci))
@@ -649,13 +655,14 @@ def cut_sandwiches(psi: PureState, exponents) -> tuple[
     # checked state are nonnegative and finite
     c_sq, ca_sq = pair_measures_sq(psi, foci)
     head = ca_sq.cumsum(axis=-1)[..., -1]   # left to right, as theta adds
-    # (E,) + stack shape per focus
-    ours = dict(zip(foci, np.moveaxis(
-        _pow(np.where(head >= TAU_NUM, head, 0.0), x), -1, 0)))
-    rads = dict(zip(foci, np.moveaxis(_pow(c_sq.sum(axis=-1), x), -1, 0)))
+    # heads and radicands in one power call: (E,) + stack shape per focus
+    ours, rads = (dict(zip(foci, v)) for v in np.moveaxis(_pow(np.stack(
+        [np.where(head >= TAU_NUM, head, 0.0), c_sq.sum(axis=-1)]), x),
+        (1, -1), (0, 1)))
+    lhs = _pow(np.stack([cut.base for cut in cuts[::2]]), exponents)
     slacks = {}
-    for name, (side, base, foci, combine) in zip(SANDWICH_NAMES, cuts):
-        lhs = _pow(base, exponents)
+    for k, (side, _, foci, combine) in enumerate(cuts):
         v = combine([ours[f] for f in foci], [rads[f] for f in foci], x)
-        slacks[name] = v - lhs if side == "upper" else lhs - v
+        base = lhs[:, k // 2]   # lower and upper of a cut share their lhs
+        slacks[SANDWICH_NAMES[k]] = v - base if side == "upper" else base - v
     return (c_sq[..., 0, :], ca_sq[..., 0, :]), slacks

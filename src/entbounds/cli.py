@@ -101,11 +101,14 @@ class CheckStat:
         """Fold in one slack or an array of them.  A NaN slack counts as a
         violation and leaves the worst slack NaN."""
         slack = np.asarray(slack, dtype=float)
-        self.samples += slack.size
-        low = float(slack.min())
+        self._fold(slack.size, float(slack.min()),
+                   int(np.count_nonzero(~(slack >= -tol))))
+
+    def _fold(self, samples: int, low: float, violations: int):
+        self.samples += samples
         if low < self.worst_slack or np.isnan(low):
             self.worst_slack = low
-        self.violations += int(np.count_nonzero(~(slack >= -tol)))
+        self.violations += violations
 
 
 @dataclass
@@ -114,6 +117,17 @@ class VerifyResult:
 
     def record(self, name: str, slack, tol: float):
         self.stats.setdefault(name, CheckStat(name)).add(slack, tol)
+
+    def record_chunk(self, slacks: dict[str, np.ndarray], tol: float):
+        """``record`` of each check's non-empty slacks in turn, folded
+        with one minimum and one violation count over all of them."""
+        sizes = [np.size(s) for s in slacks.values()]
+        starts = np.cumsum([0] + sizes[:-1])
+        flat = np.concatenate([np.ravel(s) for s in slacks.values()])
+        lows = np.minimum.reduceat(flat, starts).tolist()
+        bad = np.add.reduceat(~(flat >= -tol), starts, dtype=int).tolist()
+        for name, *fold in zip(slacks, sizes, lows, bad):
+            self.stats.setdefault(name, CheckStat(name))._fold(*fold)
 
     @property
     def violations(self) -> int:
@@ -228,42 +242,31 @@ def run_verify(cfg: VerifyConfig) -> VerifyResult:
     """Randomized verification of every inequality family on Haar states.
 
     Each trial draws one state (stream = trial index) and one lemma
-    triple; at each exponent it checks the monogamy/polygamy sandwich for
-    concurrence and negativity across AB|rest, and the tripartite
-    sandwich when the register has at least 5 qubits.  Trials run in
-    chunks of VERIFY_CHUNK, each drawn by one state call and one lemma
-    call and evaluated as one stack of states: one ``cut_sandwiches``
-    call per chunk makes one pair measure call for foci A, B and, from 5
-    qubits, C1 (one spin-flip spectrum call on the cut matrices of the 5,
-    9 or 12 qubit pairs they touch, at 4, 5 or 6 qubits, for every state
-    of the chunk, with no pair density matrix or eigendecomposition)
-    and evaluates auto mode's single-group bound for all exponents and
-    all six bounds; every reduction and cut reads cut matrices of the
-    stack's amplitudes, and the focus-A pair values feed the two pair
-    checks.  Slack is (larger
-    side) - (smaller side) of each inequality; a violation is slack < -tol.
+    triple, and checks the lemma, the pair inequalities of focus A and,
+    at each exponent, the concurrence and negativity sandwiches across
+    AB|rest and, from 5 qubits, across ABC1|rest.  A chunk of VERIFY_CHUNK
+    trials is one stack: one draw of states and one of triples, one
+    ``cut_sandwiches`` call and one ``VerifyResult.record_chunk`` fold,
+    bit for bit a one-state sweep of the report functions.  Slack is
+    (larger side) - (smaller side); slack < -tol or NaN is a violation.
     """
     res = VerifyResult()
     for start in range(0, cfg.trials, VERIFY_CHUNK):
         trials = range(start, min(start + VERIFY_CHUNK, cfg.trials))
         chain = lemma_chain_grid(
             1, cfg.seed, [_LEMMA_STREAM_BASE + t for t in trials])[:, 0]
-        res.record("lemma_key_inequality", chain[:, 1] - chain[:, 0], cfg.tol)
-        res.record("lemma_chain_order", np.diff(chain[:, 1:]).min(axis=1),
-                   cfg.tol)
-
         psi = haar_random_pure(cfg.qubits, cfg.seed, stream=trials)
         (c_sq, ca_sq), sandwiches = cut_sandwiches(psi, cfg.exponents)
         c_one_rest = pure_concurrence(
             psi, Bipartition.of(psi.shape, psi.shape.labels[:1]))
         # Python's float power, as in a one-state evaluation
         c_one_rest_sq = np.array([c ** 2 for c in c_one_rest.tolist()])
-        res.record("pair_coa_polygamy", ca_sq.sum(axis=1) - c_one_rest_sq,
-                   cfg.tol)
-        res.record("pair_conc_monogamy", c_one_rest_sq - c_sq.sum(axis=1),
-                   cfg.tol)
-        for name, slacks in sandwiches.items():
-            res.record(name, slacks, cfg.tol)
+        res.record_chunk({
+            "lemma_key_inequality": chain[:, 1] - chain[:, 0],
+            "lemma_chain_order": np.diff(chain[:, 1:]).min(axis=1),
+            "pair_coa_polygamy": ca_sq.sum(axis=1) - c_one_rest_sq,
+            "pair_conc_monogamy": c_one_rest_sq - c_sq.sum(axis=1),
+            **sandwiches}, cfg.tol)
     if cfg.out_csv:
         header = ["check", "worst_slack", "violations", "samples"]
         lines = [",".join(header)]

@@ -169,7 +169,12 @@ def _check_cut(psi: PureState, cut: Bipartition) -> None:
 def pure_concurrence(psi: PureState, cut: Bipartition) -> float:
     """sqrt(2 [1 - Tr rho_left^2]) across the cut; symmetric in the sides."""
     _check_cut(psi, cut)
-    rho_left = reduced_density(psi, cut.left)
+    return _concurrence_from(_cut_matrix(psi, [cut.left])[..., 0, :, :])
+
+
+def _concurrence_from(m: np.ndarray) -> float:
+    """``pure_concurrence`` from its cut matrix M: rho_left = M M^dagger."""
+    rho_left = np.einsum("...kr,...lr->...kl", m, m.conj())
     t = 1.0 - np.trace(rho_left @ rho_left, axis1=-2, axis2=-1).real
     return _scalar(np.sqrt(2.0 * np.maximum(t, 0.0)))
 

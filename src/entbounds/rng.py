@@ -11,31 +11,46 @@ draw; one stream is the no-stack case of the same code.
 
 from __future__ import annotations
 
+import operator
+import threading
+
 import numpy as np
 
 _INV53 = 2.0 ** -53
 
 
 _MASK64 = (1 << 64) - 1
+# The process's one generator and its fresh state, built on first use so
+# that importing the package does not load numpy.random
+_GEN, _LOCK = [], threading.Lock()
 
 
 def raw_draws(n: int, seed: int, stream=0) -> np.ndarray:
     """n raw 64-bit words from the (seed, stream) Philox counter.
 
-    One generator, built from a fixed seed so that no OS entropy is read,
-    serves a call: per stream it gets counter 0, key (seed, stream) and an
-    empty buffer, the state ``Philox(key=...)`` starts in.
+    One generator serves the process, set under a lock per stream to the
+    state ``Philox(key=(seed, stream))`` starts in.  Seed and streams
+    must be integers, and a sequence of streams 1-D.
     """
-    streams = [stream] if np.ndim(stream) == 0 else list(stream)
-    gen = np.random.Philox(0)  # Philox() and Philox(key=...) read OS entropy
-    state = gen.state  # a copy: counter 0 and an empty buffer
-    out = np.empty((len(streams), n), dtype=np.uint64)
-    for row, s in zip(out, streams):
-        state["state"]["key"] = np.array([seed & _MASK64, int(s) & _MASK64],
-                                         dtype=np.uint64)
-        gen.state = state
-        row[:] = gen.random_raw(n)
-    return out[0] if np.ndim(stream) == 0 else out
+    if (ndim := np.ndim(stream)) > 1:
+        raise ValueError(f"streams must be a 1-D sequence, got {stream!r}")
+    try:
+        keys = [[operator.index(seed) & _MASK64, operator.index(s) & _MASK64]
+                for s in ([stream] if ndim == 0 else stream)]
+    except TypeError:
+        raise TypeError(f"seed and stream must be integers, got seed "
+                        f"{seed!r} and stream {stream!r}") from None
+    out = np.empty((len(keys), n), dtype=np.uint64)
+    with _LOCK:
+        if not _GEN:   # seeded: Philox() and Philox(key=...) read OS entropy
+            gen = np.random.Philox(0)
+            _GEN[:] = gen, gen.state   # counter 0 and an empty buffer
+        gen, fresh = _GEN
+        for row, key in zip(out, keys):
+            fresh["state"]["key"] = np.array(key, dtype=np.uint64)
+            gen.state = fresh
+            row[:] = gen.random_raw(n)
+    return out[0] if ndim == 0 else out
 
 
 def uniforms(n: int, seed: int, stream=0) -> np.ndarray:

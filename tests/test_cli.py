@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entbounds import bounds, cli, measures
+from entbounds import bounds, cli, measures, rng
 from entbounds.bounds import (
     COMPARATOR_NAMES,
     lemma_chain_grid,
@@ -260,6 +260,66 @@ class TestCheckStat:
         assert code == 1
         assert "negativity_upper_AB   worst slack  nan  violations 1/2  [FAIL]" \
             in out
+
+
+class TestChunkFold:
+    """``VerifyResult.record_chunk`` folds a chunk's slacks of every check
+    at once, and gives each check what ``CheckStat.add`` gives it alone."""
+
+    TOL = 1e-9
+
+    @classmethod
+    def chunk(cls, gen, nan_checks, marked=False):
+        # 1-D and 2-D slack arrays of random sizes, with exact -tol, -0.0
+        # and +0.0 entries mixed in, and a NaN in each of ``nan_checks``;
+        # ``marked`` starts and ends each check with its own violation, so
+        # a segment boundary off by one moves a minimum and a count
+        out = {}
+        for k in range(8):
+            shape = (int(gen.integers(1, 300)),)
+            if k % 2:
+                shape = (int(gen.integers(1, 5)),) + shape
+            s = gen.normal(size=shape) * 1e-9
+            flat = s.reshape(-1)
+            for value in (-cls.TOL, -0.0, 0.0, -0.0):
+                flat[gen.integers(flat.size)] = value
+            if k in nan_checks:
+                flat[gen.integers(flat.size)] = np.nan
+            if marked:
+                flat[[0, -1]] = -1e-3 * (k + 1)
+            out[f"check{k}"] = s
+        return out
+
+    @pytest.mark.parametrize("nan_checks", [(), (0,), (3,), (7,), (0, 4, 7)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_one_check_at_a_time(self, nan_checks, seed):
+        gen = np.random.default_rng(seed)
+        folded, alone = VerifyResult(), {}
+        for chunk in (self.chunk(gen, nan_checks),
+                      self.chunk(gen, (), marked=True)):
+            folded.record_chunk(chunk, self.TOL)
+            for name, slacks in chunk.items():
+                alone.setdefault(name, CheckStat(name)).add(slacks, self.TOL)
+        assert list(folded.stats) == list(alone)
+        for name, st in alone.items():
+            got = folded.stats[name]
+            assert (got.samples, got.violations, repr(got.worst_slack)) == \
+                (st.samples, st.violations, repr(st.worst_slack))
+            assert np.isnan(got.worst_slack) == (int(name[-1]) in nan_checks)
+
+    def test_edge_slacks(self):
+        res = VerifyResult()
+        res.record_chunk({
+            "at_tol": np.array([-self.TOL]),
+            "below_tol": np.array([np.nextafter(-self.TOL, -1.0)]),
+            "signed_zeros": np.array([[0.0, -0.0], [-0.0, 0.0]]),
+            "nan": np.array([1.0, np.nan, -1.0])}, self.TOL)
+        assert [(st.samples, st.violations) for st in res.stats.values()] \
+            == [(1, 0), (1, 1), (4, 0), (3, 2)]
+        assert res.stats["at_tol"].worst_slack == -self.TOL
+        assert repr(res.stats["signed_zeros"].worst_slack) == repr(
+            float(np.array([0.0, -0.0, -0.0, 0.0]).min()))
+        assert np.isnan(res.stats["nan"].worst_slack)
 
 
 def summary(res: VerifyResult) -> list[tuple]:
@@ -651,6 +711,35 @@ class TestOncePerState:
         assert built == [[], [], [], []]
         assert {st.samples for name, st in res.stats.items()
                 if name.endswith(("_AB", "_ABC1"))} == {3 * len(exponents)}
+
+    @pytest.mark.parametrize("qubits", [4, 5, 6])
+    @pytest.mark.parametrize("trials", [1, 5, 64])
+    def test_verify_chunk_fixed_costs_once(self, monkeypatch, qubits,
+                                           trials):
+        # one chunk: at most 3 power calls (heads and radicands, every
+        # cut's lhs, the Schmidt-pair factor), no generator built (the
+        # process's one, built by its first draw, serves every draw) and
+        # one AB|rest cut matrix for both AB sandwiches
+        assert trials <= cli.VERIFY_CHUNK
+        rng.raw_draws(1, 0)
+        pows, philox, ab_gathers = [], [], []
+        power, philox_class = bounds._pow, np.random.Philox
+        cut_index = measures._cut_index
+        monkeypatch.setattr(
+            bounds, "_pow", lambda *args: pows.append(args) or power(*args))
+        monkeypatch.setattr(np.random, "Philox", lambda *args, **kwargs: (
+            philox.append(args) or philox_class(*args, **kwargs)))
+
+        def index(shape, lefts):
+            if lefts == (("A", "B"),):
+                ab_gathers.append(lefts)
+            return cut_index(shape, lefts)
+
+        monkeypatch.setattr(measures, "_cut_index", index)
+        run_verify(VerifyConfig(qubits=qubits, trials=trials, seed=7))
+        assert 1 <= len(pows) <= 3
+        assert philox == []
+        assert len(ab_gathers) == 1
 
     def test_bad_exponent_exits_two_before_any_focus(
             self, pair_calls, example1_spec_file, capsys):

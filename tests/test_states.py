@@ -1,3 +1,7 @@
+import importlib
+import sys
+import threading
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -169,7 +173,7 @@ class TestRng:
 
     @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, -7, 12345])
     def test_rekeyed_words_equal_fresh_philox(self, seed):
-        # the one generator of a call, re-keyed per stream, gives the words
+        # the process's one generator, re-keyed per stream, gives the words
         # of a fresh Philox per (seed, stream), also after earlier streams
         from entbounds.cli import _LEMMA_STREAM_BASE
         mask = 2 ** 64 - 1
@@ -197,6 +201,64 @@ class TestRng:
         rng.raw_draws(9, 5, [0, 3, 2 ** 32])
         rng.uniforms(4, 5)
         assert drawn == []
+        # nor does a fresh import, nor its first draw, which builds the
+        # process's generator
+        importlib.reload(rng)
+        words = rng.raw_draws(9, 5, 3)
+        assert drawn == []
+        npt.assert_array_equal(words,
+                               np.random.Philox(key=[5, 3]).random_raw(9))
+
+    def test_threads_share_the_generator(self):
+        # 4 threads (more than the cores of a small host) re-key the one
+        # generator concurrently, switching often; each call's words are
+        # its serial draw, which a lost re-keying would break
+        jobs = [[(seed, [seed + k, 2 ** 32 + k, seed * k])
+                 for k in range(50)] for seed in range(4)]
+        serial = [[rng.raw_draws(5, seed, streams) for seed, streams in job]
+                  for job in jobs]
+        got = [None] * len(jobs)
+        start = threading.Barrier(len(jobs))
+
+        def work(i):
+            start.wait(timeout=30)
+            got[i] = [rng.raw_draws(5, seed, streams)
+                      for seed, streams in jobs[i]]
+
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for rows, expect in zip(got, serial):
+            for a, b in zip(rows, expect):
+                npt.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("seed, stream", [
+        (5, 0.7), (5, [2.9]), (5, [0, 1.0]), (5, "3"), (5, ["3"]), (5.0, 1),
+        ("5", [1])])
+    def test_non_integer_seed_or_stream_raises(self, seed, stream):
+        # int() would truncate 2.9 to stream 2 or parse "3" as stream 3
+        message = (f"seed and stream must be integers, got seed {seed!r} "
+                   f"and stream {stream!r}")
+        with pytest.raises(TypeError) as err:
+            rng.raw_draws(2, seed, stream)
+        assert str(err.value) == message
+        with pytest.raises(TypeError, match="must be integers"):
+            haar_random_pure(4, seed, stream)
+
+    @pytest.mark.parametrize("streams", [[[1, 2]], np.zeros((2, 2), int),
+                                         [range(2), range(2)]])
+    def test_streams_must_be_one_dimensional(self, streams):
+        with pytest.raises(ValueError, match="1-D"):
+            rng.raw_draws(2, 5, streams)
 
 
 class TestStateSpecFormat:
