@@ -12,8 +12,9 @@ values of ``pair_measures_sq`` for every focus of every corpus state
 float written by ``float.hex``.
 It calls only public entry points, so the same script runs against any
 checkout whose ``pair_measures_sq`` takes a tuple of foci (older ones
-take one label): diff two dumps to show that a change keeps every output
-bit-identical.
+take one label) and whose ``FocusParams.grouping`` is the tuple of groups
+(older ones wrap it in a ``Grouping``): diff two dumps to show that a
+change keeps every output bit-identical.
 
     PYTHONPATH=src python scripts/dump_outputs.py > after.txt
     PYTHONPATH=/path/to/other/src python scripts/dump_outputs.py > before.txt
@@ -147,7 +148,7 @@ def dump_reports(out):
                     continue
                 rows = [(r.lower, r.upper) if isinstance(r, SandwichBounds)
                         else (r,) for r in reports]
-                out.extend(f"  focus {f}: {fp.grouping.groups} {_hex(fp.p)} "
+                out.extend(f"  focus {f}: {fp.grouping} {_hex(fp.p)} "
                            f"{fp.fallback}" for f, fp in rows[0][0].foci.items())
                 out.extend(f"  {exponent} " + _hex(
                     [r.lhs, r.ours, r.gap] + list(r.comparators.values()))

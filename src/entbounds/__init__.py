@@ -4,7 +4,6 @@ bound families, with numerical verification and figure reproduction."""
 from .bounds import (
     BoundReport,
     FocusParams,
-    Grouping,
     InfeasibleParamsError,
     LemmaCoefficients,
     SandwichBounds,
@@ -60,7 +59,7 @@ from .states import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcinParams", "Bipartition", "BoundReport", "FocusParams", "Grouping",
+    "AcinParams", "Bipartition", "BoundReport", "FocusParams",
     "InfeasibleParamsError", "LemmaCoefficients", "MAX_DIM",
     "OptimizationResult", "PureState", "SandwichBounds", "StateSpecError",
     "SubsystemShape", "TAU_HERM", "TAU_NUM", "TAU_PSD", "WClass4Params",

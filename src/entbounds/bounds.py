@@ -51,7 +51,6 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -129,27 +128,6 @@ def _max(a, b):
     return max(a, b) if isinstance(a, float) else np.maximum(a, b)
 
 
-@dataclass(frozen=True)
-class Grouping:
-    """Ordered partition of partner indices 0..m-1 into k groups."""
-
-    groups: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        groups = tuple(tuple(sorted(int(i) for i in g)) for g in self.groups)
-        object.__setattr__(self, "groups", groups)
-        if not groups or any(not g for g in groups):
-            raise ValueError("groups must be non-empty")
-        flat = [i for g in groups for i in g]
-        if sorted(flat) != list(range(len(flat))):
-            raise ValueError(f"groups must partition 0..{len(flat) - 1} "
-                             f"exactly, got {groups}")
-
-
-def full_grouping(m: int) -> Grouping:
-    return Grouping((tuple(range(m)),))
-
-
 class LemmaCoefficients(NamedTuple):
     """Coefficients of the key inequality at one (t, p, x) triple, and its
     right-hand side Omega + Upsilon * t^x."""
@@ -162,18 +140,19 @@ class LemmaCoefficients(NamedTuple):
 class FocusParams(NamedTuple):
     """How one focus's bound is resolved, the same at every exponent.
 
-    ``grouping`` orders the partners into recursion levels, ``p`` holds
-    one parameter per non-final level, and ``fallback`` flags a grouping
-    collapsed to one group because no admissible parameters existed.
+    ``grouping`` orders the partners into recursion levels: one singleton
+    per partner in descending CoA^2 order, e.g. ((1,), (0,), (2,)), or
+    the single group ((0, ..., m-1),) when ``fallback`` flags that the
+    singletons admitted no parameters.  ``p`` holds one per level but the
+    last.
     """
 
-    grouping: Grouping
+    grouping: tuple[tuple[int, ...], ...]
     p: tuple[float, ...]
     fallback: bool
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """One bound at one exponent: lhs, our value, literature comparators.
 
     ``gap`` is the slack of our bound against the lhs (ours - lhs for an
@@ -189,8 +168,7 @@ class BoundReport:
     foci: dict[str, FocusParams]
 
 
-@dataclass(frozen=True)
-class SandwichBounds:
+class SandwichBounds(NamedTuple):
     """Lower and upper reports for one cut of one state."""
 
     lower: BoundReport
@@ -249,7 +227,8 @@ def lemma_chain_grid(count: int, seed: int, stream=0) -> np.ndarray:
     of streams gives a (len(streams), count, 6) array, row for row the
     one-stream grids.
     """
-    x, p, u = np.split(rng.uniforms(3 * count, seed, stream), 3, axis=-1)
+    draws = rng.uniforms(3 * count, seed, stream)
+    x, p, u = (draws[..., k * count:(k + 1) * count] for k in range(3))
     return np.stack(_chain_columns(u * p, p, x), axis=-1)
 
 
@@ -429,7 +408,7 @@ def _focus(focus: str, c_sq: np.ndarray, ca_sq: np.ndarray, p) -> _Focus:
     spec = p.get(focus, "auto") if isinstance(p, Mapping) else p
     ca = ca_sq.tolist()
     order = sorted(range(len(ca)), key=ca.__getitem__, reverse=True)
-    grouping = Grouping(tuple((i,) for i in order))
+    grouping = tuple((i,) for i in order)
     descending = [ca[i] for i in order]
     heads = _group_heads([[v] for v in descending])
     ts = tail_ratios(heads)
@@ -439,14 +418,14 @@ def _focus(focus: str, c_sq: np.ndarray, ca_sq: np.ndarray, p) -> _Focus:
             raise ValueError(f"p mode must be 'auto' or 'one', got {spec!r}")
         auto = spec == "auto"
         if any(t > 1.0 + _FEAS_SLACK for t in ts):
-            grouping, fallback = full_grouping(len(ca)), True
+            grouping, fallback = (tuple(range(len(ca))),), True
             heads, ts = _group_heads([ca]), []
         p = [min(t, 1.0) if auto else 1.0 for t in ts]
     else:
         p = _check_params(spec)  # every entry, also those past the levels
-    ours = _levels(heads, ts, p)   # checks p
-    if auto:  # theta at p = t is the single-group value (module doc)
-        ours = _levels(_group_heads([ca]), (), ())
+    # theta at p = t is the single-group value (module doc); else check p
+    ours = (_levels(_group_heads([ca]), (), ()) if auto
+            else _levels(heads, ts, p))
     return _Focus(descending, FocusParams(grouping, tuple(p[:len(ts)]),
                                           fallback), float(c_sq.sum()), ours,
                   _levels(heads, ts, (1.0,) * len(ts)))

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification violation, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import operator
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,6 +49,17 @@ _LEMMA_STREAM_BASE = 2 ** 32  # keeps lemma triples off the state streams
 VERIFY_CHUNK = 64
 
 
+def _integers(record, *names):
+    """Store each named field of a frozen record as ``operator.index``
+    gives it; a float, str or None raises TypeError naming the field."""
+    for name in names:
+        value = getattr(record, name)
+        try:
+            object.__setattr__(record, name, operator.index(value))
+        except TypeError:
+            raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class FigureSpec:
     """One figure reproduction request."""
@@ -58,6 +70,7 @@ class FigureSpec:
     samples: int = 201
 
     def __post_init__(self):
+        _integers(self, "id", "samples")
         if self.id not in (1, 2, 3):
             raise ValueError(f"figure id must be 1, 2 or 3, got {self.id}")
         if self.samples < 2:
@@ -76,6 +89,7 @@ class VerifyConfig:
     out_csv: str | None = None
 
     def __post_init__(self):
+        _integers(self, "qubits", "trials", "seed")
         if not 4 <= self.qubits <= 6:
             raise ValueError(f"qubits must be in [4, 6], got {self.qubits}")
         if self.trials < 1:
@@ -315,7 +329,7 @@ def run_bounds(state_path: str, cut_expr: str, exponent: float, p_mode: str,
     for f in cut.left:
         fp = rep.foci[f]
         fb = " (fallback to single group)" if fp.fallback else ""
-        lines.append(f"focus {f}: groups {list(fp.grouping.groups)} "
+        lines.append(f"focus {f}: groups {list(fp.grouping)} "
                      f"p = {[round(v, 12) for v in fp.p]}{fb}")
     values = ([exponent, rep.lhs, rep.ours]
               + [rep.comparators[name] for name in COMPARATOR_NAMES]

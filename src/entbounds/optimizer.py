@@ -10,39 +10,28 @@ enumerates the groupings, for checking that identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import permutations
-from typing import Iterator
+from itertools import product
+from typing import Iterator, NamedTuple
 
-from .bounds import (Grouping, _check_exponent, full_grouping, pair_measures_sq,
-                     theta)
+from .bounds import _check_exponent, pair_measures_sq, theta
 from .states import PureState
 
 
-@dataclass(frozen=True)
-class OptimizationResult:
-    best_grouping: Grouping
+class OptimizationResult(NamedTuple):
+    best_grouping: tuple[tuple[int, ...], ...]
     best_value: float
     evaluations: int   # theta evaluations behind best_value
 
 
-def _set_partitions(items: list[int]) -> Iterator[list[list[int]]]:
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1:]
-        yield [[first]] + part
-
-
-def ordered_set_partitions(n: int) -> Iterator[Grouping]:
-    """All ordered set partitions of 0..n-1 (Fubini(n) of them)."""
-    for part in _set_partitions(list(range(n))):
-        blocks = [tuple(sorted(b)) for b in part]
-        for order in permutations(range(len(blocks))):
-            yield Grouping(tuple(blocks[i] for i in order))
+def ordered_set_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """All ordered set partitions of 0..n-1 (Fubini(n) of them), each a
+    tuple of sorted blocks: one per map of the items onto levels 0..k-1,
+    block j holding the items at level j."""
+    for level in product(range(n), repeat=n):
+        k = len(set(level))
+        if max(level, default=-1) == k - 1:
+            yield tuple(tuple(i for i in range(n) if level[i] == j)
+                        for j in range(k))
 
 
 def optimize(psi: PureState, focus: str, exponent: float) -> OptimizationResult:
@@ -51,6 +40,6 @@ def optimize(psi: PureState, focus: str, exponent: float) -> OptimizationResult:
     psi.check_single()
     exponent = _check_exponent(exponent)  # before any pair measure
     _, ca_sq = pair_measures_sq(psi, focus)
-    return OptimizationResult(best_grouping=full_grouping(ca_sq.size),
+    return OptimizationResult(best_grouping=(tuple(range(ca_sq.size)),),
                               best_value=theta([ca_sq], exponent),
                               evaluations=1)

@@ -30,6 +30,7 @@ from entbounds.bounds import (
 )
 from entbounds.cli import FIG23_P, FIG23_PARAMS
 from entbounds.measures import cren_crenoa_two_qubit, reduced_density
+from entbounds.optimizer import optimize
 from entbounds.states import (PureState, haar_random_pure, parse_state_spec,
                               wclass4_state)
 from entbounds.linalg import default_labels, qubit_shape
@@ -344,7 +345,7 @@ class TestABCutBounds:
         psi = PureState(qubit_shape(("A", "B", "C1", "C2")), amp)
         [up] = polygamy_upper_AB(psi, [1.0])
         assert up.foci["A"].fallback and up.foci["B"].fallback
-        assert all(len(f.grouping.groups) == 1 for f in up.foci.values())
+        assert all(f.grouping == ((0, 1, 2),) for f in up.foci.values())
         assert up.ours >= up.lhs - 1e-9
 
 
@@ -705,7 +706,7 @@ class TestFlatPass:
                 ca = pair_measures_sq(psi, focus)[1].tolist()
                 reports = polygamy_bound_coa(psi, focus, self.EXPONENTS, p)
                 fp = reports[0].foci[focus]
-                groups = [[ca[i] for i in g] for g in fp.grouping.groups]
+                groups = [[ca[i] for i in g] for g in fp.grouping]
                 spec = p.get(focus, "auto") if isinstance(p, dict) else p
                 ours = ([ca], ()) if spec == "auto" else (groups, fp.p)
                 ones = (1.0,) * len(fp.p)
@@ -759,6 +760,59 @@ class TestFlatPass:
                 assert_bitwise(rep.ours, max(rad[a] - single[b][i].ours,
                                              rad[b] - single[a][i].ours))
                 assert type(rep.ours) is float
+
+
+class TestGroupingRecord:
+    """Each focus's grouping partitions its partners exactly: singletons in
+    stable descending CoA^2 order, or one group exactly on fallback."""
+
+    MODES = {"auto": "auto", "one": "one", "ones": (1.0,) * 5,
+             "explicit": (0.9, 0.6, 0.8, 1.0, 1.0)}
+
+    @staticmethod
+    def states():
+        corpus = [parse_state_spec(path.read_text())
+                  for path in sorted(CORPUS_DIR.glob("*.state"))]
+        assert len(corpus) == 26   # an empty corpus glob fails
+        return corpus + [haar_random_pure(n, 23, stream=s)
+                         for n in (3, 4, 5, 6) for s in range(3)]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_grouping_partitions_partners(self, mode):
+        p, counts = self.MODES[mode], {"singletons": 0, "fallback": 0}
+        for psi in self.states():
+            for focus in psi.shape.labels:
+                ca = pair_measures_sq(psi, focus)[1].tolist()
+                try:
+                    [rep] = polygamy_bound_coa(psi, focus, [1.0], p)
+                except InfeasibleParamsError:
+                    assert not isinstance(p, str)   # modes fall back
+                    continue
+                fp = rep.foci[focus]
+                if fp.fallback:
+                    assert isinstance(p, str)
+                    assert fp.grouping == (tuple(range(len(ca))),)
+                    counts["fallback"] += 1
+                    continue
+                order = [i for (i,) in fp.grouping]   # singletons only
+                assert sorted(order) == list(range(len(ca))) and len(ca) > 1
+                for i, j in zip(order, order[1:]):
+                    assert ca[i] > ca[j] or (ca[i] == ca[j] and i < j)
+                counts["singletons"] += 1
+        assert counts["singletons"] > 20
+        assert (counts["fallback"] > 20) == isinstance(p, str)
+
+    def test_records_are_immutable(self):
+        psi = wclass4_state(FIG23_PARAMS)
+        [sandwich] = negativity_bounds_AB(psi, [1.0])
+        assert sandwich.lhs == sandwich.lower.lhs
+        records = [(sandwich.lower, "gap"), (sandwich, "upper"),
+                   (sandwich, "lhs"), (sandwich.lower.foci["A"], "grouping"),
+                   (optimize(psi, "A", 1.0), "best_value"),
+                   (lemma_rhs(0.1, 0.5, 0.5), "rhs")]
+        for record, field in records:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
 
 
 def pair_kernel_inputs():

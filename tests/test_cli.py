@@ -56,6 +56,16 @@ class TestFigureSpec:
         with pytest.raises(ValueError):
             FigureSpec(id=1, out_csv="x.csv", samples=1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("id", 1.0), ("samples", 201.0), ("samples", "201"), ("id", None)])
+    def test_integer_fields(self, field, value):
+        with pytest.raises(TypeError, match=f"^{field} must be an integer"):
+            FigureSpec(**{"id": 1, "out_csv": "x.csv", field: value})
+        spec = FigureSpec(id=np.int64(2), out_csv="x.csv",
+                          samples=np.int32(3))
+        assert (spec.id, spec.samples) == (2, 3)
+        assert type(spec.id) is type(spec.samples) is int
+
 
 class TestFigure1:
     def test_rows_and_endpoints(self):
@@ -184,6 +194,17 @@ class TestVerify:
             VerifyConfig(trials=0)
         with pytest.raises(ValueError):
             VerifyConfig(exponents=(2.5,))
+
+    @pytest.mark.parametrize("field, value", [
+        ("qubits", 4.0), ("trials", 2.0), ("seed", 1.5), ("seed", "42"),
+        ("trials", None)])
+    def test_integer_fields(self, field, value):
+        with pytest.raises(TypeError, match=f"^{field} must be an integer"):
+            VerifyConfig(**{field: value})
+        cfg = VerifyConfig(qubits=np.int64(5), trials=np.uint8(2),
+                           seed=np.int32(7))
+        assert (cfg.qubits, cfg.trials, cfg.seed) == (5, 2, 7)
+        assert {type(v) for v in (cfg.qubits, cfg.trials, cfg.seed)} == {int}
 
 
 def per_function_verify(cfg: VerifyConfig) -> VerifyResult:
@@ -695,12 +716,12 @@ class TestOncePerState:
         # three trials in chunks of two: each cut_sandwiches call (one per
         # chunk) checks each exponent once and makes one pair measure per
         # focus; no p is checked, no focus is resolved and no report
-        # sweep, report or grouping is built
+        # sweep or report is built (groupings are built only in _focus)
         counting = TestLevelsOncePerFocus.counting
         exponent_checks = counting(monkeypatch, "_check_exponent")
         params_checks = counting(monkeypatch, "_check_params")
         built = [counting(monkeypatch, name) for name in
-                 ("_focus", "_sweep", "BoundReport", "Grouping")]
+                 ("_focus", "_sweep", "BoundReport")]
         monkeypatch.setattr(cli, "VERIFY_CHUNK", 2)
         exponents = (0.5, 1.0, 1.5, 2.0)
         res = run_verify(VerifyConfig(qubits=qubits, trials=3,
@@ -708,7 +729,7 @@ class TestOncePerState:
         assert exponent_checks == [(e,) for e in exponents] * 2
         assert pair_calls == [("A", "B", "C1")[:qubits - 2]] * 2
         assert params_checks == []
-        assert built == [[], [], [], []]
+        assert built == [[], [], []]
         assert {st.samples for name, st in res.stats.items()
                 if name.endswith(("_AB", "_ABC1"))} == {3 * len(exponents)}
 

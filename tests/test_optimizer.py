@@ -3,7 +3,6 @@ import pytest
 
 from entbounds import rng
 from entbounds.bounds import (
-    Grouping,
     InfeasibleParamsError,
     pair_measures_sq,
     polygamy_bound_coa,
@@ -59,9 +58,16 @@ class TestOrderedSetPartitions:
         assert sum(1 for _ in ordered_set_partitions(n)) == count
 
     def test_groupings_valid(self):
-        for g in ordered_set_partitions(3):
-            assert isinstance(g, Grouping)
-            assert sum(len(block) for block in g.groups) == 3
+        # Fubini(n) distinct tuples of non-empty sorted blocks, each an
+        # exact partition of 0..n-1
+        for n, count in enumerate([1, 1, 3, 13, 75, 541]):
+            groupings = list(ordered_set_partitions(n))
+            assert len(groupings) == len(set(groupings)) == count
+            for g in groupings:
+                assert isinstance(g, tuple)
+                assert all(isinstance(b, tuple) and b and list(b) == sorted(b)
+                           for b in g)
+                assert sorted(i for b in g for i in b) == list(range(n))
 
 
 class TestAutoGrouping:
@@ -70,18 +76,18 @@ class TestAutoGrouping:
 
     def test_feasible_stays_singleton(self, example1_state):
         [rep] = polygamy_bound_coa(example1_state, "A", [1.0])
-        assert rep.foci["A"].grouping.groups == ((0,), (1,))
+        assert rep.foci["A"].grouping == ((0,), (1,))
 
     def test_infeasible_collapses(self):
         [rep] = polygamy_bound_coa(two_term_state(4, 15), "A", [1.0])
-        assert len(rep.foci["A"].grouping.groups) == 1
+        assert rep.foci["A"].grouping == ((0, 1, 2),)
 
     def test_orders_descending(self, example2_state):
         _, ca_sq = pair_measures_sq(example2_state, "A")
         [rep] = polygamy_bound_coa(example2_state, "A", [1.0])
         groups = rep.foci["A"].grouping
-        heads = [ca_sq[g[0]] for g in groups.groups]
-        assert len(groups.groups) == 3 and heads == sorted(heads, reverse=True)
+        heads = [ca_sq[g[0]] for g in groups]
+        assert len(groups) == 3 and heads == sorted(heads, reverse=True)
 
 
 class TestOptimize:
@@ -102,7 +108,7 @@ class TestOptimize:
         for beta in (0.5, 1.0, 2.0):
             res = optimize(psi, "A", beta)
             assert abs(res.best_value - ca ** beta) < 1e-12
-            assert len(res.best_grouping.groups) == 1
+            assert res.best_grouping == ((0,),)
 
     def test_product_state(self):
         amp = np.zeros(8, dtype=complex)
@@ -124,7 +130,7 @@ class TestOptimize:
         res = optimize(example2_state, "B", 1.0)
         _, ca_sq = pair_measures_sq(example2_state, "B")
         for grouping in ordered_set_partitions(3):
-            groups = [[float(ca_sq[i]) for i in g] for g in grouping.groups]
+            groups = [[float(ca_sq[i]) for i in g] for g in grouping]
             ts = tail_ratios([sum(g) for g in groups])
             if any(t > 1.0 for t in ts):
                 continue
@@ -178,13 +184,13 @@ class TestClosedForm:
                     assert abs(auto.ours - best) < 1e-12
                     for grouping in groupings:
                         groups = [[float(ca_sq[i]) for i in g]
-                                  for g in grouping.groups]
+                                  for g in grouping]
                         heads = [sum(g) for g in groups]
                         ts = tail_ratios(heads)
                         if min(heads) < TAU_NUM or any(t > 1.0 for t in ts):
                             continue
                         assert abs(theta(groups, expo, ts) - best) < 1e-12
-                        checked += len(grouping.groups) > 1
+                        checked += len(grouping) > 1
         assert checked > 100  # multi-level groupings were exercised
 
 
@@ -208,7 +214,7 @@ class TestFamilyProper:
         c = pure_concurrence(psi, Bipartition.of(psi.shape, [focus]))
         admissible = []
         for grouping in ordered_set_partitions(ca_sq.size):
-            groups = [[float(ca_sq[i]) for i in g] for g in grouping.groups]
+            groups = [[float(ca_sq[i]) for i in g] for g in grouping]
             heads = [sum(g) for g in groups]
             ts = tail_ratios(heads)
             if min(heads) >= TAU_NUM and all(t <= 1.0 for t in ts):
