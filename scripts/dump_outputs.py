@@ -189,14 +189,19 @@ def _sandwich_stacks():
 
 def dump_sandwiches(out):
     """``cut_sandwiches`` on each stack: the first focus's pair values per
-    state, then every bound's slacks per exponent."""
+    state, then every bound's slacks per exponent.  Older checkouts return
+    the first focus's pair values with the slacks and no ``pair_*`` slacks;
+    the lines are the same either way."""
     for name, psi in _sandwich_stacks().items():
-        (c_sq, ca_sq), slacks = cut_sandwiches(psi, EXPONENTS)
+        slacks = cut_sandwiches(psi, EXPONENTS)
+        if isinstance(slacks, tuple):   # older checkouts: (pairs, slacks)
+            slacks = slacks[1]
         out.append(f"sandwiches {name}")
         out.extend(f"  pairs {_hex(c)} | {_hex(ca)}"
-                   for c, ca in zip(c_sq, ca_sq))
+                   for c, ca in zip(*pair_measures_sq(psi, "A")))
         out.extend(f"  {bound} {exponent} {_hex(row)}"
                    for bound, rows in slacks.items()
+                   if not bound.startswith("pair_")
                    for exponent, row in zip(EXPONENTS, rows))
 
 

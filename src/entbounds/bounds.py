@@ -35,11 +35,11 @@ once (``_focus``: grouping, fallback, checked p, and the exponent-free
 constants of each recursion level of "ours" and of the p = 1
 specialization, which ``theta`` evaluates too).  Each exponent is then
 one pass in Python floats: per focus both recursions and the powers all
-chains share, per cut the combine step.  ``cut_sandwiches`` evaluates a
-stack of N states on the (exponent, state) grid, in one power call for
-all heads and radicands and one for all lhs.  Every exponent's power is
-Python's float power and every sum keeps its order, so a stack's rows
-equal the one-state values bit for bit.
+chains share, per cut the combine step.  ``cut_sandwiches``, the one
+per-state pass of ``verify``, evaluates a stack of N states in one
+``measures._pow`` call for all heads and radicands and one for all lhs.
+That is Python's float power and every sum keeps its order, so a stack's
+rows equal the one-state values bit for bit.
 
 Convention used throughout: 0^0 := 1 and v^0 := 1, as Python's float
 power gives them, so exponent-zero curves are defined.
@@ -63,6 +63,7 @@ from .measures import (
     _cut_matrix,
     _negativity_from,
     _pair_roofs,
+    _pow,
     _rank_from,
     _schmidt_values,
     pure_concurrence,
@@ -109,18 +110,6 @@ def _check_params(p) -> tuple[float, ...]:
     if any(not 0.0 < v <= 1.0 for v in p):
         raise ValueError(f"parameters must lie in (0, 1], got {p}")
     return p
-
-
-def _pow(base, expo):
-    """Python's float power of ``base`` at each exponent (numpy's array
-    power can differ from it in the last bit): base ** expo for a float
-    exponent, else a (len(expo),) + base.shape array."""
-    if isinstance(expo, float):
-        return base ** expo
-    base, expo = np.asarray(base, dtype=float), np.ravel(expo).tolist()
-    flat = base.ravel().tolist()
-    return np.array([[b ** e for b in flat] for e in expo]).reshape(
-        (len(expo),) + base.shape)
 
 
 def _max(a, b):
@@ -604,22 +593,21 @@ SANDWICH_NAMES = ("concurrence_lower_AB", "concurrence_upper_AB",
                   "tripartite_lower_ABC1", "tripartite_upper_ABC1")
 
 
-def cut_sandwiches(psi: PureState, exponents) -> tuple[
-        tuple[np.ndarray, np.ndarray], dict[str, np.ndarray]]:
-    """Slacks of every cut sandwich of a stack of qubit states, from one
-    pair measure call for all foci (A, B and, from 5 subsystems, C1).
+def cut_sandwiches(psi: PureState, exponents) -> dict[str, np.ndarray]:
+    """Every per-state slack of a stack of qubit states, from one pair
+    measure call for all foci (A, B and, from 5 subsystems, C1).
 
-    ``psi`` holds N states (amplitudes (N, 2^n)).  Returns ((c_sq, ca_sq)
-    of the first label's pairs, each (N, partners)), slacks), where slacks
-    maps each of SANDWICH_NAMES to a (len(exponents), N) array: the
-    concurrence and negativity sandwiches across AB|rest and, from 5
-    subsystems up, across ABC1|rest, all in auto mode.  As for the
-    measures, one state has no stack axis: (partners,) pair values and
-    (len(exponents),) slacks.  Auto mode's "ours" is the single group's
-    power (module doc), so each focus needs only its CoA^2 sum, trimmed
-    as ``theta`` trims it, and its radicand.  Each slack equals, bit for
-    bit, the gap of the matching report function on that state; no
-    grouping, comparator or report is built.
+    ``psi`` holds N states (amplitudes (N, 2^n)).  The dict holds
+    pair_coa_polygamy (focus A's pair CoA^2 sum - C^2(A|rest)) and
+    pair_conc_monogamy (C^2(A|rest) - its pair C^2 sum), each (N,), then
+    each of SANDWICH_NAMES, (len(exponents), N): the concurrence and
+    negativity sandwiches across AB|rest and, from 5 subsystems up,
+    across ABC1|rest, in auto mode.  One state has no stack axis, as for
+    the measures.  Auto mode's "ours" is the single group's power (module
+    doc), so each focus needs only its CoA^2 sum, trimmed as ``theta``
+    trims it, and its radicand.  Each slack equals, bit for bit, its
+    one-state value (for a sandwich, the matching report function's gap);
+    no grouping, comparator or report is built.
     """
     exponents = [_check_exponent(e) for e in exponents]
     x = np.array(exponents) / 2.0
@@ -633,15 +621,18 @@ def cut_sandwiches(psi: PureState, exponents) -> tuple[
     # (..., F, partners), ... = (N,) for a stack; the pair values of a
     # checked state are nonnegative and finite
     c_sq, ca_sq = pair_measures_sq(psi, foci)
+    one_rest_sq = _pow(_concurrence_from(
+        _cut_matrix(psi, [ab[:1]])[..., 0, :, :]), 2.0)   # C^2(A|rest)
+    slacks = {"pair_coa_polygamy": ca_sq[..., 0, :].sum(axis=-1) - one_rest_sq,
+              "pair_conc_monogamy": one_rest_sq - c_sq[..., 0, :].sum(axis=-1)}
     head = ca_sq.cumsum(axis=-1)[..., -1]   # left to right, as theta adds
     # heads and radicands in one power call: (E,) + stack shape per focus
     ours, rads = (dict(zip(foci, v)) for v in np.moveaxis(_pow(np.stack(
         [np.where(head >= TAU_NUM, head, 0.0), c_sq.sum(axis=-1)]), x),
         (1, -1), (0, 1)))
     lhs = _pow(np.stack([cut.base for cut in cuts[::2]]), exponents)
-    slacks = {}
     for k, (side, _, foci, combine) in enumerate(cuts):
         v = combine([ours[f] for f in foci], [rads[f] for f in foci], x)
         base = lhs[:, k // 2]   # lower and upper of a cut share their lhs
         slacks[SANDWICH_NAMES[k]] = v - base if side == "upper" else base - v
-    return (c_sq[..., 0, :], ca_sq[..., 0, :]), slacks
+    return slacks

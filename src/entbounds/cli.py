@@ -24,7 +24,7 @@ from .bounds import (
     polygamy_bound_coa,
     polygamy_upper_AB,
 )
-from .measures import Bipartition, pure_concurrence
+from .measures import Bipartition
 from .states import (
     AcinParams,
     StateSpecError,
@@ -256,10 +256,11 @@ def run_verify(cfg: VerifyConfig) -> VerifyResult:
     """Randomized verification of every inequality family on Haar states.
 
     Each trial draws one state (stream = trial index) and one lemma
-    triple, and checks the lemma, the pair inequalities of focus A and,
-    at each exponent, the concurrence and negativity sandwiches across
-    AB|rest and, from 5 qubits, across ABC1|rest.  A chunk of VERIFY_CHUNK
-    trials is one stack: one draw of states and one of triples, one
+    triple, and checks the lemma and every per-state slack of
+    ``cut_sandwiches``: the pair inequalities of focus A and, at each
+    exponent, the concurrence and negativity sandwiches across AB|rest
+    and, from 5 qubits, across ABC1|rest.  A chunk of VERIFY_CHUNK trials
+    is one stack: one draw of states and one of triples, one
     ``cut_sandwiches`` call and one ``VerifyResult.record_chunk`` fold,
     bit for bit a one-state sweep of the report functions.  Slack is
     (larger side) - (smaller side); slack < -tol or NaN is a violation.
@@ -270,17 +271,10 @@ def run_verify(cfg: VerifyConfig) -> VerifyResult:
         chain = lemma_chain_grid(
             1, cfg.seed, [_LEMMA_STREAM_BASE + t for t in trials])[:, 0]
         psi = haar_random_pure(cfg.qubits, cfg.seed, stream=trials)
-        (c_sq, ca_sq), sandwiches = cut_sandwiches(psi, cfg.exponents)
-        c_one_rest = pure_concurrence(
-            psi, Bipartition.of(psi.shape, psi.shape.labels[:1]))
-        # Python's float power, as in a one-state evaluation
-        c_one_rest_sq = np.array([c ** 2 for c in c_one_rest.tolist()])
         res.record_chunk({
             "lemma_key_inequality": chain[:, 1] - chain[:, 0],
             "lemma_chain_order": np.diff(chain[:, 1:]).min(axis=1),
-            "pair_coa_polygamy": ca_sq.sum(axis=1) - c_one_rest_sq,
-            "pair_conc_monogamy": c_one_rest_sq - c_sq.sum(axis=1),
-            **sandwiches}, cfg.tol)
+            **cut_sandwiches(psi, cfg.exponents)}, cfg.tol)
     if cfg.out_csv:
         header = ["check", "worst_slack", "violations", "samples"]
         lines = [",".join(header)]

@@ -120,17 +120,9 @@ def partial_transpose(rho, shape: SubsystemShape, side: Iterable[str]) -> np.nda
     return t.transpose(perm).reshape(shape.dim, shape.dim)
 
 
-def is_hermitian(m, tol: float = TAU_HERM) -> bool:
-    m = np.asarray(m)
-    return m.shape[0] == m.shape[1] and np.max(np.abs(m - m.conj().T)) <= tol
-
-
 def trace_norm(m) -> float:
-    """Sum of singular values; for Hermitian input, sum of |eigenvalues|."""
-    m = _as_matrix(m)
-    if m.shape[0] == m.shape[1] and is_hermitian(m):
-        return float(np.abs(np.linalg.eigvalsh(m)).sum())
-    return float(np.linalg.svd(m, compute_uv=False).sum())
+    """Sum of singular values (of |eigenvalues| for Hermitian input)."""
+    return float(np.linalg.svd(_as_matrix(m), compute_uv=False).sum())
 
 
 def projector(amplitudes) -> np.ndarray:

@@ -15,7 +15,9 @@ M.  No 2^n x 2^n matrix is built.
 Every measure also takes a stack of inputs on leading axes (a PureState
 holding amplitudes (N, 2^n), or density matrices (..., d, d)) and returns
 arrays over them, equal bit for bit to the values of the inputs one at a
-time; one input gives Python scalars.
+time; one input gives Python scalars.  Where a stack's values must equal
+one-state values taken in Python floats, here and in ``bounds``, their
+power is ``_pow``: numpy's array power can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -107,6 +109,17 @@ class Bipartition:
 def _scalar(x):
     """One input's value as a Python scalar; a stack's stays an array."""
     return x.item() if np.ndim(x) == 0 else x
+
+
+def _pow(base, expo):
+    """Python's float power of each element of ``base`` at each exponent,
+    so that a stack's rows equal the one-state values bit for bit: shape
+    expo.shape + base.shape, and a float for two floats."""
+    if isinstance(base, float) and isinstance(expo, float):
+        return float(base) ** expo
+    flat = np.ravel(base).tolist()
+    return np.reshape([[b ** e for b in flat] for e in np.ravel(expo).tolist()],
+                      np.shape(expo) + np.shape(base))
 
 
 def _check_density(rho, name: str = "rho") -> np.ndarray:
@@ -242,11 +255,7 @@ def cren_crenoa_two_qubit(rho) -> tuple[float, float]:
 
 def _negativity_from(schmidt: np.ndarray) -> float:
     """(sum of Schmidt values)^2 - 1, clipped at zero."""
-    total = schmidt.sum(axis=-1)
-    # Python's float power: numpy's array power can differ in the last bit
-    square = np.reshape([v ** 2 for v in np.ravel(total).tolist()],
-                        np.shape(total))
-    return _scalar(np.maximum(0.0, square - 1.0))
+    return _scalar(np.maximum(0.0, _pow(schmidt.sum(axis=-1), 2.0) - 1.0))
 
 
 def _rank_from(schmidt: np.ndarray) -> int:

@@ -2,7 +2,7 @@
 
 All randomness derives from the Philox-4x64-10 counter-based bit generator,
 keyed by ``(seed, stream)``.  Uniform doubles are built from raw 64-bit
-draws and Gaussians from explicit Box-Muller pairs, so a given
+draws and complex Gaussians from explicit Box-Muller pairs, so a given
 (seed, stream) produces bit-identical values on every platform and is
 independent of numpy's Generator method streams.
 A sequence of streams gives one row per stream, equal to that stream's
@@ -56,16 +56,6 @@ def raw_draws(n: int, seed: int, stream=0) -> np.ndarray:
 def uniforms(n: int, seed: int, stream=0) -> np.ndarray:
     """n doubles uniform on (0, 1]; strictly positive so log() is safe."""
     return (np.right_shift(raw_draws(n, seed, stream), 11) + 1) * _INV53
-
-
-def standard_normals(n: int, seed: int, stream: int = 0) -> np.ndarray:
-    """n standard normal doubles via Box-Muller on Philox uniforms."""
-    m = (n + 1) // 2
-    u = uniforms(2 * m, seed, stream)
-    r = np.sqrt(-2.0 * np.log(u[..., :m]))
-    ang = 2.0 * np.pi * u[..., m:]
-    z = np.concatenate([r * np.cos(ang), r * np.sin(ang)], axis=-1)
-    return z[..., :n]
 
 
 def complex_normals(n: int, seed: int, stream=0) -> np.ndarray:

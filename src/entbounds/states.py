@@ -8,6 +8,7 @@ subsystem ``k``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,9 +51,9 @@ class PureState:
             raise ValueError("amplitudes must be finite")
         for row in amp.reshape(-1, self.shape.dim):
             sq = float(np.vdot(row, row).real)
-            if abs(sq - 1.0) > TAU_NUM:
+            if not abs(sq - 1.0) <= TAU_NUM:   # NaN is not normalized
                 raise ValueError(
-                    f"state is not normalized: |psi| = {np.sqrt(sq)!r}")
+                    f"state is not normalized: |psi| = {math.sqrt(sq)!r}")
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
 
@@ -71,7 +72,7 @@ def _check_coefficients(lams) -> None:
     """Family coefficients must be nonnegative with unit square sum."""
     if any(l < 0 for l in lams):
         raise ValueError("coefficients must be nonnegative")
-    s = sum(l * l for l in lams)
+    s = float(sum(l * l for l in lams))
     if abs(s - 1.0) > TAU_NUM:
         raise ValueError(f"coefficients are not normalized: sum sq = {s!r}")
 
@@ -162,7 +163,9 @@ def parse_state_spec(text: str, renormalize: bool = False) -> PureState:
     Format: a ``qubits <n>`` header, then ``amp <index> <re> <im>`` lines
     (decimal basis index); ``#`` starts a comment; unlisted amplitudes are
     zero; duplicate indices are errors.  Non-normalized specs are rejected
-    unless ``renormalize`` is set.
+    unless ``renormalize`` is set; a squared norm that underflows to 0 or
+    overflows is then first rescaled by the largest real or imaginary
+    part.
     """
     n_qubits = None
     amp = None
@@ -206,13 +209,19 @@ def parse_state_spec(text: str, renormalize: bool = False) -> PureState:
     if amp is None:
         raise StateSpecError("missing 'qubits' header", 1)
     sq = float(np.vdot(amp, amp).real)
-    if abs(sq - 1.0) > TAU_NUM:
+    if not abs(sq - 1.0) <= TAU_NUM:   # NaN is not normalized
         if not renormalize:
             raise StateSpecError(
-                f"state is not normalized: |psi| = {np.sqrt(sq)!r} "
+                f"state is not normalized: |psi| = {math.sqrt(sq)!r} "
                 "(pass renormalize to accept)", 1)
-        if sq == 0.0:
-            raise StateSpecError("cannot renormalize the zero vector", 1)
+        if sq == 0.0 or not math.isfinite(sq):
+            # by the largest |re| or |im| (|amplitude| can overflow), part
+            # by part (complex division forms 1/scale, inf if subnormal)
+            scale = np.abs(amp.view(float)).max()
+            if scale == 0.0:
+                raise StateSpecError("cannot renormalize the zero vector", 1)
+            amp = (amp.view(float) / scale).view(complex)
+            sq = float(np.vdot(amp, amp).real)
         amp = amp / np.sqrt(sq)
     return PureState(qubit_shape(default_labels(n_qubits)), amp)
 

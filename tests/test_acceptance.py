@@ -145,7 +145,8 @@ def test_criterion_7_tripartite_5_qubits():
 
 def test_criterion_8_coa_closed_form_cross_validation():
     with criterion(8, "pair CoA closed forms on 1000 family draws"):
-        normals = rng.standard_normals(5000, seed=271828).reshape(1000, 5)
+        z = rng.complex_normals(2500, seed=271828)
+        normals = np.concatenate([z.real, z.imag]).reshape(1000, 5)
         phases = rng.uniforms(1000, seed=271828, stream=1) * 2 * np.pi
         worst = 0.0
         for row, phi in zip(normals, phases):

@@ -29,7 +29,8 @@ from entbounds.bounds import (
     tripartite_bounds,
 )
 from entbounds.cli import FIG23_P, FIG23_PARAMS
-from entbounds.measures import cren_crenoa_two_qubit, reduced_density
+from entbounds.measures import (Bipartition, cren_crenoa_two_qubit,
+                                pure_concurrence, reduced_density)
 from entbounds.optimizer import optimize
 from entbounds.states import (PureState, haar_random_pure, parse_state_spec,
                               wclass4_state)
@@ -568,10 +569,13 @@ def two_term_state(n: int, index: int, eps: float) -> PureState:
     return PureState(qubit_shape(default_labels(n)), amp)
 
 
+PAIR_SLACKS = ("pair_coa_polygamy", "pair_conc_monogamy")
+
+
 class TestCutSandwiches:
     """One pair measure per focus over a stack of states gives, bit for
-    bit, the gaps of the separate report functions and focus A's pair
-    values of every state."""
+    bit, the gaps of the separate report functions and the pair slacks of
+    focus A of every state."""
 
     EXPONENTS = (0.0, 0.35, 1.0, 1.5, 2.0)
 
@@ -589,7 +593,8 @@ class TestCutSandwiches:
                    for n in (4, 5, 6)]
         for states in groups:
             stack = PureState(states[0].shape, [s.amplitudes for s in states])
-            (c_sq, ca_sq), slacks = cut_sandwiches(stack, self.EXPONENTS)
+            slacks = cut_sandwiches(stack, self.EXPONENTS)
+            c_sq, ca_sq = pair_measures_sq(stack, "A")
             for j, psi in enumerate(states):
                 expected = [monogamy_lower_AB(psi, self.EXPONENTS),
                             polygamy_upper_AB(psi, self.EXPONENTS)]
@@ -598,9 +603,10 @@ class TestCutSandwiches:
                 if len(psi.shape.labels) >= 5:
                     tri = tripartite_bounds(psi, self.EXPONENTS)
                     expected += [[s.lower for s in tri], [s.upper for s in tri]]
-                assert list(slacks) == list(SANDWICH_NAMES[:len(expected)])
-                assert [[float(v).hex() for v in gaps[:, j]]
-                        for gaps in slacks.values()] == [
+                assert list(slacks) == list(
+                    PAIR_SLACKS + SANDWICH_NAMES[:len(expected)])
+                assert [[float(v).hex() for v in slacks[name][:, j]]
+                        for name in SANDWICH_NAMES[:len(expected)]] == [
                     [rep.gap.hex() for rep in reports] for reports in expected]
                 pair = pair_measures_sq(psi, "A")
                 assert np.array_equal(c_sq[j], pair[0])
@@ -609,19 +615,43 @@ class TestCutSandwiches:
     def test_one_state(self):
         # one unstacked state has no stack axis, as for the measures
         psi = haar_random_pure(5, 8, stream=5)
-        (c_sq, ca_sq), slacks = cut_sandwiches(psi, self.EXPONENTS)
-        pair = pair_measures_sq(psi, "A")
+        slacks = cut_sandwiches(psi, self.EXPONENTS)
+        c_sq, ca_sq = pair_measures_sq(psi, "A")
         assert c_sq.shape == ca_sq.shape == (4,)
-        assert np.array_equal(c_sq, pair[0]) and np.array_equal(ca_sq, pair[1])
+        assert [np.shape(slacks[name]) for name in PAIR_SLACKS] == [(), ()]
+        c_one_rest = pure_concurrence(psi, Bipartition.of(psi.shape, ["A"]))
+        assert float(slacks["pair_coa_polygamy"]).hex() == (
+            float(ca_sq.sum()) - c_one_rest ** 2).hex()
+        assert float(slacks["pair_conc_monogamy"]).hex() == (
+            c_one_rest ** 2 - float(c_sq.sum())).hex()
         neg, tri = (negativity_bounds_AB(psi, self.EXPONENTS),
                     tripartite_bounds(psi, self.EXPONENTS))
         expected = [monogamy_lower_AB(psi, self.EXPONENTS),
                     polygamy_upper_AB(psi, self.EXPONENTS),
                     [s.lower for s in neg], [s.upper for s in neg],
                     [s.lower for s in tri], [s.upper for s in tri]]
-        assert list(slacks) == list(SANDWICH_NAMES)
-        assert [[float(v).hex() for v in gaps] for gaps in slacks.values()] \
+        assert list(slacks) == list(PAIR_SLACKS + SANDWICH_NAMES)
+        assert [[float(v).hex() for v in slacks[name]]
+                for name in SANDWICH_NAMES] \
             == [[rep.gap.hex() for rep in reports] for reports in expected]
+
+    def test_pair_slacks_equal_one_state_values(self):
+        # CoA^2 and C^2 pair sums of focus A against C^2(A|rest), read as
+        # pure_concurrence squared in Python floats, on every stack of 4-6
+        # qubits: Haar, near-product and corpus states
+        stacks = [psi for psi in pair_kernel_inputs()
+                  if psi.amplitudes.ndim == 2 and psi.n_qubits >= 4]
+        assert len(stacks) == 3 * 3   # an empty corpus glob fails
+        for stack in stacks:
+            slacks = cut_sandwiches(stack, self.EXPONENTS)
+            for j, amplitudes in enumerate(stack.amplitudes):
+                psi = PureState(stack.shape, amplitudes)
+                c_sq, ca_sq = pair_measures_sq(psi, "A")
+                c_one_rest = pure_concurrence(
+                    psi, Bipartition.of(psi.shape, ["A"]))
+                assert [float(slacks[name][j]).hex() for name in PAIR_SLACKS] \
+                    == [(float(ca_sq.sum()) - c_one_rest ** 2).hex(),
+                        (c_one_rest ** 2 - float(c_sq.sum())).hex()]
 
     def test_chains_equal_chain_bound(self):
         # the chains come from one sort per focus; chain_bound sorts per call
@@ -994,11 +1024,12 @@ class TestInvariance:
                             pair_measures_sq(phi, focus)):
                 npt.assert_allclose(b, a, rtol=0, atol=1e-10)
         stack = PureState(psi.shape, [psi.amplitudes, phi.amplitudes])
-        pairs, slacks = cut_sandwiches(stack, self.EXPONENTS)
+        pairs = pair_measures_sq(stack, "A")
         for values in pairs:            # (state, partner)
             npt.assert_allclose(values[1], values[0], rtol=0, atol=1e-10)
-        for values in slacks.values():  # (exponent, state)
-            npt.assert_allclose(values[:, 1], values[:, 0],
+        for values in cut_sandwiches(stack, self.EXPONENTS).values():
+            # (state,) or (exponent, state)
+            npt.assert_allclose(values[..., 1], values[..., 0],
                                 rtol=0, atol=1e-10)
 
     @settings(max_examples=20, deadline=None)

@@ -270,9 +270,9 @@ class TestCheckStat:
         sandwiches = bounds.cut_sandwiches
 
         def with_nan(psi, exponents):
-            pair, slacks = sandwiches(psi, exponents)
+            slacks = sandwiches(psi, exponents)
             slacks["negativity_upper_AB"][0, 0] = np.nan
-            return pair, slacks
+            return slacks
 
         monkeypatch.setattr(cli, "cut_sandwiches", with_nan)
         code = main(["verify", "--qubits", "4", "--trials", "2",
@@ -357,6 +357,22 @@ class TestVerifyReference:
         cfg = VerifyConfig(qubits=qubits, trials=trials, seed=seed,
                            exponents=(0.0, 0.5, 1.0, 1.5, 2.0))
         assert summary(run_verify(cfg)) == summary(per_function_verify(cfg))
+
+    @pytest.mark.parametrize("workload", ["verify-4q", "verify-6q"])
+    def test_check_names_match_benchmark_reference(self, workload, tmp_path,
+                                                   capsys):
+        # the result, the printed summary and the CSV name the checks in
+        # the order of the committed reference (read only)
+        ref = json.loads((REFERENCE_DIR / f"{workload}.json").read_text())
+        out_csv = tmp_path / "checks.csv"
+        res = run_verify(VerifyConfig(qubits=ref["qubits"], trials=1, seed=5))
+        assert main(["verify", "--qubits", str(ref["qubits"]), "--trials",
+                     "1", "--seed", "5", "--csv", str(out_csv)]) == 0
+        printed = capsys.readouterr().out.splitlines()[:len(ref["checks"])]
+        rows = out_csv.read_text().splitlines()[1:]
+        assert list(res.stats) == ref["checks"]
+        assert [line.split()[0] for line in printed] == ref["checks"]
+        assert [row.split(",")[0] for row in rows] == ref["checks"]
 
     @pytest.mark.parametrize("workload", ["verify-4q", "verify-6q"])
     def test_benchmark_reference_batches(self, workload):
@@ -560,6 +576,31 @@ class TestMainExitCodes:
         assert code == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_bounds_unnormalized_message(self, tmp_path, capsys):
+        spec = tmp_path / "long.state"
+        spec.write_text("qubits 3\namp 0 1 0\namp 7 0.5 0\n", encoding="utf-8")
+        code = main(["bounds", "--state", str(spec), "--cut", "A|BC",
+                     "--exponent", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: line 1: state is not normalized: |psi| = "
+            "1.118033988749895 (pass renormalize to accept)\n")
+
+    @pytest.mark.parametrize("scale", ["1e-200", "1e200"])
+    def test_bounds_renormalizes_tiny_or_huge_amplitudes(self, tmp_path,
+                                                         scale, capsys):
+        # the same report as the spec at unit scale
+        reports = []
+        for amp in (scale, "1"):
+            spec = tmp_path / f"ghz-{amp}.state"
+            spec.write_text(f"qubits 3\namp 0 {amp} 0\namp 7 {amp} 0\n",
+                            encoding="utf-8")
+            code = main(["bounds", "--state", str(spec), "--cut", "A|BC",
+                         "--exponent", "1", "--renormalize"])
+            assert code == 0
+            reports.append(capsys.readouterr().out.splitlines()[1:])
+        assert reports[0] == reports[1]
+
     def test_usage_error_exit_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["figure", "--id", "9", "--out", "x.csv"])
@@ -737,17 +778,20 @@ class TestOncePerState:
     @pytest.mark.parametrize("trials", [1, 5, 64])
     def test_verify_chunk_fixed_costs_once(self, monkeypatch, qubits,
                                            trials):
-        # one chunk: at most 3 power calls (heads and radicands, every
-        # cut's lhs, the Schmidt-pair factor), no generator built (the
-        # process's one, built by its first draw, serves every draw) and
-        # one AB|rest cut matrix for both AB sandwiches
+        # one chunk: 5 power calls (C^2(A|rest), the AB|rest negativity,
+        # heads and radicands, every cut's lhs, the Schmidt-pair factor)
+        # of the one _pow under either module name, no generator built
+        # (the process's one, built by its first draw, serves every draw)
+        # and one AB|rest cut matrix for both AB sandwiches
         assert trials <= cli.VERIFY_CHUNK
         rng.raw_draws(1, 0)
         pows, philox, ab_gathers = [], [], []
-        power, philox_class = bounds._pow, np.random.Philox
+        power, philox_class = measures._pow, np.random.Philox
         cut_index = measures._cut_index
-        monkeypatch.setattr(
-            bounds, "_pow", lambda *args: pows.append(args) or power(*args))
+        assert bounds._pow is power
+        for module in (bounds, measures):
+            monkeypatch.setattr(module, "_pow", lambda *args: (
+                pows.append(args) or power(*args)))
         monkeypatch.setattr(np.random, "Philox", lambda *args, **kwargs: (
             philox.append(args) or philox_class(*args, **kwargs)))
 
@@ -758,7 +802,7 @@ class TestOncePerState:
 
         monkeypatch.setattr(measures, "_cut_index", index)
         run_verify(VerifyConfig(qubits=qubits, trials=trials, seed=7))
-        assert 1 <= len(pows) <= 3
+        assert len(pows) == 5
         assert philox == []
         assert len(ab_gathers) == 1
 

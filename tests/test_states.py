@@ -75,6 +75,11 @@ class TestAcinState:
         with pytest.raises(ValueError, match="normalized"):
             AcinParams(1.0, 1.0, 0.0, 0.0, 0.0)
 
+    def test_normalization_error_prints_a_plain_float(self):
+        with pytest.raises(ValueError) as exc:
+            AcinParams(np.float64(0.5), 0, 0, 0, 0)
+        assert str(exc.value) == "coefficients are not normalized: sum sq = 0.25"
+
 
 class TestWClassState:
     def test_pairwise_concurrences(self, example2_state):
@@ -153,15 +158,18 @@ class TestRng:
         assert np.all(u > 0.0) and np.all(u <= 1.0)
 
     def test_normals_moments(self):
-        z = rng.standard_normals(200_000, 11)
-        assert abs(z.mean()) < 0.01
-        assert abs(z.std() - 1.0) < 0.01
+        # the real and imaginary parts of a standard complex normal are
+        # independent standard normals
+        z = rng.complex_normals(100_000, 11)
+        for part in (z.real, z.imag):
+            assert abs(part.mean()) < 0.01
+            assert abs(part.std() - 1.0) < 0.01
+        assert abs(np.mean(z.real * z.imag)) < 0.01
 
     def test_raw_determinism(self):
         npt.assert_array_equal(rng.raw_draws(8, 5, 2), rng.raw_draws(8, 5, 2))
 
     @pytest.mark.parametrize("draw", [rng.raw_draws, rng.uniforms,
-                                      rng.standard_normals,
                                       rng.complex_normals])
     def test_stream_batch_equals_per_stream(self, draw):
         streams = [0, 5, 2 ** 32, 2 ** 64 - 1, -1]
@@ -310,6 +318,37 @@ class TestStateSpecFormat:
                                renormalize=True)
         assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-15
 
+    def test_normalization_error_prints_a_plain_float(self):
+        with pytest.raises(StateSpecError) as exc:
+            parse_state_spec("qubits 1\namp 0 1 0\namp 1 0.5 0\n")
+        assert str(exc.value) == ("line 1: state is not normalized: "
+                                  "|psi| = 1.118033988749895 "
+                                  "(pass renormalize to accept)")
+
+    def test_renormalize_keeps_ordinary_amplitudes(self):
+        amp = np.array([0.5, 0.25 - 0.5j, 0.0, complex(0.0, -0.125)])
+        psi = parse_state_spec(
+            "qubits 2\namp 0 0.5 0\namp 1 0.25 -0.5\namp 3 0 -0.125\n",
+            renormalize=True)
+        assert psi.amplitudes.tobytes() == (
+            amp / np.sqrt(np.vdot(amp, amp).real)).tobytes()
+
+    @pytest.mark.parametrize("scale", ["1e-200", "5e-324", "1e200", "1.7e308"])
+    def test_renormalize_tiny_or_huge_amplitudes(self, scale):
+        # the squared norm underflows to 0 or overflows (to inf, or to NaN
+        # through a complex product); rescaling first gives the amplitudes
+        # of the same spec at unit scale
+        text = f"qubits 2\namp 0 {scale} -{scale}\namp 3 {scale} 0\n"
+        unit = parse_state_spec(text.replace(scale, "1"), renormalize=True)
+        psi = parse_state_spec(text, renormalize=True)
+        assert psi.amplitudes.tobytes() == unit.amplitudes.tobytes()
+        with pytest.raises(StateSpecError, match="not normalized"):
+            parse_state_spec(text)
+
+    def test_renormalize_zero_vector_raises(self):
+        with pytest.raises(StateSpecError, match="cannot renormalize the zero"):
+            parse_state_spec("qubits 2\namp 0 0 -0\n", renormalize=True)
+
     def test_round_trip_example1(self, example1_state):
         text = emit_state_spec(example1_state)
         back = parse_state_spec(text)
@@ -341,6 +380,21 @@ class TestPureState:
         from entbounds.linalg import qubit_shape
         with pytest.raises(ValueError, match="normalized"):
             PureState(qubit_shape(("A", "B")), np.array([1.0, 1.0, 0.0, 0.0]))
+
+    def test_normalization_error_prints_a_plain_float(self):
+        from entbounds.linalg import qubit_shape
+        with pytest.raises(ValueError) as exc:
+            PureState(qubit_shape(("A", "B")), np.array([1.0, 0.5, 0.0, 0.0]))
+        assert str(exc.value) == \
+            "state is not normalized: |psi| = 1.118033988749895"
+
+    def test_rejects_nan_squared_norm(self):
+        # the complex product of 1e200 - 1e200j with its conjugate is NaN,
+        # which no tolerance comparison may pass as normalized
+        from entbounds.linalg import qubit_shape
+        amp = np.array([1e200 - 1e200j, 1e200, 0.0, 0.0])
+        with pytest.raises(ValueError, match=r"\|psi\| = nan"):
+            PureState(qubit_shape(("A", "B")), amp)
 
     def test_stack_of_states(self):
         from entbounds.linalg import qubit_shape
