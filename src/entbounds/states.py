@@ -163,9 +163,8 @@ def parse_state_spec(text: str, renormalize: bool = False) -> PureState:
     Format: a ``qubits <n>`` header, then ``amp <index> <re> <im>`` lines
     (decimal basis index); ``#`` starts a comment; unlisted amplitudes are
     zero; duplicate indices are errors.  Non-normalized specs are rejected
-    unless ``renormalize`` is set; a squared norm that underflows to 0 or
-    overflows is then first rescaled by the largest real or imaginary
-    part.
+    unless ``renormalize`` is set, which first rescales amplitudes whose
+    squared norm underflows or overflows.
     """
     n_qubits = None
     amp = None
@@ -209,7 +208,9 @@ def parse_state_spec(text: str, renormalize: bool = False) -> PureState:
     if amp is None:
         raise StateSpecError("missing 'qubits' header", 1)
     sq = float(np.vdot(amp, amp).real)
-    if not abs(sq - 1.0) <= TAU_NUM:   # NaN is not normalized
+    if math.isnan(sq) and np.isfinite(amp.view(float)).all():
+        sq = math.inf   # an overflow: inf - inf in the complex product
+    if abs(sq - 1.0) > TAU_NUM:
         if not renormalize:
             raise StateSpecError(
                 f"state is not normalized: |psi| = {math.sqrt(sq)!r} "

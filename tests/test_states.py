@@ -345,6 +345,12 @@ class TestStateSpecFormat:
         with pytest.raises(StateSpecError, match="not normalized"):
             parse_state_spec(text)
 
+    @pytest.mark.parametrize("renormalize", [False, True])
+    def test_nan_amplitude_is_not_finite(self, renormalize):
+        with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+            parse_state_spec("qubits 1\namp 0 nan 0\n",
+                             renormalize=renormalize)
+
     def test_renormalize_zero_vector_raises(self):
         with pytest.raises(StateSpecError, match="cannot renormalize the zero"):
             parse_state_spec("qubits 2\namp 0 0 -0\n", renormalize=True)
