@@ -25,10 +25,7 @@ from .linalg import (
     TAU_PSD,
     SubsystemShape,
     default_labels,
-    partial_trace,
-    partial_transpose,
     qubit_shape,
-    trace_norm,
 )
 from .measures import (
     Bipartition,
@@ -38,11 +35,6 @@ from .measures import (
     pure_concurrence,
     reduced_density,
     schmidt_rank,
-)
-from .optimizer import (
-    OptimizationResult,
-    optimize,
-    ordered_set_partitions,
 )
 from .states import (
     AcinParams,
@@ -60,15 +52,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AcinParams", "Bipartition", "BoundReport", "FocusParams",
-    "InfeasibleParamsError", "LemmaCoefficients", "MAX_DIM",
-    "OptimizationResult", "PureState", "SandwichBounds", "StateSpecError",
-    "SubsystemShape", "TAU_HERM", "TAU_NUM", "TAU_PSD", "WClass4Params",
-    "acin_state", "chain_values", "cren_crenoa_two_qubit", "default_labels",
-    "emit_state_spec", "haar_random_pure", "lemma_rhs", "linear_entropy",
-    "monogamy_lower_AB", "multi_partition_polygamy", "negativity",
-    "negativity_bounds_AB", "optimize", "ordered_set_partitions",
-    "pair_measures_sq", "parse_state_spec", "partial_trace",
-    "partial_transpose", "polygamy_bound_coa", "polygamy_upper_AB",
-    "pure_concurrence", "qubit_shape", "reduced_density", "schmidt_rank",
-    "theta", "trace_norm", "tripartite_bounds", "wclass4_state",
+    "InfeasibleParamsError", "LemmaCoefficients", "MAX_DIM", "PureState",
+    "SandwichBounds", "StateSpecError", "SubsystemShape", "TAU_HERM",
+    "TAU_NUM", "TAU_PSD", "WClass4Params", "acin_state", "chain_values",
+    "cren_crenoa_two_qubit", "default_labels", "emit_state_spec",
+    "haar_random_pure", "lemma_rhs", "linear_entropy", "monogamy_lower_AB",
+    "multi_partition_polygamy", "negativity", "negativity_bounds_AB",
+    "pair_measures_sq", "parse_state_spec", "polygamy_bound_coa",
+    "polygamy_upper_AB", "pure_concurrence", "qubit_shape",
+    "reduced_density", "schmidt_rank", "theta", "tripartite_bounds",
+    "wclass4_state",
 ]

@@ -28,12 +28,12 @@ reports the descending grouping and p = t for inspection but evaluates
 the family proper.
 
 Every caller reads the pair values of all its foci from one
-``pair_measures_sq`` call, which evaluates each unordered qubit pair the
-foci touch once, all in one stacked spin-flip spectrum of their cut
-matrices.  The report functions resolve each focus of their one state
-once (``_focus``: grouping, fallback, checked p, and the exponent-free
-constants of each recursion level of "ours" and of the p = 1
-specialization, which ``theta`` evaluates too).  Each exponent is then
+``pair_measures_sq`` call (each qubit pair the foci touch once, in one
+stacked spin-flip spectrum of their cut matrices) and its AB|rest cuts
+from ``_ab_cuts`` (one cut-matrix gather and one SVD).  The report
+functions resolve each focus once per call (``_focus``: grouping,
+fallback, checked p, and the exponent-free constants of each recursion
+level of "ours" and of the p = 1 specialization).  Each exponent is then
 one pass in Python floats: per focus both recursions and the powers all
 chains share, per cut the combine step.  ``cut_sandwiches``, the one
 per-state pass of ``verify``, evaluates a stack of N states in one
@@ -65,7 +65,6 @@ from .measures import (
     _pair_roofs,
     _pow,
     _rank_from,
-    _schmidt_values,
     pure_concurrence,
 )
 from .states import PureState
@@ -493,13 +492,13 @@ def _ab_foci(psi: PureState) -> tuple[str, ...]:
     return psi.shape.labels[:2]
 
 
-def _concurrence_AB(foci: tuple[str, ...], c) -> tuple[_Cut, _Cut]:
-    """The AB|rest concurrence cuts, from C(AB|rest)."""
-    return _Cut("lower", c, foci, _lower_AB), _Cut("upper", c, foci, _upper)
-
-
-def _negativity_AB(foci: tuple[str, ...], schmidt) -> tuple[_Cut, _Cut]:
-    """The AB|rest negativity cuts, from the Schmidt values of the cut."""
+def _ab_cuts(psi: PureState) -> tuple[_Cut, _Cut, _Cut, _Cut]:
+    """The four AB|rest cuts (concurrence lower, upper, negativity lower,
+    upper) from one cut matrix M: C from M M^dagger, N and rank by SVD."""
+    foci = _ab_foci(psi)
+    m = _cut_matrix(psi, [foci])[..., 0, :, :]
+    c = _concurrence_from(m)
+    schmidt = np.linalg.svd(m, compute_uv=False)
     r = _rank_from(schmidt)
     pairs = r * (r - 1) / 2.0   # a float for one state, (N,) for a stack
     n = _negativity_from(schmidt)
@@ -507,7 +506,8 @@ def _negativity_AB(foci: tuple[str, ...], schmidt) -> tuple[_Cut, _Cut]:
     def upper(v, rad, x):
         return _pow(pairs, x) * _upper(v, rad, x)
 
-    return _Cut("lower", n, foci, _lower_AB), _Cut("upper", n, foci, upper)
+    return (_Cut("lower", c, foci, _lower_AB), _Cut("upper", c, foci, _upper),
+            _Cut("lower", n, foci, _lower_AB), _Cut("upper", n, foci, upper))
 
 
 def _tripartite(psi: PureState) -> tuple[_Cut, _Cut]:
@@ -539,9 +539,7 @@ def monogamy_lower_AB(psi: PureState, exponents, p="auto") -> list[BoundReport]:
     Both one-sided expressions are valid lower bounds; the max is taken.
     The radicands use pair concurrence, the subtracted theta uses CoA.
     """
-    foci = _ab_foci(psi)
-    c = pure_concurrence(psi, Bipartition.of(psi.shape, foci))
-    [lower] = _sweep(psi, exponents, p, _concurrence_AB(foci, c)[0])
+    [lower] = _sweep(psi, exponents, p, _ab_cuts(psi)[0])
     return lower
 
 
@@ -557,9 +555,7 @@ def negativity_bounds_AB(psi: PureState, exponents, p="auto") -> list[SandwichBo
     lower bound reuses the concurrence construction; the upper bound picks
     up the Schmidt-rank factor (r(r-1)/2)^(alpha/2) of the cut.
     """
-    foci = _ab_foci(psi)
-    schmidt = _schmidt_values(psi, Bipartition.of(psi.shape, foci))
-    reports = _sweep(psi, exponents, p, *_negativity_AB(foci, schmidt))
+    reports = _sweep(psi, exponents, p, *_ab_cuts(psi)[2:])
     return list(map(SandwichBounds, *reports))
 
 
@@ -602,27 +598,25 @@ def cut_sandwiches(psi: PureState, exponents) -> dict[str, np.ndarray]:
     pair_conc_monogamy (C^2(A|rest) - its pair C^2 sum), each (N,), then
     each of SANDWICH_NAMES, (len(exponents), N): the concurrence and
     negativity sandwiches across AB|rest and, from 5 subsystems up,
-    across ABC1|rest, in auto mode.  One state has no stack axis, as for
-    the measures.  Auto mode's "ours" is the single group's power (module
-    doc), so each focus needs only its CoA^2 sum, trimmed as ``theta``
-    trims it, and its radicand.  Each slack equals, bit for bit, its
-    one-state value (for a sandwich, the matching report function's gap);
-    no grouping, comparator or report is built.
+    across ABC1|rest (the AB|rest cuts are the reports' ``_ab_cuts``), in
+    auto mode.  One state has no stack axis, as for the measures.  Auto
+    mode's "ours" is the single group's power (module doc), so each focus
+    needs only its CoA^2 sum, trimmed as ``theta`` trims it, and its
+    radicand.  Each slack equals, bit for bit, its one-state value (for a
+    sandwich, the matching report function's gap); no grouping,
+    comparator or report is built.
     """
     exponents = [_check_exponent(e) for e in exponents]
     x = np.array(exponents) / 2.0
-    ab = _ab_foci(psi)
-    m = _cut_matrix(psi, [ab])[..., 0, :, :]   # one gather for both AB cuts
-    cuts = _concurrence_AB(ab, _concurrence_from(m)) + _negativity_AB(
-        ab, np.linalg.svd(m, compute_uv=False))
+    cuts = _ab_cuts(psi)
     if len(psi.shape.labels) >= 5:
         cuts += _tripartite(psi)
     foci = tuple(dict.fromkeys(f for cut in cuts for f in cut.foci))
     # (..., F, partners), ... = (N,) for a stack; the pair values of a
     # checked state are nonnegative and finite
     c_sq, ca_sq = pair_measures_sq(psi, foci)
-    one_rest_sq = _pow(_concurrence_from(
-        _cut_matrix(psi, [ab[:1]])[..., 0, :, :]), 2.0)   # C^2(A|rest)
+    one_rest_sq = _pow(_concurrence_from(_cut_matrix(
+        psi, [psi.shape.labels[:1]])[..., 0, :, :]), 2.0)   # C^2(A|rest)
     slacks = {"pair_coa_polygamy": ca_sq[..., 0, :].sum(axis=-1) - one_rest_sq,
               "pair_conc_monogamy": one_rest_sq - c_sq[..., 0, :].sum(axis=-1)}
     head = ca_sq.cumsum(axis=-1)[..., -1]   # left to right, as theta adds

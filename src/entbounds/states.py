@@ -162,9 +162,9 @@ def parse_state_spec(text: str, renormalize: bool = False) -> PureState:
 
     Format: a ``qubits <n>`` header, then ``amp <index> <re> <im>`` lines
     (decimal basis index); ``#`` starts a comment; unlisted amplitudes are
-    zero; duplicate indices are errors.  Non-normalized specs are rejected
-    unless ``renormalize`` is set, which first rescales amplitudes whose
-    squared norm underflows or overflows.
+    zero; duplicate indices and non-finite parts are errors.  Non-normalized
+    specs are rejected unless ``renormalize`` is set, which first rescales
+    amplitudes whose squared norm underflows or overflows.
     """
     n_qubits = None
     amp = None
@@ -201,6 +201,8 @@ def parse_state_spec(text: str, renormalize: bool = False) -> PureState:
                     f"index {idx} out of range [0, {amp.size - 1}]", lineno)
             if idx in seen:
                 raise StateSpecError(f"duplicate index {idx}", lineno)
+            if not (math.isfinite(re) and math.isfinite(im)):
+                raise StateSpecError(f"amplitude must be finite: {line!r}", lineno)
             seen.add(idx)
             amp[idx] = complex(re, im)
         else:
@@ -208,7 +210,7 @@ def parse_state_spec(text: str, renormalize: bool = False) -> PureState:
     if amp is None:
         raise StateSpecError("missing 'qubits' header", 1)
     sq = float(np.vdot(amp, amp).real)
-    if math.isnan(sq) and np.isfinite(amp.view(float)).all():
+    if math.isnan(sq):
         sq = math.inf   # an overflow: inf - inf in the complex product
     if abs(sq - 1.0) > TAU_NUM:
         if not renormalize:

@@ -601,6 +601,21 @@ class TestMainExitCodes:
             reports.append(capsys.readouterr().out.splitlines()[1:])
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("renormalize", [[], ["--renormalize"]],
+                             ids=["strict", "renormalize"])
+    @pytest.mark.parametrize("amp", ["nan 0", "inf 0", "-inf 0", "0 nan",
+                                     "0 inf", "0 -inf"])
+    def test_bounds_non_finite_amplitude_names_its_line(
+            self, tmp_path, amp, renormalize, capsys):
+        spec = tmp_path / "bad.state"
+        spec.write_text(f"qubits 2\namp 0 {amp}\namp 3 1 0\n",
+                        encoding="utf-8")
+        code = main(["bounds", "--state", str(spec), "--cut", "A|B",
+                     "--exponent", "1", *renormalize])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: line 2: amplitude must be finite: 'amp 0 {amp}'\n")
+
     def test_usage_error_exit_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["figure", "--id", "9", "--out", "x.csv"])

@@ -1,5 +1,8 @@
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -9,8 +12,14 @@ import entbounds
 from entbounds import cli
 
 ROOT = Path(__file__).resolve().parents[1]
-CHECKED = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py")
+CHECKED = sorted(p for d in ("src", "tests", "scripts")
+                 for p in (ROOT / d).rglob("*.py")
                  if p.name != "__init__.py")  # __init__ imports re-export
+# Names that stay module-level only: the package API leaves them out.
+MODULE_ONLY = [("optimizer", "optimize"), ("optimizer", "OptimizationResult"),
+               ("optimizer", "ordered_set_partitions"),
+               ("linalg", "partial_trace"), ("linalg", "partial_transpose"),
+               ("linalg", "trace_norm")]
 
 
 def test_all_names_resolve():
@@ -24,6 +33,23 @@ def test_all_lists_every_public_name():
               if not name.startswith("_")
               and not isinstance(value, types.ModuleType)}
     assert set(entbounds.__all__) == public
+
+
+@pytest.mark.parametrize("module, name", MODULE_ONLY,
+                         ids=[name for _, name in MODULE_ONLY])
+def test_module_only_names_stay_out_of_the_package(module, name):
+    assert not hasattr(entbounds, name)
+    assert name not in entbounds.__all__
+    assert getattr(importlib.import_module(f"entbounds.{module}"), name)
+
+
+def test_import_does_not_load_the_optimizer():
+    code = ("import sys, entbounds; "
+            "print('entbounds.optimizer' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert out.stdout == "False\n"
 
 
 def unused_imports(source: str) -> list[str]:

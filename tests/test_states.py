@@ -346,10 +346,25 @@ class TestStateSpecFormat:
             parse_state_spec(text)
 
     @pytest.mark.parametrize("renormalize", [False, True])
-    def test_nan_amplitude_is_not_finite(self, renormalize):
-        with pytest.raises(ValueError, match="^amplitudes must be finite$"):
-            parse_state_spec("qubits 1\namp 0 nan 0\n",
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["re", "im"])
+    def test_non_finite_amplitude_names_its_line(self, field, value,
+                                                 renormalize):
+        # float() parses these; the parser, not PureState, rejects them
+        amp = f"{value} 0" if field == "re" else f"0 {value}"
+        with pytest.raises(StateSpecError) as exc:
+            parse_state_spec(f"qubits 1\namp 0 {amp}\namp 1 1 0\n",
                              renormalize=renormalize)
+        assert exc.value.line == 2
+        assert str(exc.value) == (
+            f"line 2: amplitude must be finite: 'amp 0 {amp}'")
+
+    def test_non_finite_amplitude_after_other_line_errors(self):
+        # a line's index and duplicate checks come first, as before
+        with pytest.raises(StateSpecError, match="line 2: index 2 out of"):
+            parse_state_spec("qubits 1\namp 2 nan 0\n")
+        with pytest.raises(StateSpecError, match="line 3: duplicate index"):
+            parse_state_spec("qubits 1\namp 0 1 0\namp 0 inf 0\n")
 
     def test_renormalize_zero_vector_raises(self):
         with pytest.raises(StateSpecError, match="cannot renormalize the zero"):
@@ -401,6 +416,12 @@ class TestPureState:
         amp = np.array([1e200 - 1e200j, 1e200, 0.0, 0.0])
         with pytest.raises(ValueError, match=r"\|psi\| = nan"):
             PureState(qubit_shape(("A", "B")), amp)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_rejects_non_finite_amplitudes(self, value):
+        from entbounds.linalg import qubit_shape
+        with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+            PureState(qubit_shape(("A",)), np.array([value, 1.0]))
 
     def test_stack_of_states(self):
         from entbounds.linalg import qubit_shape
