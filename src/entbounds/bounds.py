@@ -38,8 +38,11 @@ one pass in Python floats: per focus both recursions and the powers all
 chains share, per cut the combine step.  ``cut_sandwiches``, the one
 per-state pass of ``verify``, evaluates a stack of N states in one
 ``measures._pow`` call for all heads and radicands and one for all lhs.
-That is Python's float power and every sum keeps its order, so a stack's
-rows equal the one-state values bit for bit.
+That is Python's float power and every sum is ``_sum``, left to right, so
+a stack's rows equal the one-state values bit for bit.  A head or
+radicand below TAU_NUM (``_trim``) and N across a cut of Schmidt rank 1
+(SCHMIDT_TOL) read 0: they are 0 on product foci and cuts, where a
+round-off residue's small power would break the bound.
 
 Convention used throughout: 0^0 := 1 and v^0 := 1, as Python's float
 power gives them, so exponent-zero curves are defined.
@@ -50,7 +53,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -114,6 +116,23 @@ def _check_params(p) -> tuple[float, ...]:
 def _max(a, b):
     """max of two floats, or the elementwise maximum of two arrays."""
     return max(a, b) if isinstance(a, float) else np.maximum(a, b)
+
+
+def _sum(values):
+    """Left-to-right sum of a sequence of floats (or arrays), or of an
+    array over its last axis; not the built-in ``sum`` (compensated from
+    Python 3.12) nor numpy's (pairwise from 8 terms)."""
+    if isinstance(values, np.ndarray):
+        return np.add.accumulate(values, axis=-1)[..., -1]   # sequential
+    total = 0.0
+    for v in values:
+        total = total + v
+    return total
+
+
+def _trim(v):
+    """v, or 0 below TAU_NUM, for a float or elementwise for an array."""
+    return v * (v >= TAU_NUM)
 
 
 class LemmaCoefficients(NamedTuple):
@@ -221,37 +240,23 @@ def lemma_chain_grid(count: int, seed: int, stream=0) -> np.ndarray:
 
 
 def _group_sums(group_coa_sq: Sequence[Sequence[float]]) -> list[float]:
-    """Group CoA^2 sums, each left to right.  Round-off negatives and -0
+    """Group CoA^2 sums, each a ``_sum``.  Round-off negatives and -0
     count as +0; a value below -TAU_NUM or a non-finite sum raises."""
     groups = [np.asarray(g, dtype=float).ravel().tolist()
               for g in group_coa_sq]
     for vals in groups:
         if any(v < -TAU_NUM for v in vals):
             raise ValueError(f"squared CoA values must be nonnegative: {vals}")
-    sums = [sum(max(v, 0.0) + 0.0 for v in vals) for vals in groups]
+    sums = [_sum([max(v, 0.0) + 0.0 for v in vals]) for vals in groups]
     if not all(map(math.isfinite, sums)):
         raise ValueError("squared CoA values must be finite")
     return sums
 
 
-def _group_heads(group_coa_sq: Sequence[Sequence[float]]) -> list[float]:
-    """``_group_sums`` trimmed to the recursion levels: trailing heads below
-    TAU_NUM are dropped (exact: a trailing zero group adds nothing to a
-    tail sum); an interior one would put 0/0 into Omega and raises."""
-    heads = _group_sums(group_coa_sq)
-    while heads and heads[-1] < TAU_NUM:
-        heads.pop()
-    if any(h < TAU_NUM for h in heads):
-        raise ValueError(
-            "a group with zero CoA^2 precedes nonzero groups; "
-            "reorder or merge groups so zero groups trail")
-    return heads
-
-
 def tail_ratios(heads: Sequence[float]) -> list[float]:
     """t_l = (sum of heads after level l) / head_l for each non-final level,
-    each sum left to right; 0 where head_l is 0."""
-    return [sum(heads[i + 1:]) / heads[i] if heads[i] else 0.0
+    each sum a ``_sum``; 0 where head_l is 0."""
+    return [_sum(heads[i + 1:]) / heads[i] if heads[i] else 0.0
             for i in range(len(heads) - 1)]
 
 
@@ -300,13 +305,21 @@ def theta(group_coa_sq: Sequence[Sequence[float]], exponent: float,
     recursion order, and ``p`` a parameter in (0, 1] for each non-final
     level (entries past the levels are checked, then ignored).  Equals
     (sum of all values)^(exponent/2) for a single group and the plain sum
-    at exponent 2.  Raises InfeasibleParamsError when some p_l falls below
-    the tail/head ratio at its level, and ValueError on a negative or
-    non-finite value.
+    at exponent 2.  Trailing groups whose sum is below TAU_NUM are dropped
+    (exact: they add nothing to a tail sum).  Raises InfeasibleParamsError
+    when some p_l falls below the tail/head ratio at its level, and
+    ValueError on a negative or non-finite value or on a zero group before
+    a nonzero one (0/0 in Omega).
     """
     x = _check_exponent(exponent) / 2.0
     p = _check_params(p)
-    heads = _group_heads(group_coa_sq)
+    heads = _group_sums(group_coa_sq)
+    while heads and heads[-1] < TAU_NUM:
+        heads.pop()
+    if any(h < TAU_NUM for h in heads):
+        raise ValueError(
+            "a group with zero CoA^2 precedes nonzero groups; "
+            "reorder or merge groups so zero groups trail")
     ts = tail_ratios(heads)
     return _recursion(*_levels(heads, ts, p), x)
 
@@ -398,7 +411,8 @@ def _focus(focus: str, c_sq: np.ndarray, ca_sq: np.ndarray, p) -> _Focus:
     order = sorted(range(len(ca)), key=ca.__getitem__, reverse=True)
     grouping = tuple((i,) for i in order)
     descending = [ca[i] for i in order]
-    heads = _group_heads([[v] for v in descending])
+    single = _trim(_sum(ca))
+    heads = [v for v in descending if v >= TAU_NUM]   # trailing, as in theta
     ts = tail_ratios(heads)
     fallback = auto = False
     if isinstance(spec, str):
@@ -407,15 +421,14 @@ def _focus(focus: str, c_sq: np.ndarray, ca_sq: np.ndarray, p) -> _Focus:
         auto = spec == "auto"
         if any(t > 1.0 + _FEAS_SLACK for t in ts):
             grouping, fallback = (tuple(range(len(ca))),), True
-            heads, ts = _group_heads([ca]), []
+            heads, ts = [single], []
         p = [min(t, 1.0) if auto else 1.0 for t in ts]
     else:
         p = _check_params(spec)  # every entry, also those past the levels
     # theta at p = t is the single-group value (module doc); else check p
-    ours = (_levels(_group_heads([ca]), (), ()) if auto
-            else _levels(heads, ts, p))
-    return _Focus(descending, FocusParams(grouping, tuple(p[:len(ts)]),
-                                          fallback), float(c_sq.sum()), ours,
+    ours = ((), single) if auto else _levels(heads, ts, p)
+    params = FocusParams(grouping, tuple(p[:len(ts)]), fallback)
+    return _Focus(descending, params, _trim(_sum(c_sq.tolist())), ours,
                   _levels(heads, ts, (1.0,) * len(ts)))
 
 
@@ -477,8 +490,8 @@ def _sweep(psi: PureState, exponents, p, *cuts: _Cut
 
 
 def _upper(v, rad, x):
-    """Left-to-right sum of the per-focus upper bounds."""
-    return functools.reduce(operator.add, v)
+    """Sum of the per-focus upper bounds."""
+    return _sum(v)
 
 
 def _lower_AB(v, rad, x):
@@ -501,7 +514,7 @@ def _ab_cuts(psi: PureState) -> tuple[_Cut, _Cut, _Cut, _Cut]:
     schmidt = np.linalg.svd(m, compute_uv=False)
     r = _rank_from(schmidt)
     pairs = r * (r - 1) / 2.0   # a float for one state, (N,) for a stack
-    n = _negativity_from(schmidt)
+    n = _negativity_from(schmidt) * (r > 1)   # 0 at rank 1 (module doc)
 
     def upper(v, rad, x):
         return _pow(pairs, x) * _upper(v, rad, x)
@@ -601,10 +614,10 @@ def cut_sandwiches(psi: PureState, exponents) -> dict[str, np.ndarray]:
     across ABC1|rest (the AB|rest cuts are the reports' ``_ab_cuts``), in
     auto mode.  One state has no stack axis, as for the measures.  Auto
     mode's "ours" is the single group's power (module doc), so each focus
-    needs only its CoA^2 sum, trimmed as ``theta`` trims it, and its
-    radicand.  Each slack equals, bit for bit, its one-state value (for a
-    sandwich, the matching report function's gap); no grouping,
-    comparator or report is built.
+    needs only its CoA^2 sum and its C^2 radicand, each a trimmed
+    ``_sum`` as in ``_focus``.  Each slack equals, bit for bit, its
+    one-state value (for a sandwich, the matching report function's gap);
+    no grouping, comparator or report is built.
     """
     exponents = [_check_exponent(e) for e in exponents]
     x = np.array(exponents) / 2.0
@@ -617,13 +630,12 @@ def cut_sandwiches(psi: PureState, exponents) -> dict[str, np.ndarray]:
     c_sq, ca_sq = pair_measures_sq(psi, foci)
     one_rest_sq = _pow(_concurrence_from(_cut_matrix(
         psi, [psi.shape.labels[:1]])[..., 0, :, :]), 2.0)   # C^2(A|rest)
-    slacks = {"pair_coa_polygamy": ca_sq[..., 0, :].sum(axis=-1) - one_rest_sq,
-              "pair_conc_monogamy": one_rest_sq - c_sq[..., 0, :].sum(axis=-1)}
-    head = ca_sq.cumsum(axis=-1)[..., -1]   # left to right, as theta adds
+    heads, radicands = _sum(ca_sq), _sum(c_sq)   # (..., F), untrimmed
+    slacks = {"pair_coa_polygamy": heads[..., 0] - one_rest_sq,
+              "pair_conc_monogamy": one_rest_sq - radicands[..., 0]}
     # heads and radicands in one power call: (E,) + stack shape per focus
     ours, rads = (dict(zip(foci, v)) for v in np.moveaxis(_pow(np.stack(
-        [np.where(head >= TAU_NUM, head, 0.0), c_sq.sum(axis=-1)]), x),
-        (1, -1), (0, 1)))
+        [_trim(heads), _trim(radicands)]), x), (1, -1), (0, 1)))
     lhs = _pow(np.stack([cut.base for cut in cuts[::2]]), exponents)
     for k, (side, _, foci, combine) in enumerate(cuts):
         v = combine([ours[f] for f in foci], [rads[f] for f in foci], x)

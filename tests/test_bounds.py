@@ -1,10 +1,11 @@
+import math
 from itertools import combinations, permutations
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entbounds import bounds, measures
@@ -667,19 +668,28 @@ class TestCutSandwiches:
 CORPUS_DIR = Path(__file__).resolve().parents[1] / "benchmark" / "corpus"
 
 
+def left_to_right(values):
+    """The values added one after another.  Not the built-in ``sum``, which
+    compensates its round-off from Python 3.12."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def reference_theta(groups, exponent, p):
     """theta written out from the key inequality: group sums left to
     right, trailing heads below 1e-9 dropped, and at level l the tail ratio
     t capped at p_l, Omega = 1 + x t/(1+p)^2 and Upsilon = ((1+p)^x - 1)/p^x
     - x p/((1+p)^2 p^x) at x = exponent/2."""
     x = exponent / 2.0
-    heads = [sum(g) for g in groups]
+    heads = [left_to_right(g) for g in groups]
     while heads and heads[-1] < 1e-9:
         heads.pop()
     value, prefix = 0.0, 1.0
     for level in range(len(heads) - 1):
         pl = p[level]
-        t = min(sum(heads[level + 1:]) / heads[level], pl)
+        t = min(left_to_right(heads[level + 1:]) / heads[level], pl)
         omega = 1.0 + x * t / (1.0 + pl) ** 2
         upsilon = (((1.0 + pl) ** x - 1.0) / pl ** x
                    - x * pl / ((1.0 + pl) ** 2 * pl ** x))
@@ -1043,3 +1053,125 @@ class TestInvariance:
             # partner k of phi is partner partners[k] - 1 of psi
             npt.assert_allclose(b, a[[j - 1 for j in partners]],
                                 rtol=0, atol=1e-10)
+
+
+def sandwich_gaps(psi: PureState, exponents) -> dict[str, list[float]]:
+    """The report gaps that ``cut_sandwiches`` reproduces, by slack name."""
+    neg = negativity_bounds_AB(psi, exponents)
+    reports = [monogamy_lower_AB(psi, exponents),
+               polygamy_upper_AB(psi, exponents),
+               [s.lower for s in neg], [s.upper for s in neg]]
+    if len(psi.shape.labels) >= 5:
+        tri = tripartite_bounds(psi, exponents)
+        reports += [[s.lower for s in tri], [s.upper for s in tri]]
+    return {name: [rep.gap for rep in reps]
+            for name, reps in zip(SANDWICH_NAMES, reports)}
+
+
+def assert_rows_equal_gaps(slacks, gaps, row=...):
+    """Stack row ``row`` of the slacks equals the gaps bit for bit; the
+    default reads the slacks of one unstacked state."""
+    assert {name: [float(v).hex() for v in slacks[name][:, row]]
+            for name in gaps} == {name: [g.hex() for g in values]
+                                  for name, values in gaps.items()}
+
+
+BLOCK_QUBITS = {"haar1": 1, "haar2": 2, "haar3": 3, "bell": 2, "ghz3": 3,
+                "w3": 3}
+
+
+def block(kind: str, seed: int) -> np.ndarray:
+    """Amplitudes of one factor of a block product: a seeded Haar state of
+    1-3 qubits, or Bell, GHZ_3 or W_3."""
+    dim = 2 ** BLOCK_QUBITS[kind]
+    if kind.startswith("haar"):
+        gen = np.random.default_rng(seed)
+        z = gen.normal(size=dim) + 1j * gen.normal(size=dim)
+        return z / np.linalg.norm(z)
+    indices = {"bell": [0, 3], "ghz3": [0, 7], "w3": [1, 2, 4]}[kind]
+    amp = np.zeros(dim, dtype=complex)
+    amp[indices] = 1.0 / np.sqrt(len(indices))
+    return amp
+
+
+def block_product(factors, axes) -> PureState:
+    """The np.kron product of the factors, its qubit axes permuted."""
+    amp = np.ones(1, dtype=complex)
+    for factor in factors:
+        amp = np.kron(amp, factor)
+    n = len(axes)
+    return PureState(qubit_shape(default_labels(n)),
+                     amp.reshape((2,) * n).transpose(axes).reshape(-1))
+
+
+@st.composite
+def block_products(draw) -> PureState:
+    """Products of blocks at 4-6 qubits, with permuted labels."""
+    n, factors, size = draw(st.integers(4, 6)), [], 0
+    while size < n:
+        kind = draw(st.sampled_from(
+            [k for k, q in BLOCK_QUBITS.items() if size + q <= n]))
+        factors.append(block(kind, draw(st.integers(0, 2 ** 32 - 1))))
+        size += BLOCK_QUBITS[kind]
+    return block_product(factors, draw(st.permutations(range(n))))
+
+
+PLUS_4 = block_product([np.full(2, 2 ** -0.5, dtype=complex)] * 4, range(4))
+
+
+class TestBlockProducts:
+    """Products of Haar, Bell, GHZ_3 and W_3 blocks: exact zeros and
+    product cuts away from Haar typicality.  No call raises, the lower
+    bounds and both negativity bounds hold, and the slacks of
+    ``cut_sandwiches`` equal the report gaps bit for bit.  The upper
+    concurrence bounds are left out: C across a product cut cancels to
+    about 1e-8 where the bound reads 0 (ROADMAP item 10, route (a))."""
+
+    EXPONENTS = (0.0, 0.1, 0.5, 1.0, 2.0)
+    HOLD = ("concurrence_lower_AB", "negativity_lower_AB",
+            "negativity_upper_AB", "tripartite_lower_ABC1")
+
+    @settings(max_examples=100, deadline=None)
+    @given(block_products())
+    @example(PLUS_4)   # |+>^4: N and the radicands read round-off
+    def test_bounds_hold_and_rows_equal_gaps(self, psi):
+        gaps = sandwich_gaps(psi, self.EXPONENTS)
+        for name in self.HOLD:
+            assert min(gaps.get(name, [0.0])) >= -1e-12, name
+        slacks = cut_sandwiches(psi, self.EXPONENTS)
+        assert_rows_equal_gaps(slacks, gaps)
+
+
+def compensated_sum(values, start=0):
+    """CPython 3.12's built-in ``sum`` of floats (Neumaier's compensated
+    summation), which can differ from left-to-right addition by an ulp."""
+    total, c = float(start), 0.0
+    for v in values:
+        t = total + v
+        c += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+class TestSummationOrder:
+    """Every sum of ``bounds`` adds left to right, whatever the built-in
+    ``sum`` of the interpreter does."""
+
+    EXPONENTS = (0.0, 0.35, 1.0, 1.5, 2.0)
+
+    def test_compensated_builtin_sum_changes_nothing(self, monkeypatch):
+        monkeypatch.setattr(bounds, "sum", compensated_sum, raising=False)
+        for n in (4, 5, 6):
+            stack = haar_random_pure(n, 23, stream=range(24))
+            slacks = cut_sandwiches(stack, self.EXPONENTS)
+            for j, amplitudes in enumerate(stack.amplitudes):
+                psi = PureState(stack.shape, amplitudes)
+                assert_rows_equal_gaps(slacks, sandwich_gaps(
+                    psi, self.EXPONENTS), j)
+                ca = pair_measures_sq(psi, "A")[1].tolist()
+                # one group, and four levels with tail ratios near 1/3
+                levels = [[v / 4 ** k for v in ca] for k in range(4)]
+                for groups, p in (([ca], ()), (levels, (0.5,) * 3)):
+                    for exponent in self.EXPONENTS:
+                        assert_bitwise(theta(groups, exponent, p),
+                                       reference_theta(groups, exponent, p))

@@ -77,6 +77,21 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def test_bounds_adds_only_through_its_sum():
+    """Every sum of ``bounds`` is ``bounds._sum``, left to right: the
+    built-in ``sum`` compensates from Python 3.12 and numpy's is pairwise
+    from 8 terms, so either could split a stack row from its one-state
+    value."""
+    tree = ast.parse((ROOT / "src" / "entbounds" / "bounds.py").read_text(
+        encoding="utf-8"))
+    calls = [node.func for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    assert not [f for f in calls if isinstance(f, ast.Name) and f.id == "sum"]
+    assert not [node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and node.attr in ("sum", "cumsum")]
+
+
 def test_benchmark_tracer_names_resolve():
     """Every name the benchmark tracer wraps must exist, so that deleting
     one cannot break a traced benchmark run unnoticed."""
