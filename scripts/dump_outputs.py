@@ -6,15 +6,13 @@ per exponent), ``run_bounds`` reports (text lines, CSV row and values),
 the six report functions of ``entbounds.bounds`` (values, comparators
 and focus records) over the state files of ``benchmark/corpus``, the pair
 values of ``pair_measures_sq`` for every focus of every corpus state
-(each focus alone and all foci in one call), the slacks of
+(each focus alone and all foci in one call), every slack of
 ``cut_sandwiches`` on stacks of corpus states and of Haar states, and
 ``theta``, ``chain_bound`` and ``lemma_rhs`` on a fixed grid, with every
 float written by ``float.hex``.
-It calls only public entry points, so the same script runs against any
-checkout whose ``pair_measures_sq`` takes a tuple of foci (older ones
-take one label) and whose ``FocusParams.grouping`` is the tuple of groups
-(older ones wrap it in a ``Grouping``): diff two dumps to show that a
-change keeps every output bit-identical.
+It calls only public entry points, so the same script runs against
+another checkout: diff two dumps to show that a change keeps every output
+bit-identical.
 
     PYTHONPATH=src python scripts/dump_outputs.py > after.txt
     PYTHONPATH=/path/to/other/src python scripts/dump_outputs.py > before.txt
@@ -189,20 +187,18 @@ def _sandwich_stacks():
 
 def dump_sandwiches(out):
     """``cut_sandwiches`` on each stack: the first focus's pair values per
-    state, then every bound's slacks per exponent.  Older checkouts return
-    the first focus's pair values with the slacks and no ``pair_*`` slacks;
-    the lines are the same either way."""
+    state, then every slack ``verify`` folds: one line for each of the
+    first focus's pair inequalities, one per exponent for each bound."""
     for name, psi in _sandwich_stacks().items():
-        slacks = cut_sandwiches(psi, EXPONENTS)
-        if isinstance(slacks, tuple):   # older checkouts: (pairs, slacks)
-            slacks = slacks[1]
         out.append(f"sandwiches {name}")
         out.extend(f"  pairs {_hex(c)} | {_hex(ca)}"
                    for c, ca in zip(*pair_measures_sq(psi, "A")))
-        out.extend(f"  {bound} {exponent} {_hex(row)}"
-                   for bound, rows in slacks.items()
-                   if not bound.startswith("pair_")
-                   for exponent, row in zip(EXPONENTS, rows))
+        for bound, rows in cut_sandwiches(psi, EXPONENTS).items():
+            if rows.ndim == 1:   # a pair inequality: no exponent axis
+                out.append(f"  {bound} {_hex(rows)}")
+            else:
+                out.extend(f"  {bound} {exponent} {_hex(row)}"
+                           for exponent, row in zip(EXPONENTS, rows))
 
 
 def _outcome(call) -> str:

@@ -27,10 +27,10 @@ reports the descending grouping and p = t for inspection but evaluates
 "ours" as the single-group theta; explicit p vectors between t and 1 are
 the family proper.
 
-Every caller reads the pair values of all its foci from one
-``pair_measures_sq`` call (each qubit pair the foci touch once, in one
-stacked spin-flip spectrum of their cut matrices) and its AB|rest cuts
-from ``_ab_cuts`` (one cut-matrix gather and one SVD).  The report
+``bounds`` reads no amplitudes: it combines the numbers ``measures``
+reads.  Every caller reads the pair values of all its foci from one
+``pair_measures_sq`` call and its AB|rest cuts from ``_ab_cuts`` (one
+``cut_measures`` read of C, N and Schmidt rank).  The report
 functions resolve each focus once per call (``_focus``: grouping,
 fallback, checked p, and the exponent-free constants of each recursion
 level of "ours" and of the p = 1 specialization).  Each exponent is then
@@ -50,8 +50,6 @@ power gives them, so exponent-zero curves are defined.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -61,12 +59,9 @@ from . import rng
 from .linalg import TAU_NUM
 from .measures import (
     Bipartition,
-    _concurrence_from,
-    _cut_matrix,
-    _negativity_from,
-    _pair_roofs,
     _pow,
-    _rank_from,
+    cut_measures,
+    pair_measures_sq,
     pure_concurrence,
 )
 from .states import PureState
@@ -328,49 +323,6 @@ def theta(group_coa_sq: Sequence[Sequence[float]], exponent: float,
 # state-level plumbing
 
 
-@functools.lru_cache(maxsize=256)
-def _pair_plan(labels: tuple[str, ...], foci: tuple[str, ...]
-               ) -> tuple[tuple[tuple[str, str], ...], np.ndarray]:
-    """The unordered pairs (i < j in shape order) the foci touch, and for
-    each focus the index of each partner's pair in that list, in shape
-    order: an (F, n-1) array.  Built on first use for each register and
-    foci."""
-    n, at = len(labels), [labels.index(f) for f in foci]
-    pairs = [(i, j) for i, j in itertools.combinations(range(n), 2)
-             if i in at or j in at]
-    where = {pair: k for k, pair in enumerate(pairs)}
-    rows = np.array([[where[min(f, q), max(f, q)] for q in range(n) if q != f]
-                     for f in at])
-    rows.setflags(write=False)
-    return tuple((labels[i], labels[j]) for i, j in pairs), rows
-
-
-def pair_measures_sq(psi: PureState, focus) -> tuple[np.ndarray, np.ndarray]:
-    """Squared pair concurrence and CoA of the focus with each partner.
-
-    Returns (c_sq, ca_sq) over the other labels in shape order, on the
-    last axis (a stack of N states gives two (N, partners) arrays).  A
-    tuple of foci adds a foci axis before the partner axis: (..., F,
-    partners).  Each unordered pair the foci touch is evaluated once (its
-    matrix is built in shape order, so (f, q) and (q, f) are one matrix):
-    one gather of the pair cut matrices and one spin-flip spectrum call
-    for all of them.  A cut matrix M decomposes its pair's state M M^dagger
-    (Hermitian and positive by construction), so no pair density matrix,
-    eigendecomposition or density check is needed.
-    """
-    foci = (focus,) if isinstance(focus, str) else tuple(focus)
-    labels = psi.shape.labels
-    if not foci:
-        raise ValueError("need at least one focus")
-    for f in foci:
-        if f not in labels:
-            raise ValueError(f"unknown focus label {f!r}")
-    pairs, rows = _pair_plan(labels, foci)
-    c, ca = _pair_roofs(_cut_matrix(psi, pairs))
-    rows = rows[0] if isinstance(focus, str) else rows
-    return (c * c)[..., rows], (ca * ca)[..., rows]
-
-
 def chain_bound(values_sq, exponent: float, kind: str) -> float:
     """Literature chain bound sum_l c^(l-1) (v_l)^(exponent/2) over the
     descending singleton ordering; c is 2^(x)-1, x, or 1.  Raises
@@ -507,14 +459,11 @@ def _ab_foci(psi: PureState) -> tuple[str, ...]:
 
 def _ab_cuts(psi: PureState) -> tuple[_Cut, _Cut, _Cut, _Cut]:
     """The four AB|rest cuts (concurrence lower, upper, negativity lower,
-    upper) from one cut matrix M: C from M M^dagger, N and rank by SVD."""
+    upper) from one ``cut_measures`` read."""
     foci = _ab_foci(psi)
-    m = _cut_matrix(psi, [foci])[..., 0, :, :]
-    c = _concurrence_from(m)
-    schmidt = np.linalg.svd(m, compute_uv=False)
-    r = _rank_from(schmidt)
+    c, n, r = cut_measures(psi, foci)
     pairs = r * (r - 1) / 2.0   # a float for one state, (N,) for a stack
-    n = _negativity_from(schmidt) * (r > 1)   # 0 at rank 1 (module doc)
+    n = n * (r > 1)   # 0 at rank 1 (module doc)
 
     def upper(v, rad, x):
         return _pow(pairs, x) * _upper(v, rad, x)
@@ -628,8 +577,8 @@ def cut_sandwiches(psi: PureState, exponents) -> dict[str, np.ndarray]:
     # (..., F, partners), ... = (N,) for a stack; the pair values of a
     # checked state are nonnegative and finite
     c_sq, ca_sq = pair_measures_sq(psi, foci)
-    one_rest_sq = _pow(_concurrence_from(_cut_matrix(
-        psi, [psi.shape.labels[:1]])[..., 0, :, :]), 2.0)   # C^2(A|rest)
+    one_rest_sq = _pow(pure_concurrence(psi, Bipartition.of(
+        psi.shape, psi.shape.labels[:1])), 2.0)   # C^2(A|rest)
     heads, radicands = _sum(ca_sq), _sum(c_sq)   # (..., F), untrimmed
     slacks = {"pair_coa_polygamy": heads[..., 0] - one_rest_sq,
               "pair_conc_monogamy": one_rest_sq - radicands[..., 0]}

@@ -44,8 +44,9 @@ FIG23_PARAMS = WClass4Params(l1=3 / 4, l2=1 / 2, l3=np.sqrt(2) / 4, l4=1 / 4)
 FIG23_P = {"A": (4 / 5, 3 / 5), "B": (2 / 5, 3 / 5)}
 
 _LEMMA_STREAM_BASE = 2 ** 32  # keeps lemma triples off the state streams
-# Trials evaluated as one stack by run_verify: a chunk pays the Python
-# overhead of its calls once, and 64 trials amortize most of it.
+# Trials evaluated as one stack by run_verify.  The value bounds the
+# memory of one stack (pair cut matrices of about 12 KB per 6-qubit
+# state); larger chunks measured faster (ROADMAP item 17).
 VERIFY_CHUNK = 64
 
 
@@ -86,7 +87,6 @@ class VerifyConfig:
     exponents: tuple[float, ...] = (0.5, 1.0, 1.5, 2.0)
     seed: int = 42
     tol: float = 1e-9
-    out_csv: str | None = None
 
     def __post_init__(self):
         _integers(self, "qubits", "trials", "seed")
@@ -152,10 +152,7 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _write_csv(path: str, header: list[str], rows: list[list[float]]):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(map(_fmt, row)))
+def _write_lines(path: str, lines: list[str]):
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -214,7 +211,7 @@ def _write_svg(path: str, header: list[str], rows: list[list[float]]):
         parts.append(f'<text x="{width - margin - 64}" y="{ly + 4}" '
                      f'font-size="12">{name}</text>')
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
+    _write_lines(path, parts)
 
 
 # Figure id -> (exponent name, curve letter, state, reports over exponents).
@@ -246,7 +243,8 @@ def figure_rows(fig_id: int, samples: int = 201) -> tuple[list[str], list[list[f
 def run_figure(spec: FigureSpec) -> tuple[list[str], list[list[float]]]:
     """Generate one figure's CSV (and optional SVG); returns the table."""
     header, rows = figure_rows(spec.id, spec.samples)
-    _write_csv(spec.out_csv, header, rows)
+    _write_lines(spec.out_csv, [",".join(header)]
+                 + [",".join(map(_fmt, row)) for row in rows])
     if spec.out_svg:
         _write_svg(spec.out_svg, header, rows)
     return header, rows
@@ -275,13 +273,6 @@ def run_verify(cfg: VerifyConfig) -> VerifyResult:
             "lemma_key_inequality": chain[:, 1] - chain[:, 0],
             "lemma_chain_order": np.diff(chain[:, 1:]).min(axis=1),
             **cut_sandwiches(psi, cfg.exponents)}, cfg.tol)
-    if cfg.out_csv:
-        header = ["check", "worst_slack", "violations", "samples"]
-        lines = [",".join(header)]
-        for st in res.stats.values():
-            lines.append(f"{st.name},{_fmt(st.worst_slack)},"
-                         f"{st.violations},{st.samples}")
-        Path(cfg.out_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return res
 
 
@@ -381,8 +372,13 @@ def main(argv=None) -> int:
             exponents = tuple(float(v) for v in args.exponents.split(","))
             cfg = VerifyConfig(qubits=args.qubits, trials=args.trials,
                                exponents=exponents, seed=args.seed,
-                               tol=args.tol, out_csv=args.csv)
+                               tol=args.tol)
             res = run_verify(cfg)
+            if args.csv:
+                _write_lines(args.csv, ["check,worst_slack,violations,samples"]
+                             + [f"{st.name},{_fmt(st.worst_slack)},"
+                                f"{st.violations},{st.samples}"
+                                for st in res.stats.values()])
             width = max(len(n) for n in res.stats)
             for st in res.stats.values():
                 flag = "FAIL" if st.violations else "ok"
@@ -400,9 +396,7 @@ def main(argv=None) -> int:
             for line in lines:
                 print(line)
             if args.csv:
-                Path(args.csv).write_text(
-                    _BOUNDS_CSV_HEADER + "\n" + csv_row + "\n",
-                    encoding="utf-8")
+                _write_lines(args.csv, [_BOUNDS_CSV_HEADER, csv_row])
             else:
                 print(_BOUNDS_CSV_HEADER)
                 print(csv_row)

@@ -6,11 +6,13 @@ spectrum mu_1 >= ... >= mu_4: C = max(0, mu_1 - mu_2 - mu_3 - mu_4) and
 C_a = mu_1 + mu_2 + mu_3 + mu_4, from any rho = V V^dagger: ``eigh`` gives
 V for a checked mixed input; a pure state's pair cut matrix is such a V.
 
-A pure state's quantities read its amplitude matrix M across a cut
-(``_cut_matrix``, one gather of the amplitudes through an index cached per
-register size and cuts, for any number of cuts of one size):
-rho_left = M M^dagger, and the Schmidt values are the singular values of
-M.  No 2^n x 2^n matrix is built.
+Every quantity of a pure state is read here, from its amplitude matrix M
+across a cut (``_cut_matrix``, one gather of the amplitudes through an
+index cached per register size and cuts, for any number of cuts of one
+size): rho_left = M M^dagger, and the Schmidt values are the singular
+values of M.  ``cut_measures`` reads a cut's C, N and Schmidt rank from
+one gather and one SVD, ``pair_measures_sq`` a set of foci's pair values
+from one gather and one spin-flip spectrum.  No 2^n x 2^n matrix is built.
 
 Every measure also takes a stack of inputs on leading axes (a PureState
 holding amplitudes (N, 2^n), or density matrices (..., d, d)) and returns
@@ -23,6 +25,7 @@ power is ``_pow``: numpy's array power can differ in the last bit.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,12 +195,16 @@ def _concurrence_from(m: np.ndarray) -> float:
     return _scalar(np.sqrt(2.0 * np.maximum(t, 0.0)))
 
 
-def _schmidt_values(psi: PureState, cut: Bipartition) -> np.ndarray:
-    """Schmidt values across the cut, the singular values of its cut
-    matrix; their squares are the eigenvalues of rho_left."""
-    _check_cut(psi, cut)
-    return np.linalg.svd(_cut_matrix(psi, [cut.left])[..., 0, :, :],
-                         compute_uv=False)
+def cut_measures(psi: PureState, left) -> tuple:
+    """(C, N, Schmidt rank) across the cut of ``left`` and the rest, from
+    one gather of its cut matrix M: C from rho_left = M M^dagger, and from
+    one SVD of M the Schmidt values s, N = (sum of s)^2 - 1 clipped at
+    zero (Vidal-Werner 2002) and the number of s^2 above SCHMIDT_TOL."""
+    m = _cut_matrix(psi, [left])[..., 0, :, :]
+    schmidt = np.linalg.svd(m, compute_uv=False)
+    n = np.maximum(0.0, _pow(schmidt.sum(axis=-1), 2.0) - 1.0)
+    rank = (schmidt ** 2 > SCHMIDT_TOL).sum(axis=-1)
+    return _concurrence_from(m), _scalar(n), _scalar(rank)
 
 
 def _mu_spectrum(v: np.ndarray) -> np.ndarray:
@@ -227,6 +234,49 @@ def _pair_roofs(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(0.0, 2.0 * mu[..., 0] - total), total
 
 
+@functools.lru_cache(maxsize=256)
+def _pair_plan(labels: tuple[str, ...], foci: tuple[str, ...]
+               ) -> tuple[tuple[tuple[str, str], ...], np.ndarray]:
+    """The unordered pairs (i < j in shape order) the foci touch, and for
+    each focus the index of each partner's pair in that list, in shape
+    order: an (F, n-1) array.  Built on first use for each register and
+    foci."""
+    n, at = len(labels), [labels.index(f) for f in foci]
+    pairs = [(i, j) for i, j in itertools.combinations(range(n), 2)
+             if i in at or j in at]
+    where = {pair: k for k, pair in enumerate(pairs)}
+    rows = np.array([[where[min(f, q), max(f, q)] for q in range(n) if q != f]
+                     for f in at])
+    rows.setflags(write=False)
+    return tuple((labels[i], labels[j]) for i, j in pairs), rows
+
+
+def pair_measures_sq(psi: PureState, focus) -> tuple[np.ndarray, np.ndarray]:
+    """Squared pair concurrence and CoA of the focus with each partner.
+
+    Returns (c_sq, ca_sq) over the other labels in shape order, on the
+    last axis (a stack of N states gives two (N, partners) arrays).  A
+    tuple of foci adds a foci axis before the partner axis: (..., F,
+    partners).  Each unordered pair the foci touch is evaluated once (its
+    matrix is built in shape order, so (f, q) and (q, f) are one matrix):
+    one gather of the pair cut matrices and one spin-flip spectrum call
+    for all of them.  A cut matrix M decomposes its pair's state M M^dagger
+    (Hermitian and positive by construction), so no pair density matrix,
+    eigendecomposition or density check is needed.
+    """
+    foci = (focus,) if isinstance(focus, str) else tuple(focus)
+    labels = psi.shape.labels
+    if not foci:
+        raise ValueError("need at least one focus")
+    for f in foci:
+        if f not in labels:
+            raise ValueError(f"unknown focus label {f!r}")
+    pairs, rows = _pair_plan(labels, foci)
+    c, ca = _pair_roofs(_cut_matrix(psi, pairs))
+    rows = rows[0] if isinstance(focus, str) else rows
+    return (c * c)[..., rows], (ca * ca)[..., rows]
+
+
 def _check_two_qubit(rho) -> np.ndarray:
     rho = _check_density(rho)
     if rho.shape[-2:] != (4, 4):
@@ -253,20 +303,11 @@ def cren_crenoa_two_qubit(rho) -> tuple[float, float]:
     return _scalar(c), _scalar(ca)
 
 
-def _negativity_from(schmidt: np.ndarray) -> float:
-    """(sum of Schmidt values)^2 - 1, clipped at zero."""
-    return _scalar(np.maximum(0.0, _pow(schmidt.sum(axis=-1), 2.0) - 1.0))
-
-
-def _rank_from(schmidt: np.ndarray) -> int:
-    """Number of Schmidt values whose square exceeds SCHMIDT_TOL."""
-    return _scalar((schmidt ** 2 > SCHMIDT_TOL).sum(axis=-1))
-
-
 def negativity(psi: PureState, cut: Bipartition) -> float:
     """Trace norm of the partial transpose of the pure state minus one,
     clipped at zero: (sum of Schmidt values)^2 - 1 (Vidal-Werner 2002)."""
-    return _negativity_from(_schmidt_values(psi, cut))
+    _check_cut(psi, cut)
+    return cut_measures(psi, cut.left)[1]
 
 
 def schmidt_rank(psi: PureState, cut: Bipartition) -> int:
@@ -277,4 +318,5 @@ def schmidt_rank(psi: PureState, cut: Bipartition) -> int:
     several decades between genuine zeros and round-off, so its value is
     uncritical.
     """
-    return _rank_from(_schmidt_values(psi, cut))
+    _check_cut(psi, cut)
+    return cut_measures(psi, cut.left)[2]

@@ -1,10 +1,13 @@
 """Reproducible random numbers for the verification harness.
 
 All randomness derives from the Philox-4x64-10 counter-based bit generator,
-keyed by ``(seed, stream)``.  Uniform doubles are built from raw 64-bit
-draws and complex Gaussians from explicit Box-Muller pairs, so a given
-(seed, stream) produces bit-identical values on every platform and is
-independent of numpy's Generator method streams.
+keyed by ``(seed, stream)`` and independent of numpy's Generator methods.
+The raw 64-bit words and the uniforms shifted from them are bit-identical
+on every platform.  Complex Gaussians are explicit Box-Muller pairs through
+numpy's ``log``, ``cos`` and ``sin``, whose last bit depends on the numpy
+build and CPU (numpy uses its own float64 ``log`` on AVX-512 CPUs), so
+they, Haar states and ``verify`` slacks are bit-identical per numpy build
+and CPU.
 A sequence of streams gives one row per stream, equal to that stream's
 draw; one stream is the no-stack case of the same code.
 """
@@ -59,7 +62,8 @@ def uniforms(n: int, seed: int, stream=0) -> np.ndarray:
 
 
 def complex_normals(n: int, seed: int, stream=0) -> np.ndarray:
-    """n standard complex normals; one Box-Muller pair per entry."""
+    """n standard complex normals, one Box-Muller pair per entry;
+    bit-identical per numpy build and CPU only (module doc)."""
     u = uniforms(2 * n, seed, stream)
     r = np.sqrt(-2.0 * np.log(u[..., :n]))
     ang = 2.0 * np.pi * u[..., n:]

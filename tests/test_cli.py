@@ -180,9 +180,9 @@ class TestVerify:
 
     def test_csv_summary(self, tmp_path):
         out = tmp_path / "verify.csv"
-        cfg = VerifyConfig(qubits=4, trials=3, exponents=(1.0,), seed=2,
-                           tol=1e-9, out_csv=str(out))
-        run_verify(cfg)
+        assert main(["verify", "--qubits", "4", "--trials", "3",
+                     "--exponents", "1", "--seed", "2", "--tol", "1e-9",
+                     "--csv", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "check,worst_slack,violations,samples"
         assert len(lines) > 5
@@ -716,7 +716,7 @@ class TestOncePerState:
             [m] = spectrum_calls
             assert m.shape == (trials, distinct, 4, 2 ** (qubits - 2))
             psi = haar_random_pure(qubits, 7, stream=range(trials))
-            pairs, _ = bounds._pair_plan(psi.shape.labels, pair_calls[0])
+            pairs, _ = measures._pair_plan(psi.shape.labels, pair_calls[0])
             assert np.array_equal(m, measures._cut_matrix(psi, pairs))
 
     @pytest.mark.parametrize("qubits", [4, 6])

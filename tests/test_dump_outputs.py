@@ -69,7 +69,8 @@ def test_pairs_section_gives_every_focus_one_row():
 
 def test_sandwiches_section_covers_every_stack_and_bound():
     """Each of the six stacks (corpus and Haar, 4-6 qubits) shows every
-    state's pair values and every bound's slacks at every exponent."""
+    state's pair values, one line of each pair inequality's slacks and
+    every bound's slacks at every exponent."""
     script = load_dump_script()
     out = []
     script.dump_sandwiches(out)
@@ -81,16 +82,22 @@ def test_sandwiches_section_covers_every_stack_and_bound():
         kind, rest = line.split(maxsplit=1)
         if kind == "pairs":
             pairs[stack] = pairs.get(stack, 0) + 1
+            continue
+        if kind.startswith("pair_"):
+            exponent, slacks = None, rest
         else:
             exponent, slacks = rest.split(" ", 1)
-            seen.setdefault(stack, set()).add((kind, float(exponent)))
-            assert len(slacks.split()) == pairs[stack]
+            exponent = float(exponent)
+        assert (kind, exponent) not in seen.get(stack, set())
+        seen.setdefault(stack, set()).add((kind, exponent))
+        assert len(slacks.split()) == pairs[stack]
     assert sorted(seen) == sorted(f"{kind} {n}q" for kind in ("corpus", "haar")
                                   for n in (4, 5, 6))
     for stack, bounds in seen.items():
         names = SANDWICH_NAMES[:4] if stack.endswith("4q") else SANDWICH_NAMES
-        assert bounds == {(name, e) for name in names
-                          for e in script.EXPONENTS}, stack
+        assert bounds == {("pair_coa_polygamy", None),
+                          ("pair_conc_monogamy", None)} | {
+            (name, e) for name in names for e in script.EXPONENTS}, stack
 
 
 def test_theta_section_reaches_each_function_at_exponents_zero_and_two():

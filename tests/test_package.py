@@ -12,14 +12,15 @@ import entbounds
 from entbounds import cli
 
 ROOT = Path(__file__).resolve().parents[1]
-CHECKED = sorted(p for d in ("src", "tests", "scripts")
-                 for p in (ROOT / d).rglob("*.py")
-                 if p.name != "__init__.py")  # __init__ imports re-export
+SOURCES = sorted(p for d in ("src", "tests", "scripts")
+                 for p in (ROOT / d).rglob("*.py"))
+CHECKED = [p for p in SOURCES
+           if p.name != "__init__.py"]  # __init__ imports re-export
 # Names that stay module-level only: the package API leaves them out.
 MODULE_ONLY = [("optimizer", "optimize"), ("optimizer", "OptimizationResult"),
                ("optimizer", "ordered_set_partitions"),
                ("linalg", "partial_trace"), ("linalg", "partial_transpose"),
-               ("linalg", "trace_norm")]
+               ("linalg", "trace_norm"), ("measures", "cut_measures")]
 
 
 def test_all_names_resolve():
@@ -75,6 +76,29 @@ def test_unused_import_scan():
 @pytest.mark.parametrize("path", CHECKED, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_parses_with_the_oldest_supported_grammar(path):
+    """pyproject allows Python 3.10, so every file must parse with its
+    grammar (on 3.11 this rejects ``except*``).  Runtime APIs newer than
+    3.10 stay unchecked."""
+    ast.parse(path.read_text(encoding="utf-8"), feature_version=(3, 10))
+
+
+def test_bounds_reads_states_only_through_measures():
+    """``measures`` is the one module that reads a state's amplitudes:
+    ``bounds`` imports from it only these names and calls no
+    ``np.linalg``, so it only combines the numbers they return."""
+    tree = ast.parse((ROOT / "src" / "entbounds" / "bounds.py").read_text(
+        encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "measures" for alias in node.names}
+    assert imported == {"Bipartition", "_pow", "cut_measures",
+                        "pair_measures_sq", "pure_concurrence"}
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "linalg"]
 
 
 def test_bounds_adds_only_through_its_sum():

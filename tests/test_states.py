@@ -169,6 +169,17 @@ class TestRng:
     def test_raw_determinism(self):
         npt.assert_array_equal(rng.raw_draws(8, 5, 2), rng.raw_draws(8, 5, 2))
 
+    def test_words_and_uniforms_are_pinned(self):
+        # Philox words and the uniforms shifted from them are exact on
+        # every platform; the Gaussians are not pinned (their np.log can
+        # differ in the last bit between numpy builds and CPUs)
+        assert rng.raw_draws(4, 42, 3).tolist() == [
+            13138034844547723835, 1300617538256654245,
+            7267606706469440352, 2331323060026350045]
+        assert [u.hex() for u in rng.uniforms(4, 42, 3).tolist()] == [
+            "0x1.6ca75a2a67f17p-1", "0x1.20cb8c2946e50p-4",
+            "0x1.936ee72d296e4p-2", "0x1.02d42fc50c610p-3"]
+
     @pytest.mark.parametrize("draw", [rng.raw_draws, rng.uniforms,
                                       rng.complex_normals])
     def test_stream_batch_equals_per_stream(self, draw):
