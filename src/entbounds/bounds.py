@@ -33,13 +33,16 @@ reads.  Every caller reads the pair values of all its foci from one
 ``cut_measures`` read of C, N and Schmidt rank).  The report
 functions resolve each focus once per call (``_focus``: grouping,
 fallback, checked p, and the exponent-free constants of each recursion
-level of "ours" and of the p = 1 specialization).  Each exponent is then
-one pass in Python floats: per focus both recursions and the powers all
-chains share, per cut the combine step.  ``cut_sandwiches``, the one
-per-state pass of ``verify``, evaluates a stack of N states in one
-``measures._pow`` call for all heads and radicands and one for all lhs.
-That is Python's float power and every sum is ``_sum``, left to right, so
-a stack's rows equal the one-state values bit for bit.  A head or
+level of "ours" and of the p = 1 specialization).  All exponents of a
+call are then one pass through the same code, one exponent as a Python
+float and several as one (E,) stack: per focus both recursions and the
+powers all chains share (one ``_pow`` per distinct base), per cut the
+combine step.  ``cut_sandwiches``, the one per-state pass of ``verify``,
+evaluates a stack of N states in one ``_pow`` call for all heads and
+radicands and one for all lhs.  Every power but the lemma grid's is
+``measures._pow``, Python's float power (numpy's can differ in the last
+bit), and every sum is ``_sum``, left to right, so a stack's entries
+equal the one-exponent, one-state values bit for bit.  A head or
 radicand below TAU_NUM (``_trim``) and N across a cut of Schmidt rank 1
 (SCHMIDT_TOL) read 0: they are 0 on product foci and cuts, where a
 round-off residue's small power would break the bound.
@@ -51,7 +54,8 @@ power gives them, so exponent-zero curves are defined.
 from __future__ import annotations
 
 import math
-from typing import Callable, Mapping, NamedTuple, Sequence
+from collections.abc import Callable, Mapping, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,11 +72,11 @@ from .states import PureState
 
 _FEAS_SLACK = 1e-12   # numerical slack in admissibility comparisons
 
-# Coefficient c(x) of each literature chain sum_l c^(l-1) v_l^x.
+# Coefficient c(x, 2^x) of each literature chain sum_l c^(l-1) v_l^x.
 CHAIN_COEFFICIENTS = {
-    "pow2_chain": lambda x: 2.0 ** x - 1.0,
-    "beta_half_chain": lambda x: x,
-    "trivial_sum": lambda x: 1.0,
+    "pow2_chain": lambda x, two_x: two_x - 1.0,
+    "beta_half_chain": lambda x, two_x: x,
+    "trivial_sum": lambda x, two_x: 1.0,
 }
 
 COMPARATOR_NAMES = ("p1_specialization", *CHAIN_COEFFICIENTS)
@@ -109,8 +113,8 @@ def _check_params(p) -> tuple[float, ...]:
 
 
 def _max(a, b):
-    """max of two floats, or the elementwise maximum of two arrays."""
-    return max(a, b) if isinstance(a, float) else np.maximum(a, b)
+    """max of two floats, or ``max`` elementwise on arrays (not np.maximum)."""
+    return max(a, b) if isinstance(a, float) else np.where(b > a, b, a)
 
 
 def _sum(values):
@@ -181,11 +185,10 @@ class SandwichBounds(NamedTuple):
         return self.lower.lhs
 
 
-def _omega_phi_upsilon(t, p, q, q2, x) -> tuple:
-    """Omega, Phi = (q^x - 1)/p^x and Upsilon of the key inequality at
-    q = 1 + p and q2 = (1 + p)^2, elementwise on scalars or arrays."""
-    px = p ** x
-    phi = (q ** x - 1.0) / px
+def _omega_phi_upsilon(t, p, q2, x, px, qx) -> tuple:
+    """Omega, Phi = (q^x - 1)/p^x and Upsilon of the key inequality from
+    q2 = q^2, px = p^x and qx = q^x at q = 1 + p, on scalars or arrays."""
+    phi = (qx - 1.0) / px
     return 1.0 + x * t / q2, phi, phi - x * p / (q2 * px)
 
 
@@ -199,16 +202,18 @@ def lemma_rhs(t: float, p: float, x: float) -> LemmaCoefficients:
         raise ValueError(f"p must be in (0, 1], got {p}")
     if not 0.0 <= t <= p:
         raise ValueError(f"t must be in [0, p] = [0, {p}], got {t}")
-    omega, _, upsilon = _omega_phi_upsilon(t, p, 1.0 + p, (1.0 + p) ** 2, x)
-    return LemmaCoefficients(omega, upsilon, omega + upsilon * t ** x)
+    omega, _, upsilon = _omega_phi_upsilon(
+        t, p, _pow(1.0 + p, 2.0), x, _pow(p, x), _pow(1.0 + p, x))
+    return LemmaCoefficients(omega, upsilon, omega + upsilon * _pow(t, x))
 
 
-def _chain_columns(t, p, x) -> list:
-    """The six chain expressions, elementwise on scalars or arrays."""
-    tx = t ** x
-    omega, phi, upsilon = _omega_phi_upsilon(t, p, 1.0 + p, (1.0 + p) ** 2, x)
-    return [(1.0 + t) ** x, omega + upsilon * tx, 1.0 + phi * tx] + [
-        1.0 + c(x) * tx for c in CHAIN_COEFFICIENTS.values()]
+def _chain_columns(t, p, x, power) -> list:
+    """The six chain expressions, elementwise, each power by ``power``."""
+    tx, q, two_x = power(t, x), 1.0 + p, power(2.0, x)
+    omega, phi, upsilon = _omega_phi_upsilon(
+        t, p, power(q, 2.0), x, power(p, x), power(q, x))
+    return [power(1.0 + t, x), omega + upsilon * tx, 1.0 + phi * tx] + [
+        1.0 + c(x, two_x) * tx for c in CHAIN_COEFFICIENTS.values()]
 
 
 def chain_values(t: float, p: float, x: float) -> tuple[float, ...]:
@@ -218,7 +223,7 @@ def chain_values(t: float, p: float, x: float) -> tuple[float, ...]:
     1 + x t^x, 1 + t^x); nondecreasing for every admissible triple.
     """
     lemma_rhs(t, p, x)  # domain check
-    return tuple(float(v) for v in _chain_columns(float(t), float(p), float(x)))
+    return tuple(_chain_columns(float(t), float(p), float(x), _pow))
 
 
 def lemma_chain_grid(count: int, seed: int, stream=0) -> np.ndarray:
@@ -231,7 +236,8 @@ def lemma_chain_grid(count: int, seed: int, stream=0) -> np.ndarray:
     """
     draws = rng.uniforms(3 * count, seed, stream)
     x, p, u = (draws[..., k * count:(k + 1) * count] for k in range(3))
-    return np.stack(_chain_columns(u * p, p, x), axis=-1)
+    # numpy's power, not _pow: the grid's values are pinned to it
+    return np.stack(_chain_columns(u * p, p, x, np.power), axis=-1)
 
 
 def _group_sums(group_coa_sq: Sequence[Sequence[float]]) -> list[float]:
@@ -266,21 +272,21 @@ def _levels(heads: Sequence[float], ts: Sequence[float], p) -> tuple:
     for level, (head, t, pl) in enumerate(zip(heads, ts, p)):
         if t > pl + _FEAS_SLACK:
             raise InfeasibleParamsError(level=level + 1, min_p=float(t))
-        levels.append((head, min(t, pl), pl, 1.0 + pl, (1.0 + pl) ** 2))
+        levels.append((head, min(t, pl), pl, 1.0 + pl, _pow(1.0 + pl, 2.0)))
     return tuple(levels), heads[-1] if heads else 0.0
 
 
-def _recursion(levels: Sequence[tuple], last: float, x: float) -> float:
-    """theta at x = exponent/2 from its ``_levels``."""
+def _recursion(levels: Sequence[tuple], last: float, x, xpow):
+    """theta at x = exponent/2 (a float or an (E,) stack) from its levels."""
     value, prefix = 0.0, 1.0
     for head, t, p, q, q2 in levels:
-        omega, _, upsilon = _omega_phi_upsilon(t, p, q, q2, x)
-        value += prefix * omega * head ** x
+        omega, _, upsilon = _omega_phi_upsilon(t, p, q2, x, xpow(p), xpow(q))
+        value += prefix * omega * xpow(head)
         prefix *= upsilon
-    return value + prefix * last ** x
+    return value + prefix * xpow(last)
 
 
-def _chains(powers: Sequence[float], coefficients) -> list[float]:
+def _chains(powers: Sequence, coefficients) -> list:
     """sum_l c^(l-1) powers_l, left to right, for each coefficient c."""
     out = []
     for c in coefficients:
@@ -316,7 +322,7 @@ def theta(group_coa_sq: Sequence[Sequence[float]], exponent: float,
             "a group with zero CoA^2 precedes nonzero groups; "
             "reorder or merge groups so zero groups trail")
     ts = tail_ratios(heads)
-    return _recursion(*_levels(heads, ts, p), x)
+    return _recursion(*_levels(heads, ts, p), x, lambda b: _pow(b, x))
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +337,8 @@ def chain_bound(values_sq, exponent: float, kind: str) -> float:
     if kind not in CHAIN_COEFFICIENTS:
         raise ValueError(f"unknown chain kind {kind!r}")
     values = np.asarray(values_sq, dtype=float).reshape(-1, 1)
-    powers = [v ** x for v in sorted(_group_sums(values), reverse=True)]
-    return _chains(powers, [CHAIN_COEFFICIENTS[kind](x)])[0]
+    powers = [_pow(v, x) for v in sorted(_group_sums(values), reverse=True)]
+    return _chains(powers, [CHAIN_COEFFICIENTS[kind](x, _pow(2.0, x))])[0]
 
 
 class _Focus(NamedTuple):
@@ -384,19 +390,18 @@ def _focus(focus: str, c_sq: np.ndarray, ca_sq: np.ndarray, p) -> _Focus:
                   _levels(heads, ts, (1.0,) * len(ts)))
 
 
-def _values(f: _Focus, x: float, coefficients: list) -> tuple[float, ...]:
+def _values(f: _Focus, x, xpow, coefficients: list) -> tuple:
     """Ours, then each comparator in COMPARATOR_NAMES order, for one focus
-    at x = exponent/2; ``coefficients`` are the chains' c(x)."""
-    powers = [v ** x for v in f.descending]
-    return (_recursion(*f.ours, x), _recursion(*f.p1, x),
-            *_chains(powers, coefficients))
+    at x = exponent/2, xpow(b) = b^x; ``coefficients`` are the chains' c(x)."""
+    return (_recursion(*f.ours, x, xpow), _recursion(*f.p1, x, xpow),
+            *_chains([xpow(v) for v in f.descending], coefficients))
 
 
 class _Cut(NamedTuple):
     """One bound across one cut: lhs = base^exponent, and combine maps the
     values v of ``foci`` (in that order) and their radicand powers rad at
     x = exponent/2 to the bound, alike for "ours" and each comparator:
-    floats for one state and exponent, or (E, N) arrays for a stack."""
+    floats for one state and exponent, else (E,) or (E, N) arrays."""
 
     side: str
     base: float
@@ -422,22 +427,32 @@ def _sweep(psi: PureState, exponents, p, *cuts: _Cut
     foci = tuple(dict.fromkeys(f for cut in cuts for f in cut.foci))
     resolved = {f: _focus(f, c_sq, ca_sq, p)
                 for f, c_sq, ca_sq in zip(foci, *pair_measures_sq(psi, foci))}
-    out = [[] for _ in cuts]
-    params = [{f: resolved[f].params for f in cut.foci} for cut in cuts]
-    for exponent in exponents:
-        x = exponent / 2.0
-        coefficients = [c(x) for c in CHAIN_COEFFICIENTS.values()]
-        values = {f: _values(d, x, coefficients) for f, d in resolved.items()}
-        for reports, foci, (side, base, cut_foci, combine) in zip(
-                out, params, cuts):
-            lhs = base ** exponent
-            rad = [resolved[f].radicand ** x for f in cut_foci]
-            # one combine per key: ours, then each comparator
-            ours, *cmp = [combine(v, rad, x)
-                          for v in zip(*[values[f] for f in cut_foci])]
-            reports.append(BoundReport(
-                lhs, ours, dict(zip(COMPARATOR_NAMES, cmp)),
-                ours - lhs if side == "upper" else lhs - ours, dict(foci)))
+    one = len(exponents) == 1   # one exponent stays a Python float
+    e = exponents[0] if one else np.array(exponents)
+    x, powers = e / 2.0, {}
+
+    def xpow(base):
+        # one _pow per distinct base; +0.0 and -0.0 are one key, not one power
+        if base not in powers or not base:
+            powers[base] = _pow(base, x)
+        return powers[base]
+
+    coeffs = [c(x, xpow(2.0)) for c in CHAIN_COEFFICIENTS.values()]
+    values = {f: _values(d, x, xpow, coeffs) for f, d in resolved.items()}
+    out = []
+    for side, base, cut_foci, combine in cuts:
+        lhs = _pow(base, e)
+        rad = [xpow(resolved[f].radicand) for f in cut_foci]
+        # one combine per key: ours, then each comparator
+        ours, *cmp = [combine(v, rad, x)
+                      for v in zip(*[values[f] for f in cut_foci])]
+        gap = ours - lhs if side == "upper" else lhs - ours
+        foci = {f: resolved[f].params for f in cut_foci}
+        rows = ([(lhs, ours, gap, *cmp)] if one else
+                zip(*[v.tolist() for v in (lhs, ours, gap, *cmp)]))
+        out.append([BoundReport(lhs, ours, dict(zip(COMPARATOR_NAMES, cmp)),
+                                gap, dict(foci))
+                    for lhs, ours, gap, *cmp in rows])
     return out
 
 

@@ -152,6 +152,14 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
+def _check_dirs(*paths):
+    """Raise before the work, not after it, what writing a path into a
+    missing directory raises."""
+    for path in filter(None, paths):
+        if not Path(path).parent.is_dir():
+            Path(path).touch()   # raises the OSError that writing would
+
+
 def _write_lines(path: str, lines: list[str]):
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -242,6 +250,7 @@ def figure_rows(fig_id: int, samples: int = 201) -> tuple[list[str], list[list[f
 
 def run_figure(spec: FigureSpec) -> tuple[list[str], list[list[float]]]:
     """Generate one figure's CSV (and optional SVG); returns the table."""
+    _check_dirs(spec.out_csv, spec.out_svg)
     header, rows = figure_rows(spec.id, spec.samples)
     _write_lines(spec.out_csv, [",".join(header)]
                  + [",".join(map(_fmt, row)) for row in rows])
@@ -373,6 +382,7 @@ def main(argv=None) -> int:
             cfg = VerifyConfig(qubits=args.qubits, trials=args.trials,
                                exponents=exponents, seed=args.seed,
                                tol=args.tol)
+            _check_dirs(args.csv)
             res = run_verify(cfg)
             if args.csv:
                 _write_lines(args.csv, ["check,worst_slack,violations,samples"]

@@ -121,8 +121,8 @@ def _pow(base, expo):
     if isinstance(base, float) and isinstance(expo, float):
         return float(base) ** expo
     flat = np.ravel(base).tolist()
-    return np.reshape([[b ** e for b in flat] for e in np.ravel(expo).tolist()],
-                      np.shape(expo) + np.shape(base))
+    return np.array([b ** e for e in np.ravel(expo).tolist() for b in flat]
+                    ).reshape(np.shape(expo) + np.shape(base))
 
 
 def _check_density(rho, name: str = "rho") -> np.ndarray:

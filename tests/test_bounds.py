@@ -704,9 +704,9 @@ def assert_bitwise(*values):
 
 class TestFlatPass:
     """The report functions resolve each focus's recursion constants once
-    and evaluate each exponent in one pass of Python floats: every value
-    equals theta, chain_bound and the lemma's recursion written out, bit
-    for bit, and each cut combines its foci's values in Python floats."""
+    and evaluate all exponents of a call in one pass: every value equals
+    theta, chain_bound and the lemma's recursion written out, bit for bit,
+    and each cut combines its foci's values as Python floats do."""
 
     EXPONENTS = (0.0, 0.35, 1.0, 1.5, 2.0)
     MODES = ["auto", "one", "explicit"]
@@ -853,6 +853,70 @@ class TestGroupingRecord:
         for record, field in records:
             with pytest.raises(AttributeError):
                 setattr(record, field, None)
+
+
+def report_fields(report):
+    """float.hex of lhs, ours, each comparator and gap, and the focus
+    records, of a report or of both sides of a sandwich; every float field
+    must be a Python float."""
+    if isinstance(report, bounds.SandwichBounds):
+        return [report_fields(report.lower), report_fields(report.upper)]
+    values = [report.lhs, report.ours, *report.comparators.values(),
+              report.gap]
+    assert [type(v) for v in values] == [float] * len(values)
+    assert tuple(report.comparators) == COMPARATOR_NAMES
+    return [v.hex() for v in values], report.foci
+
+
+class TestExponentStack:
+    """Several exponents are evaluated as one stack, one exponent in Python
+    floats: every field of every report equals, bit for bit, the report of
+    a call with that exponent alone, and the focus records are equal."""
+
+    REPORTS = {
+        "polygamy_bound_coa": lambda psi, es, p: polygamy_bound_coa(
+            psi, psi.shape.labels[1], es, p),
+        "monogamy_lower_AB": monogamy_lower_AB,
+        "polygamy_upper_AB": polygamy_upper_AB,
+        "negativity_bounds_AB": negativity_bounds_AB,
+        "tripartite_bounds": tripartite_bounds,
+        "multi_partition_polygamy": lambda psi, es, p: multi_partition_polygamy(
+            psi, [psi.shape.labels[0], psi.shape.labels[-1]], es, p),
+    }
+    GRID = np.linspace(0.0, 2.0, 201).tolist()
+
+    @staticmethod
+    def states(grid):
+        """The corpus (read only) and Haar states at 4-6 qubits; on the
+        201-point grid the two figure states and the Haar states."""
+        names = (["fig1-acin-3q", "fig23-wclass-4q"] if grid else
+                 sorted(path.stem for path in CORPUS_DIR.glob("*.state")))
+        assert len(names) in (2, 26)   # an empty corpus glob fails
+        return ([parse_state_spec((CORPUS_DIR / f"{name}.state").read_text())
+                 for name in names]
+                + [haar_random_pure(n, 31, stream=n) for n in (4, 5, 6)])
+
+    @pytest.mark.parametrize("mode", TestFlatPass.MODES)
+    @pytest.mark.parametrize("grid", [False, True], ids=["0-0.1-2", "grid"])
+    def test_stack_equals_one_exponent_calls(self, mode, grid):
+        exponents = self.GRID if grid else [0.0, 0.1, 2.0]
+        seen = set()
+        for psi in self.states(grid):
+            p = TestFlatPass.p_spec(psi, mode)
+            for name, report in self.REPORTS.items():
+                if len(psi.shape.labels) < (5 if name.startswith("tri")
+                                            else 4 if "AB" in name else 2):
+                    continue
+                stack = report(psi, exponents, p)
+                singles = [report(psi, [e], p)[0] for e in exponents]
+                assert ([report_fields(r) for r in stack]
+                        == [report_fields(r) for r in singles]), name
+                first = getattr(stack[0], "lower", stack[0])
+                seen.add(name)
+                seen.update("fallback" for fp in first.foci.values()
+                            if fp.fallback)
+        assert seen >= set(self.REPORTS) | ({"fallback"} if mode != "explicit"
+                                            else set())
 
 
 def pair_kernel_inputs():
@@ -1175,3 +1239,16 @@ class TestSummationOrder:
                     for exponent in self.EXPONENTS:
                         assert_bitwise(theta(groups, exponent, p),
                                        reference_theta(groups, exponent, p))
+
+
+def test_max_of_arrays_is_max_of_floats():
+    """The array branch of ``_max`` takes what its float branch, Python's
+    ``max``, takes on every pair of -0.0, 0.0, nan and 1.0, bit for bit,
+    so a stack's lower bounds equal the one-exponent, one-state ones
+    (np.maximum gives 0.0 at (-0.0, 0.0) and nan at (1.0, nan))."""
+    values = [-0.0, 0.0, math.nan, 1.0]
+    pairs = [(a, b) for a in values for b in values]
+    a, b = (np.array(column) for column in zip(*pairs))
+    for (x, y), z in zip(pairs, bounds._max(a, b).tolist()):
+        assert type(bounds._max(x, y)) is float
+        assert bounds._max(x, y).hex() == max(x, y).hex() == z.hex(), (x, y)

@@ -616,6 +616,27 @@ class TestMainExitCodes:
         assert capsys.readouterr().err == (
             f"error: line 2: amplitude must be finite: 'amp 0 {amp}'\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--trials", "2", "--csv", "{missing}/v.csv"],
+        ["figure", "--id", "1", "--out", "{missing}/f.csv"],
+        ["figure", "--id", "2", "--out", "{tmp}/f.csv",
+         "--svg", "{missing}/f.svg"],
+    ], ids=["verify-csv", "figure-out", "figure-svg"])
+    def test_missing_output_directory_fails_before_the_work(
+            self, tmp_path, monkeypatch, argv, capsys):
+        # the message and exit code a write after the sweep gave, but the
+        # sweep does not run and nothing is written
+        work = []
+        for name in ("run_verify", "figure_rows"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name: (
+                work.append(name)))
+        argv = [arg.format(missing=tmp_path / "missing", tmp=tmp_path)
+                for arg in argv]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: [Errno 2] No such file or directory: {argv[-1]!r}\n")
+        assert work == [] and list(tmp_path.iterdir()) == []
+
     def test_usage_error_exit_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["figure", "--id", "9", "--out", "x.csv"])

@@ -116,6 +116,26 @@ def test_bounds_adds_only_through_its_sum():
                 and node.attr in ("sum", "cumsum")]
 
 
+def test_bounds_powers_only_through_pow():
+    """Every power of ``bounds`` is ``measures._pow``, Python's float power,
+    except the lemma grid's one numpy power: numpy's array power differs
+    from ``**`` on floats in the last bit for some bases, so a bare ``**``
+    would split an exponent stack from its one-exponent values."""
+    tree = ast.parse((ROOT / "src" / "entbounds" / "bounds.py").read_text(
+        encoding="utf-8"))
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.Pow)]
+    assert "pow" not in {node.id for node in ast.walk(tree)
+                         if isinstance(node, ast.Name)}   # the built-in
+    [grid] = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name == "lemma_chain_grid"]
+    powers, grid_powers = ([ast.unparse(node) for node in ast.walk(root)
+                            if isinstance(node, ast.Attribute)
+                            and "pow" in node.attr] for root in (tree, grid))
+    assert powers == grid_powers == ["np.power"]
+
+
 def test_benchmark_tracer_names_resolve():
     """Every name the benchmark tracer wraps must exist, so that deleting
     one cannot break a traced benchmark run unnoticed."""
