@@ -235,9 +235,11 @@ def lemma_chain_grid(count: int, seed: int, stream=0) -> np.ndarray:
     one-stream grids.
     """
     draws = rng.uniforms(3 * count, seed, stream)
-    x, p, u = (draws[..., k * count:(k + 1) * count] for k in range(3))
+    x, p, u = (draws[..., :count], draws[..., count:2 * count],
+               draws[..., 2 * count:])
     # numpy's power, not _pow: the grid's values are pinned to it
-    return np.stack(_chain_columns(u * p, p, x, np.power), axis=-1)
+    columns = np.array(_chain_columns(u * p, p, x, np.power))
+    return columns.transpose((*range(1, columns.ndim), 0))
 
 
 def _group_sums(group_coa_sq: Sequence[Sequence[float]]) -> list[float]:
@@ -492,7 +494,7 @@ def _tripartite(psi: PureState) -> tuple[_Cut, _Cut]:
     if len(labels) < 5:
         raise ValueError("tripartite bounds need at least 5 subsystems")
     foci = labels[:3]
-    c = pure_concurrence(psi, Bipartition.of(psi.shape, foci))
+    c = pure_concurrence(psi, Bipartition(foci, labels[3:]))
 
     def lower(v, rad, x):
         return _max(_lower_AB(v, rad, x) - v[2], rad[2] - v[0] - v[1])
@@ -579,30 +581,40 @@ def cut_sandwiches(psi: PureState, exponents) -> dict[str, np.ndarray]:
     auto mode.  One state has no stack axis, as for the measures.  Auto
     mode's "ours" is the single group's power (module doc), so each focus
     needs only its CoA^2 sum and its C^2 radicand, each a trimmed
-    ``_sum`` as in ``_focus``.  Each slack equals, bit for bit, its
-    one-state value (for a sandwich, the matching report function's gap);
-    no grouping, comparator or report is built.
+    ``_sum`` as in ``_focus``: the radicands and heads of every focus
+    are one ``_sum``, one ``_trim`` and one ``_pow`` of the one array
+    ``pair_measures_sq`` returns, and the concurrence and negativity cuts
+    across AB|rest share one lower-bound combine.  Each slack equals, bit
+    for bit, its one-state value (for a sandwich, the matching report
+    function's gap); no grouping, comparator or report is built.
     """
     exponents = [_check_exponent(e) for e in exponents]
     x = np.array(exponents) / 2.0
+    labels = psi.shape.labels
     cuts = _ab_cuts(psi)
-    if len(psi.shape.labels) >= 5:
+    if len(labels) >= 5:
         cuts += _tripartite(psi)
     foci = tuple(dict.fromkeys(f for cut in cuts for f in cut.foci))
-    # (..., F, partners), ... = (N,) for a stack; the pair values of a
-    # checked state are nonnegative and finite
-    c_sq, ca_sq = pair_measures_sq(psi, foci)
-    one_rest_sq = _pow(pure_concurrence(psi, Bipartition.of(
-        psi.shape, psi.shape.labels[:1])), 2.0)   # C^2(A|rest)
-    heads, radicands = _sum(ca_sq), _sum(c_sq)   # (..., F), untrimmed
-    slacks = {"pair_coa_polygamy": heads[..., 0] - one_rest_sq,
-              "pair_conc_monogamy": one_rest_sq - radicands[..., 0]}
-    # heads and radicands in one power call: (E,) + stack shape per focus
-    ours, rads = (dict(zip(foci, v)) for v in np.moveaxis(_pow(np.stack(
-        [_trim(heads), _trim(radicands)]), x), (1, -1), (0, 1)))
-    lhs = _pow(np.stack([cut.base for cut in cuts[::2]]), exponents)
-    for k, (side, _, foci, combine) in enumerate(cuts):
-        v = combine([ours[f] for f in foci], [rads[f] for f in foci], x)
+    # (2, ..., F), ... = (N,) for a stack: each focus's radicand and head,
+    # untrimmed; the pair values of a checked state are nonnegative and
+    # finite
+    sums = _sum(pair_measures_sq(psi, foci))
+    one_rest_sq = _pow(pure_concurrence(
+        psi, Bipartition(labels[:1], labels[1:])), 2.0)   # C^2(A|rest)
+    slacks = {"pair_coa_polygamy": sums[1, ..., 0] - one_rest_sq,
+              "pair_conc_monogamy": one_rest_sq - sums[0, ..., 0]}
+    # radicands and heads in one power call: (E, 2, ..., F)
+    powers = _pow(_trim(sums), x)
+    rads, ours = ({f: powers[:, k, ..., i] for i, f in enumerate(foci)}
+                  for k in (0, 1))
+    lhs = _pow([cut.base for cut in cuts[::2]], exponents)
+    combined = {}   # the C and N cuts across AB|rest share the lower bound
+    for k, (side, _, cut_foci, combine) in enumerate(cuts):
+        key = combine, cut_foci
+        if key not in combined:
+            combined[key] = combine([ours[f] for f in cut_foci],
+                                    [rads[f] for f in cut_foci], x)
+        v = combined[key]
         base = lhs[:, k // 2]   # lower and upper of a cut share their lhs
         slacks[SANDWICH_NAMES[k]] = v - base if side == "upper" else base - v
     return slacks

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification violation, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import operator
 import sys
 from dataclasses import dataclass, field
@@ -133,15 +134,17 @@ class VerifyResult:
         self.stats.setdefault(name, CheckStat(name)).add(slack, tol)
 
     def record_chunk(self, slacks: dict[str, np.ndarray], tol: float):
-        """``record`` of each check's non-empty slacks in turn, folded
+        """``record`` of each check's non-empty slack array in turn, folded
         with one minimum and one violation count over all of them."""
-        sizes = [np.size(s) for s in slacks.values()]
-        starts = np.cumsum([0] + sizes[:-1])
-        flat = np.concatenate([np.ravel(s) for s in slacks.values()])
+        sizes = [s.size for s in slacks.values()]
+        starts = list(itertools.accumulate(sizes[:-1], initial=0))
+        flat = np.concatenate(list(slacks.values()), axis=None)
         lows = np.minimum.reduceat(flat, starts).tolist()
         bad = np.add.reduceat(~(flat >= -tol), starts, dtype=int).tolist()
         for name, *fold in zip(slacks, sizes, lows, bad):
-            self.stats.setdefault(name, CheckStat(name))._fold(*fold)
+            if name not in self.stats:
+                self.stats[name] = CheckStat(name)
+            self.stats[name]._fold(*fold)
 
     @property
     def violations(self) -> int:
@@ -269,18 +272,22 @@ def run_verify(cfg: VerifyConfig) -> VerifyResult:
     and, from 5 qubits, across ABC1|rest.  A chunk of VERIFY_CHUNK trials
     is one stack: one draw of states and one of triples, one
     ``cut_sandwiches`` call and one ``VerifyResult.record_chunk`` fold,
-    bit for bit a one-state sweep of the report functions.  Slack is
+    bit for bit a one-state sweep of the report functions.  A chunk
+    makes the same Python calls whatever its size: per state it pays two
+    Philox re-keyings and its share of numpy's stacked arithmetic and of
+    the SVD (from 5 qubits also QR) calls; ``scripts/profile_verify.py``
+    splits a call's time by stage.  Slack is
     (larger side) - (smaller side); slack < -tol or NaN is a violation.
     """
     res = VerifyResult()
     for start in range(0, cfg.trials, VERIFY_CHUNK):
-        trials = range(start, min(start + VERIFY_CHUNK, cfg.trials))
-        chain = lemma_chain_grid(
-            1, cfg.seed, [_LEMMA_STREAM_BASE + t for t in trials])[:, 0]
-        psi = haar_random_pure(cfg.qubits, cfg.seed, stream=trials)
+        stop = min(start + VERIFY_CHUNK, cfg.trials)
+        chain = lemma_chain_grid(1, cfg.seed, range(
+            _LEMMA_STREAM_BASE + start, _LEMMA_STREAM_BASE + stop))[:, 0]
+        psi = haar_random_pure(cfg.qubits, cfg.seed, stream=range(start, stop))
         res.record_chunk({
             "lemma_key_inequality": chain[:, 1] - chain[:, 0],
-            "lemma_chain_order": np.diff(chain[:, 1:]).min(axis=1),
+            "lemma_chain_order": (chain[:, 2:] - chain[:, 1:-1]).min(axis=1),
             **cut_sandwiches(psi, cfg.exponents)}, cfg.tol)
     return res
 
@@ -400,6 +407,7 @@ def main(argv=None) -> int:
             print("all inequalities hold within tolerance")
             return 0
         if args.command == "bounds":
+            _check_dirs(args.csv)
             _, lines, csv_row = run_bounds(
                 args.state, args.cut, args.exponent, args.p,
                 renormalize=args.renormalize)

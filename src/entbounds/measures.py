@@ -110,8 +110,9 @@ class Bipartition:
 
 
 def _scalar(x):
-    """One input's value as a Python scalar; a stack's stays an array."""
-    return x.item() if np.ndim(x) == 0 else x
+    """A numpy result as a Python scalar for one input; a stack's stays
+    an array."""
+    return x.item() if x.ndim == 0 else x
 
 
 def _pow(base, expo):
@@ -120,9 +121,10 @@ def _pow(base, expo):
     expo.shape + base.shape, and a float for two floats."""
     if isinstance(base, float) and isinstance(expo, float):
         return float(base) ** expo
-    flat = np.ravel(base).tolist()
-    return np.array([b ** e for e in np.ravel(expo).tolist() for b in flat]
-                    ).reshape(np.shape(expo) + np.shape(base))
+    base, expo = np.asarray(base, dtype=float), np.asarray(expo, dtype=float)
+    flat = base.ravel().tolist()
+    return np.array([b ** e for e in expo.ravel().tolist() for b in flat]
+                    ).reshape(expo.shape + base.shape)
 
 
 def _check_density(rho, name: str = "rho") -> np.ndarray:
@@ -191,7 +193,7 @@ def pure_concurrence(psi: PureState, cut: Bipartition) -> float:
 def _concurrence_from(m: np.ndarray) -> float:
     """``pure_concurrence`` from its cut matrix M: rho_left = M M^dagger."""
     rho_left = np.einsum("...kr,...lr->...kl", m, m.conj())
-    t = 1.0 - np.trace(rho_left @ rho_left, axis1=-2, axis2=-1).real
+    t = 1.0 - (rho_left @ rho_left).trace(axis1=-2, axis2=-1).real
     return _scalar(np.sqrt(2.0 * np.maximum(t, 0.0)))
 
 
@@ -226,12 +228,13 @@ def _mu_spectrum(v: np.ndarray) -> np.ndarray:
     return np.linalg.svd(tau, compute_uv=False)
 
 
-def _pair_roofs(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(C, C_a) = (max(0, mu_1 - mu_2 - ...), sum of mu) of the two-qubit
-    state of each decomposition (..., 4, r), from one ``_mu_spectrum``."""
+def _pair_roofs(v: np.ndarray) -> np.ndarray:
+    """C = max(0, mu_1 - mu_2 - ...) and C_a = sum of mu of the two-qubit
+    state of each decomposition (..., 4, r), from one ``_mu_spectrum``:
+    a (2, ...) array of C and C_a, which unpacks as the pair."""
     mu = _mu_spectrum(v)
     total = mu.sum(axis=-1)
-    return np.maximum(0.0, 2.0 * mu[..., 0] - total), total
+    return np.array([np.maximum(0.0, 2.0 * mu[..., 0] - total), total])
 
 
 @functools.lru_cache(maxsize=256)
@@ -251,12 +254,13 @@ def _pair_plan(labels: tuple[str, ...], foci: tuple[str, ...]
     return tuple((labels[i], labels[j]) for i, j in pairs), rows
 
 
-def pair_measures_sq(psi: PureState, focus) -> tuple[np.ndarray, np.ndarray]:
+def pair_measures_sq(psi: PureState, focus) -> np.ndarray:
     """Squared pair concurrence and CoA of the focus with each partner.
 
-    Returns (c_sq, ca_sq) over the other labels in shape order, on the
-    last axis (a stack of N states gives two (N, partners) arrays).  A
-    tuple of foci adds a foci axis before the partner axis: (..., F,
+    Returns c_sq and ca_sq over the other labels in shape order, on the
+    last axis, stacked on a leading axis of 2 that unpacks as the pair
+    (c_sq, ca_sq) (a stack of N states gives two (N, partners) arrays).
+    A tuple of foci adds a foci axis before the partner axis: (..., F,
     partners).  Each unordered pair the foci touch is evaluated once (its
     matrix is built in shape order, so (f, q) and (q, f) are one matrix):
     one gather of the pair cut matrices and one spin-flip spectrum call
@@ -272,9 +276,9 @@ def pair_measures_sq(psi: PureState, focus) -> tuple[np.ndarray, np.ndarray]:
         if f not in labels:
             raise ValueError(f"unknown focus label {f!r}")
     pairs, rows = _pair_plan(labels, foci)
-    c, ca = _pair_roofs(_cut_matrix(psi, pairs))
+    roofs = _pair_roofs(_cut_matrix(psi, pairs))
     rows = rows[0] if isinstance(focus, str) else rows
-    return (c * c)[..., rows], (ca * ca)[..., rows]
+    return (roofs * roofs)[..., rows]
 
 
 def _check_two_qubit(rho) -> np.ndarray:

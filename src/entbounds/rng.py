@@ -35,25 +35,33 @@ def raw_draws(n: int, seed: int, stream=0) -> np.ndarray:
     state ``Philox(key=(seed, stream))`` starts in.  Seed and streams
     must be integers, and a sequence of streams 1-D.
     """
-    if (ndim := np.ndim(stream)) > 1:
-        raise ValueError(f"streams must be a 1-D sequence, got {stream!r}")
     try:
-        keys = [[operator.index(seed) & _MASK64, operator.index(s) & _MASK64]
-                for s in ([stream] if ndim == 0 else stream)]
+        key = operator.index(seed) & _MASK64
+        try:
+            streams, one = [operator.index(stream) & _MASK64], True
+        except TypeError:   # a sequence of streams
+            streams, one = [operator.index(s) & _MASK64 for s in stream], False
     except TypeError:
+        if np.ndim(stream) > 1:
+            raise ValueError(
+                f"streams must be a 1-D sequence, got {stream!r}") from None
         raise TypeError(f"seed and stream must be integers, got seed "
                         f"{seed!r} and stream {stream!r}") from None
-    out = np.empty((len(keys), n), dtype=np.uint64)
+    out = np.empty((len(streams), n), dtype=np.uint64)
     with _LOCK:
         if not _GEN:   # seeded: Philox() and Philox(key=...) read OS entropy
             gen = np.random.Philox(0)
-            _GEN[:] = gen, gen.state   # counter 0 and an empty buffer
+            fresh = gen.state   # counter 0 and an empty buffer
+            # as Python ints, which the state setter reads fastest
+            fresh["buffer"] = fresh["buffer"].tolist()
+            fresh["state"]["counter"] = fresh["state"]["counter"].tolist()
+            _GEN[:] = gen, fresh
         gen, fresh = _GEN
-        for row, key in zip(out, keys):
-            fresh["state"]["key"] = np.array(key, dtype=np.uint64)
+        for row, stream in zip(out, streams):
+            fresh["state"]["key"] = [key, stream]
             gen.state = fresh
             row[:] = gen.random_raw(n)
-    return out[0] if ndim == 0 else out
+    return out[0] if one else out
 
 
 def uniforms(n: int, seed: int, stream=0) -> np.ndarray:

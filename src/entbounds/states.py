@@ -8,6 +8,7 @@ subsystem ``k``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -15,6 +16,22 @@ import numpy as np
 
 from . import rng
 from .linalg import TAU_NUM, SubsystemShape, default_labels, qubit_shape
+
+
+def _squared_norms(amp: np.ndarray) -> np.ndarray:
+    """The squared norm of each row of ``amp`` (..., d), summed as
+    ``np.linalg.norm`` sums one row: the dot product of its real parts
+    plus that of its imaginary parts, each row one BLAS dot."""
+    rows = amp.reshape(-1, 1, amp.shape[-1])
+    re, im = rows.real, rows.imag
+    sq = re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)
+    return sq.reshape(amp.shape[:-1])
+
+
+@functools.lru_cache(maxsize=None)
+def _register(n_qubits: int) -> SubsystemShape:
+    """The qubit register with the default labels, built once per size."""
+    return qubit_shape(default_labels(n_qubits))
 
 
 class StateSpecError(ValueError):
@@ -32,8 +49,9 @@ class PureState:
     from them.
 
     ``amplitudes`` of shape (N, 2^n) hold a stack of N states on the same
-    register, each checked like one state; the measures evaluate such a
-    stack in one pass.  The report functions, ``optimize`` and
+    register; one check of all rows' squared norms against TAU_NUM
+    checks each like one state, and the measures evaluate such a stack in
+    one pass.  The report functions, ``optimize`` and
     ``emit_state_spec`` take one state and raise ValueError on a stack.
     """
 
@@ -41,19 +59,23 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        dim = self.shape.dim
         amp = np.array(self.amplitudes, dtype=complex)
-        if amp.ndim != 2 or amp.shape[1] != self.shape.dim:
+        if amp.ndim != 2 or amp.shape[1] != dim:
             amp = amp.reshape(-1)
-        if amp.shape[-1] != self.shape.dim:
+        if amp.shape[-1] != dim:
             raise ValueError(f"amplitude count {amp.size} does not match "
-                             f"shape dimension {self.shape.dim}")
-        if not np.all(np.isfinite(amp.view(float))):
-            raise ValueError("amplitudes must be finite")
-        for row in amp.reshape(-1, self.shape.dim):
+                             f"shape dimension {dim}")
+        # every row in one check; a non-finite amplitude gives a NaN or an
+        # infinite squared norm, and NaN is not normalized
+        normalized = abs(_squared_norms(amp) - 1.0) <= TAU_NUM
+        if not normalized.all():
+            if not np.isfinite(amp.view(float)).all():
+                raise ValueError("amplitudes must be finite")
+            row = amp.reshape(-1, dim)[np.argmin(normalized)]
             sq = float(np.vdot(row, row).real)
-            if not abs(sq - 1.0) <= TAU_NUM:   # NaN is not normalized
-                raise ValueError(
-                    f"state is not normalized: |psi| = {math.sqrt(sq)!r}")
+            raise ValueError(
+                f"state is not normalized: |psi| = {math.sqrt(sq)!r}")
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
 
@@ -152,9 +174,8 @@ def haar_random_pure(n_qubits: int, seed: int, stream=0) -> PureState:
     if not 2 <= n_qubits <= 6:
         raise ValueError(f"n_qubits must be in [2, 6], got {n_qubits}")
     z = rng.complex_normals(2 ** n_qubits, seed, stream)
-    for row in z.reshape(-1, z.shape[-1]):
-        row /= np.linalg.norm(row)  # a 1-D norm, summed as for one state
-    return PureState(qubit_shape(default_labels(n_qubits)), z)
+    z /= np.sqrt(_squared_norms(z))[..., None]   # each row's 1-D norm
+    return PureState(_register(n_qubits), z)
 
 
 def parse_state_spec(text: str, renormalize: bool = False) -> PureState:
@@ -226,7 +247,7 @@ def parse_state_spec(text: str, renormalize: bool = False) -> PureState:
             amp = (amp.view(float) / scale).view(complex)
             sq = float(np.vdot(amp, amp).real)
         amp = amp / np.sqrt(sq)
-    return PureState(qubit_shape(default_labels(n_qubits)), amp)
+    return PureState(_register(n_qubits), amp)
 
 
 def emit_state_spec(psi: PureState) -> str:

@@ -1,4 +1,5 @@
 import importlib
+import math
 import sys
 import threading
 
@@ -150,6 +151,16 @@ class TestHaarRandom:
                 assert np.array_equal(row, one.amplitudes)
         assert np.array_equal(haar_random_pure(n, 9, range(3)).amplitudes,
                               haar_random_pure(n, 9, [0, 1, 2]).amplitudes)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_stack_normalized_as_each_row_alone(self, n):
+        # the stacked normalization divides each row by the bits of its
+        # own 1-D np.linalg.norm, as a per-row loop does
+        for seed in (0, 42, -3):
+            z = rng.complex_normals(2 ** n, seed, range(64))
+            rows = np.array([row / np.linalg.norm(row) for row in z])
+            stack = haar_random_pure(n, seed, range(64)).amplitudes
+            assert stack.tobytes() == rows.tobytes()
 
 
 class TestRng:
@@ -427,6 +438,20 @@ class TestPureState:
         amp = np.array([1e200 - 1e200j, 1e200, 0.0, 0.0])
         with pytest.raises(ValueError, match=r"\|psi\| = nan"):
             PureState(qubit_shape(("A", "B")), amp)
+
+    def test_stack_error_names_the_unnormalized_row(self):
+        # every row is checked, and the error gives the first bad row's
+        # norm as a one-state check gives it
+        from entbounds.linalg import qubit_shape
+        rows = haar_random_pure(3, 5, range(3)).amplitudes * [[1], [1.5], [1]]
+        sq = float(np.vdot(rows[1], rows[1]).real)
+        with pytest.raises(ValueError) as exc:
+            PureState(qubit_shape(("A", "B", "C")), rows)
+        assert str(exc.value) == \
+            f"state is not normalized: |psi| = {math.sqrt(sq)!r}"
+        rows[1] = [1e200, 0, 0, 0, 0, 0, 0, 0]   # squared norm inf
+        with pytest.raises(ValueError, match=r"\|psi\| = inf$"):
+            PureState(qubit_shape(("A", "B", "C")), rows)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, -np.inf)])
     def test_rejects_non_finite_amplitudes(self, value):
