@@ -6,7 +6,9 @@ per exponent), ``run_bounds`` reports (text lines, CSV row and values),
 the six report functions of ``entbounds.bounds`` (values, comparators
 and focus records) over the state files of ``benchmark/corpus``, the pair
 values of ``pair_measures_sq`` for every focus of every corpus state
-(each focus alone and all foci in one call), every slack of
+(each focus alone and all foci in one call), the cut readers of
+``entbounds.measures`` on every corpus cut ``labels[:k]|rest`` (k = 1..3)
+and the density route on every label pair, every slack of
 ``cut_sandwiches`` on stacks of corpus states and of Haar states, and
 ``theta``, ``chain_bound`` and ``lemma_rhs`` on a fixed grid, with every
 float written by ``float.hex``.
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import sys
 from functools import partial
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +40,9 @@ from entbounds.bounds import (SandwichBounds, chain_bound, cut_sandwiches,
                               polygamy_upper_AB, theta, tripartite_bounds)
 from entbounds.cli import (VerifyConfig, figure_rows, parse_state_spec,
                            run_bounds, run_verify)
+from entbounds.measures import (Bipartition, cren_crenoa_two_qubit,
+                                cut_measures, negativity, pure_concurrence,
+                                reduced_density, schmidt_rank)
 from entbounds.states import PureState, haar_random_pure
 
 CORPUS = Path(__file__).resolve().parent.parent / "benchmark" / "corpus"
@@ -172,6 +178,25 @@ def dump_pairs(out):
                    for call, f, c_sq, ca_sq in rows)
 
 
+def dump_cuts(out):
+    """The cut and pair readers on every corpus state: per cut
+    ``labels[:k]|rest`` (k = 1..3) ``cut_measures`` (C, N, rank), then
+    ``pure_concurrence``, ``negativity`` and ``schmidt_rank``; per label
+    pair (C, C_a) from ``cren_crenoa_two_qubit`` of ``reduced_density``."""
+    for name, psi in _corpus_states().items():
+        labels = psi.shape.labels
+        for k in range(1, min(3, len(labels) - 1) + 1):
+            cut = Bipartition.of(psi.shape, labels[:k])
+            one_by_one = [measure(psi, cut) for measure in
+                          (pure_concurrence, negativity, schmidt_rank)]
+            out.append(f"cut {name} {''.join(cut.left)}|{''.join(cut.right)} "
+                       f"{_hex(cut_measures(psi, cut.left))} | "
+                       f"{_hex(one_by_one)}")
+        out.extend(f"pair {name} {p}{q} " + _hex(
+            cren_crenoa_two_qubit(reduced_density(psi, [p, q])))
+            for p, q in combinations(labels, 2))
+
+
 def _sandwich_stacks():
     """Stacks of 4-6 qubits: the corpus states of each size, then 9 Haar
     states."""
@@ -237,6 +262,7 @@ def main() -> int:
     dump_bounds(out)
     dump_reports(out)
     dump_pairs(out)
+    dump_cuts(out)
     dump_sandwiches(out)
     dump_theta(out)
     sys.stdout.write("\n".join(out) + "\n")

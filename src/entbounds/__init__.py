@@ -20,9 +20,7 @@ from .bounds import (
 )
 from .linalg import (
     MAX_DIM,
-    TAU_HERM,
     TAU_NUM,
-    TAU_PSD,
     SubsystemShape,
     default_labels,
     qubit_shape,
@@ -30,10 +28,8 @@ from .linalg import (
 from .measures import (
     Bipartition,
     cren_crenoa_two_qubit,
-    linear_entropy,
     negativity,
     pure_concurrence,
-    reduced_density,
     schmidt_rank,
 )
 from .states import (
@@ -53,13 +49,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AcinParams", "Bipartition", "BoundReport", "FocusParams",
     "InfeasibleParamsError", "LemmaCoefficients", "MAX_DIM", "PureState",
-    "SandwichBounds", "StateSpecError", "SubsystemShape", "TAU_HERM",
-    "TAU_NUM", "TAU_PSD", "WClass4Params", "acin_state", "chain_values",
-    "cren_crenoa_two_qubit", "default_labels", "emit_state_spec",
-    "haar_random_pure", "lemma_rhs", "linear_entropy", "monogamy_lower_AB",
-    "multi_partition_polygamy", "negativity", "negativity_bounds_AB",
-    "pair_measures_sq", "parse_state_spec", "polygamy_bound_coa",
-    "polygamy_upper_AB", "pure_concurrence", "qubit_shape",
-    "reduced_density", "schmidt_rank", "theta", "tripartite_bounds",
+    "SandwichBounds", "StateSpecError", "SubsystemShape", "TAU_NUM",
+    "WClass4Params", "acin_state", "chain_values", "cren_crenoa_two_qubit",
+    "default_labels", "emit_state_spec", "haar_random_pure", "lemma_rhs",
+    "monogamy_lower_AB", "multi_partition_polygamy", "negativity",
+    "negativity_bounds_AB", "pair_measures_sq", "parse_state_spec",
+    "polygamy_bound_coa", "polygamy_upper_AB", "pure_concurrence",
+    "qubit_shape", "schmidt_rank", "theta", "tripartite_bounds",
     "wclass4_state",
 ]

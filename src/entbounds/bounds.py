@@ -118,11 +118,9 @@ def _max(a, b):
 
 
 def _sum(values):
-    """Left-to-right sum of a sequence of floats (or arrays), or of an
-    array over its last axis; not the built-in ``sum`` (compensated from
-    Python 3.12) nor numpy's (pairwise from 8 terms)."""
-    if isinstance(values, np.ndarray):
-        return np.add.accumulate(values, axis=-1)[..., -1]   # sequential
+    """Left-to-right sum of a sequence of floats (or arrays, elementwise);
+    not the built-in ``sum`` (compensated from Python 3.12) nor numpy's
+    (pairwise from 8 terms)."""
     total = 0.0
     for v in values:
         total = total + v
@@ -582,11 +580,10 @@ def cut_sandwiches(psi: PureState, exponents) -> dict[str, np.ndarray]:
     mode's "ours" is the single group's power (module doc), so each focus
     needs only its CoA^2 sum and its C^2 radicand, each a trimmed
     ``_sum`` as in ``_focus``: the radicands and heads of every focus
-    are one ``_sum``, one ``_trim`` and one ``_pow`` of the one array
-    ``pair_measures_sq`` returns, and the concurrence and negativity cuts
-    across AB|rest share one lower-bound combine.  Each slack equals, bit
-    for bit, its one-state value (for a sandwich, the matching report
-    function's gap); no grouping, comparator or report is built.
+    are one ``_sum`` over the partner columns, one ``_trim`` and one
+    ``_pow`` of the one array ``pair_measures_sq`` returns.  Each slack
+    equals, bit for bit, its one-state value (for a sandwich, the matching
+    report function's gap); no grouping, comparator or report is built.
     """
     exponents = [_check_exponent(e) for e in exponents]
     x = np.array(exponents) / 2.0
@@ -596,9 +593,9 @@ def cut_sandwiches(psi: PureState, exponents) -> dict[str, np.ndarray]:
         cuts += _tripartite(psi)
     foci = tuple(dict.fromkeys(f for cut in cuts for f in cut.foci))
     # (2, ..., F), ... = (N,) for a stack: each focus's radicand and head,
-    # untrimmed; the pair values of a checked state are nonnegative and
-    # finite
-    sums = _sum(pair_measures_sq(psi, foci))
+    # untrimmed, summed over the partner axis (first in the transpose); the
+    # pair values of a checked state are nonnegative and finite
+    sums = _sum(pair_measures_sq(psi, foci).T).T
     one_rest_sq = _pow(pure_concurrence(
         psi, Bipartition(labels[:1], labels[1:])), 2.0)   # C^2(A|rest)
     slacks = {"pair_coa_polygamy": sums[1, ..., 0] - one_rest_sq,
@@ -608,13 +605,9 @@ def cut_sandwiches(psi: PureState, exponents) -> dict[str, np.ndarray]:
     rads, ours = ({f: powers[:, k, ..., i] for i, f in enumerate(foci)}
                   for k in (0, 1))
     lhs = _pow([cut.base for cut in cuts[::2]], exponents)
-    combined = {}   # the C and N cuts across AB|rest share the lower bound
     for k, (side, _, cut_foci, combine) in enumerate(cuts):
-        key = combine, cut_foci
-        if key not in combined:
-            combined[key] = combine([ours[f] for f in cut_foci],
-                                    [rads[f] for f in cut_foci], x)
-        v = combined[key]
+        v = combine([ours[f] for f in cut_foci],
+                    [rads[f] for f in cut_foci], x)
         base = lhs[:, k // 2]   # lower and upper of a cut share their lhs
         slacks[SANDWICH_NAMES[k]] = v - base if side == "upper" else base - v
     return slacks

@@ -13,10 +13,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Global numeric tolerances, sized for <=64-dimensional spectra.
-TAU_NUM = 1e-9    # generic numeric comparisons (norms, traces)
-TAU_HERM = 1e-9   # max-entry Hermiticity deviation accepted
-TAU_PSD = 1e-9    # most negative eigenvalue accepted as round-off
+# The numeric tolerance, sized for <=64-dimensional spectra: norms, traces,
+# Hermiticity, and the most negative eigenvalue accepted as round-off.
+TAU_NUM = 1e-9
 
 MAX_DIM = 64      # 6 qubits
 

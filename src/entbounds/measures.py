@@ -1,10 +1,12 @@
-"""Entanglement quantities: linear entropy, concurrence, concurrence of
-assistance, negativity, CREN/CRENoA for qubit pairs, Schmidt rank.
+"""Entanglement quantities: concurrence, concurrence of assistance,
+negativity, CREN/CRENoA for qubit pairs, Schmidt rank.
 
 Two-qubit convex roofs use the closed forms built from the spin-flip
 spectrum mu_1 >= ... >= mu_4: C = max(0, mu_1 - mu_2 - mu_3 - mu_4) and
 C_a = mu_1 + mu_2 + mu_3 + mu_4, from any rho = V V^dagger: ``eigh`` gives
 V for a checked mixed input; a pure state's pair cut matrix is such a V.
+No package path calls ``reduced_density`` (module-level only) or
+``cren_crenoa_two_qubit``: they are a second route to the pair values.
 
 Every quantity of a pure state is read here, from its amplitude matrix M
 across a cut (``_cut_matrix``, one gather of the amplitudes through an
@@ -30,12 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    TAU_HERM,
-    TAU_NUM,
-    TAU_PSD,
-    SubsystemShape,
-)
+from .linalg import TAU_NUM, SubsystemShape
 from .states import PureState
 
 # sigma_y (x) sigma_y is real and antidiagonal: it reverses the four rows
@@ -127,24 +124,18 @@ def _pow(base, expo):
                     ).reshape(expo.shape + base.shape)
 
 
-def _check_density(rho, name: str = "rho") -> np.ndarray:
+def _check_density(rho) -> np.ndarray:
     """A density matrix or a stack (..., d, d) of them, each checked."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
-        raise ValueError(f"{name} must be a square matrix")
-    if np.max(np.abs(rho - rho.conj().swapaxes(-1, -2))) > TAU_HERM:
-        raise ValueError(f"{name} is not Hermitian")
+        raise ValueError("rho must be a square matrix")
+    if np.max(np.abs(rho - rho.conj().swapaxes(-1, -2))) > TAU_NUM:
+        raise ValueError("rho is not Hermitian")
     tr = np.trace(rho, axis1=-2, axis2=-1)
     off = tr[np.abs(tr - 1.0) > TAU_NUM]
     if off.size:
-        raise ValueError(f"{name} has trace {complex(off[0])!r}, expected 1")
+        raise ValueError(f"rho has trace {complex(off[0])!r}, expected 1")
     return rho
-
-
-def linear_entropy(rho) -> float:
-    """1 - Tr(rho^2) of a density matrix; zero iff pure."""
-    rho = _check_density(rho)
-    return _scalar(1.0 - np.trace(rho @ rho, axis1=-2, axis2=-1).real)
 
 
 @functools.lru_cache(maxsize=256)
@@ -281,14 +272,6 @@ def pair_measures_sq(psi: PureState, focus) -> np.ndarray:
     return (roofs * roofs)[..., rows]
 
 
-def _check_two_qubit(rho) -> np.ndarray:
-    rho = _check_density(rho)
-    if rho.shape[-2:] != (4, 4):
-        raise ValueError(f"expected a 4x4 two-qubit density matrix, "
-                         f"got shape {rho.shape}")
-    return rho
-
-
 def cren_crenoa_two_qubit(rho) -> tuple[float, float]:
     """(CREN, CRENoA) of a two-qubit state.
 
@@ -297,8 +280,12 @@ def cren_crenoa_two_qubit(rho) -> tuple[float, float]:
     from one spin-flip spectrum.  ``eigh`` decomposes the checked input;
     weights below 64 eps of the largest are unresolvable and dropped.
     """
-    w, v = np.linalg.eigh(_check_two_qubit(rho))
-    if np.any(w[..., 0] < -TAU_PSD):
+    rho = _check_density(rho)
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a 4x4 two-qubit density matrix, "
+                         f"got shape {rho.shape}")
+    w, v = np.linalg.eigh(rho)
+    if np.any(w[..., 0] < -TAU_NUM):
         raise ValueError(
             f"density matrix has eigenvalue {np.min(w[..., 0]):.3e}")
     cutoff = 64.0 * np.finfo(float).eps * np.maximum(w[..., -1:], 0.0)
@@ -315,12 +302,13 @@ def negativity(psi: PureState, cut: Bipartition) -> float:
 
 
 def schmidt_rank(psi: PureState, cut: Bipartition) -> int:
-    """Number of Schmidt coefficients across the cut exceeding SCHMIDT_TOL.
+    """Number of Schmidt values s across the cut with s^2 > SCHMIDT_TOL.
 
     The tolerance applies to the squared Schmidt values, the eigenvalues
-    of the reduced state; O(1) spectra at these dimensions leave a gap of
-    several decades between genuine zeros and round-off, so its value is
-    uncritical.
+    of the reduced state, so it sets where a cut counts as product, not
+    only where round-off ends: a cut whose s_2^2 is at most 1e-10 has
+    rank 1, while its negativity, 2 s_1 s_2 with two Schmidt values, can
+    be as large as 2e-5; the AB|rest bounds read N as 0 on it.
     """
     _check_cut(psi, cut)
     return cut_measures(psi, cut.left)[2]

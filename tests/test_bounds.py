@@ -30,8 +30,10 @@ from entbounds.bounds import (
     tripartite_bounds,
 )
 from entbounds.cli import FIG23_P, FIG23_PARAMS
-from entbounds.measures import (Bipartition, cren_crenoa_two_qubit,
-                                pure_concurrence, reduced_density)
+from entbounds.measures import (SCHMIDT_TOL, Bipartition,
+                                cren_crenoa_two_qubit, negativity,
+                                pure_concurrence, reduced_density,
+                                schmidt_rank)
 from entbounds.optimizer import optimize
 from entbounds.states import (PureState, haar_random_pure, parse_state_spec,
                               wclass4_state)
@@ -1204,6 +1206,34 @@ class TestBlockProducts:
             assert min(gaps.get(name, [0.0])) >= -1e-12, name
         slacks = cut_sandwiches(psi, self.EXPONENTS)
         assert_rows_equal_gaps(slacks, gaps)
+
+
+class TestSchmidtThreshold:
+    """SCHMIDT_TOL, 1e-10 on the squared Schmidt values, sets where a cut
+    counts as product, beyond round-off: on cos(eps)|0000> +
+    sin(eps)|1111> the AB|C1C2 cut has rank 1 while sin(eps)^2 <= 1e-10,
+    and the negativity bounds then read N = 0 although N = sin(2 eps)
+    reaches 2e-5."""
+
+    @pytest.mark.parametrize("eps", [3e-6, 1e-5])
+    def test_rank_one_cut_reads_zero_negativity(self, eps):
+        psi = two_term_state(4, 15, eps)
+        cut = Bipartition.of(psi.shape, ["A", "B"])
+        assert SCHMIDT_TOL == 1e-10 and math.sin(eps) ** 2 <= SCHMIDT_TOL
+        assert schmidt_rank(psi, cut) == 1
+        assert negativity(psi, cut) == pytest.approx(math.sin(2 * eps),
+                                                     rel=1e-9)
+        [rep] = negativity_bounds_AB(psi, [0.5])
+        assert (rep.lhs, rep.upper.ours, rep.upper.gap) == (0.0, 0.0, 0.0)
+
+    def test_rank_two_cut_reads_its_negativity(self):
+        psi = two_term_state(4, 15, 1e-4)
+        cut = Bipartition.of(psi.shape, ["A", "B"])
+        assert schmidt_rank(psi, cut) == 2
+        [rep] = negativity_bounds_AB(psi, [0.5])
+        assert rep.lhs == pytest.approx(math.sqrt(math.sin(2e-4)), rel=1e-9)
+        assert rep.lhs == pytest.approx(0.0141, abs=1e-4)
+        assert rep.upper.ours == pytest.approx(0.0372, abs=1e-4)
 
 
 def compensated_sum(values, start=0):

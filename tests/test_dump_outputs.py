@@ -1,7 +1,9 @@
 import importlib.util
+from itertools import combinations
 from pathlib import Path
 
 from entbounds.bounds import SANDWICH_NAMES
+from entbounds.cli import parse_state_spec
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -65,6 +67,36 @@ def test_pairs_section_gives_every_focus_one_row():
     for (state, focus), calls in rows.items():
         assert len(calls) == 3 and focus in calls, (state, focus)
         assert len(set(calls.values())) == 1, (state, focus)
+
+
+def test_cuts_section_covers_every_cut_and_pair():
+    """Every corpus state has a row for each cut labels[:k]|rest (k = 1..3)
+    and each label pair; ``cut_measures`` and the one-cut readers agree,
+    and every value is written by ``float.hex``."""
+    out = []
+    load_dump_script().dump_cuts(out)
+    cuts, pairs = {}, {}
+    for line in out:
+        kind, state, name, values = line.split(" ", 3)
+        if kind == "cut":
+            together, one_by_one = values.split(" | ")
+            assert together == one_by_one, (state, name)
+            assert len(together.split()) == 3
+            cuts.setdefault(state, []).append(name)
+        else:
+            assert kind == "pair" and len(values.split()) == 2
+            pairs.setdefault(state, []).append(name)
+        for value in values.replace(" | ", " ").split():
+            assert float.fromhex(value).hex() == value
+    paths = sorted((ROOT / "benchmark" / "corpus").glob("*.state"))
+    assert len(paths) == 26
+    assert sorted(cuts) == sorted(pairs) == [path.name for path in paths]
+    for path in paths:
+        labels = parse_state_spec(path.read_text(encoding="utf-8")).shape.labels
+        assert cuts[path.name] == [
+            "".join(labels[:k]) + "|" + "".join(labels[k:])
+            for k in range(1, min(4, len(labels)))]
+        assert pairs[path.name] == [p + q for p, q in combinations(labels, 2)]
 
 
 def test_sandwiches_section_covers_every_stack_and_bound():

@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from entbounds.linalg import (
-    TAU_PSD,
+    TAU_NUM,
     DimensionError,
     SubsystemShape,
     default_labels,
@@ -107,7 +107,7 @@ class TestPartialTrace:
         for psi in haar4_ensemble:
             red = partial_trace(projector(psi.amplitudes), shape, ["A", "B"])
             assert abs(np.trace(red).real - 1.0) < 1e-12
-            assert np.linalg.eigvalsh(red)[0] > -TAU_PSD
+            assert np.linalg.eigvalsh(red)[0] > -TAU_NUM
 
 
 class TestPartialTranspose:

@@ -20,13 +20,43 @@ CHECKED = [p for p in SOURCES
 MODULE_ONLY = [("optimizer", "optimize"), ("optimizer", "OptimizationResult"),
                ("optimizer", "ordered_set_partitions"),
                ("linalg", "partial_trace"), ("linalg", "partial_transpose"),
-               ("linalg", "trace_norm"), ("measures", "cut_measures")]
+               ("linalg", "trace_norm"), ("measures", "cut_measures"),
+               ("measures", "reduced_density")]
+# The package API: what the CLI, the figures and the paper's claims need.
+API = {
+    "AcinParams", "Bipartition", "BoundReport", "FocusParams",
+    "InfeasibleParamsError", "LemmaCoefficients", "MAX_DIM", "PureState",
+    "SandwichBounds", "StateSpecError", "SubsystemShape", "TAU_NUM",
+    "WClass4Params", "acin_state", "chain_values", "cren_crenoa_two_qubit",
+    "default_labels", "emit_state_spec", "haar_random_pure", "lemma_rhs",
+    "monogamy_lower_AB", "multi_partition_polygamy", "negativity",
+    "negativity_bounds_AB", "pair_measures_sq", "parse_state_spec",
+    "polygamy_bound_coa", "polygamy_upper_AB", "pure_concurrence",
+    "qubit_shape", "schmidt_rank", "theta", "tripartite_bounds",
+    "wclass4_state",
+}
+# Names retired from every module.
+RETIRED = ("linear_entropy", "TAU_HERM", "TAU_PSD")
 
 
 def test_all_names_resolve():
     for name in entbounds.__all__:
         assert hasattr(entbounds, name), name
     assert len(set(entbounds.__all__)) == len(entbounds.__all__)
+
+
+def test_all_is_the_decided_api():
+    assert set(entbounds.__all__) == API and len(API) == 34
+
+
+def test_retired_names_are_gone():
+    modules = [entbounds] + [
+        importlib.import_module(f"entbounds.{path.stem}")
+        for path in (ROOT / "src" / "entbounds").glob("*.py")
+        if path.stem not in ("__init__", "__main__")]
+    assert len(modules) == 8
+    assert [(module.__name__, name) for module in modules
+            for name in RETIRED if hasattr(module, name)] == []
 
 
 def test_all_lists_every_public_name():

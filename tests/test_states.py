@@ -433,10 +433,12 @@ class TestPureState:
 
     def test_rejects_nan_squared_norm(self):
         # the complex product of 1e200 - 1e200j with its conjugate is NaN,
-        # which no tolerance comparison may pass as normalized
+        # which no tolerance comparison may pass as normalized; the squared
+        # norm overflows on the way, and numpy warns
         from entbounds.linalg import qubit_shape
         amp = np.array([1e200 - 1e200j, 1e200, 0.0, 0.0])
-        with pytest.raises(ValueError, match=r"\|psi\| = nan"):
+        with pytest.raises(ValueError, match=r"\|psi\| = nan"), \
+                pytest.warns(RuntimeWarning, match="overflow"):
             PureState(qubit_shape(("A", "B")), amp)
 
     def test_stack_error_names_the_unnormalized_row(self):
@@ -450,7 +452,8 @@ class TestPureState:
         assert str(exc.value) == \
             f"state is not normalized: |psi| = {math.sqrt(sq)!r}"
         rows[1] = [1e200, 0, 0, 0, 0, 0, 0, 0]   # squared norm inf
-        with pytest.raises(ValueError, match=r"\|psi\| = inf$"):
+        with pytest.raises(ValueError, match=r"\|psi\| = inf$"), \
+                pytest.warns(RuntimeWarning, match="overflow"):
             PureState(qubit_shape(("A", "B", "C")), rows)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, -np.inf)])
