@@ -106,7 +106,7 @@ def _check_exponent(exponent: float) -> float:
 
 
 def _check_params(p) -> tuple[float, ...]:
-    p = tuple(float(v) for v in p)
+    p = tuple(map(float, p))
     if any(not 0.0 < v <= 1.0 for v in p):
         raise ValueError(f"parameters must lie in (0, 1], got {p}")
     return p
@@ -351,24 +351,21 @@ class _Focus(NamedTuple):
     p1: tuple                 # the same for the grouping at p = 1
 
 
-def _focus(focus: str, c_sq: np.ndarray, ca_sq: np.ndarray, p) -> _Focus:
+def _focus(c_sq: list[float], ca: list[float], spec) -> _Focus:
     """Resolve the grouping, its levels and the parameters of one focus
     from its squared pair concurrence and CoA with each partner.
 
     The grouping is the descending singleton ordering of the partners (a
-    stable sort).  ``p`` holds one value for every focus or a mapping by
-    focus (default auto): "auto" (p = tail/head ratio, the tightest
-    choice), "one" (the p=1 literature specialization) or an explicit
-    sequence.  For "auto"/"one" an infeasible grouping (some t_l > 1)
-    falls back to the always-valid single-group bound and is flagged; an
-    explicit vector that is too short or infeasible raises here, before
-    any exponent.
+    stable sort).  ``spec`` is the focus's p: "auto" (p = tail/head
+    ratio, the tightest choice), "one" (the p=1 literature
+    specialization) or an explicit sequence.  For "auto"/"one" an
+    infeasible grouping (some t_l > 1) falls back to the always-valid
+    single-group bound and is flagged; an explicit vector that is too
+    short or infeasible raises here, before any exponent.
     """
-    spec = p.get(focus, "auto") if isinstance(p, Mapping) else p
-    ca = ca_sq.tolist()
     order = sorted(range(len(ca)), key=ca.__getitem__, reverse=True)
-    grouping = tuple((i,) for i in order)
-    descending = [ca[i] for i in order]
+    grouping = tuple(zip(order))   # the singletons (i,)
+    descending = list(map(ca.__getitem__, order))
     single = _trim(_sum(ca))
     heads = [v for v in descending if v >= TAU_NUM]   # trailing, as in theta
     ts = tail_ratios(heads)
@@ -377,7 +374,7 @@ def _focus(focus: str, c_sq: np.ndarray, ca_sq: np.ndarray, p) -> _Focus:
         if spec not in ("auto", "one"):
             raise ValueError(f"p mode must be 'auto' or 'one', got {spec!r}")
         auto = spec == "auto"
-        if any(t > 1.0 + _FEAS_SLACK for t in ts):
+        if ts and max(ts) > 1.0 + _FEAS_SLACK:
             grouping, fallback = (tuple(range(len(ca))),), True
             heads, ts = [single], []
         p = [min(t, 1.0) if auto else 1.0 for t in ts]
@@ -386,7 +383,7 @@ def _focus(focus: str, c_sq: np.ndarray, ca_sq: np.ndarray, p) -> _Focus:
     # theta at p = t is the single-group value (module doc); else check p
     ours = ((), single) if auto else _levels(heads, ts, p)
     params = FocusParams(grouping, tuple(p[:len(ts)]), fallback)
-    return _Focus(descending, params, _trim(_sum(c_sq.tolist())), ours,
+    return _Focus(descending, params, _trim(_sum(c_sq)), ours,
                   _levels(heads, ts, (1.0,) * len(ts)))
 
 
@@ -394,7 +391,7 @@ def _values(f: _Focus, x, xpow, coefficients: list) -> tuple:
     """Ours, then each comparator in COMPARATOR_NAMES order, for one focus
     at x = exponent/2, xpow(b) = b^x; ``coefficients`` are the chains' c(x)."""
     return (_recursion(*f.ours, x, xpow), _recursion(*f.p1, x, xpow),
-            *_chains([xpow(v) for v in f.descending], coefficients))
+            *_chains(list(map(xpow, f.descending)), coefficients))
 
 
 class _Cut(NamedTuple):
@@ -416,17 +413,20 @@ def _sweep(psi: PureState, exponents, p, *cuts: _Cut
     The pair values of every focus the cuts read come from one pair
     measure call; each focus is then resolved once, in first-read order,
     so errors come as in one-exponent calls; cuts sharing a focus share
-    its values and its FocusParams.  A ``p`` mapping may name foci no cut
-    reads, but only labels of the state."""
+    its values and its FocusParams.  ``p`` is one spec for every focus or
+    a mapping by focus (default auto), which may name foci no cut reads,
+    but only labels of the state."""
     psi.check_single()
     exponents = [_check_exponent(e) for e in exponents]
-    if isinstance(p, Mapping):
+    mapping = isinstance(p, Mapping)
+    if mapping:
         for label in p:
             if label not in psi.shape.labels:
                 raise ValueError(f"unknown focus label {label!r} in p mapping")
-    foci = tuple(dict.fromkeys(f for cut in cuts for f in cut.foci))
-    resolved = {f: _focus(f, c_sq, ca_sq, p)
-                for f, c_sq, ca_sq in zip(foci, *pair_measures_sq(psi, foci))}
+    foci = tuple(dict.fromkeys([f for cut in cuts for f in cut.foci]))
+    c_sq, ca_sq = map(np.ndarray.tolist, pair_measures_sq(psi, foci))
+    resolved = {f: _focus(c, ca, p.get(f, "auto") if mapping else p)
+                for f, c, ca in zip(foci, c_sq, ca_sq)}
     one = len(exponents) == 1   # one exponent stays a Python float
     e = exponents[0] if one else np.array(exponents)
     x, powers = e / 2.0, {}
@@ -437,7 +437,8 @@ def _sweep(psi: PureState, exponents, p, *cuts: _Cut
             powers[base] = _pow(base, x)
         return powers[base]
 
-    coeffs = [c(x, xpow(2.0)) for c in CHAIN_COEFFICIENTS.values()]
+    two_x = xpow(2.0)
+    coeffs = [c(x, two_x) for c in CHAIN_COEFFICIENTS.values()]
     values = {f: _values(d, x, xpow, coeffs) for f, d in resolved.items()}
     out = []
     for side, base, cut_foci, combine in cuts:
@@ -552,12 +553,13 @@ def multi_partition_polygamy(psi: PureState, left, exponents,
                              p="auto") -> list[BoundReport]:
     """Upper bound C^alpha(left|rest) <= sum over left foci of theta.
 
-    The single-focus polygamy bound is the case |left| = 1 and the AB
-    upper bound the case left = first two labels.
+    ``left`` is labels or a Bipartition of the state's, read in shape
+    order; |left| = 1 is the single-focus bound, left = AB the AB upper one.
     """
-    cut = Bipartition.of(psi.shape, left)
-    c = pure_concurrence(psi, cut)
-    [upper] = _sweep(psi, exponents, p, _Cut("upper", c, cut.left, _upper))
+    cut = left if isinstance(left, Bipartition) else Bipartition.of(psi.shape, left)
+    c = pure_concurrence(psi, cut)   # checks a given cut against the labels
+    foci = tuple(sorted(cut.left, key=psi.shape.labels.index))
+    [upper] = _sweep(psi, exponents, p, _Cut("upper", c, foci, _upper))
     return upper
 
 

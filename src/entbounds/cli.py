@@ -151,8 +151,7 @@ class VerifyResult:
         return sum(s.violations for s in self.stats.values())
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
+_fmt = "{:.12g}".format   # every printed value, 12 significant digits
 
 
 def _check_dirs(*paths):
@@ -255,8 +254,9 @@ def run_figure(spec: FigureSpec) -> tuple[list[str], list[list[float]]]:
     """Generate one figure's CSV (and optional SVG); returns the table."""
     _check_dirs(spec.out_csv, spec.out_svg)
     header, rows = figure_rows(spec.id, spec.samples)
+    row_format = ",".join(["%.12g"] * len(header))   # _fmt of each value
     _write_lines(spec.out_csv, [",".join(header)]
-                 + [",".join(map(_fmt, row)) for row in rows])
+                 + [row_format % tuple(row) for row in rows])
     if spec.out_svg:
         _write_svg(spec.out_svg, header, rows)
     return header, rows
@@ -296,16 +296,25 @@ _BOUNDS_CSV_HEADER = ",".join(("cut", "exponent", "lhs", "ours")
                               + COMPARATOR_NAMES + ("gap",))
 
 
+def _read_text(path: str) -> str:
+    """A file's UTF-8 text, in ``Path(path).read_text``'s lines and errors."""
+    try:
+        with open(path, "rb") as file:
+            return file.read().decode("utf-8")
+    except OSError:   # raised again, naming the path as pathlib does
+        return Path(path).read_bytes().decode("utf-8")
+
+
 def run_bounds(state_path: str, cut_expr: str, exponent: float, p_mode: str,
                renormalize: bool = False):
     """Evaluate the polygamy bound for one state file and cut.
 
     Returns (report, text lines, csv row string).  p_mode is "auto", "1"
     (the literature specialization) or a comma-separated explicit vector
-    applied to every focus on the left side of the cut.
+    applied to every focus on the left side of the cut.  The file is read
+    and parsed once, and the cut parsed once and handed to the report.
     """
-    text = Path(state_path).read_text(encoding="utf-8")
-    psi = parse_state_spec(text, renormalize=renormalize)
+    psi = parse_state_spec(_read_text(state_path), renormalize=renormalize)
     cut = Bipartition.parse(cut_expr, psi.shape)
     if p_mode == "auto":
         p = "auto"
@@ -313,31 +322,32 @@ def run_bounds(state_path: str, cut_expr: str, exponent: float, p_mode: str,
         p = "one"
     else:
         try:
-            p = tuple(float(v) for v in p_mode.split(","))
+            p = tuple(map(float, p_mode.split(",")))
         except ValueError:
             raise ValueError(f"cannot parse p specification {p_mode!r}") from None
-    [rep] = multi_partition_polygamy(psi, cut.left, [exponent], p=p)
+    [rep] = multi_partition_polygamy(psi, cut, [exponent], p=p)
+    return (rep, *_bounds_text(state_path, psi.n_qubits, cut, exponent, rep))
 
+
+def _bounds_text(state_path: str, n_qubits: int, cut, exponent: float, rep):
+    """A report's text lines and CSV row, each value formatted once."""
+    cut_text = f"{''.join(cut.left)}|{''.join(cut.right)}"
+    texts = list(map(_fmt, [exponent, rep.lhs, rep.ours,
+                            *map(rep.comparators.get, COMPARATOR_NAMES),
+                            rep.gap]))
     lines = [
-        f"state: {state_path} ({psi.n_qubits} qubits)",
-        f"cut: {''.join(cut.left)}|{''.join(cut.right)}   "
-        f"exponent: {_fmt(exponent)}",
-        f"lhs  C^b(left|rest) = {_fmt(rep.lhs)}",
-        f"ours (parametrized) = {_fmt(rep.ours)}   gap = {_fmt(rep.gap)}",
+        f"state: {state_path} ({n_qubits} qubits)",
+        f"cut: {cut_text}   exponent: {texts[0]}",
+        f"lhs  C^b(left|rest) = {texts[1]}",
+        f"ours (parametrized) = {texts[2]}   gap = {texts[-1]}",
+        *map("{:20s}= {}".format, COMPARATOR_NAMES, texts[3:-1]),
     ]
-    for name in COMPARATOR_NAMES:
-        lines.append(f"{name:20s}= {_fmt(rep.comparators[name])}")
     for f in cut.left:
         fp = rep.foci[f]
         fb = " (fallback to single group)" if fp.fallback else ""
         lines.append(f"focus {f}: groups {list(fp.grouping)} "
                      f"p = {[round(v, 12) for v in fp.p]}{fb}")
-    values = ([exponent, rep.lhs, rep.ours]
-              + [rep.comparators[name] for name in COMPARATOR_NAMES]
-              + [rep.gap])
-    csv_row = ",".join([f"{''.join(cut.left)}|{''.join(cut.right)}"]
-                       + [_fmt(v) for v in values])
-    return rep, lines, csv_row
+    return lines, ",".join([cut_text, *texts])
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -38,6 +38,7 @@ from .states import PureState
 # sigma_y (x) sigma_y is real and antidiagonal: it reverses the four rows
 # of a two-qubit vector and flips the sign of the first and the last.
 _SPIN_FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]
+_BELOW_DIAGONAL = np.tri(4, k=-1, dtype=bool)
 
 SCHMIDT_TOL = 1e-10
 
@@ -139,13 +140,13 @@ def _check_density(rho) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)
-def _cut_index(shape: SubsystemShape, lefts: tuple[tuple[str, ...], ...]
+def _cut_index(labels: tuple[str, ...], lefts: tuple[tuple[str, ...], ...]
                ) -> np.ndarray:
-    """Where each entry of the cut matrices of a state on ``shape`` sits in
-    its amplitudes: one 2^k x 2^(n-k) index matrix per left side of
+    """Where each entry of the cut matrices of a state on ``labels`` sits
+    in its amplitudes: one 2^k x 2^(n-k) index matrix per left side of
     ``lefts`` (label tuples of one size k), each side in shape order.
-    Built on first use for each register and set of cuts."""
-    n = len(shape.labels)
+    Built on first use for each register (by its labels) and set of cuts."""
+    shape, n = SubsystemShape(labels), len(labels)
     grid = np.arange(2 ** n).reshape((2,) * n)
     index = np.stack([grid.transpose(
         left + [k for k in range(n) if k not in left]).reshape(
@@ -159,7 +160,8 @@ def _cut_matrix(psi: PureState, lefts) -> np.ndarray:
     ``lefts`` (label sets of one size k), each side in shape order, all
     gathered in one indexing: (..., len(lefts), 2^k, 2^(n-k)), the stack
     axis of a stack first."""
-    return psi.amplitudes[..., _cut_index(psi.shape, tuple(map(tuple, lefts)))]
+    return psi.amplitudes[..., _cut_index(psi.shape.labels,
+                                          tuple(map(tuple, lefts)))]
 
 
 def reduced_density(psi: PureState, keep) -> np.ndarray:
@@ -210,11 +212,13 @@ def _mu_spectrum(v: np.ndarray) -> np.ndarray:
     2000).  The tau route is used because SVD keeps absolute accuracy near
     zero, where sqrt of an eigenvalue of rho @ rho_tilde loses half the
     digits.  For r > 4 an LQ step V = L Q^dagger first reduces V to its
-    4 x 4 factor L, whose tau has the same singular values.
+    4 x 4 factor L, whose tau has the same singular values: L = R^dagger
+    for V^dagger = Q R, R zeroed below the diagonal as np.triu does it.
     """
     if v.shape[-1] > 4:
-        v = np.linalg.qr(v.conj().swapaxes(-1, -2), mode="r")
-        v = v.conj().swapaxes(-1, -2)
+        h, _ = np.linalg.qr(v.conj().swapaxes(-1, -2), mode="raw")  # R in h^T
+        r = np.where(_BELOW_DIAGONAL, 0j, h.swapaxes(-1, -2)[..., :4, :])
+        v = r.conj().swapaxes(-1, -2)
     tau = v.swapaxes(-1, -2) @ (_SPIN_FLIP_SIGNS * v[..., ::-1, :])
     return np.linalg.svd(tau, compute_uv=False)
 

@@ -183,18 +183,19 @@ def parse_state_spec(text: str, renormalize: bool = False) -> PureState:
 
     Format: a ``qubits <n>`` header, then ``amp <index> <re> <im>`` lines
     (decimal basis index); ``#`` starts a comment; unlisted amplitudes are
-    zero; duplicate indices and non-finite parts are errors.  Non-normalized
-    specs are rejected unless ``renormalize`` is set, which first rescales
-    amplitudes whose squared norm underflows or overflows.
+    zero; duplicate indices and non-finite parts are errors.  A spec that
+    ``PureState``'s norm check rejects is an error unless ``renormalize``
+    rescales it (first by its largest part if |psi|^2 under- or overflows).
     """
     n_qubits = None
     amp = None
     seen: set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        if "#" in raw:
+            raw = raw[:raw.index("#")]
+        fields = raw.split()
+        if not fields:
             continue
-        fields = line.split()
         if fields[0] == "qubits":
             if n_qubits is not None:
                 raise StateSpecError("duplicate 'qubits' header", lineno)
@@ -216,38 +217,41 @@ def parse_state_spec(text: str, renormalize: bool = False) -> PureState:
                 idx = int(fields[1])
                 re, im = float(fields[2]), float(fields[3])
             except ValueError:
-                raise StateSpecError(f"bad amp line {line!r}", lineno) from None
+                raise StateSpecError(f"bad amp line {raw.strip()!r}", lineno) from None
             if not 0 <= idx < amp.size:
                 raise StateSpecError(
                     f"index {idx} out of range [0, {amp.size - 1}]", lineno)
             if idx in seen:
                 raise StateSpecError(f"duplicate index {idx}", lineno)
             if not (math.isfinite(re) and math.isfinite(im)):
-                raise StateSpecError(f"amplitude must be finite: {line!r}", lineno)
+                raise StateSpecError(f"amplitude must be finite: {raw.strip()!r}", lineno)
             seen.add(idx)
             amp[idx] = complex(re, im)
         else:
             raise StateSpecError(f"unknown directive {fields[0]!r}", lineno)
     if amp is None:
         raise StateSpecError("missing 'qubits' header", 1)
+    with np.errstate(over="ignore"):   # a huge spec's squared norm overflows
+        try:   # PureState's norm check decides
+            return PureState(_register(n_qubits), amp)
+        except ValueError:   # not normalized: the parts are finite
+            pass
     sq = float(np.vdot(amp, amp).real)
     if math.isnan(sq):
         sq = math.inf   # an overflow: inf - inf in the complex product
-    if abs(sq - 1.0) > TAU_NUM:
-        if not renormalize:
-            raise StateSpecError(
-                f"state is not normalized: |psi| = {math.sqrt(sq)!r} "
-                "(pass renormalize to accept)", 1)
-        if sq == 0.0 or not math.isfinite(sq):
-            # by the largest |re| or |im| (|amplitude| can overflow), part
-            # by part (complex division forms 1/scale, inf if subnormal)
-            scale = np.abs(amp.view(float)).max()
-            if scale == 0.0:
-                raise StateSpecError("cannot renormalize the zero vector", 1)
-            amp = (amp.view(float) / scale).view(complex)
-            sq = float(np.vdot(amp, amp).real)
-        amp = amp / np.sqrt(sq)
-    return PureState(_register(n_qubits), amp)
+    if not renormalize:
+        raise StateSpecError(
+            f"state is not normalized: |psi| = {math.sqrt(sq)!r} "
+            "(pass renormalize to accept)", 1)
+    if sq == 0.0 or not math.isfinite(sq):
+        # by the largest |re| or |im| (|amplitude| can overflow), part
+        # by part (complex division forms 1/scale, inf if subnormal)
+        scale = np.abs(amp.view(float)).max()
+        if scale == 0.0:
+            raise StateSpecError("cannot renormalize the zero vector", 1)
+        amp = (amp.view(float) / scale).view(complex)
+        sq = float(np.vdot(amp, amp).real)
+    return PureState(_register(n_qubits), amp / np.sqrt(sq))
 
 
 def emit_state_spec(psi: PureState) -> str:

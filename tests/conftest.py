@@ -28,6 +28,20 @@ def example2_state():
 
 
 @pytest.fixture(scope="session")
+def edge_spec():
+    """(spec text, amplitudes) of a 2-qubit state whose squared norm lies
+    within ulps of 1 + TAU_NUM: np.vdot's sum reads it inside the
+    tolerance and PureState's check outside."""
+    parts = ((0.38587563827090215, -0.5258691752659007),
+             (0.2292776716520635, -0.15354158514320468),
+             (0.47942874910395367, -0.48270923439954466),
+             (0.052867254665939035, 0.18100623511309316))
+    text = "qubits 2\n" + "".join(f"amp {i} {re!r} {im!r}\n"
+                                  for i, (re, im) in enumerate(parts))
+    return text, np.array([complex(*p) for p in parts])
+
+
+@pytest.fixture(scope="session")
 def haar4_ensemble():
     """Shared 4-qubit Haar ensemble for the heavyweight invariant tests."""
     return [haar_random_pure(4, ENSEMBLE_SEED, stream=i)

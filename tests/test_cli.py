@@ -1,3 +1,5 @@
+import functools
+import gc
 import json
 import sys
 from pathlib import Path
@@ -586,6 +588,24 @@ class TestMainExitCodes:
             "error: line 1: state is not normalized: |psi| = "
             "1.118033988749895 (pass renormalize to accept)\n")
 
+    def test_bounds_norm_at_the_tolerance(self, tmp_path, edge_spec, capsys):
+        # a spec whose squared norm np.vdot reads inside the tolerance and
+        # PureState outside it: the parser's error without the flag, and
+        # a report of the rescaled state with it
+        spec = tmp_path / "edge.state"
+        spec.write_text(edge_spec[0], encoding="utf-8")
+        argv = ["bounds", "--state", str(spec), "--cut", "A|B",
+                "--exponent", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: line 1: state is not normalized: |psi| = "
+            "1.0000000004999998 (pass renormalize to accept)\n")
+        assert main(argv + ["--renormalize"]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert out.out.splitlines()[1:3] == [
+            "cut: A|B   exponent: 1", "lhs  C^b(left|rest) = 0.479960954153"]
+
     @pytest.mark.parametrize("scale", ["1e-200", "1e200"])
     def test_bounds_renormalizes_tiny_or_huge_amplitudes(self, tmp_path,
                                                          scale, capsys):
@@ -853,6 +873,31 @@ class TestOncePerState:
         assert pair_calls == []
 
 
+def python_calls(call) -> int:
+    """The Python-level calls (``sys.setprofile`` "call" events, in every
+    module, generator resumptions included) that ``call()`` makes once a
+    first call has filled the caches.  The garbage collector is off while
+    they are counted: a collection runs the callbacks in ``gc.callbacks``
+    (hypothesis registers one), and those are not the call's own."""
+    call()
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    collecting = gc.isenabled()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+        if collecting:
+            gc.enable()
+    return calls
+
+
 class TestNoPerStateLoop:
     """A verify chunk makes the same Python-level calls, in every module,
     whatever the number of states it checks: its per-state work is all in
@@ -862,24 +907,41 @@ class TestNoPerStateLoop:
     def python_calls(qubits: int, trials: int) -> int:
         cfg = VerifyConfig(qubits=qubits, trials=trials, exponents=(0.5, 1.0),
                            seed=7)
-        run_verify(cfg)   # the first call fills the caches
-        calls = 0
-
-        def profile(frame, event, arg):
-            nonlocal calls
-            calls += event == "call"
-
-        sys.setprofile(profile)
-        try:
-            run_verify(cfg)
-        finally:
-            sys.setprofile(None)
-        return calls
+        return python_calls(functools.partial(run_verify, cfg))
 
     @pytest.mark.parametrize("qubits", [4, 5, 6])
     def test_one_chunk(self, qubits):
         assert cli.VERIFY_CHUNK >= 64
         assert self.python_calls(qubits, 2) == self.python_calls(qubits, 64)
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11) or not np.__version__.startswith("2.4."),
+    reason="the counts include CPython 3.11's comprehension calls and "
+           "numpy 2.4's Python-level wrappers")
+class TestOneStateFixedCost:
+    """What a one-state call costs beside the numpy and LAPACK work on the
+    state it reads, pinned as its Python-level calls in every module
+    (``scripts/profile_bounds.py`` prints them too): the file is read
+    without pathlib, the spec's norm is PureState's one check, the cut is
+    parsed once, the pair kernel's QR skips np.triu, a focus is resolved
+    without per-partner generators and every value is formatted once."""
+
+    @staticmethod
+    def bounds_call(name: str, cut: str):
+        return functools.partial(run_bounds, str(CORPUS_DIR / f"{name}.state"),
+                                 cut, 1.0, "auto")
+
+    def test_run_bounds_six_qubits_two_foci(self):
+        assert python_calls(self.bounds_call("haar-6q-a", "AB|C1C2C3C4")) == 167
+
+    def test_run_bounds_three_qubits(self):
+        assert python_calls(self.bounds_call("ghz-3q", "A|BC")) == 111
+
+    def test_optimize(self):
+        psi = parse_state_spec((CORPUS_DIR / "haar-6q-a.state").read_text(
+            encoding="utf-8"))
+        assert python_calls(functools.partial(optimize, psi, "A", 1.0)) == 61
 
 
 class TestLevelsOncePerFocus:

@@ -133,9 +133,12 @@ def test_bounds_reads_states_only_through_measures():
 
 def test_bounds_adds_only_through_its_sum():
     """Every sum of ``bounds`` is ``bounds._sum``, left to right: the
-    built-in ``sum`` compensates from Python 3.12 and numpy's is pairwise
-    from 8 terms, so either could split a stack row from its one-state
-    value."""
+    built-in ``sum`` compensates from Python 3.12, numpy's is pairwise
+    from 8 terms, ``math.fsum`` is exact and a reduction's order is its
+    own, so any of them could split a stack row from its one-state value.
+    Checked: the built-in ``sum``, any ``.sum``, ``.cumsum`` or ``fsum``,
+    any ``.reduce``, ``.accumulate`` or ``.reduceat`` (``np.add``'s
+    included) and ``functools.reduce``, by attribute or imported name."""
     tree = ast.parse((ROOT / "src" / "entbounds" / "bounds.py").read_text(
         encoding="utf-8"))
     calls = [node.func for node in ast.walk(tree)
@@ -143,7 +146,12 @@ def test_bounds_adds_only_through_its_sum():
     assert not [f for f in calls if isinstance(f, ast.Name) and f.id == "sum"]
     assert not [node.attr for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute)
-                and node.attr in ("sum", "cumsum")]
+                and node.attr in ("sum", "cumsum", "fsum", "reduce",
+                                  "accumulate", "reduceat")]
+    assert not [alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names
+                if alias.name in ("fsum", "reduce", "functools")]
 
 
 def test_bounds_powers_only_through_pow():

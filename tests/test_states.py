@@ -2,6 +2,7 @@ import importlib
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entbounds.linalg import partial_trace, projector
+from entbounds.linalg import TAU_NUM, partial_trace, projector, qubit_shape
 from entbounds.measures import (
     Bipartition,
     cren_crenoa_two_qubit,
@@ -23,6 +24,7 @@ from entbounds.states import (
     acin_state,
     emit_state_spec,
     haar_random_pure,
+    _squared_norms,
     parse_state_spec,
     wclass4_state,
 )
@@ -354,6 +356,36 @@ class TestStateSpecFormat:
             renormalize=True)
         assert psi.amplitudes.tobytes() == (
             amp / np.sqrt(np.vdot(amp, amp).real)).tobytes()
+
+    def test_normalized_means_what_pure_state_accepts(self, edge_spec):
+        # this spec's squared norm lies within ulps of 1 + TAU_NUM, where
+        # np.vdot's sum passes the tolerance and PureState's check does
+        # not: the parser decides with PureState's check, so the spec is
+        # rejected with the parser's message, or rescaled on request
+        text, amp = edge_spec
+        sq = np.vdot(amp, amp).real
+        assert abs(sq - 1.0) <= TAU_NUM < abs(_squared_norms(amp) - 1.0)
+        with pytest.raises(ValueError, match="not normalized"):
+            PureState(qubit_shape(("A", "B")), amp)
+        with pytest.raises(StateSpecError) as exc:
+            parse_state_spec(text)
+        assert str(exc.value) == ("line 1: state is not normalized: "
+                                  "|psi| = 1.0000000004999998 "
+                                  "(pass renormalize to accept)")
+        psi = parse_state_spec(text, renormalize=True)
+        assert psi.amplitudes.tobytes() == (amp / np.sqrt(sq)).tobytes()
+
+    def test_huge_spec_is_rejected_without_a_warning(self):
+        # PureState's squared norm overflows on 1e200; the parser reads
+        # that as not normalized and numpy stays silent
+        text = "qubits 1\namp 0 1e200 -1e200\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StateSpecError, match=r"\|psi\| = inf "):
+                parse_state_spec(text)
+            psi = parse_state_spec(text, renormalize=True)
+        assert psi.amplitudes.tolist() == [
+            complex(0.7071067811865475, -0.7071067811865475), 0j]
 
     @pytest.mark.parametrize("scale", ["1e-200", "5e-324", "1e200", "1.7e308"])
     def test_renormalize_tiny_or_huge_amplitudes(self, scale):
