@@ -7,8 +7,10 @@ Exit codes: 0 success, 1 verification violation, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import errno
 import itertools
 import operator
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -156,8 +158,11 @@ _fmt = "{:.12g}".format   # every printed value, 12 significant digits
 
 def _check_dirs(*paths):
     """Raise before the work, not after it, what writing a path into a
-    missing directory raises."""
+    missing directory, or over a directory, raises."""
     for path in filter(None, paths):
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                    path)
         if not Path(path).parent.is_dir():
             Path(path).touch()   # raises the OSError that writing would
 
@@ -275,7 +280,7 @@ def run_verify(cfg: VerifyConfig) -> VerifyResult:
     bit for bit a one-state sweep of the report functions.  A chunk
     makes the same Python calls whatever its size: per state it pays two
     Philox re-keyings and its share of numpy's stacked arithmetic and of
-    the SVD (from 5 qubits also QR) calls; ``scripts/profile_verify.py``
+    the SVD (from 5 qubits also QR) calls; ``scripts/profile.py verify``
     splits a call's time by stage.  Slack is
     (larger side) - (smaller side); slack < -tol or NaN is a violation.
     """

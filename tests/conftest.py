@@ -1,4 +1,6 @@
+import importlib.util
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from entbounds.states import (
 
 ENSEMBLE_SEED = 20240917
 ENSEMBLE_SIZE = 10_000
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="session")
@@ -48,25 +51,53 @@ def haar4_ensemble():
             for i in range(ENSEMBLE_SIZE)]
 
 
+@pytest.fixture(scope="session")
+def profile_script():
+    """``scripts/profile.py`` as a module: its ``python_calls`` is the one
+    call counter of the scripts and the tests."""
+    spec = importlib.util.spec_from_file_location(
+        "profile_script", ROOT / "scripts" / "profile.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def python_calls(profile_script):
+    return profile_script.python_calls
+
+
 @pytest.fixture
-def dense_calls(monkeypatch):
+def spy(monkeypatch):
+    """``spy(owner, name)`` wraps ``owner.name`` while the test runs and
+    returns the list it appends each call's positional arguments to;
+    ``record`` picks what a call appends instead, and ``calls`` names a
+    list to share among spies."""
+    def spy(owner, name, record=lambda *args, **kwargs: args, calls=None):
+        calls = [] if calls is None else calls
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(record(*args, **kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+        return calls
+    return spy
+
+
+@pytest.fixture
+def dense_calls(spy):
     """Names of the dense reference routes of ``linalg`` (2^n x 2^n
     projectors, their partial traces and transposes, trace norms) called
     while the test runs, under whatever name a package module holds them."""
     calls = []
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-        return wrapper
-
     for mod_name, module in list(sys.modules.items()):
         if mod_name.split(".")[0] != "entbounds":
             continue
         for name in ("projector", "partial_trace", "partial_transpose",
                      "trace_norm"):
             if hasattr(module, name):
-                monkeypatch.setattr(module, name,
-                                    counted(name, getattr(module, name)))
+                spy(module, name, lambda *args, _name=name, **kwargs: _name,
+                    calls)
     return calls

@@ -1,5 +1,4 @@
 import functools
-import gc
 import json
 import sys
 from pathlib import Path
@@ -643,21 +642,29 @@ class TestMainExitCodes:
          "--svg", "{missing}/f.svg"],
         ["bounds", "--state", "{state}", "--cut", "A|BC", "--exponent", "1",
          "--csv", "{missing}/b.csv"],
-    ], ids=["verify-csv", "figure-out", "figure-svg", "bounds-csv"])
+        ["verify", "--trials", "2", "--csv", "{dir}"],
+        ["figure", "--id", "1", "--out", "{dir}"],
+        ["figure", "--id", "2", "--out", "{tmp}/f.csv", "--svg", "{dir}"],
+    ], ids=["verify-csv", "figure-out", "figure-svg", "bounds-csv",
+            "verify-csv-dir", "figure-out-dir", "figure-svg-dir"])
     def test_missing_output_directory_fails_before_the_work(
             self, tmp_path, monkeypatch, example1_spec_file, argv, capsys):
-        # the message and exit code a write after the work gave, but the
-        # work does not run, nothing is written and nothing is printed
+        # the message and exit code a write after the work gave, for a
+        # path in a missing directory or over a directory, but the work
+        # does not run, nothing is written and nothing is printed
         work = []
         for name in ("run_verify", "figure_rows", "run_bounds"):
             monkeypatch.setattr(cli, name, lambda *args, name=name, **kw: (
                 work.append(name)))
+        (tmp_path / "dir").mkdir()
         argv = [arg.format(missing=tmp_path / "missing", tmp=tmp_path,
-                           state=example1_spec_file) for arg in argv]
+                           dir=tmp_path / "dir", state=example1_spec_file)
+                for arg in argv]
+        error = ("[Errno 21] Is a directory" if argv[-1].endswith("dir")
+                 else "[Errno 2] No such file or directory")
         assert main(argv) == 2
-        assert capsys.readouterr() == (
-            "", f"error: [Errno 2] No such file or directory: {argv[-1]!r}\n")
-        assert work == [] and list(tmp_path.iterdir()) == []
+        assert capsys.readouterr() == ("", f"error: {error}: {argv[-1]!r}\n")
+        assert work == [] and [p.name for p in tmp_path.rglob("*")] == ["dir"]
 
     def test_usage_error_exit_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -716,28 +723,12 @@ class TestOncePerState:
     call for all its foci, trials and checks."""
 
     @pytest.fixture
-    def pair_calls(self, monkeypatch):
-        calls = []
-        original = bounds.pair_measures_sq
-
-        def counting(psi, focus):
-            calls.append(focus)
-            return original(psi, focus)
-
-        monkeypatch.setattr(bounds, "pair_measures_sq", counting)
-        return calls
+    def pair_calls(self, spy):
+        return spy(bounds, "pair_measures_sq", lambda psi, focus: focus)
 
     @pytest.fixture
-    def spectrum_calls(self, monkeypatch):
-        calls = []
-        original = measures._mu_spectrum
-
-        def counting(v):
-            calls.append(v)
-            return original(v)
-
-        monkeypatch.setattr(measures, "_mu_spectrum", counting)
-        return calls
+    def spectrum_calls(self, spy):
+        return spy(measures, "_mu_spectrum", lambda v: v)
 
     @pytest.mark.parametrize("qubits, foci, partner_rows",
                              [(4, 2, 6), (5, 3, 12), (6, 3, 15)])
@@ -763,23 +754,13 @@ class TestOncePerState:
             assert np.array_equal(m, measures._cut_matrix(psi, pairs))
 
     @pytest.mark.parametrize("qubits", [4, 6])
-    def test_verify_chunk_set_up_once(self, monkeypatch, dense_calls, qubits):
+    def test_verify_chunk_set_up_once(self, spy, dense_calls, qubits):
         # a chunk draws its states and its lemma triples in one call each,
         # and every reduction and cut concurrence reads cut matrices of the
         # amplitudes, never a 2^n x 2^n projector
         calls = []
-
-        def counting(module, name):
-            original = getattr(module, name)
-
-            def wrapper(*args, **kwargs):
-                calls.append(name)
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, wrapper)
-
-        counting(cli, "haar_random_pure")
-        counting(cli, "lemma_chain_grid")
+        for name in ("haar_random_pure", "lemma_chain_grid"):
+            spy(cli, name, lambda *args, _name=name, **kwargs: _name, calls)
         for trials, chunks in ((1, 1), (cli.VERIFY_CHUNK, 1),
                                (2 * cli.VERIFY_CHUNK + 1, 3)):
             calls.clear()
@@ -810,16 +791,15 @@ class TestOncePerState:
             [("A", "B"), ("A", "C1"), ("A", "C2"), ("B", "C1"), ("B", "C2")]))
 
     @pytest.mark.parametrize("qubits", [4, 5])
-    def test_verify_checks_once_per_chunk(self, monkeypatch, pair_calls,
+    def test_verify_checks_once_per_chunk(self, monkeypatch, spy, pair_calls,
                                           qubits):
         # three trials in chunks of two: each cut_sandwiches call (one per
         # chunk) checks each exponent once and makes one pair measure per
         # focus; no p is checked, no focus is resolved and no report
         # sweep or report is built (groupings are built only in _focus)
-        counting = TestLevelsOncePerFocus.counting
-        exponent_checks = counting(monkeypatch, "_check_exponent")
-        params_checks = counting(monkeypatch, "_check_params")
-        built = [counting(monkeypatch, name) for name in
+        exponent_checks = spy(bounds, "_check_exponent")
+        params_checks = spy(bounds, "_check_params")
+        built = [spy(bounds, name) for name in
                  ("_focus", "_sweep", "BoundReport")]
         monkeypatch.setattr(cli, "VERIFY_CHUNK", 2)
         exponents = (0.5, 1.0, 1.5, 2.0)
@@ -873,46 +853,21 @@ class TestOncePerState:
         assert pair_calls == []
 
 
-def python_calls(call) -> int:
-    """The Python-level calls (``sys.setprofile`` "call" events, in every
-    module, generator resumptions included) that ``call()`` makes once a
-    first call has filled the caches.  The garbage collector is off while
-    they are counted: a collection runs the callbacks in ``gc.callbacks``
-    (hypothesis registers one), and those are not the call's own."""
-    call()
-    calls = 0
-
-    def profile(frame, event, arg):
-        nonlocal calls
-        calls += event == "call"
-
-    collecting = gc.isenabled()
-    gc.disable()
-    sys.setprofile(profile)
-    try:
-        call()
-    finally:
-        sys.setprofile(None)
-        if collecting:
-            gc.enable()
-    return calls
-
-
 class TestNoPerStateLoop:
     """A verify chunk makes the same Python-level calls, in every module,
     whatever the number of states it checks: its per-state work is all in
     numpy and LAPACK."""
 
     @staticmethod
-    def python_calls(qubits: int, trials: int) -> int:
-        cfg = VerifyConfig(qubits=qubits, trials=trials, exponents=(0.5, 1.0),
-                           seed=7)
-        return python_calls(functools.partial(run_verify, cfg))
+    def verify_call(qubits: int, trials: int):
+        return functools.partial(run_verify, VerifyConfig(
+            qubits=qubits, trials=trials, exponents=(0.5, 1.0), seed=7))
 
     @pytest.mark.parametrize("qubits", [4, 5, 6])
-    def test_one_chunk(self, qubits):
+    def test_one_chunk(self, python_calls, qubits):
         assert cli.VERIFY_CHUNK >= 64
-        assert self.python_calls(qubits, 2) == self.python_calls(qubits, 64)
+        assert (python_calls(self.verify_call(qubits, 2))
+                == python_calls(self.verify_call(qubits, 64)))
 
 
 @pytest.mark.skipif(
@@ -922,7 +877,7 @@ class TestNoPerStateLoop:
 class TestOneStateFixedCost:
     """What a one-state call costs beside the numpy and LAPACK work on the
     state it reads, pinned as its Python-level calls in every module
-    (``scripts/profile_bounds.py`` prints them too): the file is read
+    (``scripts/profile.py bounds`` prints them too): the file is read
     without pathlib, the spec's norm is PureState's one check, the cut is
     parsed once, the pair kernel's QR skips np.triu, a focus is resolved
     without per-partner generators and every value is formatted once."""
@@ -932,13 +887,13 @@ class TestOneStateFixedCost:
         return functools.partial(run_bounds, str(CORPUS_DIR / f"{name}.state"),
                                  cut, 1.0, "auto")
 
-    def test_run_bounds_six_qubits_two_foci(self):
+    def test_run_bounds_six_qubits_two_foci(self, python_calls):
         assert python_calls(self.bounds_call("haar-6q-a", "AB|C1C2C3C4")) == 167
 
-    def test_run_bounds_three_qubits(self):
+    def test_run_bounds_three_qubits(self, python_calls):
         assert python_calls(self.bounds_call("ghz-3q", "A|BC")) == 111
 
-    def test_optimize(self):
+    def test_optimize(self, python_calls):
         psi = parse_state_spec((CORPUS_DIR / "haar-6q-a.state").read_text(
             encoding="utf-8"))
         assert python_calls(functools.partial(optimize, psi, "A", 1.0)) == 61
@@ -949,28 +904,16 @@ class TestLevelsOncePerFocus:
     the number of exponents; the sweep only evaluates the recursion and
     never goes through the public ``theta``."""
 
-    @staticmethod
-    def counting(monkeypatch, name):
-        calls = []
-        original = getattr(bounds, name)
-
-        def wrapper(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(bounds, name, wrapper)
-        return calls
-
-    def test_figure_heads_independent_of_samples(self, monkeypatch):
-        foci = self.counting(monkeypatch, "_focus")
+    def test_figure_heads_independent_of_samples(self, spy):
+        foci = spy(bounds, "_focus")
         figure_rows(2, samples=11)
         few = len(foci)
         figure_rows(2, samples=51)
         assert few > 0
         assert len(foci) - few == few
 
-    def test_no_public_theta_call(self, monkeypatch):
-        theta = self.counting(monkeypatch, "theta")
+    def test_no_public_theta_call(self, spy):
+        theta = spy(bounds, "theta")
         for fig_id in (1, 2, 3):
             figure_rows(fig_id, samples=11)
         for qubits in (4, 5):
