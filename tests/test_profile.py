@@ -1,9 +1,6 @@
-import functools
-
 import pytest
 
 from entbounds import bounds, cli, measures, optimizer, rng, states
-from entbounds.cli import VerifyConfig, run_verify
 
 # command: (argv, head line start, stage table, the owners it may wrap,
 #           the names of the count lines after the stage rows)
@@ -39,17 +36,3 @@ def test_prints_every_stage_and_restores_the_package(profile_script, capsys,
     assert all(owner.__dict__[name] is original
                for owner, name, original in wrapped)
     assert owners >= {owner for owner, _, _ in wrapped}
-
-
-def test_corpus_calls_are_the_benchmarks(profile_script):
-    assert len(profile_script.corpus_calls()) == 257
-
-
-def test_verify_count_is_python_calls(profile_script, capsys):
-    assert profile_script.main(["verify", "--qubits", "5", "--trials", "3",
-                                "--repeats", "1"]) == 0
-    head = capsys.readouterr().out.splitlines()[0]
-    cfg = VerifyConfig(qubits=5, trials=3, seed=0)
-    count = profile_script.python_calls(functools.partial(run_verify, cfg))
-    assert head.startswith(f"run_verify qubits=5 trials=3: {count} Python "
-                           "calls; ")

@@ -1,31 +1,16 @@
-import importlib.util
-from pathlib import Path
+"""Checks of ``scripts/profile.py verify`` beyond the smoke test that
+tests/test_profile.py runs on every subcommand."""
 
-ROOT = Path(__file__).resolve().parents[1]
+import functools
 
-
-def load_profile_script():
-    spec = importlib.util.spec_from_file_location(
-        "profile_verify", ROOT / "scripts" / "profile_verify.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from entbounds.cli import VerifyConfig, run_verify
 
 
-def test_prints_every_stage_and_restores_the_package(capsys):
-    from entbounds import bounds, cli, rng, states
-    script = load_profile_script()
-    wrapped = [(owner, name, owner.__dict__[name])
-               for _, names in script.STAGES for owner, name in names]
-    assert script.main(["--qubits", "5", "--trials", "3",
-                        "--repeats", "3"]) == 0
-    head, *rows = capsys.readouterr().out.splitlines()
-    assert head.startswith("run_verify qubits=5 trials=3: ")
-    assert [row.rsplit(None, 1)[0].strip() for row in rows] == [
-        stage for stage, _ in script.STAGES] + ["other"]
-    # a stage that no call reaches reads 0; each of these is reached
-    assert all(float(row.rsplit(None, 1)[1].rstrip("%")) > 0 for row in rows)
-    assert all(owner.__dict__[name] is original
-               for owner, name, original in wrapped)
-    assert {bounds, cli, rng, states.PureState, cli.VerifyResult} >= {
-        owner for owner, _, _ in wrapped}
+def test_verify_count_is_python_calls(profile_script, capsys):
+    assert profile_script.main(["verify", "--qubits", "5", "--trials", "3",
+                                "--repeats", "1"]) == 0
+    head = capsys.readouterr().out.splitlines()[0]
+    cfg = VerifyConfig(qubits=5, trials=3, seed=0)
+    count = profile_script.python_calls(functools.partial(run_verify, cfg))
+    assert head.startswith(f"run_verify qubits=5 trials=3: {count} Python "
+                           "calls; ")
