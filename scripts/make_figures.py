@@ -2,16 +2,17 @@
 """Regenerate all three figure data files (CSV + SVG) into out/."""
 
 import argparse
+import sys
 from pathlib import Path
 
 from entbounds.cli import FigureSpec, run_figure
 
 
-def main():
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="out")
     parser.add_argument("--samples", type=int, default=201)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -22,7 +23,8 @@ def main():
                           samples=args.samples)
         run_figure(spec)
         print(f"figure {fig_id}: {spec.out_csv} {spec.out_svg}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

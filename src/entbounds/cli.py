@@ -107,19 +107,13 @@ class VerifyConfig:
 
 @dataclass
 class CheckStat:
-    """Worst slack and violation count of one inequality over a sweep."""
+    """Worst slack and violation count of one inequality over a sweep.  A
+    NaN slack is a violation and stays the worst slack once seen."""
 
     name: str
     worst_slack: float = np.inf
     violations: int = 0
     samples: int = 0
-
-    def add(self, slack, tol: float):
-        """Fold in one slack or an array of them.  A NaN slack counts as a
-        violation and leaves the worst slack NaN."""
-        slack = np.asarray(slack, dtype=float)
-        self._fold(slack.size, float(slack.min()),
-                   int(np.count_nonzero(~(slack >= -tol))))
 
     def _fold(self, samples: int, low: float, violations: int):
         self.samples += samples
@@ -132,12 +126,11 @@ class CheckStat:
 class VerifyResult:
     stats: dict[str, CheckStat] = field(default_factory=dict)
 
-    def record(self, name: str, slack, tol: float):
-        self.stats.setdefault(name, CheckStat(name)).add(slack, tol)
-
     def record_chunk(self, slacks: dict[str, np.ndarray], tol: float):
-        """``record`` of each check's non-empty slack array in turn, folded
-        with one minimum and one violation count over all of them."""
+        """Fold each check's non-empty slack array into its ``CheckStat``,
+        with one minimum and one violation count over all of them: a slack
+        below -tol or NaN is a violation, and the worst slack is the lowest
+        (an earlier equal one stays) or a NaN, which stays once seen."""
         sizes = [s.size for s in slacks.values()]
         starts = list(itertools.accumulate(sizes[:-1], initial=0))
         flat = np.concatenate(list(slacks.values()), axis=None)

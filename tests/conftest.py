@@ -1,6 +1,4 @@
-import importlib.util
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +11,10 @@ from entbounds.states import (
     wclass4_state,
 )
 
+from reference import load_script
+
 ENSEMBLE_SEED = 20240917
 ENSEMBLE_SIZE = 10_000
-ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="session")
@@ -55,11 +54,7 @@ def haar4_ensemble():
 def profile_script():
     """``scripts/profile.py`` as a module: its ``python_calls`` is the one
     call counter of the scripts and the tests."""
-    spec = importlib.util.spec_from_file_location(
-        "profile_script", ROOT / "scripts" / "profile.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_script("profile")
 
 
 @pytest.fixture(scope="session")

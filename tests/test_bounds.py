@@ -1,6 +1,5 @@
 import math
 from itertools import combinations, permutations
-from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -13,7 +12,6 @@ from entbounds.bounds import (
     InfeasibleParamsError,
     CHAIN_COEFFICIENTS,
     COMPARATOR_NAMES,
-    SANDWICH_NAMES,
     chain_bound,
     chain_values,
     cut_sandwiches,
@@ -32,12 +30,17 @@ from entbounds.bounds import (
 from entbounds.cli import FIG23_P, FIG23_PARAMS
 from entbounds.measures import (SCHMIDT_TOL, Bipartition,
                                 cren_crenoa_two_qubit, negativity,
-                                pure_concurrence, reduced_density,
-                                schmidt_rank)
+                                reduced_density, schmidt_rank)
 from entbounds.optimizer import optimize
-from entbounds.states import (PureState, haar_random_pure, parse_state_spec,
-                              wclass4_state)
+from entbounds.states import PureState, haar_random_pure, wclass4_state
 from entbounds.linalg import default_labels, qubit_shape
+
+from reference import (
+    one_state_slacks,
+    read_corpus,
+    reference_theta,
+    two_term_state,
+)
 
 P_EXAMPLE2 = {"A": (4 / 5, 3 / 5), "B": (2 / 5, 3 / 5)}
 
@@ -322,9 +325,7 @@ class TestABCutBounds:
             assert np.min(np.diff(seq)) > -1e-9
 
     def test_product_state_upper_collapses(self):
-        amp = np.zeros(16, dtype=complex)
-        amp[0] = 1.0
-        psi = PureState(qubit_shape(("A", "B", "C1", "C2")), amp)
+        psi = two_term_state(4, 1, 0.0)   # |0000>
         [up] = polygamy_upper_AB(psi, [1.0])
         assert up.lhs == 0.0 and abs(up.ours) < 1e-12
 
@@ -344,9 +345,7 @@ class TestABCutBounds:
     def test_fallback_flagged_when_infeasible(self):
         # GHZ-like 4-qubit state: every pair CoA^2 equal, so singleton
         # t_1 = 2 > 1 and the grouping must collapse
-        amp = np.zeros(16, dtype=complex)
-        amp[0] = amp[15] = 1 / np.sqrt(2)
-        psi = PureState(qubit_shape(("A", "B", "C1", "C2")), amp)
+        psi = two_term_state(4, 15)
         [up] = polygamy_upper_AB(psi, [1.0])
         assert up.foci["A"].fallback and up.foci["B"].fallback
         assert all(f.grouping == ((0, 1, 2),) for f in up.foci.values())
@@ -366,9 +365,7 @@ class TestNegativityBounds:
         assert abs(nb.upper.ours - 111 / 64) < 1e-12
 
     def test_product_state(self):
-        amp = np.zeros(16, dtype=complex)
-        amp[0] = 1.0
-        psi = PureState(qubit_shape(("A", "B", "C1", "C2")), amp)
+        psi = two_term_state(4, 1, 0.0)   # |0000>
         [nb] = negativity_bounds_AB(psi, [1.0])
         assert nb.lower.lhs == 0.0
         assert nb.lower.ours <= 1e-12
@@ -402,9 +399,7 @@ class TestTripartiteBounds:
         assert tri.upper.ours >= 1.0
 
     def test_product_state(self):
-        amp = np.zeros(32, dtype=complex)
-        amp[0] = 1.0
-        psi = PureState(qubit_shape(("A", "B", "C1", "C2", "C3")), amp)
+        psi = two_term_state(5, 1, 0.0)   # |00000>
         [tri] = tripartite_bounds(psi, [1.0])
         assert tri.lhs == 0.0
         assert abs(tri.upper.ours) < 1e-12
@@ -488,58 +483,30 @@ class TestSixQubitEndToEnd:
 def geometric_w_state(n: int) -> PureState:
     """W-class state with weights 1, 1/3, 1/9, 1/27 on the first four of n
     qubits; the others stay |0>.  Foci A and B have two nonzero tail ratios,
-    both below 1/2, so every p of TestSweep is feasible."""
+    both below 1/2, so every explicit p of TestExponentStack is feasible."""
     amp = np.zeros(2 ** n, dtype=complex)
     for k in range(4):
         amp[2 ** (n - 1 - k)] = 3.0 ** (-k / 2)
     return PureState(qubit_shape(default_labels(n)), amp / np.linalg.norm(amp))
 
 
+# The report functions as functions of (state, exponents, p spec); the
+# focus and the left side they take are labels of every register.
+REPORTS = {
+    "polygamy_bound_coa": lambda psi, es, p: polygamy_bound_coa(
+        psi, psi.shape.labels[1], es, p),
+    "monogamy_lower_AB": monogamy_lower_AB,
+    "polygamy_upper_AB": polygamy_upper_AB,
+    "negativity_bounds_AB": negativity_bounds_AB,
+    "tripartite_bounds": tripartite_bounds,
+    "multi_partition_polygamy": lambda psi, es, p: multi_partition_polygamy(
+        psi, [psi.shape.labels[0], psi.shape.labels[-1]], es, p),
+}
+
+
 class TestSweep:
-    """A sweep returns, bit for bit, what its one-exponent calls return, and
-    raises what they raise."""
-
-    EXPONENTS = (0.0, 0.35, 1.0, 1.5, 2.0)
-    REPORTS = {
-        "polygamy_bound_coa": lambda psi, es, p: polygamy_bound_coa(
-            psi, "B", es, p=p),
-        "monogamy_lower_AB": monogamy_lower_AB,
-        "polygamy_upper_AB": polygamy_upper_AB,
-        "negativity_bounds_AB": negativity_bounds_AB,
-        "tripartite_bounds": tripartite_bounds,
-        "multi_partition_polygamy": lambda psi, es, p: multi_partition_polygamy(
-            psi, ["A", "C1"], es, p=p),
-    }
-
-    @staticmethod
-    def _outcome(call):
-        try:
-            return repr(call())  # float reprs round-trip, so equal is bitwise
-        except ValueError as exc:  # InfeasibleParamsError included
-            return f"{type(exc).__name__}: {exc}"
-
-    @pytest.mark.parametrize("name", sorted(REPORTS))
-    @pytest.mark.parametrize("p", ["auto", "one", (1.0, 0.9, 1.0, 1.0, 1.0),
-                                   FIG23_P], ids=["auto", "one", "vector",
-                                                  "fig23"])
-    def test_sweep_equals_one_exponent_calls(self, example2_state, name, p):
-        # explicit p is infeasible on Haar states (the tail ratios exceed
-        # 1), so geometric W states carry the explicit-p numbers
-        report = self.REPORTS[name]
-        states = ([example2_state]
-                  + [haar_random_pure(n, 5, stream=n) for n in (4, 5, 6)]
-                  + [geometric_w_state(n) for n in (5, 6)])
-        evaluated = 0
-        for psi in states:
-            sweep = self._outcome(lambda: report(psi, self.EXPONENTS, p))
-            singles = [self._outcome(lambda: report(psi, [e], p)[0])
-                       for e in self.EXPONENTS]
-            if sweep.startswith("["):
-                assert sweep == "[" + ", ".join(singles) + "]"
-                evaluated += 1
-            else:
-                assert singles == [sweep] * len(self.EXPONENTS)
-        assert evaluated >= 2  # the geometric W states at least
+    """A sweep rejects a bad exponent anywhere in it, a stack of states and
+    a mistyped focus label."""
 
     @pytest.mark.parametrize("name", sorted(REPORTS))
     def test_bad_exponent_anywhere_raises(self, name):
@@ -547,7 +514,7 @@ class TestSweep:
         for exponents in ([3.0, 1.0], [1.0, 2.5], [0.5, -0.1, 1.0],
                           [1.0, float("nan")]):
             with pytest.raises(ValueError, match="exponent must be in"):
-                self.REPORTS[name](psi, exponents, "auto")
+                REPORTS[name](psi, exponents, "auto")
 
     @pytest.mark.parametrize("name", sorted(REPORTS))
     def test_stack_raises(self, name):
@@ -555,24 +522,31 @@ class TestSweep:
         stack = haar_random_pure(5, 5, stream=range(3))
         with pytest.raises(ValueError,
                            match="expected one state, got a stack of 3"):
-            self.REPORTS[name](stack, [1.0], "auto")
+            REPORTS[name](stack, [1.0], "auto")
 
     @pytest.mark.parametrize("name", sorted(REPORTS))
     def test_mistyped_mapping_key_raises(self, name):
         # "b" is no label: ignoring it would leave focus B on auto mode
         psi = haar_random_pure(5, 5, stream=0)
         with pytest.raises(ValueError, match="unknown focus label 'b'"):
-            self.REPORTS[name](psi, [1.0], {"A": "one", "b": "one"})
-
-
-def two_term_state(n: int, index: int, eps: float) -> PureState:
-    """cos(eps)|0...0> + sin(eps)|index> on n qubits."""
-    amp = np.zeros(2 ** n, dtype=complex)
-    amp[0], amp[index] = np.cos(eps), np.sin(eps)
-    return PureState(qubit_shape(default_labels(n)), amp)
+            REPORTS[name](psi, [1.0], {"A": "one", "b": "one"})
 
 
 PAIR_SLACKS = ("pair_coa_polygamy", "pair_conc_monogamy")
+
+
+def assert_rows_one_state(psi: PureState, exponents) -> dict:
+    """``cut_sandwiches`` of one state or a stack, once each state's slacks
+    are checked to be its ``one_state_slacks``, bit for bit and in order."""
+    slacks = cut_sandwiches(psi, exponents)
+    rows = np.reshape(psi.amplitudes, (-1, psi.amplitudes.shape[-1]))
+    for j, amplitudes in enumerate(rows):
+        want = one_state_slacks(PureState(psi.shape, amplitudes), exponents)
+        assert [(name, [float(v).hex() for v in np.atleast_1d(values)])
+                for name, values in want.items()] == [
+            (name, [v.hex() for v in np.reshape(values, (-1, len(rows)))[
+                :, j].tolist()]) for name, values in slacks.items()]
+    return slacks
 
 
 class TestCutSandwiches:
@@ -596,21 +570,9 @@ class TestCutSandwiches:
                    for n in (4, 5, 6)]
         for states in groups:
             stack = PureState(states[0].shape, [s.amplitudes for s in states])
-            slacks = cut_sandwiches(stack, self.EXPONENTS)
+            assert_rows_one_state(stack, self.EXPONENTS)
             c_sq, ca_sq = pair_measures_sq(stack, "A")
             for j, psi in enumerate(states):
-                expected = [monogamy_lower_AB(psi, self.EXPONENTS),
-                            polygamy_upper_AB(psi, self.EXPONENTS)]
-                neg = negativity_bounds_AB(psi, self.EXPONENTS)
-                expected += [[s.lower for s in neg], [s.upper for s in neg]]
-                if len(psi.shape.labels) >= 5:
-                    tri = tripartite_bounds(psi, self.EXPONENTS)
-                    expected += [[s.lower for s in tri], [s.upper for s in tri]]
-                assert list(slacks) == list(
-                    PAIR_SLACKS + SANDWICH_NAMES[:len(expected)])
-                assert [[float(v).hex() for v in slacks[name][:, j]]
-                        for name in SANDWICH_NAMES[:len(expected)]] == [
-                    [rep.gap.hex() for rep in reports] for reports in expected]
                 pair = pair_measures_sq(psi, "A")
                 assert np.array_equal(c_sq[j], pair[0])
                 assert np.array_equal(ca_sq[j], pair[1])
@@ -618,43 +580,18 @@ class TestCutSandwiches:
     def test_one_state(self):
         # one unstacked state has no stack axis, as for the measures
         psi = haar_random_pure(5, 8, stream=5)
-        slacks = cut_sandwiches(psi, self.EXPONENTS)
+        slacks = assert_rows_one_state(psi, self.EXPONENTS)
         c_sq, ca_sq = pair_measures_sq(psi, "A")
         assert c_sq.shape == ca_sq.shape == (4,)
         assert [np.shape(slacks[name]) for name in PAIR_SLACKS] == [(), ()]
-        c_one_rest = pure_concurrence(psi, Bipartition.of(psi.shape, ["A"]))
-        assert float(slacks["pair_coa_polygamy"]).hex() == (
-            float(ca_sq.sum()) - c_one_rest ** 2).hex()
-        assert float(slacks["pair_conc_monogamy"]).hex() == (
-            c_one_rest ** 2 - float(c_sq.sum())).hex()
-        neg, tri = (negativity_bounds_AB(psi, self.EXPONENTS),
-                    tripartite_bounds(psi, self.EXPONENTS))
-        expected = [monogamy_lower_AB(psi, self.EXPONENTS),
-                    polygamy_upper_AB(psi, self.EXPONENTS),
-                    [s.lower for s in neg], [s.upper for s in neg],
-                    [s.lower for s in tri], [s.upper for s in tri]]
-        assert list(slacks) == list(PAIR_SLACKS + SANDWICH_NAMES)
-        assert [[float(v).hex() for v in slacks[name]]
-                for name in SANDWICH_NAMES] \
-            == [[rep.gap.hex() for rep in reports] for reports in expected]
 
     def test_pair_slacks_equal_one_state_values(self):
-        # CoA^2 and C^2 pair sums of focus A against C^2(A|rest), read as
-        # pure_concurrence squared in Python floats, on every stack of 4-6
-        # qubits: Haar, near-product and corpus states
+        # every stack of 4-6 qubits: Haar, near-product and corpus states
         stacks = [psi for psi in pair_kernel_inputs()
                   if psi.amplitudes.ndim == 2 and psi.n_qubits >= 4]
-        assert len(stacks) == 3 * 3   # an empty corpus glob fails
+        assert len(stacks) == 3 * 3
         for stack in stacks:
-            slacks = cut_sandwiches(stack, self.EXPONENTS)
-            for j, amplitudes in enumerate(stack.amplitudes):
-                psi = PureState(stack.shape, amplitudes)
-                c_sq, ca_sq = pair_measures_sq(psi, "A")
-                c_one_rest = pure_concurrence(
-                    psi, Bipartition.of(psi.shape, ["A"]))
-                assert [float(slacks[name][j]).hex() for name in PAIR_SLACKS] \
-                    == [(float(ca_sq.sum()) - c_one_rest ** 2).hex(),
-                        (c_one_rest ** 2 - float(c_sq.sum())).hex()]
+            assert_rows_one_state(stack, self.EXPONENTS)
 
     def test_chains_equal_chain_bound(self):
         # the chains come from one sort per focus; chain_bound sorts per call
@@ -665,39 +602,6 @@ class TestCutSandwiches:
             for e, rep in zip(self.EXPONENTS, reports):
                 for kind in CHAIN_COEFFICIENTS:
                     assert rep.comparators[kind] == chain_bound(ca_sq, e, kind)
-
-
-CORPUS_DIR = Path(__file__).resolve().parents[1] / "benchmark" / "corpus"
-
-
-def left_to_right(values):
-    """The values added one after another.  Not the built-in ``sum``, which
-    compensates its round-off from Python 3.12."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
-
-
-def reference_theta(groups, exponent, p):
-    """theta written out from the key inequality: group sums left to
-    right, trailing heads below 1e-9 dropped, and at level l the tail ratio
-    t capped at p_l, Omega = 1 + x t/(1+p)^2 and Upsilon = ((1+p)^x - 1)/p^x
-    - x p/((1+p)^2 p^x) at x = exponent/2."""
-    x = exponent / 2.0
-    heads = [left_to_right(g) for g in groups]
-    while heads and heads[-1] < 1e-9:
-        heads.pop()
-    value, prefix = 0.0, 1.0
-    for level in range(len(heads) - 1):
-        pl = p[level]
-        t = min(left_to_right(heads[level + 1:]) / heads[level], pl)
-        omega = 1.0 + x * t / (1.0 + pl) ** 2
-        upsilon = (((1.0 + pl) ** x - 1.0) / pl ** x
-                   - x * pl / ((1.0 + pl) ** 2 * pl ** x))
-        value += prefix * omega * heads[level] ** x
-        prefix *= upsilon
-    return value + prefix * (heads[-1] if heads else 0.0) ** x
 
 
 def assert_bitwise(*values):
@@ -719,10 +623,10 @@ class TestFlatPass:
         ratios below 1/2, trailing zero heads), and corpus states: Bell on
         AB with |0...0> (trailing zero heads and foci with no head at
         all), GHZ (every focus falls back) and W."""
-        corpus = [parse_state_spec((CORPUS_DIR / f"{name}.state").read_text())
-                  for name in ("bell-ab-4q", "bell-ab-6q", "ghz-5q", "w-4q")]
+        corpus = read_corpus("bell-ab-4q", "bell-ab-6q", "ghz-5q", "w-4q")
         return ([haar_random_pure(n, 9, stream=n) for n in (3, 4, 5, 6)]
-                + [geometric_w_state(n) for n in (5, 6)] + corpus)
+                + [geometric_w_state(n) for n in (5, 6)]
+                + list(corpus.values()))
 
     @staticmethod
     def p_spec(psi, mode):
@@ -813,11 +717,9 @@ class TestGroupingRecord:
 
     @staticmethod
     def states():
-        corpus = [parse_state_spec(path.read_text())
-                  for path in sorted(CORPUS_DIR.glob("*.state"))]
-        assert len(corpus) == 26   # an empty corpus glob fails
-        return corpus + [haar_random_pure(n, 23, stream=s)
-                         for n in (3, 4, 5, 6) for s in range(3)]
+        return list(read_corpus().values()) + [
+            haar_random_pure(n, 23, stream=s)
+            for n in (3, 4, 5, 6) for s in range(3)]
 
     @pytest.mark.parametrize("mode", MODES)
     def test_grouping_partitions_partners(self, mode):
@@ -873,52 +775,58 @@ def report_fields(report):
 class TestExponentStack:
     """Several exponents are evaluated as one stack, one exponent in Python
     floats: every field of every report equals, bit for bit, the report of
-    a call with that exponent alone, and the focus records are equal."""
+    a call with that exponent alone, the focus records are equal, and a
+    stack raises what each one-exponent call raises."""
 
-    REPORTS = {
-        "polygamy_bound_coa": lambda psi, es, p: polygamy_bound_coa(
-            psi, psi.shape.labels[1], es, p),
-        "monogamy_lower_AB": monogamy_lower_AB,
-        "polygamy_upper_AB": polygamy_upper_AB,
-        "negativity_bounds_AB": negativity_bounds_AB,
-        "tripartite_bounds": tripartite_bounds,
-        "multi_partition_polygamy": lambda psi, es, p: multi_partition_polygamy(
-            psi, [psi.shape.labels[0], psi.shape.labels[-1]], es, p),
-    }
     GRID = np.linspace(0.0, 2.0, 201).tolist()
+    # p specs beside TestFlatPass.MODES, off the grid.  Explicit p is
+    # infeasible on Haar states (the tail ratios exceed 1); the geometric W
+    # states carry its numbers.
+    FIXED_P = {"vector": (1.0, 0.9, 1.0, 1.0, 1.0), "fig23": FIG23_P}
 
     @staticmethod
     def states(grid):
-        """The corpus (read only) and Haar states at 4-6 qubits; on the
-        201-point grid the two figure states and the Haar states."""
-        names = (["fig1-acin-3q", "fig23-wclass-4q"] if grid else
-                 sorted(path.stem for path in CORPUS_DIR.glob("*.state")))
-        assert len(names) in (2, 26)   # an empty corpus glob fails
-        return ([parse_state_spec((CORPUS_DIR / f"{name}.state").read_text())
-                 for name in names]
-                + [haar_random_pure(n, 31, stream=n) for n in (4, 5, 6)])
+        """Haar states at 4-6 qubits, after the corpus (read only) and the
+        geometric W states, or on the 201-point grid the two figure states."""
+        special = (list(read_corpus("fig1-acin-3q", "fig23-wclass-4q").values())
+                   if grid else list(read_corpus().values())
+                   + [geometric_w_state(n) for n in (5, 6)])
+        return special + [haar_random_pure(n, 31, stream=n) for n in (4, 5, 6)]
 
-    @pytest.mark.parametrize("mode", TestFlatPass.MODES)
-    @pytest.mark.parametrize("grid", [False, True], ids=["0-0.1-2", "grid"])
-    def test_stack_equals_one_exponent_calls(self, mode, grid):
+    @staticmethod
+    def outcome(call):
+        """report_fields of each report that ``call()`` returns, or the
+        error it raises (InfeasibleParamsError included)."""
+        try:
+            return [report_fields(r) for r in call()]
+        except ValueError as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    @pytest.mark.parametrize("arm, mode", [
+        *(("0-0.1-2", mode) for mode in TestFlatPass.MODES + list(FIXED_P)),
+        *(("grid", mode) for mode in TestFlatPass.MODES)])
+    def test_stack_equals_one_exponent_calls(self, arm, mode):
+        grid = arm == "grid"
         exponents = self.GRID if grid else [0.0, 0.1, 2.0]
         seen = set()
         for psi in self.states(grid):
-            p = TestFlatPass.p_spec(psi, mode)
-            for name, report in self.REPORTS.items():
-                if len(psi.shape.labels) < (5 if name.startswith("tri")
-                                            else 4 if "AB" in name else 2):
+            p = self.FIXED_P.get(mode) or TestFlatPass.p_spec(psi, mode)
+            for name, report in REPORTS.items():
+                stack = self.outcome(lambda: report(psi, exponents, p))
+                singles = [self.outcome(lambda: report(psi, [e], p))
+                           for e in exponents]
+                if isinstance(stack, str):   # equal errors, equal outcomes
+                    assert singles == [stack] * len(exponents), name
+                    seen.add("error")
                     continue
-                stack = report(psi, exponents, p)
-                singles = [report(psi, [e], p)[0] for e in exponents]
-                assert ([report_fields(r) for r in stack]
-                        == [report_fields(r) for r in singles]), name
-                first = getattr(stack[0], "lower", stack[0])
+                assert singles == [[fields] for fields in stack], name
+                # a sandwich's fields are a list of its two reports' fields
+                first = stack[0][0] if isinstance(stack[0], list) else stack[0]
                 seen.add(name)
-                seen.update("fallback" for fp in first.foci.values()
+                seen.update("fallback" for fp in first[1].values()
                             if fp.fallback)
-        assert seen >= set(self.REPORTS) | ({"fallback"} if mode != "explicit"
-                                            else set())
+        assert seen >= set(REPORTS) | {"error"} | (
+            {"fallback"} if mode in ("auto", "one") else set())
 
 
 def pair_kernel_inputs():
@@ -936,8 +844,7 @@ def pair_kernel_inputs():
                    PureState(qubit_shape(default_labels(n)),
                              np.r_[near[1:], np.eye(1, 2 ** n)])]
     corpus = {}
-    for path in sorted(CORPUS_DIR.glob("*.state")):
-        psi = parse_state_spec(path.read_text(encoding="utf-8"))
+    for psi in read_corpus().values():
         inputs.append(psi)
         corpus.setdefault(psi.shape, []).append(psi.amplitudes)
     inputs += [PureState(shape, amps) for shape, amps in corpus.items()]
@@ -1121,27 +1028,6 @@ class TestInvariance:
                                 rtol=0, atol=1e-10)
 
 
-def sandwich_gaps(psi: PureState, exponents) -> dict[str, list[float]]:
-    """The report gaps that ``cut_sandwiches`` reproduces, by slack name."""
-    neg = negativity_bounds_AB(psi, exponents)
-    reports = [monogamy_lower_AB(psi, exponents),
-               polygamy_upper_AB(psi, exponents),
-               [s.lower for s in neg], [s.upper for s in neg]]
-    if len(psi.shape.labels) >= 5:
-        tri = tripartite_bounds(psi, exponents)
-        reports += [[s.lower for s in tri], [s.upper for s in tri]]
-    return {name: [rep.gap for rep in reps]
-            for name, reps in zip(SANDWICH_NAMES, reports)}
-
-
-def assert_rows_equal_gaps(slacks, gaps, row=...):
-    """Stack row ``row`` of the slacks equals the gaps bit for bit; the
-    default reads the slacks of one unstacked state."""
-    assert {name: [float(v).hex() for v in slacks[name][:, row]]
-            for name in gaps} == {name: [g.hex() for g in values]
-                                  for name, values in gaps.items()}
-
-
 BLOCK_QUBITS = {"haar1": 1, "haar2": 2, "haar3": 3, "bell": 2, "ghz3": 3,
                 "w3": 3}
 
@@ -1189,7 +1075,7 @@ class TestBlockProducts:
     """Products of Haar, Bell, GHZ_3 and W_3 blocks: exact zeros and
     product cuts away from Haar typicality.  No call raises, the lower
     bounds and both negativity bounds hold, and the slacks of
-    ``cut_sandwiches`` equal the report gaps bit for bit.  The upper
+    ``cut_sandwiches`` equal their one-state values bit for bit.  The upper
     concurrence bounds are left out: C across a product cut cancels to
     about 1e-8 where the bound reads 0 (ROADMAP item 10, route (a))."""
 
@@ -1201,11 +1087,9 @@ class TestBlockProducts:
     @given(block_products())
     @example(PLUS_4)   # |+>^4: N and the radicands read round-off
     def test_bounds_hold_and_rows_equal_gaps(self, psi):
-        gaps = sandwich_gaps(psi, self.EXPONENTS)
+        slacks = assert_rows_one_state(psi, self.EXPONENTS)
         for name in self.HOLD:
-            assert min(gaps.get(name, [0.0])) >= -1e-12, name
-        slacks = cut_sandwiches(psi, self.EXPONENTS)
-        assert_rows_equal_gaps(slacks, gaps)
+            assert np.min(slacks.get(name, 0.0)) >= -1e-12, name
 
 
 class TestSchmidtThreshold:
@@ -1257,12 +1141,10 @@ class TestSummationOrder:
         monkeypatch.setattr(bounds, "sum", compensated_sum, raising=False)
         for n in (4, 5, 6):
             stack = haar_random_pure(n, 23, stream=range(24))
-            slacks = cut_sandwiches(stack, self.EXPONENTS)
-            for j, amplitudes in enumerate(stack.amplitudes):
-                psi = PureState(stack.shape, amplitudes)
-                assert_rows_equal_gaps(slacks, sandwich_gaps(
-                    psi, self.EXPONENTS), j)
-                ca = pair_measures_sq(psi, "A")[1].tolist()
+            assert_rows_one_state(stack, self.EXPONENTS)
+            for amplitudes in stack.amplitudes:
+                ca = pair_measures_sq(PureState(stack.shape, amplitudes),
+                                      "A")[1].tolist()
                 # one group, and four levels with tail ratios near 1/3
                 levels = [[v / 4 ** k for v in ca] for k in range(4)]
                 for groups, p in (([ca], ()), (levels, (0.5,) * 3)):

@@ -1,21 +1,12 @@
 import functools
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from entbounds import bounds, cli, measures, rng
-from entbounds.bounds import (
-    COMPARATOR_NAMES,
-    lemma_chain_grid,
-    monogamy_lower_AB,
-    negativity_bounds_AB,
-    pair_measures_sq,
-    polygamy_upper_AB,
-    tripartite_bounds,
-)
+from entbounds.bounds import COMPARATOR_NAMES
 from entbounds.cli import (
     FIG1_PARAMS,
     CheckStat,
@@ -28,18 +19,17 @@ from entbounds.cli import (
     run_figure,
     run_verify,
 )
-from entbounds.measures import Bipartition, pure_concurrence
 from entbounds.optimizer import optimize
 from entbounds.states import (
     acin_state,
     emit_state_spec,
     haar_random_pure,
-    parse_state_spec,
     wclass4_state,
 )
 
-REFERENCE_DIR = Path(__file__).resolve().parents[1] / "benchmark" / "reference"
-CORPUS_DIR = REFERENCE_DIR.parent / "corpus"
+from reference import CORPUS_DIR, ROOT, add, per_function_verify, read_corpus
+
+REFERENCE_DIR = ROOT / "benchmark" / "reference"
 
 
 @pytest.fixture(scope="module")
@@ -208,85 +198,34 @@ class TestVerify:
         assert {type(v) for v in (cfg.qubits, cfg.trials, cfg.seed)} == {int}
 
 
-def per_function_verify(cfg: VerifyConfig) -> VerifyResult:
-    """run_verify written as one call per report function per state: the
-    reference that the batched chunks must reproduce bit for bit."""
-    res = VerifyResult()
-    for trial in range(cfg.trials):
-        chain = lemma_chain_grid(1, cfg.seed, cli._LEMMA_STREAM_BASE + trial)[0]
-        res.record("lemma_key_inequality", chain[1] - chain[0], cfg.tol)
-        res.record("lemma_chain_order", float(np.min(np.diff(chain[1:]))),
-                   cfg.tol)
-        psi = haar_random_pure(cfg.qubits, cfg.seed, stream=trial)
-        c_sq, ca_sq = pair_measures_sq(psi, "A")
-        c_one_rest = pure_concurrence(psi, Bipartition.of(psi.shape, ["A"]))
-        res.record("pair_coa_polygamy", float(ca_sq.sum()) - c_one_rest ** 2,
-                   cfg.tol)
-        res.record("pair_conc_monogamy", c_one_rest ** 2 - float(c_sq.sum()),
-                   cfg.tol)
-        lo = monogamy_lower_AB(psi, cfg.exponents)
-        up = polygamy_upper_AB(psi, cfg.exponents)
-        neg = negativity_bounds_AB(psi, cfg.exponents)
-        tri = tripartite_bounds(psi, cfg.exponents) if cfg.qubits >= 5 else []
-        for i in range(len(cfg.exponents)):
-            res.record("concurrence_lower_AB", lo[i].gap, cfg.tol)
-            res.record("concurrence_upper_AB", up[i].gap, cfg.tol)
-            res.record("negativity_lower_AB", neg[i].lower.gap, cfg.tol)
-            res.record("negativity_upper_AB", neg[i].upper.gap, cfg.tol)
-            if tri:
-                res.record("tripartite_lower_ABC1", tri[i].lower.gap, cfg.tol)
-                res.record("tripartite_upper_ABC1", tri[i].upper.gap, cfg.tol)
-    return res
-
-
 class TestCheckStat:
-    """A check folds one slack or an array of slacks alike; a NaN slack is
-    a violation, never a held inequality."""
-
-    def test_nan_slack_is_a_violation(self):
-        st = CheckStat("x")
-        st.add(float("nan"), 1e-9)
-        assert (st.samples, st.violations) == (1, 1)
-        assert np.isnan(st.worst_slack)
-        st.add(-5.0, 1e-9)
-        assert (st.samples, st.violations) == (2, 2)
-        assert np.isnan(st.worst_slack)
-
-    @pytest.mark.parametrize("nans", [(), (0,), (7, 30)])
-    def test_array_fold_equals_scalar_adds(self, nans):
-        slacks = np.random.default_rng(3).normal(size=50) * 1e-8
-        slacks[list(nans)] = np.nan
-        one_by_one, folded = CheckStat("a"), CheckStat("b")
-        for slack in slacks:
-            one_by_one.add(float(slack), 1e-9)
-        folded.add(slacks[:20], 1e-9)
-        folded.add(slacks[20:], 1e-9)
-        for st in (one_by_one, folded):
-            assert st.samples == 50
-            assert st.violations == int((slacks < -1e-9).sum()) + len(nans)
-        assert repr(one_by_one.worst_slack) == repr(folded.worst_slack)
-        assert np.isnan(folded.worst_slack) == bool(nans)
+    """A NaN slack is a violation, never a held inequality, and stays the
+    worst slack once seen."""
 
     def test_nan_slack_fails_verify(self, monkeypatch, capsys):
+        # a NaN in one chunk; then chunks of two trials, a NaN in the first
+        # chunk's slacks and -5.0 in the second's
         sandwiches = bounds.cut_sandwiches
+        for chunk, trials, marks, counts in (
+                (cli.VERIFY_CHUNK, 2, [np.nan], "1/2"),
+                (2, 3, [np.nan, -5.0], "2/3")):
+            def marked(psi, exponents, marks=iter(marks)):
+                slacks = sandwiches(psi, exponents)
+                slacks["negativity_upper_AB"][0, 0] = next(marks)
+                return slacks
 
-        def with_nan(psi, exponents):
-            slacks = sandwiches(psi, exponents)
-            slacks["negativity_upper_AB"][0, 0] = np.nan
-            return slacks
-
-        monkeypatch.setattr(cli, "cut_sandwiches", with_nan)
-        code = main(["verify", "--qubits", "4", "--trials", "2",
-                     "--exponents", "1"])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "negativity_upper_AB   worst slack  nan  violations 1/2  [FAIL]" \
-            in out
+            monkeypatch.setattr(cli, "VERIFY_CHUNK", chunk)
+            monkeypatch.setattr(cli, "cut_sandwiches", marked)
+            code = main(["verify", "--qubits", "4", "--trials", str(trials),
+                         "--exponents", "1"])
+            assert code == 1
+            assert ("negativity_upper_AB   worst slack  nan  violations "
+                    f"{counts}  [FAIL]") in capsys.readouterr().out
 
 
 class TestChunkFold:
     """``VerifyResult.record_chunk`` folds a chunk's slacks of every check
-    at once, and gives each check what ``CheckStat.add`` gives it alone."""
+    at once, and gives each check what the reference fold gives it alone."""
 
     TOL = 1e-9
 
@@ -321,7 +260,7 @@ class TestChunkFold:
                       self.chunk(gen, (), marked=True)):
             folded.record_chunk(chunk, self.TOL)
             for name, slacks in chunk.items():
-                alone.setdefault(name, CheckStat(name)).add(slacks, self.TOL)
+                add(alone.setdefault(name, CheckStat(name)), slacks, self.TOL)
         assert list(folded.stats) == list(alone)
         for name, st in alone.items():
             got = folded.stats[name]
@@ -342,6 +281,10 @@ class TestChunkFold:
         assert repr(res.stats["signed_zeros"].worst_slack) == repr(
             float(np.array([0.0, -0.0, -0.0, 0.0]).min()))
         assert np.isnan(res.stats["nan"].worst_slack)
+        # a later equal minimum keeps the earlier one, a signed zero too
+        for zero in (0.0, -0.0):
+            res.record_chunk({"zeros": np.array([zero])}, self.TOL)
+        assert repr(res.stats["zeros"].worst_slack) == "0.0"
 
 
 def summary(res: VerifyResult) -> list[tuple]:
@@ -399,6 +342,7 @@ class TestRunBounds:
         # records a raise, the call may raise or give the closed form
         ref = json.loads((REFERENCE_DIR / "fixed-state.json").read_text())
         assert len(ref["calls"]) == 257
+        corpus = read_corpus()
         for key, want in ref["calls"]:
             kind, name, arg, *p_mode = key.split()
             path = CORPUS_DIR / f"{name}.state"
@@ -409,8 +353,8 @@ class TestRunBounds:
                     got = [rep.lhs, rep.ours] + [rep.comparators[k]
                                                  for k in COMPARATOR_NAMES]
                 else:
-                    psi = parse_state_spec(path.read_text(encoding="utf-8"))
-                    got = [optimize(psi, arg, ref["exponent"]).best_value]
+                    got = [optimize(corpus[name], arg,
+                                    ref["exponent"]).best_value]
             except ValueError:
                 assert "seed_error" in want, key
                 continue
@@ -771,12 +715,13 @@ class TestOncePerState:
         assert dense_calls == []
 
     def test_reports_build_no_projector(self, dense_calls):
-        for path in sorted(CORPUS_DIR.glob("*.state")):
-            labels = parse_state_spec(path.read_text()).shape.labels
+        for name, psi in read_corpus().items():
+            labels = psi.shape.labels
             for k in range(1, min(len(labels), 4)):
                 cut = "".join(labels[:k]) + "|" + "".join(labels[k:])
                 for p_mode in ("auto", "1"):
-                    run_bounds(str(path), cut, 1.0, p_mode)
+                    run_bounds(str(CORPUS_DIR / f"{name}.state"), cut, 1.0,
+                               p_mode)
         for fig_id in (1, 2, 3):
             figure_rows(fig_id, samples=11)
         assert dense_calls == []
@@ -894,8 +839,7 @@ class TestOneStateFixedCost:
         assert python_calls(self.bounds_call("ghz-3q", "A|BC")) == 111
 
     def test_optimize(self, python_calls):
-        psi = parse_state_spec((CORPUS_DIR / "haar-6q-a.state").read_text(
-            encoding="utf-8"))
+        [psi] = read_corpus("haar-6q-a").values()
         assert python_calls(functools.partial(optimize, psi, "A", 1.0)) == 61
 
 

@@ -1,19 +1,8 @@
-import importlib.util
 from itertools import combinations
-from pathlib import Path
 
 from entbounds.bounds import SANDWICH_NAMES
-from entbounds.cli import parse_state_spec
 
-ROOT = Path(__file__).resolve().parents[1]
-
-
-def load_dump_script():
-    spec = importlib.util.spec_from_file_location(
-        "dump_outputs", ROOT / "scripts" / "dump_outputs.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from reference import load_script, read_corpus
 
 
 def test_verify_section_shows_every_sandwich_bound():
@@ -22,7 +11,7 @@ def test_verify_section_shows_every_sandwich_bound():
     exponents never shows the bounds; per exponent, each check must show
     a slack that differs from that constant."""
     out = []
-    load_dump_script().dump_verify(out, trials=2)
+    load_script("dump_outputs").dump_verify(out, trials=2)
     slacks = {}
     for line in out:
         if line.startswith("verify "):
@@ -42,7 +31,7 @@ def test_reports_section_reaches_every_report_function():
     """Each of the six report functions is called directly, and each
     returns reports (not only errors) on some corpus state and p spec."""
     out = []
-    load_dump_script().dump_reports(out)
+    load_script("dump_outputs").dump_reports(out)
     reported = set()
     for line in out:
         if line.startswith("reports "):
@@ -58,7 +47,7 @@ def test_pairs_section_gives_every_focus_one_row():
     """Every focus of every corpus state has a row from its one-label call
     and from the two all-foci calls, and the three rows are equal."""
     out = []
-    load_dump_script().dump_pairs(out)
+    load_script("dump_outputs").dump_pairs(out)
     rows = {}
     for line in out:
         _, state, call, focus, values = line.split(" ", 4)
@@ -74,7 +63,7 @@ def test_cuts_section_covers_every_cut_and_pair():
     and each label pair; ``cut_measures`` and the one-cut readers agree,
     and every value is written by ``float.hex``."""
     out = []
-    load_dump_script().dump_cuts(out)
+    load_script("dump_outputs").dump_cuts(out)
     cuts, pairs = {}, {}
     for line in out:
         kind, state, name, values = line.split(" ", 3)
@@ -88,22 +77,22 @@ def test_cuts_section_covers_every_cut_and_pair():
             pairs.setdefault(state, []).append(name)
         for value in values.replace(" | ", " ").split():
             assert float.fromhex(value).hex() == value
-    paths = sorted((ROOT / "benchmark" / "corpus").glob("*.state"))
-    assert len(paths) == 26
-    assert sorted(cuts) == sorted(pairs) == [path.name for path in paths]
-    for path in paths:
-        labels = parse_state_spec(path.read_text(encoding="utf-8")).shape.labels
-        assert cuts[path.name] == [
+    corpus = read_corpus()
+    assert sorted(cuts) == sorted(pairs) == [f"{name}.state" for name in corpus]
+    for name, psi in corpus.items():
+        labels = psi.shape.labels
+        assert cuts[f"{name}.state"] == [
             "".join(labels[:k]) + "|" + "".join(labels[k:])
             for k in range(1, min(4, len(labels)))]
-        assert pairs[path.name] == [p + q for p, q in combinations(labels, 2)]
+        assert pairs[f"{name}.state"] == [p + q
+                                         for p, q in combinations(labels, 2)]
 
 
 def test_sandwiches_section_covers_every_stack_and_bound():
     """Each of the six stacks (corpus and Haar, 4-6 qubits) shows every
     state's pair values, one line of each pair inequality's slacks and
     every bound's slacks at every exponent."""
-    script = load_dump_script()
+    script = load_script("dump_outputs")
     out = []
     script.dump_sandwiches(out)
     seen, pairs = {}, {}
@@ -137,7 +126,7 @@ def test_theta_section_reaches_each_function_at_exponents_zero_and_two():
     errors) at exponent 0 and at exponent 2 (x = 0 and x = 1 for the
     lemma), and each also shows an error."""
     out = []
-    load_dump_script().dump_theta(out)
+    load_script("dump_outputs").dump_theta(out)
     values, errors = {}, set()
     for line in out:
         name, exponent, rest = line.split(" ", 2)

@@ -14,17 +14,7 @@ from entbounds.linalg import (
     trace_norm,
 )
 
-BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-
-
-def random_complex(rng, *shape):
-    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-
-def random_density(rng, d):
-    a = random_complex(rng, d, d)
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
+from reference import BELL, random_density
 
 
 class TestShape:

@@ -1,5 +1,4 @@
 from itertools import combinations
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,22 +26,10 @@ from entbounds.states import (
     PureState,
     acin_state,
     haar_random_pure,
-    parse_state_spec,
 )
 
-BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-
-
-def linear_entropy(rho):
-    """1 - Tr rho^2, a second route to C^2(left|rest) = 2 (1 - Tr rho_left^2)
-    of a pure state."""
-    return 1.0 - np.trace(rho @ rho).real
-
-
-def random_two_qubit_density(generator):
-    a = generator.normal(size=(4, 4)) + 1j * generator.normal(size=(4, 4))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
+from reference import (BELL, linear_entropy, random_density, read_corpus,
+                       two_term_state)
 
 
 class TestBipartition:
@@ -163,7 +150,7 @@ class TestTwoQubitCoa:
     def test_coa_dominates_concurrence(self):
         gen = np.random.default_rng(47)
         for _ in range(200):
-            rho = random_two_qubit_density(gen)
+            rho = random_density(gen, 4)
             c, ca = cren_crenoa_two_qubit(rho)
             assert ca >= c - 1e-12
 
@@ -210,9 +197,7 @@ class TestNegativity:
 
 class TestSchmidtRank:
     def test_product_state(self):
-        from entbounds.states import PureState
-        psi = PureState(qubit_shape(("A", "B")),
-                        np.array([1, 0, 0, 0], dtype=complex))
+        psi = two_term_state(2, 1, 0.0)   # |00>
         assert schmidt_rank(psi, Bipartition.of(psi.shape, ["A"])) == 1
 
     def test_bell(self):
@@ -252,16 +237,12 @@ class TestEnsembleInvariants:
             assert c2 >= c_sq_sum - 1e-9
 
 
-CORPUS_DIR = Path(__file__).resolve().parents[1] / "benchmark" / "corpus"
-
-
 def schmidt_route_states():
     """Haar states at 4-6 qubits and every state of the benchmark corpus
     (read only)."""
     states = [haar_random_pure(n, 29, stream=i)
               for n in (4, 5, 6) for i in range(10)]
-    return states + [parse_state_spec(path.read_text(encoding="utf-8"))
-                     for path in sorted(CORPUS_DIR.glob("*.state"))]
+    return states + list(read_corpus().values())
 
 
 class TestSchmidtRoute:
@@ -350,8 +331,7 @@ class TestSpinFlipEigenRoute:
 
     def test_every_pair(self):
         states = [haar_random_pure(3 + i % 4, 71, stream=i) for i in range(80)]
-        states += [parse_state_spec(path.read_text(encoding="utf-8"))
-                   for path in sorted(CORPUS_DIR.glob("*.state"))]
+        states += list(read_corpus().values())
         pairs = 0
         for psi in states:
             for pair in combinations(psi.shape.labels, 2):
@@ -374,8 +354,7 @@ def stacked_groups():
     """50 Haar states at 4-6 qubits and the benchmark corpus (read only),
     grouped by register and stacked: [(stack, its states)]."""
     states = [haar_random_pure(4 + i % 3, 53, stream=i) for i in range(50)]
-    states += [parse_state_spec(path.read_text(encoding="utf-8"))
-               for path in sorted(CORPUS_DIR.glob("*.state"))]
+    states += list(read_corpus().values())
     groups = {}
     for psi in states:
         groups.setdefault(psi.shape, []).append(psi)
@@ -495,7 +474,7 @@ class TestStackedErrors:
     @pytest.mark.parametrize("kind", ["non-Hermitian", "trace", "negative"])
     def test_bad_density_row(self, kind):
         gen = np.random.default_rng(59)
-        stack = np.array([random_two_qubit_density(gen) for _ in range(5)])
+        stack = np.array([random_density(gen, 4) for _ in range(5)])
         cren_crenoa_two_qubit(stack)
         stack[3] = bad_density(kind)
         with pytest.raises(ValueError) as single:

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from entbounds import rng
@@ -9,25 +8,14 @@ from entbounds.bounds import (
     tail_ratios,
     theta,
 )
-from entbounds.linalg import TAU_NUM, default_labels, projector, qubit_shape
+from entbounds.linalg import TAU_NUM, projector
 from entbounds.measures import Bipartition, pure_concurrence
 from entbounds.optimizer import optimize, ordered_set_partitions
-from entbounds.states import PureState, haar_random_pure
+from entbounds.states import haar_random_pure
+
+from reference import left_to_right, two_term_state
 
 EXPONENTS = (0.0, 0.5, 1.0, 1.5, 2.0)
-
-
-def two_term_state(n: int, index: int) -> PureState:
-    """(|0...0> + |index>)/sqrt(2) on n qubits."""
-    amp = np.zeros(2 ** n, dtype=complex)
-    amp[0] = amp[index] = 1 / np.sqrt(2)
-    return PureState(qubit_shape(default_labels(n)), amp)
-
-
-def group_sums(groups) -> list[float]:
-    """Each group's sum, left to right as ``theta`` adds it; the built-in
-    ``sum`` compensates its round-off from Python 3.12."""
-    return [float(np.cumsum(g)[-1]) for g in groups]
 
 
 class TestMinimalAdmissibleP:
@@ -106,9 +94,7 @@ class TestOptimize:
         assert res.best_value >= lhs - 1e-9
 
     def test_single_partner(self):
-        amp = np.zeros(4, dtype=complex)
-        amp[0] = amp[3] = 1 / np.sqrt(2)
-        psi = PureState(qubit_shape(("A", "B")), amp)
+        psi = two_term_state(2, 3)
         from entbounds.measures import cren_crenoa_two_qubit
         _, ca = cren_crenoa_two_qubit(projector(psi.amplitudes))
         for beta in (0.5, 1.0, 2.0):
@@ -117,9 +103,7 @@ class TestOptimize:
             assert res.best_grouping == ((0,),)
 
     def test_product_state(self):
-        amp = np.zeros(8, dtype=complex)
-        amp[0] = 1.0
-        psi = PureState(qubit_shape(("A", "B", "C")), amp)
+        psi = two_term_state(3, 1, 0.0)   # |000>
         res = optimize(psi, "A", 1.0)
         assert res.best_value == 0.0
 
@@ -137,7 +121,7 @@ class TestOptimize:
         _, ca_sq = pair_measures_sq(example2_state, "B")
         for grouping in ordered_set_partitions(3):
             groups = [[float(ca_sq[i]) for i in g] for g in grouping]
-            ts = tail_ratios(group_sums(groups))
+            ts = tail_ratios(list(map(left_to_right, groups)))
             if any(t > 1.0 for t in ts):
                 continue
             assert res.best_value <= theta(groups, 1.0, (1.0,) * len(ts)) + 1e-12
@@ -191,7 +175,7 @@ class TestClosedForm:
                     for grouping in groupings:
                         groups = [[float(ca_sq[i]) for i in g]
                                   for g in grouping]
-                        heads = group_sums(groups)
+                        heads = list(map(left_to_right, groups))
                         ts = tail_ratios(heads)
                         if min(heads) < TAU_NUM or any(t > 1.0 for t in ts):
                             continue
@@ -221,7 +205,7 @@ class TestFamilyProper:
         admissible = []
         for grouping in ordered_set_partitions(ca_sq.size):
             groups = [[float(ca_sq[i]) for i in g] for g in grouping]
-            heads = group_sums(groups)
+            heads = list(map(left_to_right, groups))
             ts = tail_ratios(heads)
             if min(heads) >= TAU_NUM and all(t <= 1.0 for t in ts):
                 admissible.append((groups, ts))

@@ -4,14 +4,14 @@ import os
 import subprocess
 import sys
 import types
-from pathlib import Path
 
 import pytest
 
 import entbounds
 from entbounds import cli
 
-ROOT = Path(__file__).resolve().parents[1]
+from reference import ROOT
+
 SOURCES = sorted(p for d in ("src", "tests", "scripts")
                  for p in (ROOT / d).rglob("*.py"))
 CHECKED = [p for p in SOURCES
@@ -101,6 +101,36 @@ def test_unused_import_scan():
                           "from a import b, c as d\nprint(os, d)\n") == [
         "b", "la"]
     assert unused_imports("from __future__ import annotations\n") == []
+
+
+def module_level_names(source: str) -> set[str]:
+    """Names that a module's own statements bind by def, class or
+    assignment."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names.update(n.id for target in targets for n in ast.walk(target)
+                         if isinstance(n, ast.Name))
+    return names
+
+
+def test_each_test_name_has_one_home():
+    """No two files under tests/ define the same module-level function,
+    class or constant: what several test files share, the second routes
+    above all, is defined once in tests/reference.py."""
+    assert module_level_names("A, (b, c) = 1, (2, 3)\nD: int = 4\n"
+                              "def f(): x = 5\nclass C: y = 6\n") == {
+        "A", "b", "c", "D", "f", "C"}
+    homes = {}
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for name in module_level_names(path.read_text(encoding="utf-8")):
+            homes.setdefault(name, []).append(path.name)
+    assert {name: files for name, files in homes.items()
+            if len(files) > 1} == {}
 
 
 @pytest.mark.parametrize("path", CHECKED, ids=lambda p: str(p.relative_to(ROOT)))
