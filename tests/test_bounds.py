@@ -483,7 +483,7 @@ class TestSixQubitEndToEnd:
 def geometric_w_state(n: int) -> PureState:
     """W-class state with weights 1, 1/3, 1/9, 1/27 on the first four of n
     qubits; the others stay |0>.  Foci A and B have two nonzero tail ratios,
-    both below 1/2, so every explicit p of TestExponentStack is feasible."""
+    both below 1/2, so the fixed p vectors of TestSweep are feasible."""
     amp = np.zeros(2 ** n, dtype=complex)
     for k in range(4):
         amp[2 ** (n - 1 - k)] = 3.0 ** (-k / 2)
@@ -505,8 +505,28 @@ REPORTS = {
 
 
 class TestSweep:
-    """A sweep rejects a bad exponent anywhere in it, a stack of states and
-    a mistyped focus label."""
+    """A sweep of one report returns, bit for bit, what its one-exponent
+    calls return, and raises what they raise, under the fixed p specs
+    too; it rejects a bad exponent anywhere in it, a stack of states and a
+    mistyped focus label."""
+
+    EXPONENTS = (0.0, 0.35, 1.0, 1.5, 2.0)
+
+    @pytest.mark.parametrize("name", sorted(REPORTS))
+    @pytest.mark.parametrize("p", ["auto", "one", (1.0, 0.9, 1.0, 1.0, 1.0),
+                                   FIG23_P], ids=["auto", "one", "vector",
+                                                  "fig23"])
+    def test_sweep_equals_one_exponent_calls(self, example2_state, name, p):
+        # explicit p is infeasible on Haar states (the tail ratios exceed
+        # 1), so geometric W states carry the explicit-p numbers
+        seen = TestExponentStack.check(
+            [example2_state] + TestExponentStack.states(grid=False),
+            self.EXPONENTS, lambda psi: p, [name])
+        assert name in seen
+        if isinstance(p, str):
+            assert "fallback" in seen
+        else:
+            assert "error" in seen
 
     @pytest.mark.parametrize("name", sorted(REPORTS))
     def test_bad_exponent_anywhere_raises(self, name):
@@ -779,10 +799,6 @@ class TestExponentStack:
     stack raises what each one-exponent call raises."""
 
     GRID = np.linspace(0.0, 2.0, 201).tolist()
-    # p specs beside TestFlatPass.MODES, off the grid.  Explicit p is
-    # infeasible on Haar states (the tail ratios exceed 1); the geometric W
-    # states carry its numbers.
-    FIXED_P = {"vector": (1.0, 0.9, 1.0, 1.0, 1.0), "fig23": FIG23_P}
 
     @staticmethod
     def states(grid):
@@ -802,18 +818,19 @@ class TestExponentStack:
         except ValueError as exc:
             return f"{type(exc).__name__}: {exc}"
 
-    @pytest.mark.parametrize("arm, mode", [
-        *(("0-0.1-2", mode) for mode in TestFlatPass.MODES + list(FIXED_P)),
-        *(("grid", mode) for mode in TestFlatPass.MODES)])
-    def test_stack_equals_one_exponent_calls(self, arm, mode):
-        grid = arm == "grid"
-        exponents = self.GRID if grid else [0.0, 0.1, 2.0]
+    @classmethod
+    def check(cls, states, exponents, p_spec, names):
+        """Assert that each report of ``names`` on every state equals, as a
+        stack of ``exponents``, its one-exponent calls, where equal errors
+        are equal outcomes; ``p_spec(psi)`` is the p spec of a state.
+        Return the names evaluated, with "error" and "fallback" if seen."""
         seen = set()
-        for psi in self.states(grid):
-            p = self.FIXED_P.get(mode) or TestFlatPass.p_spec(psi, mode)
-            for name, report in REPORTS.items():
-                stack = self.outcome(lambda: report(psi, exponents, p))
-                singles = [self.outcome(lambda: report(psi, [e], p))
+        for psi in states:
+            p = p_spec(psi)
+            for name in names:
+                report = REPORTS[name]
+                stack = cls.outcome(lambda: report(psi, exponents, p))
+                singles = [cls.outcome(lambda: report(psi, [e], p))
                            for e in exponents]
                 if isinstance(stack, str):   # equal errors, equal outcomes
                     assert singles == [stack] * len(exponents), name
@@ -825,8 +842,16 @@ class TestExponentStack:
                 seen.add(name)
                 seen.update("fallback" for fp in first[1].values()
                             if fp.fallback)
+        return seen
+
+    @pytest.mark.parametrize("mode", TestFlatPass.MODES)
+    @pytest.mark.parametrize("grid", [False, True], ids=["0-0.1-2", "grid"])
+    def test_stack_equals_one_exponent_calls(self, mode, grid):
+        seen = self.check(self.states(grid),
+                          self.GRID if grid else [0.0, 0.1, 2.0],
+                          lambda psi: TestFlatPass.p_spec(psi, mode), REPORTS)
         assert seen >= set(REPORTS) | {"error"} | (
-            {"fallback"} if mode in ("auto", "one") else set())
+            {"fallback"} if mode != "explicit" else set())
 
 
 def pair_kernel_inputs():
