@@ -11,6 +11,9 @@ at exponent 1 for every focus, 257 calls in all.  Each prints every
 stage's median share of the wall time, "other" last, and the
 Python-level calls (``sys.setprofile`` "call" events, every module, the
 garbage collector off) that single calls make once the caches are warm.
+``figure`` times passes over the three ``cli.run_figure`` calls at their
+default 201 exponents, writing the CSVs into a temporary directory, after
+one warm-up pass, and counts the Python-level calls of each figure.
 A stage's time is its self time: the time inside its wrapped names less
 that of the stages they call; "other" is the glue of the calls and what
 no stage wraps.  The wrappers replace the module and class attributes
@@ -19,6 +22,7 @@ calls themselves run unchanged.
 
     PYTHONPATH=src python scripts/profile.py verify --qubits 4 --trials 8
     PYTHONPATH=src python scripts/profile.py bounds --repeats 20
+    PYTHONPATH=src python scripts/profile.py figure --repeats 200
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import gc
 import random
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -67,6 +72,19 @@ BOUNDS_STAGES = (
                     (bounds, "_chains"), (bounds, "_pow"),
                     (bounds, "_upper"), (bounds, "_lower_AB")]),
     ("text", [(cli, "_bounds_text")]),
+)
+
+FIGURE_STAGES = (
+    ("pair kernel", [(bounds, "pair_measures_sq")]),
+    ("cut concurrence", [(bounds, "pure_concurrence"),
+                         (bounds, "cut_measures")]),
+    ("focus resolve", [(bounds, "_focus"), (bounds, "tail_ratios"),
+                       (bounds, "_levels")]),
+    ("bounds._pow", [(bounds, "_pow")]),
+    ("evaluation", [(bounds, "_values"), (bounds, "_recursion"),
+                    (bounds, "_chains"), (bounds, "_upper"),
+                    (bounds, "_lower_AB")]),
+    ("CSV write", [(cli, "_write_lines")]),
 )
 
 
@@ -229,6 +247,24 @@ def profile_bounds(args) -> tuple[str, dict[str, float], list[str]]:
             f"over {args.repeats} passes"), shares, counts
 
 
+def profile_figure(args) -> tuple[str, dict[str, float], list[str]]:
+    with tempfile.TemporaryDirectory() as out:
+        specs = [cli.FigureSpec(id=i, out_csv=str(Path(out) / f"fig{i}.csv"))
+                 for i in (1, 2, 3)]
+        counts = [f"figure {spec.id}: "
+                  f"{python_calls(functools.partial(cli.run_figure, spec))} "
+                  "Python calls" for spec in specs]
+
+        def one_pass():
+            for spec in specs:
+                cli.run_figure(spec)
+
+        shares, wall = stage_shares(FIGURE_STAGES, lambda index: one_pass, 1,
+                                    args.repeats)
+    return (f"3 figure tables: median pass {wall * 1e3:.2f} ms with the "
+            f"stage timers, over {args.repeats} passes"), shares, counts
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     commands = parser.add_subparsers(dest="command", required=True)
@@ -242,6 +278,10 @@ def main(argv=None) -> int:
     bnd.add_argument("--repeats", type=int, default=20,
                      help="timed passes over the calls, after one more")
     bnd.set_defaults(profile=profile_bounds)
+    fig = commands.add_parser("figure", help="stages of the figure tables")
+    fig.add_argument("--repeats", type=int, default=200,
+                     help="timed passes over the figures, after one more")
+    fig.set_defaults(profile=profile_figure)
     args = parser.parse_args(argv)
     head, shares, counts = args.profile(args)
     print(head)

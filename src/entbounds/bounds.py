@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Mapping, Sequence
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -415,7 +416,10 @@ def _sweep(psi: PureState, exponents, p, *cuts: _Cut
     so errors come as in one-exponent calls; cuts sharing a focus share
     its values and its FocusParams.  ``p`` is one spec for every focus or
     a mapping by focus (default auto), which may name foci no cut reads,
-    but only labels of the state."""
+    but only labels of the state.  One exponent gives one report of
+    Python floats; several give (E,) columns, each read out by one
+    ``tolist`` and zipped into ``BoundReport._make`` rows, every row with
+    its own comparators dict and foci dict."""
     psi.check_single()
     exponents = [_check_exponent(e) for e in exponents]
     mapping = isinstance(p, Mapping)
@@ -449,11 +453,16 @@ def _sweep(psi: PureState, exponents, p, *cuts: _Cut
                       for v in zip(*[values[f] for f in cut_foci])]
         gap = ours - lhs if side == "upper" else lhs - ours
         foci = {f: resolved[f].params for f in cut_foci}
-        rows = ([(lhs, ours, gap, *cmp)] if one else
-                zip(*[v.tolist() for v in (lhs, ours, gap, *cmp)]))
-        out.append([BoundReport(lhs, ours, dict(zip(COMPARATOR_NAMES, cmp)),
-                                gap, dict(foci))
-                    for lhs, ours, gap, *cmp in rows])
+        if one:
+            out.append([BoundReport(lhs, ours,
+                                    dict(zip(COMPARATOR_NAMES, cmp)), gap,
+                                    foci)])
+            continue
+        comparators = map(dict, map(zip, repeat(COMPARATOR_NAMES),
+                                    zip(*[v.tolist() for v in cmp])))
+        out.append(list(map(BoundReport._make, zip(
+            lhs.tolist(), ours.tolist(), comparators, gap.tolist(),
+            map(dict, repeat(foci, len(exponents)))))))
     return out
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import errno
 import itertools
+import math
 import operator
 import os
 import sys
@@ -117,7 +118,7 @@ class CheckStat:
 
     def _fold(self, samples: int, low: float, violations: int):
         self.samples += samples
-        if low < self.worst_slack or np.isnan(low):
+        if low < self.worst_slack or math.isnan(low):
             self.worst_slack = low
         self.violations += violations
 
@@ -236,16 +237,21 @@ _FIGURES = {
 }
 
 
+_PLOTTED = operator.itemgetter(*COMPARATOR_NAMES[:3])
+
+
 def figure_rows(fig_id: int, samples: int = 201) -> tuple[list[str], list[list[float]]]:
-    """Header and rows of one figure's data table."""
+    """Header and rows of one figure's data table: per exponent, the
+    report's lhs and ours, then the first three comparators, read from
+    each report by unpacking and one itemgetter."""
     if fig_id not in _FIGURES:
         raise ValueError(f"unknown figure id {fig_id}")
     expo_name, letter, make_state, report = _FIGURES[fig_id]
     header = [expo_name, "lhs"] + [f"{letter}{i}" for i in range(1, 5)]
     exponents = np.linspace(0.0, 2.0, samples).tolist()  # floats format fast
-    return header, [[e, rep.lhs, rep.ours]
-                    + [rep.comparators[name] for name in COMPARATOR_NAMES[:3]]
-                    for e, rep in zip(exponents, report(make_state(), exponents))]
+    return header, [[e, lhs, ours, *_PLOTTED(comparators)]
+                    for e, (lhs, ours, comparators, *_)
+                    in zip(exponents, report(make_state(), exponents))]
 
 
 def run_figure(spec: FigureSpec) -> tuple[list[str], list[list[float]]]:

@@ -116,13 +116,22 @@ def _scalar(x):
 def _pow(base, expo):
     """Python's float power of each element of ``base`` at each exponent,
     so that a stack's rows equal the one-state values bit for bit: shape
-    expo.shape + base.shape, and a float for two floats."""
-    if isinstance(base, float) and isinstance(expo, float):
-        return float(base) ** expo
+    expo.shape + base.shape, and a float for two floats.  A float base
+    (np.float64 included) with a stack of exponents, as an exponent sweep
+    powers each base, is one list of b ** e; otherwise the powers run
+    exponent-major, every base at the first exponent, then the next."""
+    if isinstance(base, float):
+        base = float(base)   # np.float64's own power can differ in the last bit
+        if isinstance(expo, float):
+            return base ** expo
+        expo = np.asarray(expo, dtype=float)
+        return np.fromiter([base ** e for e in expo.ravel().tolist()], float,
+                           expo.size).reshape(expo.shape)
     base, expo = np.asarray(base, dtype=float), np.asarray(expo, dtype=float)
     flat = base.ravel().tolist()
-    return np.array([b ** e for e in expo.ravel().tolist() for b in flat]
-                    ).reshape(expo.shape + base.shape)
+    return np.fromiter([b ** e for e in expo.ravel().tolist() for b in flat],
+                       float, expo.size * base.size
+                       ).reshape(expo.shape + base.shape)
 
 
 def _check_density(rho) -> np.ndarray:

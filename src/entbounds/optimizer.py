@@ -13,7 +13,8 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator, NamedTuple
 
-from .bounds import _check_exponent, pair_measures_sq, theta
+from .bounds import _check_exponent, _group_sums, _trim, pair_measures_sq
+from .measures import _pow
 from .states import PureState
 
 
@@ -36,10 +37,13 @@ def ordered_set_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
 
 def optimize(psi: PureState, focus: str, exponent: float) -> OptimizationResult:
     """Tightest grouped bound for one focus: the single-group theta, which
-    equals theta at p = t on every admissible grouping."""
+    equals theta at p = t on every admissible grouping.  It is written in
+    closed form, the trimmed CoA^2 sum to the power exponent/2, bit for bit
+    ``theta([ca_sq], exponent)``, with theta's checks of the values."""
     psi.check_single()
     exponent = _check_exponent(exponent)  # before any pair measure
     _, ca_sq = pair_measures_sq(psi, focus)
+    [total] = _group_sums([ca_sq])
     return OptimizationResult(best_grouping=(tuple(range(ca_sq.size)),),
-                              best_value=theta([ca_sq], exponent),
+                              best_value=_pow(_trim(total), exponent / 2),
                               evaluations=1)

@@ -63,6 +63,15 @@ def two_term_state(n: int, index: int, eps: float | None = None) -> PureState:
     return PureState(qubit_shape(default_labels(n)), amp)
 
 
+def equal_superposition(n: int, indices) -> PureState:
+    """The equal-weight superposition of the basis states ``indices`` on n
+    qubits, each amplitude 1 / np.sqrt(len(indices)): Bell, GHZ, W and
+    Dicke states and their embeddings."""
+    amp = np.zeros(2 ** n, dtype=complex)
+    amp[indices] = 1.0 / np.sqrt(len(indices))
+    return PureState(qubit_shape(default_labels(n)), amp)
+
+
 def random_density(generator, d: int) -> np.ndarray:
     """A A^dagger / Tr(A A^dagger) for a d x d complex Gaussian A."""
     a = generator.normal(size=(d, d)) + 1j * generator.normal(size=(d, d))

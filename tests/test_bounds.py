@@ -36,6 +36,7 @@ from entbounds.states import PureState, haar_random_pure, wclass4_state
 from entbounds.linalg import default_labels, qubit_shape
 
 from reference import (
+    equal_superposition,
     one_state_slacks,
     read_corpus,
     reference_theta,
@@ -798,7 +799,7 @@ class TestExponentStack:
     a call with that exponent alone, the focus records are equal, and a
     stack raises what each one-exponent call raises."""
 
-    GRID = np.linspace(0.0, 2.0, 201).tolist()
+    GRID = np.linspace(0.0, 2.0, 201)   # the figures' sweep, as an array
 
     @staticmethod
     def states(grid):
@@ -811,12 +812,18 @@ class TestExponentStack:
 
     @staticmethod
     def outcome(call):
-        """report_fields of each report that ``call()`` returns, or the
-        error it raises (InfeasibleParamsError included)."""
+        """report_fields of each report that ``call()`` returns, once no
+        two of its rows are found to share a comparators or foci dict, or
+        the error it raises (InfeasibleParamsError included)."""
         try:
-            return [report_fields(r) for r in call()]
+            reports = call()
         except ValueError as exc:
             return f"{type(exc).__name__}: {exc}"
+        rows = [row for rep in reports for row in (
+            rep if isinstance(rep, bounds.SandwichBounds) else [rep])]
+        dicts = [d for row in rows for d in (row.comparators, row.foci)]
+        assert len(set(map(id, dicts))) == len(dicts)
+        return [report_fields(r) for r in reports]
 
     @classmethod
     def check(cls, states, exponents, p_spec, names):
@@ -1066,9 +1073,7 @@ def block(kind: str, seed: int) -> np.ndarray:
         z = gen.normal(size=dim) + 1j * gen.normal(size=dim)
         return z / np.linalg.norm(z)
     indices = {"bell": [0, 3], "ghz3": [0, 7], "w3": [1, 2, 4]}[kind]
-    amp = np.zeros(dim, dtype=complex)
-    amp[indices] = 1.0 / np.sqrt(len(indices))
-    return amp
+    return equal_superposition(BLOCK_QUBITS[kind], indices).amplitudes
 
 
 def block_product(factors, axes) -> PureState:

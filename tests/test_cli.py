@@ -833,14 +833,14 @@ class TestOneStateFixedCost:
                                  cut, 1.0, "auto")
 
     def test_run_bounds_six_qubits_two_foci(self, python_calls):
-        assert python_calls(self.bounds_call("haar-6q-a", "AB|C1C2C3C4")) == 167
+        assert python_calls(self.bounds_call("haar-6q-a", "AB|C1C2C3C4")) == 166
 
     def test_run_bounds_three_qubits(self, python_calls):
-        assert python_calls(self.bounds_call("ghz-3q", "A|BC")) == 111
+        assert python_calls(self.bounds_call("ghz-3q", "A|BC")) == 110
 
     def test_optimize(self, python_calls):
         [psi] = read_corpus("haar-6q-a").values()
-        assert python_calls(functools.partial(optimize, psi, "A", 1.0)) == 61
+        assert python_calls(functools.partial(optimize, psi, "A", 1.0)) == 51
 
 
 class TestLevelsOncePerFocus:

@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import numpy as np
@@ -15,6 +16,7 @@ from entbounds.linalg import (
 from entbounds.measures import (
     SCHMIDT_TOL,
     Bipartition,
+    _pow,
     cren_crenoa_two_qubit,
     negativity,
     pure_concurrence,
@@ -28,8 +30,8 @@ from entbounds.states import (
     haar_random_pure,
 )
 
-from reference import (BELL, linear_entropy, random_density, read_corpus,
-                       two_term_state)
+from reference import (BELL, equal_superposition, linear_entropy,
+                       random_density, read_corpus, two_term_state)
 
 
 class TestBipartition:
@@ -400,13 +402,9 @@ class TestThreeTangle:
 
     def test_ghz_and_w(self):
         from entbounds.bounds import pair_measures_sq
-        ghz = np.zeros(8, dtype=complex)
-        ghz[[0, 7]] = 2 ** -0.5
-        w = np.zeros(8, dtype=complex)
-        w[[1, 2, 4]] = 3 ** -0.5
-        for amp, tangle in ((ghz, 1.0), (w, 0.0)):
-            psi = PureState(qubit_shape(("A", "B", "C")), amp)
-            assert abs(self.four_det(amp)[0] - tangle) < 1e-13
+        for indices, tangle in (([0, 7], 1.0), ([1, 2, 4], 0.0)):
+            psi = equal_superposition(3, indices)   # GHZ_3, W_3
+            assert abs(self.four_det(psi.amplitudes)[0] - tangle) < 1e-13
             cut = Bipartition.of(psi.shape, ["A"])
             assert abs(pure_concurrence(psi, cut) ** 2
                        - pair_measures_sq(psi, "A")[0].sum() - tangle) < 1e-13
@@ -508,15 +506,44 @@ class TestMixedPathChecks:
             cren_crenoa_two_qubit(bad_density(kind))
 
 
+class TestPow:
+    """``_pow`` is Python's float power of each element, bit for bit: a
+    float base (np.float64 included) at a stack of exponents in the
+    exponents' shape, and an array base exponent-major."""
+
+    EXPONENTS = [0.0, 2.0, 0.5, 1.0]
+    BASES = [0.0, -0.0, 1.0, 5e-324, 0.3, math.inf, math.nan]
+
+    @pytest.mark.parametrize("shape", [(), (4,), (2, 2)])
+    @pytest.mark.parametrize("base", BASES + [np.float64(0.3)],
+                             ids=[*map(repr, BASES), "np.float64(0.3)"])
+    def test_float_base(self, base, shape):
+        stacks = ([np.array(e) for e in self.EXPONENTS] if shape == ()
+                  else [np.reshape(self.EXPONENTS, shape)])
+        for expo in stacks:
+            got = _pow(base, expo)
+            assert (type(got), got.dtype, got.shape) == (
+                np.ndarray, np.float64, shape)
+            assert [v.hex() for v in got.ravel().tolist()] == [
+                (float(base) ** e).hex() for e in expo.ravel().tolist()]
+        for e in self.EXPONENTS:   # a float exponent gives a float
+            got = _pow(base, e)
+            assert (type(got), got.hex()) == (float, (float(base) ** e).hex())
+
+    def test_array_base_is_exponent_major(self):
+        bases = np.array([[0.0, 0.3], [5e-324, math.inf]])
+        expo = np.reshape(self.EXPONENTS, (2, 2))
+        got = _pow(bases, expo)
+        assert got.shape == (2, 2, 2, 2)
+        assert [v.hex() for v in got.ravel().tolist()] == [
+            (b ** e).hex() for e in expo.ravel().tolist()
+            for b in bases.ravel().tolist()]
+
+
 def tight_family_states():
     """(name, state, C(A|rest), pair (C, C_a) of each pair (f, q) as a
     function) of the closed-form families at 3-6 qubits: W_n, GHZ_n,
     Dicke D_n^k (2 <= k < n) and Bell(AB) x |0...0>."""
-
-    def state(n, indices):
-        amps = np.zeros(2 ** n)
-        amps[indices] = 1.0 / np.sqrt(len(indices))
-        return PureState(qubit_shape(default_labels(n)), amps)
 
     def dicke_pair(n, k):
         # rho_pair = a|00><00| + d|11><11| + 2b|Psi+><Psi+| with
@@ -534,14 +561,16 @@ def tight_family_states():
         labels = default_labels(n)
         for k in range(1, n):
             name = "w" if k == 1 else f"dicke{k}"
-            psi = state(n, [i for i in range(2 ** n) if weight[i] == k])
+            psi = equal_superposition(
+                n, [i for i in range(2 ** n) if weight[i] == k])
             c_pair = dicke_pair(n, k)
             out.append((f"{name}-{n}q", psi, 2 * np.sqrt(k * (n - k)) / n,
                         lambda f, q, c_pair=c_pair: c_pair))
-        out.append((f"ghz-{n}q", state(n, [0, 2 ** n - 1]), 1.0,
-                    lambda f, q: (0.0, 1.0)))
+        out.append((f"ghz-{n}q", equal_superposition(n, [0, 2 ** n - 1]),
+                    1.0, lambda f, q: (0.0, 1.0)))
         ab = set(labels[:2])
-        out.append((f"bell-ab-{n}q", state(n, [0, 3 * 2 ** (n - 2)]), 1.0,
+        out.append((f"bell-ab-{n}q",
+                    equal_superposition(n, [0, 3 * 2 ** (n - 2)]), 1.0,
                     lambda f, q, ab=ab: (1.0, 1.0) if {f, q} == ab
                     else (0.0, 0.0)))
     return out

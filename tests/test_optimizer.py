@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from entbounds import rng
+from entbounds import optimizer, rng
 from entbounds.bounds import (
     InfeasibleParamsError,
     pair_measures_sq,
@@ -13,7 +14,7 @@ from entbounds.measures import Bipartition, pure_concurrence
 from entbounds.optimizer import optimize, ordered_set_partitions
 from entbounds.states import haar_random_pure
 
-from reference import left_to_right, two_term_state
+from reference import left_to_right, read_corpus, two_term_state
 
 EXPONENTS = (0.0, 0.5, 1.0, 1.5, 2.0)
 
@@ -151,6 +152,32 @@ class TestOptimize:
 
 
 class TestClosedForm:
+    def test_equals_single_group_theta(self):
+        # the closed form is theta of the one group, bit for bit, on every
+        # corpus focus (Bell pairs, product partners and GHZ included)
+        checked = 0
+        for psi in read_corpus().values():
+            for focus in psi.shape.labels:
+                _, ca_sq = pair_measures_sq(psi, focus)
+                for expo in (0.0, 0.5, 1.0, 2.0):
+                    res = optimize(psi, focus, expo)
+                    assert (type(res.best_value), res.best_value.hex()) == (
+                        float, theta([ca_sq], expo).hex())
+                    assert res.evaluations == 1
+                    checked += 1
+        assert checked == 115 * 4
+
+    @pytest.mark.parametrize("ca_sq, message", [
+        ([0.5, -1e-3, 0.2], "squared CoA values must be nonnegative"),
+        ([0.5, np.nan, 0.2], "squared CoA values must be finite")])
+    def test_bad_values_raise_as_theta(self, monkeypatch, ca_sq, message):
+        with pytest.raises(ValueError, match=message):
+            theta([ca_sq], 1.0)
+        monkeypatch.setattr(optimizer, "pair_measures_sq", lambda psi, f: (
+            np.zeros(3), np.array(ca_sq)))
+        with pytest.raises(ValueError, match=message):
+            optimize(haar_random_pure(4, 5), "A", 1.0)
+
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_bell_pair_with_product_partners(self, n):
         # Bell(AB) x |0...0>: the zero-CoA partners used to crash the search

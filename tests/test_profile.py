@@ -12,6 +12,9 @@ COMMANDS = {
                "BOUNDS_STAGES", {bounds, cli, optimizer, measures.Bipartition},
                ["run_bounds haar-6q-a AB|C1C2C3C4", "run_bounds ghz-3q A|BC",
                 "optimize haar-6q-a A"]),
+    "figure": (["figure", "--repeats", "1"], "3 figure tables: median pass ",
+               "FIGURE_STAGES", {bounds, cli},
+               ["figure 1", "figure 2", "figure 3"]),
 }
 
 
