@@ -13,7 +13,8 @@ Python-level calls (``sys.setprofile`` "call" events, every module, the
 garbage collector off) that single calls make once the caches are warm.
 ``figure`` times passes over the three ``cli.run_figure`` calls at their
 default 201 exponents, writing the CSVs into a temporary directory, after
-one warm-up pass, and counts the Python-level calls of each figure.
+one warm-up pass, and counts the Python-level calls of each figure at 11
+and at 201 exponents: equal counts leave no per-row Python work.
 A stage's time is its self time: the time inside its wrapped names less
 that of the stages they call; "other" is the glue of the calls and what
 no stage wraps.  The wrappers replace the module and class attributes
@@ -30,6 +31,7 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import itertools
 import random
 import statistics
 import sys
@@ -84,6 +86,7 @@ FIGURE_STAGES = (
     ("evaluation", [(bounds, "_values"), (bounds, "_recursion"),
                     (bounds, "_chains"), (bounds, "_upper"),
                     (bounds, "_lower_AB")]),
+    ("column glue", [(cli, "_columns")]),
     ("CSV write", [(cli, "_write_lines")]),
 )
 
@@ -251,9 +254,13 @@ def profile_figure(args) -> tuple[str, dict[str, float], list[str]]:
     with tempfile.TemporaryDirectory() as out:
         specs = [cli.FigureSpec(id=i, out_csv=str(Path(out) / f"fig{i}.csv"))
                  for i in (1, 2, 3)]
-        counts = [f"figure {spec.id}: "
-                  f"{python_calls(functools.partial(cli.run_figure, spec))} "
-                  "Python calls" for spec in specs]
+        counts = []
+        for i, samples in itertools.product((1, 2, 3), (11, 201)):
+            spec = cli.FigureSpec(id=i, out_csv=str(Path(out) / "count.csv"),
+                                  samples=samples)
+            counts.append(f"figure {i} at {samples} samples: "
+                          f"{python_calls(functools.partial(cli.run_figure, spec))}"
+                          " Python calls")
 
         def one_pass():
             for spec in specs:

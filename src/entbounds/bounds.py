@@ -407,21 +407,29 @@ class _Cut(NamedTuple):
     combine: Callable
 
 
-def _sweep(psi: PureState, exponents, p, *cuts: _Cut
-           ) -> list[list[BoundReport]]:
-    """Reports of each cut of one state, one per exponent.
+def _columns(psi: PureState, exponents, p, *cuts: _Cut) -> list[tuple]:
+    """(lhs, ours, comparators in COMPARATOR_NAMES order, gap, FocusParams
+    by focus) of each cut of one state: floats for one exponent, (E,)
+    columns for several.
 
-    The pair values of every focus the cuts read come from one pair
-    measure call; each focus is then resolved once, in first-read order,
-    so errors come as in one-exponent calls; cuts sharing a focus share
-    its values and its FocusParams.  ``p`` is one spec for every focus or
-    a mapping by focus (default auto), which may name foci no cut reads,
-    but only labels of the state.  One exponent gives one report of
-    Python floats; several give (E,) columns, each read out by one
-    ``tolist`` and zipped into ``BoundReport._make`` rows, every row with
-    its own comparators dict and foci dict."""
+    The exponents are converted and range-checked in one C-level pass;
+    at a bad one, ``_check_exponent`` on each in order raises for the
+    first.  The pair values of every focus the cuts read come from one
+    pair measure call; each focus is then resolved once, in first-read
+    order, so errors come as in one-exponent calls; cuts sharing a focus
+    share its values and its FocusParams.  ``p`` is one spec for every
+    focus or a mapping by focus (default auto), which may name foci no
+    cut reads, but only labels of the state."""
     psi.check_single()
-    exponents = [_check_exponent(e) for e in exponents]
+    exponents = list(exponents)
+    try:   # min and max may pass over a NaN
+        es = list(map(float, exponents))
+        ok = (0.0 <= min(es) and max(es) <= 2.0
+              and not any(map(math.isnan, es)))
+    except Exception:   # no exponents, or a value float() rejects
+        ok = False
+    if not ok:
+        es = [_check_exponent(e) for e in exponents]
     mapping = isinstance(p, Mapping)
     if mapping:
         for label in p:
@@ -431,8 +439,7 @@ def _sweep(psi: PureState, exponents, p, *cuts: _Cut
     c_sq, ca_sq = map(np.ndarray.tolist, pair_measures_sq(psi, foci))
     resolved = {f: _focus(c, ca, p.get(f, "auto") if mapping else p)
                 for f, c, ca in zip(foci, c_sq, ca_sq)}
-    one = len(exponents) == 1   # one exponent stays a Python float
-    e = exponents[0] if one else np.array(exponents)
+    e = es[0] if len(es) == 1 else np.array(es)   # one stays a Python float
     x, powers = e / 2.0, {}
 
     def xpow(base):
@@ -452,8 +459,20 @@ def _sweep(psi: PureState, exponents, p, *cuts: _Cut
         ours, *cmp = [combine(v, rad, x)
                       for v in zip(*[values[f] for f in cut_foci])]
         gap = ours - lhs if side == "upper" else lhs - ours
-        foci = {f: resolved[f].params for f in cut_foci}
-        if one:
+        out.append((lhs, ours, cmp, gap,
+                    {f: resolved[f].params for f in cut_foci}))
+    return out
+
+
+def _sweep(psi: PureState, exponents, p, *cuts: _Cut
+           ) -> list[list[BoundReport]]:
+    """Reports of each cut of one state, one per exponent, from its
+    ``_columns``: each column read out by one ``tolist`` into
+    ``BoundReport._make`` rows, each with its own comparators and foci
+    dict; one exponent gives one ``BoundReport`` of Python floats."""
+    out = []
+    for lhs, ours, cmp, gap, foci in _columns(psi, exponents, p, *cuts):
+        if isinstance(lhs, float):
             out.append([BoundReport(lhs, ours,
                                     dict(zip(COMPARATOR_NAMES, cmp)), gap,
                                     foci)])
@@ -462,7 +481,7 @@ def _sweep(psi: PureState, exponents, p, *cuts: _Cut
                                     zip(*[v.tolist() for v in cmp])))
         out.append(list(map(BoundReport._make, zip(
             lhs.tolist(), ours.tolist(), comparators, gap.tolist(),
-            map(dict, repeat(foci, len(exponents)))))))
+            map(dict, repeat(foci, len(lhs)))))))
     return out
 
 
@@ -508,6 +527,14 @@ def _tripartite(psi: PureState) -> tuple[_Cut, _Cut]:
         return _max(_lower_AB(v, rad, x) - v[2], rad[2] - v[0] - v[1])
 
     return _Cut("lower", c, foci, lower), _Cut("upper", c, foci, _upper)
+
+
+def _one_rest(psi: PureState, left) -> _Cut:
+    """The upper cut left|rest of ``multi_partition_polygamy``."""
+    cut = left if isinstance(left, Bipartition) else Bipartition.of(psi.shape, left)
+    c = pure_concurrence(psi, cut)   # checks a given cut against the labels
+    foci = tuple(sorted(cut.left, key=psi.shape.labels.index))
+    return _Cut("upper", c, foci, _upper)
 
 
 def polygamy_bound_coa(psi: PureState, focus: str, exponents,
@@ -565,10 +592,7 @@ def multi_partition_polygamy(psi: PureState, left, exponents,
     ``left`` is labels or a Bipartition of the state's, read in shape
     order; |left| = 1 is the single-focus bound, left = AB the AB upper one.
     """
-    cut = left if isinstance(left, Bipartition) else Bipartition.of(psi.shape, left)
-    c = pure_concurrence(psi, cut)   # checks a given cut against the labels
-    foci = tuple(sorted(cut.left, key=psi.shape.labels.index))
-    [upper] = _sweep(psi, exponents, p, _Cut("upper", c, foci, _upper))
+    [upper] = _sweep(psi, exponents, p, _one_rest(psi, left))
     return upper
 
 

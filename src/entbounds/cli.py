@@ -21,12 +21,12 @@ import numpy as np
 from .bounds import (
     COMPARATOR_NAMES,
     InfeasibleParamsError,
+    _ab_cuts,
+    _columns,
+    _one_rest,
     cut_sandwiches,
     lemma_chain_grid,
-    monogamy_lower_AB,
     multi_partition_polygamy,
-    polygamy_bound_coa,
-    polygamy_upper_AB,
 )
 from .measures import Bipartition
 from .states import (
@@ -168,7 +168,7 @@ def _write_lines(path: str, lines: list[str]):
 _SVG_COLORS = ("#1f4e9c", "#c02020", "#b020b0", "#208020", "#20a0a0")
 
 
-def _write_svg(path: str, header: list[str], rows: list[list[float]]):
+def _write_svg(path: str, header: list[str], rows: list[tuple[float, ...]]):
     """Minimal self-contained line plot: axes, tick labels, legend."""
     width, height, margin = 640, 440, 56
     xs = [r[0] for r in rows]
@@ -223,44 +223,45 @@ def _write_svg(path: str, header: list[str], rows: list[list[float]]):
     _write_lines(path, parts)
 
 
-# Figure id -> (exponent name, curve letter, state, reports over exponents).
-# Each figure plots ours and the first three comparators.  The lambdas look
-# the report functions up at call time, so rebinding a module name (as the
-# benchmark tracer does) reaches the figures too.
+# Figure id -> (exponent name, curve letter, state, p, cut).  The cut is
+# the one its report function builds (polygamy_bound_coa at A,
+# monogamy_lower_AB, polygamy_upper_AB), and the figure plots its lhs,
+# ours and first three comparators, read from one _columns call.
 _FIGURES = {
-    1: ("beta", "Z", lambda: acin_state(FIG1_PARAMS),
-        lambda psi, es: polygamy_bound_coa(psi, "A", es, p=FIG1_P)),
-    2: ("alpha", "T", lambda: wclass4_state(FIG23_PARAMS),
-        lambda psi, es: monogamy_lower_AB(psi, es, p=FIG23_P)),
-    3: ("alpha", "X", lambda: wclass4_state(FIG23_PARAMS),
-        lambda psi, es: polygamy_upper_AB(psi, es, p=FIG23_P)),
+    1: ("beta", "Z", lambda: acin_state(FIG1_PARAMS), FIG1_P,
+        lambda psi: _one_rest(psi, ["A"])),
+    2: ("alpha", "T", lambda: wclass4_state(FIG23_PARAMS), FIG23_P,
+        lambda psi: _ab_cuts(psi)[0]),
+    3: ("alpha", "X", lambda: wclass4_state(FIG23_PARAMS), FIG23_P,
+        lambda psi: _one_rest(psi, ["A", "B"])),
 }
 
 
-_PLOTTED = operator.itemgetter(*COMPARATOR_NAMES[:3])
-
-
-def figure_rows(fig_id: int, samples: int = 201) -> tuple[list[str], list[list[float]]]:
-    """Header and rows of one figure's data table: per exponent, the
-    report's lhs and ours, then the first three comparators, read from
-    each report by unpacking and one itemgetter."""
+def figure_rows(fig_id: int, samples: int = 201
+                ) -> tuple[list[str], list[tuple[float, ...]]]:
+    """Header and rows of one figure's data table: per exponent, its
+    report's lhs and ours, then the first three comparators, bit for bit.
+    One ``_columns`` call evaluates the cut at every exponent, and one
+    ``tolist`` reads out the plotted columns."""
     if fig_id not in _FIGURES:
         raise ValueError(f"unknown figure id {fig_id}")
-    expo_name, letter, make_state, report = _FIGURES[fig_id]
+    expo_name, letter, make_state, p, make_cut = _FIGURES[fig_id]
     header = [expo_name, "lhs"] + [f"{letter}{i}" for i in range(1, 5)]
     exponents = np.linspace(0.0, 2.0, samples).tolist()  # floats format fast
-    return header, [[e, lhs, ours, *_PLOTTED(comparators)]
-                    for e, (lhs, ours, comparators, *_)
-                    in zip(exponents, report(make_state(), exponents))]
+    psi = make_state()
+    [(lhs, ours, comparators, _, _)] = _columns(psi, exponents, p, make_cut(psi))
+    plotted = np.array([lhs, ours, *comparators[:3]]).reshape(5, -1)  # 1 sample too
+    return header, list(zip(exponents, *plotted.tolist()))
 
 
-def run_figure(spec: FigureSpec) -> tuple[list[str], list[list[float]]]:
-    """Generate one figure's CSV (and optional SVG); returns the table."""
+def run_figure(spec: FigureSpec) -> tuple[list[str], list[tuple[float, ...]]]:
+    """Generate one figure's CSV (one ``%`` format per row tuple) and
+    optional SVG; returns the table."""
     _check_dirs(spec.out_csv, spec.out_svg)
     header, rows = figure_rows(spec.id, spec.samples)
     row_format = ",".join(["%.12g"] * len(header))   # _fmt of each value
     _write_lines(spec.out_csv, [",".join(header)]
-                 + [row_format % tuple(row) for row in rows])
+                 + [row_format % row for row in rows])
     if spec.out_svg:
         _write_svg(spec.out_svg, header, rows)
     return header, rows

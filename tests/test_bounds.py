@@ -531,11 +531,32 @@ class TestSweep:
 
     @pytest.mark.parametrize("name", sorted(REPORTS))
     def test_bad_exponent_anywhere_raises(self, name):
+        # the error of _check_exponent on each exponent in order: it names
+        # the first bad value, placed first, in the middle or last, and
+        # whatever bad value follows it, also one float() rejects, and
+        # also when the exponents come from an iterator
         psi = haar_random_pure(5, 5, stream=0)
-        for exponents in ([3.0, 1.0], [1.0, 2.5], [0.5, -0.1, 1.0],
-                          [1.0, float("nan")]):
-            with pytest.raises(ValueError, match="exponent must be in"):
-                REPORTS[name](psi, exponents, "auto")
+        sweeps = [([1.0, 0.5][:i] + [bad] + [1.0, 0.5][i:], bad)
+                  for bad in (float("nan"), -0.1, 2.5) for i in range(3)]
+        sweeps += [([3.0, 1.0], 3.0), ([0.5, 2.5, -0.1], 2.5),
+                   ([np.float64(-0.1)], -0.1), ([1.0, None, 3.0], None),
+                   ([1.0, "x", 3.0], None), ([3.0, "x"], 3.0),
+                   ([0.5, None], None)]
+        for exponents, first in sweeps:
+            with pytest.raises((TypeError, ValueError)) as want:
+                for e in exponents:
+                    bounds._check_exponent(e)
+            if first is not None:
+                assert str(want.value) == (
+                    f"exponent must be in [0, 2], got {first}")
+            for given in (exponents, iter(exponents)):
+                with pytest.raises(want.type) as got:
+                    REPORTS[name](psi, given, "auto")
+                assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("name", sorted(REPORTS))
+    def test_no_exponents(self, name):
+        assert REPORTS[name](haar_random_pure(5, 5, stream=0), [], "auto") == []
 
     @pytest.mark.parametrize("name", sorted(REPORTS))
     def test_stack_raises(self, name):

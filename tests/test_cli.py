@@ -6,9 +6,17 @@ import numpy as np
 import pytest
 
 from entbounds import bounds, cli, measures, rng
-from entbounds.bounds import COMPARATOR_NAMES
+from entbounds.bounds import (
+    COMPARATOR_NAMES,
+    monogamy_lower_AB,
+    polygamy_bound_coa,
+    polygamy_upper_AB,
+)
 from entbounds.cli import (
+    FIG1_P,
     FIG1_PARAMS,
+    FIG23_P,
+    FIG23_PARAMS,
     CheckStat,
     FigureSpec,
     VerifyConfig,
@@ -130,6 +138,42 @@ class TestFigures23:
         _, rows = figure_rows(3, samples=51)
         for row in rows:
             assert np.min(np.diff(row[1:])) > -1e-9
+
+
+class TestFigureColumns:
+    """A figure table reads its cut's columns, not reports: each row is,
+    bit for bit, the exponent and its public report function's lhs, ours
+    and first three comparators, and a table makes the same Python-level
+    calls whatever its number of samples."""
+
+    REPORTS = {
+        1: lambda es: polygamy_bound_coa(acin_state(FIG1_PARAMS), "A", es,
+                                         p=FIG1_P),
+        2: lambda es: monogamy_lower_AB(wclass4_state(FIG23_PARAMS), es,
+                                        p=FIG23_P),
+        3: lambda es: polygamy_upper_AB(wclass4_state(FIG23_PARAMS), es,
+                                        p=FIG23_P),
+    }
+
+    @pytest.mark.parametrize("samples", [1, 11, 201])
+    @pytest.mark.parametrize("fig_id", [1, 2, 3])
+    def test_rows_equal_report_function(self, fig_id, samples):
+        _, rows = figure_rows(fig_id, samples)
+        exponents = np.linspace(0.0, 2.0, samples).tolist()
+        want = [(e, rep.lhs, rep.ours,
+                 *map(rep.comparators.get, COMPARATOR_NAMES[:3]))
+                for e, rep in zip(exponents, self.REPORTS[fig_id](exponents))]
+        assert [tuple(map(float.hex, row)) for row in rows] == [
+            tuple(map(float.hex, row)) for row in want]
+
+    @pytest.mark.parametrize("fig_id", [1, 2, 3])
+    def test_calls_independent_of_samples(self, tmp_path, python_calls,
+                                          fig_id):
+        def figure(samples):
+            return functools.partial(run_figure, FigureSpec(
+                id=fig_id, out_csv=str(tmp_path / "f.csv"), samples=samples))
+
+        assert python_calls(figure(11)) == python_calls(figure(201))
 
 
 class TestVerify:

@@ -223,4 +223,4 @@ def test_benchmark_tracer_names_resolve():
     assert cli.figure_rows is original
     metrics = t.metrics()
     assert metrics["cli.figure_rows.calls"] == 1
-    assert metrics[f"{tracer.REPORTS}.calls"] > 0
+    assert metrics["bounds.pair_measures_sq.calls"] > 0

@@ -14,7 +14,8 @@ COMMANDS = {
                 "optimize haar-6q-a A"]),
     "figure": (["figure", "--repeats", "1"], "3 figure tables: median pass ",
                "FIGURE_STAGES", {bounds, cli},
-               ["figure 1", "figure 2", "figure 3"]),
+               [f"figure {i} at {samples} samples"
+                for i in (1, 2, 3) for samples in (11, 201)]),
 }
 
 
@@ -39,3 +40,13 @@ def test_prints_every_stage_and_restores_the_package(profile_script, capsys,
     assert all(owner.__dict__[name] is original
                for owner, name, original in wrapped)
     assert owners >= {owner for owner, _, _ in wrapped}
+
+
+def test_figure_calls_independent_of_samples(profile_script, capsys):
+    # each figure's count at 11 samples equals its count at 201
+    assert profile_script.main(["figure", "--repeats", "1"]) == 0
+    counts = [int(row.split(": ")[1].split()[0])
+              for row in capsys.readouterr().out.splitlines()
+              if row.startswith("figure ")]
+    assert len(counts) == 6
+    assert counts[0::2] == counts[1::2]

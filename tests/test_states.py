@@ -39,16 +39,6 @@ def random_acin_params(generator, with_phase=True):
 
 
 class TestAcinState:
-    def test_example_values(self, example1_state):
-        cut = Bipartition.of(example1_state.shape, ["A"])
-        assert abs(pure_concurrence(example1_state, cut) - np.sqrt(3) / 2) < 1e-12
-        rho = projector(example1_state.amplitudes)
-        shape = example1_state.shape
-        _, ca_ab = cren_crenoa_two_qubit(partial_trace(rho, shape, ["A", "B"]))
-        _, ca_ac = cren_crenoa_two_qubit(partial_trace(rho, shape, ["A", "C"]))
-        assert abs(ca_ab - np.sqrt(2) / 2) < 1e-12
-        assert abs(ca_ac - 0.5) < 1e-12
-
     def test_product_case(self):
         psi = acin_state(AcinParams(1.0, 0.0, 0.0, 0.0, 0.0))
         npt.assert_array_equal(psi.amplitudes[1:], 0)
