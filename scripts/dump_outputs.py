@@ -11,7 +11,8 @@ values of ``pair_measures_sq`` for every focus of every corpus state
 and the density route on every label pair, every slack of
 ``cut_sandwiches`` on stacks of corpus states and of Haar states, and
 ``theta``, ``chain_bound`` and ``lemma_rhs`` on a fixed grid, with every
-float written by ``float.hex``.
+float written by ``float.hex``, and the stderr and exit code of
+``entbounds bounds`` on each input error it reports.
 It calls only public entry points, so the same script runs against
 another checkout: diff two dumps to show that a change keeps every output
 bit-identical.
@@ -27,7 +28,10 @@ are only read.
 from __future__ import annotations
 
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from functools import partial
+from io import StringIO
 from itertools import combinations
 from pathlib import Path
 
@@ -40,6 +44,7 @@ from entbounds.bounds import (SandwichBounds, chain_bound, cut_sandwiches,
                               polygamy_upper_AB, theta, tripartite_bounds)
 from entbounds.cli import (VerifyConfig, figure_rows, parse_state_spec,
                            run_bounds, run_verify)
+from entbounds.cli import main as cli_main
 from entbounds.measures import (Bipartition, cren_crenoa_two_qubit,
                                 cut_measures, negativity, pure_concurrence,
                                 reduced_density, schmidt_rank)
@@ -71,6 +76,18 @@ CHAIN_VALUES = ([0.5, 0.25], [0.3, 0.2, 0.1], [0.7, 0.1, 0.4],
                 [0.5, 0.25, 0.0], [0.4, 0.1, 0.3, 0.2, -1e-13], [0.0, 0.0],
                 [], [1e-10, 0.9])
 CHAIN_KINDS = ("pow2_chain", "beta_half_chain", "trivial_sum", "cubic_chain")
+# The CLI errors section: (spec text, or None for a missing file; cut; p),
+# one per input error ``entbounds bounds`` reports on stderr.
+CLI_ERRORS = (("qubits 1\nqubits 1\n", "A|B", "auto"),
+              ("qubits\n", "A|B", "auto"),
+              ("qubits two\n", "A|B", "auto"),
+              ("qubits 7\n", "A|B", "auto"),
+              ("qubits 1\namp 0 1\n", "A|B", "auto"),
+              ("qubits 1\namp 0 one 0\n", "A|B", "auto"),
+              ("# no header\n", "A|B", "auto"),
+              (None, "A|B", "auto"),
+              ("qubits 3\namp 0 1 0\n", "ABC", "auto"),
+              ("qubits 3\namp 0 1 0\n", "A|BC", "x"))
 
 
 def _hex(values) -> str:
@@ -255,6 +272,23 @@ def dump_theta(out):
                        for exponent in GRID_EXPONENTS + (3.0,))
 
 
+def dump_cli_errors(out):
+    """``entbounds bounds`` on each input of CLI_ERRORS, from a spec file
+    in a temporary directory: one line of its exit code and stderr, with
+    the directory written as <tmp>."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (spec, cut, p) in enumerate(CLI_ERRORS):
+            path = Path(tmp, f"{i}.state")
+            if spec is not None:
+                path.write_text(spec, encoding="utf-8")
+            err = StringIO()
+            with redirect_stdout(StringIO()), redirect_stderr(err):
+                code = cli_main(["bounds", "--state", str(path), "--cut",
+                                 cut, "--exponent", "1", "--p", p])
+            out.append(f"cli {spec!r} {cut} {p} exit {code} "
+                       + err.getvalue().replace(tmp, "<tmp>").rstrip("\n"))
+
+
 def main() -> int:
     out: list[str] = []
     dump_figures(out)
@@ -265,6 +299,7 @@ def main() -> int:
     dump_cuts(out)
     dump_sandwiches(out)
     dump_theta(out)
+    dump_cli_errors(out)
     sys.stdout.write("\n".join(out) + "\n")
     return 0
 

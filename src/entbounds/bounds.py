@@ -29,23 +29,24 @@ the family proper.
 
 ``bounds`` reads no amplitudes: it combines the numbers ``measures``
 reads.  Every caller reads the pair values of all its foci from one
-``pair_measures_sq`` call and its AB|rest cuts from ``_ab_cuts`` (one
+``pair_measures_sq`` call and its AB|rest cuts of C and of N, each one
+``_Cut`` with its lower and upper bound, from ``_ab_cuts`` (one
 ``cut_measures`` read of C, N and Schmidt rank).  The report
 functions resolve each focus once per call (``_focus``: grouping,
 fallback, checked p, and the exponent-free constants of each recursion
 level of "ours" and of the p = 1 specialization).  All exponents of a
 call are then one pass through the same code, one exponent as a Python
 float and several as one (E,) stack: per focus both recursions and the
-powers all chains share (one ``_pow`` per distinct base), per cut the
-combine step.  ``cut_sandwiches``, the one per-state pass of ``verify``,
-evaluates a stack of N states in one ``_pow`` call for all heads and
-radicands and one for all lhs.  Every power but the lemma grid's is
-``measures._pow``, Python's float power (numpy's can differ in the last
-bit), and every sum is ``_sum``, left to right, so a stack's entries
-equal the one-exponent, one-state values bit for bit.  A head or
-radicand below TAU_NUM (``_trim``) and N across a cut of Schmidt rank 1
-(SCHMIDT_TOL) read 0: they are 0 on product foci and cuts, where a
-round-off residue's small power would break the bound.
+powers all chains share (one ``_pow`` per distinct base), per side of
+the cut its combine step.  ``cut_sandwiches``, the one per-state pass
+of ``verify``, evaluates a stack of N states in one ``_pow`` call for
+all heads and radicands and one for all lhs.  Every power but the lemma
+grid's is ``measures._pow``, Python's float power (numpy's can differ
+in the last bit), and every sum is ``_sum``, left to right, so a
+stack's entries equal the one-exponent, one-state values bit for bit.
+A head or radicand below TAU_NUM (``_trim``) and N across a cut of
+Schmidt rank 1 (SCHMIDT_TOL) read 0: they are 0 on product foci and
+cuts, where a round-off residue's small power would break the bound.
 
 Convention used throughout: 0^0 := 1 and v^0 := 1, as Python's float
 power gives them, so exponent-zero curves are defined.
@@ -55,7 +56,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Mapping, Sequence
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -396,30 +396,31 @@ def _values(f: _Focus, x, xpow, coefficients: list) -> tuple:
 
 
 class _Cut(NamedTuple):
-    """One bound across one cut: lhs = base^exponent, and combine maps the
-    values v of ``foci`` (in that order) and their radicand powers rad at
-    x = exponent/2 to the bound, alike for "ours" and each comparator:
-    floats for one state and exponent, else (E,) or (E, N) arrays."""
+    """One cut: lhs = base^exponent, bounded below by ``lower`` and above
+    by ``upper`` (None for a side it lacks).  Each maps the values v of
+    ``foci`` (in that order) and their radicand powers rad at x =
+    exponent/2 to the bound, alike for "ours" and each comparator: floats
+    for one state and exponent, else (E,) or (E, N) arrays."""
 
-    side: str
     base: float
     foci: tuple[str, ...]
-    combine: Callable
+    lower: Callable | None
+    upper: Callable | None
 
 
-def _columns(psi: PureState, exponents, p, *cuts: _Cut) -> list[tuple]:
+def _columns(psi: PureState, exponents, p, cut: _Cut) -> list[tuple]:
     """(lhs, ours, comparators in COMPARATOR_NAMES order, gap, FocusParams
-    by focus) of each cut of one state: floats for one exponent, (E,)
-    columns for several.
+    by focus) of the cut's lower bound, then of its upper, for the sides
+    it has: floats for one exponent, (E,) columns for several.
 
     The exponents are converted and range-checked in one C-level pass;
     at a bad one, ``_check_exponent`` on each in order raises for the
-    first.  The pair values of every focus the cuts read come from one
-    pair measure call; each focus is then resolved once, in first-read
-    order, so errors come as in one-exponent calls; cuts sharing a focus
-    share its values and its FocusParams.  ``p`` is one spec for every
-    focus or a mapping by focus (default auto), which may name foci no
-    cut reads, but only labels of the state."""
+    first.  The pair values of the cut's foci come from one pair measure
+    call; each focus is then resolved once, in order, so errors come as
+    in one-exponent calls, and both sides share its values and its
+    FocusParams.  ``p`` is one spec for every focus or a mapping by focus
+    (default auto), which may name foci the cut does not read, but only
+    labels of the state."""
     psi.check_single()
     exponents = list(exponents)
     try:   # min and max may pass over a NaN
@@ -435,10 +436,9 @@ def _columns(psi: PureState, exponents, p, *cuts: _Cut) -> list[tuple]:
         for label in p:
             if label not in psi.shape.labels:
                 raise ValueError(f"unknown focus label {label!r} in p mapping")
-    foci = tuple(dict.fromkeys([f for cut in cuts for f in cut.foci]))
-    c_sq, ca_sq = map(np.ndarray.tolist, pair_measures_sq(psi, foci))
-    resolved = {f: _focus(c, ca, p.get(f, "auto") if mapping else p)
-                for f, c, ca in zip(foci, c_sq, ca_sq)}
+    c_sq, ca_sq = map(np.ndarray.tolist, pair_measures_sq(psi, cut.foci))
+    resolved = [_focus(c, ca, p.get(f, "auto") if mapping else p)
+                for f, c, ca in zip(cut.foci, c_sq, ca_sq)]
     e = es[0] if len(es) == 1 else np.array(es)   # one stays a Python float
     x, powers = e / 2.0, {}
 
@@ -450,38 +450,36 @@ def _columns(psi: PureState, exponents, p, *cuts: _Cut) -> list[tuple]:
 
     two_x = xpow(2.0)
     coeffs = [c(x, two_x) for c in CHAIN_COEFFICIENTS.values()]
-    values = {f: _values(d, x, xpow, coeffs) for f, d in resolved.items()}
-    out = []
-    for side, base, cut_foci, combine in cuts:
-        lhs = _pow(base, e)
-        rad = [xpow(resolved[f].radicand) for f in cut_foci]
-        # one combine per key: ours, then each comparator
-        ours, *cmp = [combine(v, rad, x)
-                      for v in zip(*[values[f] for f in cut_foci])]
-        gap = ours - lhs if side == "upper" else lhs - ours
-        out.append((lhs, ours, cmp, gap,
-                    {f: resolved[f].params for f in cut_foci}))
+    values = list(zip(*[_values(d, x, xpow, coeffs) for d in resolved]))
+    rad = [xpow(d.radicand) for d in resolved]
+    params = [d.params for d in resolved]
+    lhs, out = _pow(cut.base, e), []
+    for combine, is_upper in ((cut.lower, False), (cut.upper, True)):
+        if combine:
+            # one combine per key: ours, then each comparator
+            ours, *cmp = [combine(v, rad, x) for v in values]
+            out.append((lhs, ours, cmp, ours - lhs if is_upper else lhs - ours,
+                        dict(zip(cut.foci, params))))
     return out
 
 
-def _sweep(psi: PureState, exponents, p, *cuts: _Cut
-           ) -> list[list[BoundReport]]:
-    """Reports of each cut of one state, one per exponent, from its
-    ``_columns``: each column read out by one ``tolist`` into
-    ``BoundReport._make`` rows, each with its own comparators and foci
+def _sweep(psi: PureState, exponents, p, cut: _Cut) -> list[list[BoundReport]]:
+    """Reports of the cut's lower bound, then of its upper, one per
+    exponent, from its ``_columns``: each column read out by one
+    ``tolist`` into rows, each report with its own comparators and foci
     dict; one exponent gives one ``BoundReport`` of Python floats."""
     out = []
-    for lhs, ours, cmp, gap, foci in _columns(psi, exponents, p, *cuts):
+    for lhs, ours, cmp, gap, foci in _columns(psi, exponents, p, cut):
         if isinstance(lhs, float):
             out.append([BoundReport(lhs, ours,
                                     dict(zip(COMPARATOR_NAMES, cmp)), gap,
                                     foci)])
             continue
-        comparators = map(dict, map(zip, repeat(COMPARATOR_NAMES),
-                                    zip(*[v.tolist() for v in cmp])))
-        out.append(list(map(BoundReport._make, zip(
-            lhs.tolist(), ours.tolist(), comparators, gap.tolist(),
-            map(dict, repeat(foci, len(lhs)))))))
+        out.append([BoundReport(row[0], row[1],
+                                dict(zip(COMPARATOR_NAMES, row[3:])), row[2],
+                                dict(foci))
+                    for row in zip(lhs.tolist(), ours.tolist(), gap.tolist(),
+                                   *[v.tolist() for v in cmp])])
     return out
 
 
@@ -501,9 +499,9 @@ def _ab_foci(psi: PureState) -> tuple[str, ...]:
     return psi.shape.labels[:2]
 
 
-def _ab_cuts(psi: PureState) -> tuple[_Cut, _Cut, _Cut, _Cut]:
-    """The four AB|rest cuts (concurrence lower, upper, negativity lower,
-    upper) from one ``cut_measures`` read."""
+def _ab_cuts(psi: PureState) -> tuple[_Cut, _Cut]:
+    """The AB|rest cuts of concurrence and of negativity, each with its
+    lower and upper bound, from one ``cut_measures`` read."""
     foci = _ab_foci(psi)
     c, n, r = cut_measures(psi, foci)
     pairs = r * (r - 1) / 2.0   # a float for one state, (N,) for a stack
@@ -512,11 +510,10 @@ def _ab_cuts(psi: PureState) -> tuple[_Cut, _Cut, _Cut, _Cut]:
     def upper(v, rad, x):
         return _pow(pairs, x) * _upper(v, rad, x)
 
-    return (_Cut("lower", c, foci, _lower_AB), _Cut("upper", c, foci, _upper),
-            _Cut("lower", n, foci, _lower_AB), _Cut("upper", n, foci, upper))
+    return _Cut(c, foci, _lower_AB, _upper), _Cut(n, foci, _lower_AB, upper)
 
 
-def _tripartite(psi: PureState) -> tuple[_Cut, _Cut]:
+def _tripartite(psi: PureState) -> _Cut:
     labels = psi.shape.labels
     if len(labels) < 5:
         raise ValueError("tripartite bounds need at least 5 subsystems")
@@ -526,15 +523,15 @@ def _tripartite(psi: PureState) -> tuple[_Cut, _Cut]:
     def lower(v, rad, x):
         return _max(_lower_AB(v, rad, x) - v[2], rad[2] - v[0] - v[1])
 
-    return _Cut("lower", c, foci, lower), _Cut("upper", c, foci, _upper)
+    return _Cut(c, foci, lower, _upper)
 
 
 def _one_rest(psi: PureState, left) -> _Cut:
-    """The upper cut left|rest of ``multi_partition_polygamy``."""
+    """The cut left|rest of ``multi_partition_polygamy``, upper bound only."""
     cut = left if isinstance(left, Bipartition) else Bipartition.of(psi.shape, left)
     c = pure_concurrence(psi, cut)   # checks a given cut against the labels
     foci = tuple(sorted(cut.left, key=psi.shape.labels.index))
-    return _Cut("upper", c, foci, _upper)
+    return _Cut(c, foci, None, _upper)
 
 
 def polygamy_bound_coa(psi: PureState, focus: str, exponents,
@@ -553,7 +550,7 @@ def monogamy_lower_AB(psi: PureState, exponents, p="auto") -> list[BoundReport]:
     Both one-sided expressions are valid lower bounds; the max is taken.
     The radicands use pair concurrence, the subtracted theta uses CoA.
     """
-    [lower] = _sweep(psi, exponents, p, _ab_cuts(psi)[0])
+    [lower] = _sweep(psi, exponents, p, _ab_cuts(psi)[0]._replace(upper=None))
     return lower
 
 
@@ -569,7 +566,7 @@ def negativity_bounds_AB(psi: PureState, exponents, p="auto") -> list[SandwichBo
     lower bound reuses the concurrence construction; the upper bound picks
     up the Schmidt-rank factor (r(r-1)/2)^(alpha/2) of the cut.
     """
-    reports = _sweep(psi, exponents, p, *_ab_cuts(psi)[2:])
+    reports = _sweep(psi, exponents, p, _ab_cuts(psi)[1])
     return list(map(SandwichBounds, *reports))
 
 
@@ -581,7 +578,7 @@ def tripartite_bounds(psi: PureState, exponents, p="auto") -> list[SandwichBound
     unconditionally, so the max needs no case detection).  Upper bound:
     theta_A + theta_B + theta_C1.
     """
-    reports = _sweep(psi, exponents, p, *_tripartite(psi))
+    reports = _sweep(psi, exponents, p, _tripartite(psi))
     return list(map(SandwichBounds, *reports))
 
 
@@ -625,8 +622,8 @@ def cut_sandwiches(psi: PureState, exponents) -> dict[str, np.ndarray]:
     labels = psi.shape.labels
     cuts = _ab_cuts(psi)
     if len(labels) >= 5:
-        cuts += _tripartite(psi)
-    foci = tuple(dict.fromkeys(f for cut in cuts for f in cut.foci))
+        cuts += (_tripartite(psi),)
+    foci = cuts[-1].foci   # the last cut reads every focus
     # (2, ..., F), ... = (N,) for a stack: each focus's radicand and head,
     # untrimmed, summed over the partner axis (first in the transpose); the
     # pair values of a checked state are nonnegative and finite
@@ -639,10 +636,10 @@ def cut_sandwiches(psi: PureState, exponents) -> dict[str, np.ndarray]:
     powers = _pow(_trim(sums), x)
     rads, ours = ({f: powers[:, k, ..., i] for i, f in enumerate(foci)}
                   for k in (0, 1))
-    lhs = _pow([cut.base for cut in cuts[::2]], exponents)
-    for k, (side, _, cut_foci, combine) in enumerate(cuts):
-        v = combine([ours[f] for f in cut_foci],
-                    [rads[f] for f in cut_foci], x)
-        base = lhs[:, k // 2]   # lower and upper of a cut share their lhs
-        slacks[SANDWICH_NAMES[k]] = v - base if side == "upper" else base - v
+    lhs = _pow([cut.base for cut in cuts], exponents)   # (E, cut, ...)
+    names = iter(SANDWICH_NAMES)   # each cut's lower, then its upper
+    for k, cut in enumerate(cuts):
+        v, rad = [ours[f] for f in cut.foci], [rads[f] for f in cut.foci]
+        slacks[next(names)] = lhs[:, k] - cut.lower(v, rad, x)
+        slacks[next(names)] = cut.upper(v, rad, x) - lhs[:, k]
     return slacks

@@ -224,14 +224,14 @@ def _write_svg(path: str, header: list[str], rows: list[tuple[float, ...]]):
 
 
 # Figure id -> (exponent name, curve letter, state, p, cut).  The cut is
-# the one its report function builds (polygamy_bound_coa at A,
-# monogamy_lower_AB, polygamy_upper_AB), and the figure plots its lhs,
-# ours and first three comparators, read from one _columns call.
+# its report function's (polygamy_bound_coa at A, monogamy_lower_AB,
+# polygamy_upper_AB), plotted side only: lhs, ours and the first three
+# comparators of that side, read from one _columns call.
 _FIGURES = {
     1: ("beta", "Z", lambda: acin_state(FIG1_PARAMS), FIG1_P,
         lambda psi: _one_rest(psi, ["A"])),
     2: ("alpha", "T", lambda: wclass4_state(FIG23_PARAMS), FIG23_P,
-        lambda psi: _ab_cuts(psi)[0]),
+        lambda psi: _ab_cuts(psi)[0]._replace(upper=None)),
     3: ("alpha", "X", lambda: wclass4_state(FIG23_PARAMS), FIG23_P,
         lambda psi: _one_rest(psi, ["A", "B"])),
 }
@@ -437,7 +437,6 @@ def main(argv=None) -> int:
     except (StateSpecError, InfeasibleParamsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

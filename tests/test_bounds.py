@@ -573,6 +573,14 @@ class TestSweep:
         with pytest.raises(ValueError, match="unknown focus label 'b'"):
             REPORTS[name](psi, [1.0], {"A": "one", "b": "one"})
 
+    @pytest.mark.parametrize("name", sorted(REPORTS))
+    def test_unknown_p_mode_raises(self, name):
+        psi = haar_random_pure(5, 5, stream=0)
+        for p in ("ones", dict.fromkeys(psi.shape.labels, "ones")):
+            with pytest.raises(ValueError, match="^p mode must be 'auto' "
+                                                 "or 'one', got 'ones'$"):
+                REPORTS[name](psi, [1.0], p)
+
 
 PAIR_SLACKS = ("pair_coa_polygamy", "pair_conc_monogamy")
 

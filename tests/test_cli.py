@@ -54,6 +54,8 @@ class TestFigureSpec:
             FigureSpec(id=4, out_csv="x.csv")
         with pytest.raises(ValueError):
             FigureSpec(id=1, out_csv="x.csv", samples=1)
+        with pytest.raises(ValueError, match="^unknown figure id 4$"):
+            figure_rows(4)
 
     @pytest.mark.parametrize("field, value", [
         ("id", 1.0), ("samples", 201.0), ("samples", "201"), ("id", None)])
@@ -229,6 +231,8 @@ class TestVerify:
             VerifyConfig(trials=0)
         with pytest.raises(ValueError):
             VerifyConfig(exponents=(2.5,))
+        with pytest.raises(ValueError, match="^need at least one exponent$"):
+            VerifyConfig(exponents=())
 
     @pytest.mark.parametrize("field, value", [
         ("qubits", 4.0), ("trials", 2.0), ("seed", 1.5), ("seed", "42"),
@@ -557,13 +561,34 @@ class TestMainExitCodes:
         assert code == 2
         assert "repeats a label" in capsys.readouterr().err
 
-    def test_bounds_parse_error_exit_two(self, tmp_path, capsys):
-        bad = tmp_path / "bad.state"
-        bad.write_text("qubits 1\namp 0 1 0\namp 0 1 0\n", encoding="utf-8")
-        code = main(["bounds", "--state", str(bad), "--cut", "A|B",
-                     "--exponent", "1", "--p", "auto"])
+    @pytest.mark.parametrize("spec, args, error", [
+        ("qubits 1\namp 0 1 0\namp 0 1 0\n", [], "line 3: duplicate index 0"),
+        ("qubits 1\nqubits 1\n", [], "line 2: duplicate 'qubits' header"),
+        ("qubits\n", [], "line 1: expected 'qubits <n>'"),
+        ("qubits two\n", [], "line 1: bad qubit count 'two'"),
+        ("qubits 7\n", [], "line 1: qubit count 7 out of range [1, 6]"),
+        ("qubits 1\namp 0 1\n", [],
+         "line 2: expected 'amp <index> <re> <im>'"),
+        ("qubits 1\namp 0 one 0\n", [], "line 2: bad amp line 'amp 0 one 0'"),
+        ("# no header\n", [], "line 1: missing 'qubits' header"),
+        (None, [], "[Errno 2] No such file or directory: '{state}'"),
+        ("qubits 2\namp 0 1 0\n", ["--cut", "AB"],
+         "cut 'AB' must contain exactly one '|'"),
+        ("qubits 2\namp 0 1 0\n", ["--p", "x"],
+         "cannot parse p specification 'x'"),
+    ], ids=["duplicate-index", "duplicate-header", "header-fields",
+            "qubit-count", "qubit-range", "amp-fields", "amp-values",
+            "no-header", "missing-file", "cut-bar", "p-text"])
+    def test_bounds_parse_error_exit_two(self, tmp_path, spec, args, error,
+                                         capsys):
+        state = tmp_path / "bad.state"
+        if spec is not None:
+            state.write_text(spec, encoding="utf-8")
+        code = main(["bounds", "--state", str(state), "--cut", "A|B",
+                     "--exponent", "1", "--p", "auto", *args])
         assert code == 2
-        assert "line 3" in capsys.readouterr().err
+        assert capsys.readouterr() == (
+            "", f"error: {error.format(state=state)}\n")
 
     def test_bounds_unnormalized_message(self, tmp_path, capsys):
         spec = tmp_path / "long.state"
@@ -877,10 +902,10 @@ class TestOneStateFixedCost:
                                  cut, 1.0, "auto")
 
     def test_run_bounds_six_qubits_two_foci(self, python_calls):
-        assert python_calls(self.bounds_call("haar-6q-a", "AB|C1C2C3C4")) == 166
+        assert python_calls(self.bounds_call("haar-6q-a", "AB|C1C2C3C4")) == 164
 
     def test_run_bounds_three_qubits(self, python_calls):
-        assert python_calls(self.bounds_call("ghz-3q", "A|BC")) == 110
+        assert python_calls(self.bounds_call("ghz-3q", "A|BC")) == 108
 
     def test_optimize(self, python_calls):
         [psi] = read_corpus("haar-6q-a").values()

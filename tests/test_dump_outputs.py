@@ -138,3 +138,24 @@ def test_theta_section_reaches_each_function_at_exponents_zero_and_two():
     assert {0.0, 2.0} <= values["theta"]
     assert {0.0, 2.0} <= values["chain_bound"]
     assert {0.0, 1.0} <= values["lemma_rhs"]
+
+
+def test_cli_errors_section_shows_each_error_once():
+    """Each input error of ``entbounds bounds`` appears on exactly one
+    line, with exit code 2 and the temporary directory as <tmp>."""
+    out = []
+    load_script("dump_outputs").dump_cli_errors(out)
+    errors = ["line 2: duplicate 'qubits' header",
+              "line 1: expected 'qubits <n>'",
+              "line 1: bad qubit count 'two'",
+              "line 1: qubit count 7 out of range [1, 6]",
+              "line 2: expected 'amp <index> <re> <im>'",
+              "line 2: bad amp line 'amp 0 one 0'",
+              "line 1: missing 'qubits' header",
+              "[Errno 2] No such file or directory: '<tmp>/7.state'",
+              "cut 'ABC' must contain exactly one '|'",
+              "cannot parse p specification 'x'"]
+    assert len(out) == len(errors)
+    for error in errors:
+        [line] = [line for line in out if line.endswith(f" error: {error}")]
+        assert line.startswith("cli ") and " exit 2 error: " in line

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -47,6 +49,19 @@ class TestShape:
         assert default_labels(2) == ("A", "B")
         assert default_labels(3) == ("A", "B", "C")
         assert default_labels(5) == ("A", "B", "C1", "C2", "C3")
+        with pytest.raises(ValueError, match="^need at least one qubit$"):
+            default_labels(0)
+
+    @pytest.mark.parametrize("reduce", [partial_trace, partial_transpose])
+    @pytest.mark.parametrize("rho, message", [
+        (np.ones(4), "expected a matrix, got ndim=1"),
+        (np.full((4, 4), np.nan), "matrix has non-finite entries"),
+        (np.ones((4, 2)),
+         "matrix shape (4, 2) does not match subsystem dimension 4"),
+    ], ids=["vector", "non-finite", "shape"])
+    def test_bad_matrix_rejected(self, reduce, rho, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            reduce(rho, qubit_shape(("A", "B")), ["A"])
 
 
 class TestPartialTrace:

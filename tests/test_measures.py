@@ -57,6 +57,12 @@ class TestBipartition:
         with pytest.raises(ValueError, match="disjoint"):
             Bipartition(("A",), ("A", "B"))
 
+    @pytest.mark.parametrize("left, right", [((), ("A", "B")), (("A",), ())])
+    def test_empty_side_rejected(self, left, right):
+        with pytest.raises(ValueError, match="^both sides of a bipartition "
+                                             "must be non-empty$"):
+            Bipartition(left, right)
+
     def test_of_repeated_label(self):
         with pytest.raises(ValueError, match="repeated"):
             Bipartition.of(qubit_shape(("A", "B", "C1", "C2")), ["A", "A"])

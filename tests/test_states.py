@@ -67,6 +67,9 @@ class TestAcinState:
     def test_normalization_rejected(self):
         with pytest.raises(ValueError, match="normalized"):
             AcinParams(1.0, 1.0, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError,
+                           match="^coefficients must be nonnegative$"):
+            AcinParams(-1.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_normalization_error_prints_a_plain_float(self):
         with pytest.raises(ValueError) as exc:
@@ -483,6 +486,12 @@ class TestPureState:
         from entbounds.linalg import qubit_shape
         with pytest.raises(ValueError, match="^amplitudes must be finite$"):
             PureState(qubit_shape(("A",)), np.array([value, 1.0]))
+
+    def test_rejects_wrong_amplitude_count(self):
+        from entbounds.linalg import qubit_shape
+        with pytest.raises(ValueError, match="^amplitude count 3 does not "
+                                             "match shape dimension 4$"):
+            PureState(qubit_shape(("A", "B")), np.array([1.0, 0.0, 0.0]))
 
     def test_stack_of_states(self):
         from entbounds.linalg import qubit_shape
