@@ -44,8 +44,8 @@ all heads and radicands and one for all lhs.  Every power but the lemma
 grid's is ``measures._pow``, Python's float power (numpy's can differ
 in the last bit), and every sum is ``_sum``, left to right, so a
 stack's entries equal the one-exponent, one-state values bit for bit.
-A head or radicand below TAU_NUM (``_trim``) and N across a cut of
-Schmidt rank 1 (SCHMIDT_TOL) read 0: they are 0 on product foci and
+A head, chain value or radicand below TAU_NUM (``_trim``) and N across
+a cut of Schmidt rank 1 (SCHMIDT_TOL) read 0, as on product foci and
 cuts, where a round-off residue's small power would break the bound.
 
 Convention used throughout: 0^0 := 1 and v^0 := 1, as Python's float
@@ -99,11 +99,15 @@ class InfeasibleParamsError(ValueError):
         self.min_p = min_p
 
 
-def _check_exponent(exponent: float) -> float:
-    exponent = float(exponent)
-    if not 0.0 <= exponent <= 2.0:
-        raise ValueError(f"exponent must be in [0, 2], got {exponent}")
-    return exponent
+def _check_exponents(exponents) -> list[float]:
+    """Each exponent as a float, in order; the first bad one raises."""
+    checked = []
+    for e in exponents:
+        e = float(e)
+        if not 0.0 <= e <= 2.0:
+            raise ValueError(f"exponent must be in [0, 2], got {e}")
+        checked.append(e)
+    return checked
 
 
 def _check_params(p) -> tuple[float, ...]:
@@ -313,7 +317,7 @@ def theta(group_coa_sq: Sequence[Sequence[float]], exponent: float,
     ValueError on a negative or non-finite value or on a zero group before
     a nonzero one (0/0 in Omega).
     """
-    x = _check_exponent(exponent) / 2.0
+    x = _check_exponents([exponent])[0] / 2.0
     p = _check_params(p)
     heads = _group_sums(group_coa_sq)
     while heads and heads[-1] < TAU_NUM:
@@ -332,20 +336,22 @@ def theta(group_coa_sq: Sequence[Sequence[float]], exponent: float,
 
 def chain_bound(values_sq, exponent: float, kind: str) -> float:
     """Literature chain bound sum_l c^(l-1) (v_l)^(exponent/2) over the
-    descending singleton ordering; c is 2^(x)-1, x, or 1.  Raises
-    ValueError on a negative or non-finite value, as ``theta`` does."""
-    x = _check_exponent(exponent) / 2.0
+    descending singleton ordering; c is 2^(x)-1, x, or 1.  A value below
+    TAU_NUM reads 0, and a negative or non-finite one raises ValueError,
+    as in ``theta``."""
+    x = _check_exponents([exponent])[0] / 2.0
     if kind not in CHAIN_COEFFICIENTS:
         raise ValueError(f"unknown chain kind {kind!r}")
     values = np.asarray(values_sq, dtype=float).reshape(-1, 1)
-    powers = [_pow(v, x) for v in sorted(_group_sums(values), reverse=True)]
+    powers = [_pow(_trim(v), x)
+              for v in sorted(_group_sums(values), reverse=True)]
     return _chains(powers, [CHAIN_COEFFICIENTS[kind](x, _pow(2.0, x))])[0]
 
 
 class _Focus(NamedTuple):
     """The exponent-free ingredients of one focus's bounds."""
 
-    descending: list[float]   # squared CoA values in chain order
+    descending: list[float]   # trimmed squared CoA values, chain order
     params: FocusParams
     radicand: float
     ours: tuple               # (levels, last head) that ours evaluates
@@ -366,9 +372,10 @@ def _focus(c_sq: list[float], ca: list[float], spec) -> _Focus:
     """
     order = sorted(range(len(ca)), key=ca.__getitem__, reverse=True)
     grouping = tuple(zip(order))   # the singletons (i,)
-    descending = list(map(ca.__getitem__, order))
+    # the heads theta keeps, a prefix; the chains read the rest as 0 too
+    heads = [v for v in map(ca.__getitem__, order) if v >= TAU_NUM]
+    descending = heads + [0.0] * (len(ca) - len(heads))
     single = _trim(_sum(ca))
-    heads = [v for v in descending if v >= TAU_NUM]   # trailing, as in theta
     ts = tail_ratios(heads)
     fallback = auto = False
     if isinstance(spec, str):
@@ -413,24 +420,15 @@ def _columns(psi: PureState, exponents, p, cut: _Cut) -> list[tuple]:
     by focus) of the cut's lower bound, then of its upper, for the sides
     it has: floats for one exponent, (E,) columns for several.
 
-    The exponents are converted and range-checked in one C-level pass;
-    at a bad one, ``_check_exponent`` on each in order raises for the
-    first.  The pair values of the cut's foci come from one pair measure
-    call; each focus is then resolved once, in order, so errors come as
-    in one-exponent calls, and both sides share its values and its
+    One ``_check_exponents`` call converts and checks the exponents.
+    The pair values of the cut's foci come from one pair measure call;
+    each focus is then resolved once, in order, so errors come as in
+    one-exponent calls, and both sides share its values and its
     FocusParams.  ``p`` is one spec for every focus or a mapping by focus
     (default auto), which may name foci the cut does not read, but only
     labels of the state."""
     psi.check_single()
-    exponents = list(exponents)
-    try:   # min and max may pass over a NaN
-        es = list(map(float, exponents))
-        ok = (0.0 <= min(es) and max(es) <= 2.0
-              and not any(map(math.isnan, es)))
-    except Exception:   # no exponents, or a value float() rejects
-        ok = False
-    if not ok:
-        es = [_check_exponent(e) for e in exponents]
+    es = _check_exponents(exponents)
     mapping = isinstance(p, Mapping)
     if mapping:
         for label in p:
@@ -514,20 +512,20 @@ def _ab_cuts(psi: PureState) -> tuple[_Cut, _Cut]:
 
 
 def _tripartite(psi: PureState) -> _Cut:
+    """The ABC1|rest cut: ``_one_rest``'s, with its lower bound added."""
     labels = psi.shape.labels
     if len(labels) < 5:
         raise ValueError("tripartite bounds need at least 5 subsystems")
-    foci = labels[:3]
-    c = pure_concurrence(psi, Bipartition(foci, labels[3:]))
 
     def lower(v, rad, x):
         return _max(_lower_AB(v, rad, x) - v[2], rad[2] - v[0] - v[1])
 
-    return _Cut(c, foci, lower, _upper)
+    return _one_rest(psi, labels[:3])._replace(lower=lower)
 
 
 def _one_rest(psi: PureState, left) -> _Cut:
-    """The cut left|rest of ``multi_partition_polygamy``, upper bound only."""
+    """The cut left|rest, upper bound only: the one builder of a left|rest
+    cut's concurrence, for one state or a stack."""
     cut = left if isinstance(left, Bipartition) else Bipartition.of(psi.shape, left)
     c = pure_concurrence(psi, cut)   # checks a given cut against the labels
     foci = tuple(sorted(cut.left, key=psi.shape.labels.index))
@@ -607,17 +605,18 @@ def cut_sandwiches(psi: PureState, exponents) -> dict[str, np.ndarray]:
     pair_conc_monogamy (C^2(A|rest) - its pair C^2 sum), each (N,), then
     each of SANDWICH_NAMES, (len(exponents), N): the concurrence and
     negativity sandwiches across AB|rest and, from 5 subsystems up,
-    across ABC1|rest (the AB|rest cuts are the reports' ``_ab_cuts``), in
-    auto mode.  One state has no stack axis, as for the measures.  Auto
-    mode's "ours" is the single group's power (module doc), so each focus
-    needs only its CoA^2 sum and its C^2 radicand, each a trimmed
-    ``_sum`` as in ``_focus``: the radicands and heads of every focus
-    are one ``_sum`` over the partner columns, one ``_trim`` and one
-    ``_pow`` of the one array ``pair_measures_sq`` returns.  Each slack
-    equals, bit for bit, its one-state value (for a sandwich, the matching
-    report function's gap); no grouping, comparator or report is built.
+    across ABC1|rest (the cuts are the reports' ``_ab_cuts`` and
+    ``_tripartite``, C(A|rest) is ``_one_rest``'s), in auto mode.  One
+    state has no stack axis, as for the measures.  Auto mode's "ours" is
+    the single group's power (module doc), so each focus needs only its
+    CoA^2 sum and its C^2 radicand, each a trimmed ``_sum`` as in
+    ``_focus``: the radicands and heads of every focus are one ``_sum``
+    over the partner columns, one ``_trim`` and one ``_pow`` of the one
+    array ``pair_measures_sq`` returns.  Each slack equals, bit for bit,
+    its one-state value (for a sandwich, the matching report function's
+    gap); no grouping, comparator or report is built.
     """
-    exponents = [_check_exponent(e) for e in exponents]
+    exponents = _check_exponents(exponents)
     x = np.array(exponents) / 2.0
     labels = psi.shape.labels
     cuts = _ab_cuts(psi)
@@ -628,8 +627,7 @@ def cut_sandwiches(psi: PureState, exponents) -> dict[str, np.ndarray]:
     # untrimmed, summed over the partner axis (first in the transpose); the
     # pair values of a checked state are nonnegative and finite
     sums = _sum(pair_measures_sq(psi, foci).T).T
-    one_rest_sq = _pow(pure_concurrence(
-        psi, Bipartition(labels[:1], labels[1:])), 2.0)   # C^2(A|rest)
+    one_rest_sq = _pow(_one_rest(psi, labels[:1]).base, 2.0)   # C^2(A|rest)
     slacks = {"pair_coa_polygamy": sums[1, ..., 0] - one_rest_sq,
               "pair_conc_monogamy": one_rest_sq - sums[0, ..., 0]}
     # radicands and heads in one power call: (E, 2, ..., F)

@@ -302,12 +302,9 @@ _BOUNDS_CSV_HEADER = ",".join(("cut", "exponent", "lhs", "ours")
 
 
 def _read_text(path: str) -> str:
-    """A file's UTF-8 text, in ``Path(path).read_text``'s lines and errors."""
-    try:
-        with open(path, "rb") as file:
-            return file.read().decode("utf-8")
-    except OSError:   # raised again, naming the path as pathlib does
-        return Path(path).read_bytes().decode("utf-8")
+    """A file's UTF-8 text; ``open`` raises as ``Path.read_text`` does."""
+    with open(path, "rb") as file:
+        return file.read().decode("utf-8")
 
 
 def run_bounds(state_path: str, cut_expr: str, exponent: float, p_mode: str,

@@ -49,10 +49,10 @@ class SubsystemShape:
         want = set(given)
         if len(want) < len(given):
             raise ValueError(f"repeated subsystem label in {given}")
-        unknown = want - set(self.labels)
+        unknown = want.difference(self.labels)
         if unknown:
             raise ValueError(f"unknown subsystem label(s): {sorted(unknown)}")
-        return [i for i, lab in enumerate(self.labels) if lab in want]
+        return sorted(map(self.labels.index, want))
 
 
 def qubit_shape(labels: Sequence[str]) -> SubsystemShape:

@@ -65,12 +65,12 @@ class Bipartition:
     @classmethod
     def of(cls, shape: SubsystemShape, left) -> "Bipartition":
         """Bipartition of the shape's labels into `left` and the rest."""
-        left_pos = shape.positions(left)
-        left_set = {shape.labels[i] for i in left_pos}
-        right = tuple(l for l in shape.labels if l not in left_set)
+        left = tuple(map(shape.labels.__getitem__, shape.positions(left)))
+        right = tuple(itertools.filterfalse(set(left).__contains__,
+                                            shape.labels))
         if not right:
             raise ValueError("left side covers every subsystem")
-        return cls(tuple(shape.labels[i] for i in left_pos), right)
+        return cls(left, right)
 
     @classmethod
     def parse(cls, expression: str, shape: SubsystemShape) -> "Bipartition":

@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator, NamedTuple
 
-from .bounds import _check_exponent, _group_sums, _trim, pair_measures_sq
+from .bounds import _check_exponents, _group_sums, _trim, pair_measures_sq
 from .measures import _pow
 from .states import PureState
 
@@ -41,7 +41,7 @@ def optimize(psi: PureState, focus: str, exponent: float) -> OptimizationResult:
     closed form, the trimmed CoA^2 sum to the power exponent/2, bit for bit
     ``theta([ca_sq], exponent)``, with theta's checks of the values."""
     psi.check_single()
-    exponent = _check_exponent(exponent)  # before any pair measure
+    [exponent] = _check_exponents([exponent])  # before any pair measure
     _, ca_sq = pair_measures_sq(psi, focus)
     [total] = _group_sums([ca_sq])
     return OptimizationResult(best_grouping=(tuple(range(ca_sq.size)),),

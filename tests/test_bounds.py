@@ -232,6 +232,13 @@ class TestChainBound:
             assert (chain_bound([0.5, -1e-13, 0.25], exponent, kind).hex()
                     == chain_bound([0.5, 0.0, 0.25], exponent, kind).hex())
 
+    @pytest.mark.parametrize("kind", sorted(CHAIN_COEFFICIENTS))
+    def test_value_below_tau_reads_zero(self, kind):
+        # as theta reads a head below TAU_NUM; 1e-10 ** 0.125 is 0.056
+        for exponent in (0.0, 0.1, 0.25, 0.5, 1.0, 1.5, 2.0):
+            assert (chain_bound([1e-10, 0.9], exponent, kind).hex()
+                    == chain_bound([0.0, 0.9], exponent, kind).hex())
+
 
 class TestPolygamyBoundCoa:
     def test_beta_two_equality(self, example1_state):
@@ -531,10 +538,10 @@ class TestSweep:
 
     @pytest.mark.parametrize("name", sorted(REPORTS))
     def test_bad_exponent_anywhere_raises(self, name):
-        # the error of _check_exponent on each exponent in order: it names
-        # the first bad value, placed first, in the middle or last, and
-        # whatever bad value follows it, also one float() rejects, and
-        # also when the exponents come from an iterator
+        # the error of the exponent rule applied in order, written out
+        # here: it names the first bad value, placed first, in the middle
+        # or last, and whatever bad value follows it, also one float()
+        # rejects, and also when the exponents come from an iterator
         psi = haar_random_pure(5, 5, stream=0)
         sweeps = [([1.0, 0.5][:i] + [bad] + [1.0, 0.5][i:], bad)
                   for bad in (float("nan"), -0.1, 2.5) for i in range(3)]
@@ -544,8 +551,9 @@ class TestSweep:
                    ([0.5, None], None)]
         for exponents, first in sweeps:
             with pytest.raises((TypeError, ValueError)) as want:
-                for e in exponents:
-                    bounds._check_exponent(e)
+                for e in map(float, exponents):
+                    if not 0.0 <= e <= 2.0:
+                        raise ValueError(f"exponent must be in [0, 2], got {e}")
             if first is not None:
                 assert str(want.value) == (
                     f"exponent must be in [0, 2], got {first}")
@@ -1028,6 +1036,41 @@ class TestOursBelowP1:
         assert rep.ours <= rep.comparators["p1_specialization"] + 1e-12
 
 
+@st.composite
+def tail_ordered_levels(draw):
+    """Singleton groups of descending heads whose tail ratios t_l are all
+    at most 1, a p_l in [t_l, 1] per level, a level k, a p_k' in [p_k, 1]
+    and an exponent: 0, 2 or uniform in [0, 2]."""
+    ratios = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=5))
+    heads = [draw(st.floats(0.05, 1.0))]
+    for t in ratios:   # each new head has its drawn ratio to the tail
+        heads.insert(0, math.fsum(heads) / t)
+    scale = draw(st.floats(0.05, 1.0)) / math.fsum(heads)
+    heads = [h * scale for h in heads]
+    ts = tail_ratios(heads)
+    p = [min(1.0, t + draw(st.floats(0.0, 1.0)) * (1.0 - t)) for t in ts]
+    k = draw(st.integers(0, len(p) - 1))
+    raised = p[:k] + [p[k] + draw(st.floats(0.0, 1.0)) * (1.0 - p[k])]
+    exponent = draw(st.sampled_from([0.0, 2.0]) | st.floats(0.0, 2.0))
+    return heads, p, raised + p[k + 1:], exponent
+
+
+class TestThetaOrderedInP:
+    """ROADMAP item 22, by measurement: on the admissible set t_l <= p_l
+    <= 1, theta is nondecreasing in each p_l, so no admissible p gives a
+    bound below the single-group value that auto mode reports (the p = t
+    identity of the ``bounds`` module doc).  Both within 1e-13."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tail_ordered_levels())
+    def test_raising_one_p_never_lowers_theta(self, case):
+        heads, p, raised, exponent = case
+        groups = [[h] for h in heads]
+        value = theta(groups, exponent, p)
+        assert theta(groups, exponent, raised) >= value - 1e-13
+        assert value >= theta([heads], exponent) - 1e-13
+
+
 def local_unitaries(seed: int, n: int) -> list[np.ndarray]:
     """n Haar-random 2x2 unitaries (QR of a complex Gaussian, phases fixed)."""
     gen = np.random.default_rng(seed)
@@ -1149,6 +1192,29 @@ class TestBlockProducts:
         slacks = assert_rows_one_state(psi, self.EXPONENTS)
         for name in self.HOLD:
             assert np.min(slacks.get(name, 0.0)) >= -1e-12, name
+
+
+class TestProductQubits:
+    """On a product of random qubits every pair CoA^2 is a round-off
+    residue of about 1e-33, below TAU_NUM: "ours" and every comparator,
+    the literature chains included, read 0 at each exponent in (0, 2],
+    not a residue's small power (0.024 for ``pow2_chain`` at 0.1)."""
+
+    EXPONENTS = [0.1, *np.linspace(0.0, 2.0, 9)[1:].tolist()]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_comparator_reads_zero(self, seed):
+        psi = block_product([block("haar1", seed + k) for k in range(4)],
+                            range(4))
+        labels = psi.shape.labels
+        assert 0.0 < pair_measures_sq(psi, labels).max() < 1e-20
+        reports = [rep for focus in labels for rep in polygamy_bound_coa(
+            psi, focus, self.EXPONENTS)]
+        reports += multi_partition_polygamy(psi, ["A", "B"], self.EXPONENTS)
+        reports += [polygamy_bound_coa(psi, "A", [e])[0]
+                    for e in self.EXPONENTS]
+        for rep in reports:
+            assert [rep.ours, *rep.comparators.values()] == [0.0] * 5
 
 
 class TestSchmidtThreshold:

@@ -1,6 +1,8 @@
 import functools
 import json
+import math
 import sys
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -114,6 +116,27 @@ class TestFigure1:
         text = svg.read_text()
         assert text.startswith("<svg")
         assert text.count("<polyline") == 5
+
+    def test_svg_of_constant_rows(self, tmp_path):
+        # flat series span one unit of y, not a zero-height axis (0/0):
+        # every coordinate and tick label is a finite number
+        svg = tmp_path / "flat.svg"
+        header = ["beta", "lhs", "Z1"]
+        cli._write_svg(str(svg), header,
+                       [(x, 0.5, 0.5) for x in (0.0, 1.0, 2.0)])
+        root = ElementTree.fromstring(svg.read_text(encoding="utf-8"))
+        ns = "{http://www.w3.org/2000/svg}"
+        assert len(root.findall(f"{ns}polyline")) == 2
+        numbers = [float(node.get(key)) for node in root.iter()
+                   for key in ("x", "y", "x1", "y1", "x2", "y2")
+                   if node.get(key) is not None]
+        numbers += [float(v) for node in root.iter(f"{ns}polyline")
+                    for point in node.get("points").split()
+                    for v in point.split(",")]
+        ticks = [float(node.text) for node in root.iter(f"{ns}text")
+                 if node.text not in header]
+        assert len(ticks) == 10 and 0.5 in ticks
+        assert all(map(math.isfinite, numbers + ticks))
 
 
 class TestFigures23:
@@ -808,10 +831,11 @@ class TestOncePerState:
     def test_verify_checks_once_per_chunk(self, monkeypatch, spy, pair_calls,
                                           qubits):
         # three trials in chunks of two: each cut_sandwiches call (one per
-        # chunk) checks each exponent once and makes one pair measure per
-        # focus; no p is checked, no focus is resolved and no report
-        # sweep or report is built (groupings are built only in _focus)
-        exponent_checks = spy(bounds, "_check_exponent")
+        # chunk) checks its exponents in one call and makes one pair
+        # measure per focus; no p is checked, no focus is resolved and no
+        # report sweep or report is built (groupings are built only in
+        # _focus)
+        exponent_checks = spy(bounds, "_check_exponents")
         params_checks = spy(bounds, "_check_params")
         built = [spy(bounds, name) for name in
                  ("_focus", "_sweep", "BoundReport")]
@@ -819,7 +843,7 @@ class TestOncePerState:
         exponents = (0.5, 1.0, 1.5, 2.0)
         res = run_verify(VerifyConfig(qubits=qubits, trials=3,
                                       exponents=exponents, seed=7))
-        assert exponent_checks == [(e,) for e in exponents] * 2
+        assert exponent_checks == [(exponents,)] * 2
         assert pair_calls == [("A", "B", "C1")[:qubits - 2]] * 2
         assert params_checks == []
         assert built == [[], [], []]
@@ -902,10 +926,10 @@ class TestOneStateFixedCost:
                                  cut, 1.0, "auto")
 
     def test_run_bounds_six_qubits_two_foci(self, python_calls):
-        assert python_calls(self.bounds_call("haar-6q-a", "AB|C1C2C3C4")) == 164
+        assert python_calls(self.bounds_call("haar-6q-a", "AB|C1C2C3C4")) == 165
 
     def test_run_bounds_three_qubits(self, python_calls):
-        assert python_calls(self.bounds_call("ghz-3q", "A|BC")) == 108
+        assert python_calls(self.bounds_call("ghz-3q", "A|BC")) == 109
 
     def test_optimize(self, python_calls):
         [psi] = read_corpus("haar-6q-a").values()

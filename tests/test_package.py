@@ -184,6 +184,23 @@ def test_bounds_adds_only_through_its_sum():
                 if alias.name in ("fsum", "reduce", "functools")]
 
 
+def test_one_home_for_the_exponent_rule():
+    """The exponent range [0, 2] of the bound curves has one rule: its
+    message occurs once in ``src/``, and ``bounds._check_exponents`` is
+    the one function that raises it, so no second check can drift."""
+    text = "exponent must be in [0, 2]"
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in SOURCES if path.is_relative_to(ROOT / "src")}
+    assert sum(source.count(text) for source in sources.values()) == 1
+    raisers = [(name, function.name)
+               for name, source in sources.items()
+               for function in ast.walk(ast.parse(source))
+               if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+               for node in ast.walk(function)
+               if isinstance(node, ast.Raise) and text in ast.unparse(node)]
+    assert raisers == [("bounds.py", "_check_exponents")]
+
+
 def test_bounds_powers_only_through_pow():
     """Every power of ``bounds`` is ``measures._pow``, Python's float power,
     except the lemma grid's one numpy power: numpy's array power differs
