@@ -3,14 +3,13 @@
 
 ``verify`` times repeated ``cli.run_verify`` calls at the given qubits
 and trials (seed = call index) after as many warm-up calls.  ``bounds``
-times passes over the benchmark's fixed-state calls on the state files
-of ``benchmark/corpus`` (only read), each pass in a shuffled order after
-one warm-up pass: ``cli.run_bounds`` at exponent 1 with p auto and 1
-across every cut ``labels[:k]|rest``, k = 1..3, and ``optimizer.optimize``
-at exponent 1 for every focus, 257 calls in all.  Each prints every
-stage's median share of the wall time, "other" last, and the
-Python-level calls (``sys.setprofile`` "call" events, every module, the
-garbage collector off) that single calls make once the caches are warm.
+times passes over the benchmark's own fixed-state calls, 257 in all
+(``entbench.workloads.fixed_calls`` run by ``workloads.execute`` on
+``benchmark/corpus``, all only read), each pass in a shuffled order
+after one warm-up pass.  Each prints every stage's median share of the
+wall time, "other" last, and the Python-level calls (``sys.setprofile``
+"call" events, every module, the garbage collector off) that single
+calls make once the caches are warm, for ``bounds`` ``single_calls``.
 ``figure`` times passes over the three ``cli.run_figure`` calls at their
 default 201 exponents, writing the CSVs into a temporary directory, after
 one warm-up pass, and counts the Python-level calls of each figure at 11
@@ -43,9 +42,9 @@ from entbounds import bounds, cli, optimizer, rng, states
 from entbounds.cli import VerifyConfig, run_verify
 from entbounds.measures import Bipartition
 
-CORPUS = Path(__file__).resolve().parent.parent / "benchmark" / "corpus"
+BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
+CORPUS = BENCHMARK / "corpus"
 EXPONENT = 1.0
-P_MODES = ("auto", "1")
 
 # (stage, [(owner, attribute), ...]) in pipeline order, per subcommand.
 VERIFY_STAGES = (
@@ -188,21 +187,30 @@ def stage_shares(stages, run, warmups: int, repeats: int
 
 
 def corpus_calls() -> list:
-    """The fixed-state calls, as functions of no argument: every bounds
-    call, then every optimize call, each corpus state in name order."""
-    psis = {path: states.parse_state_spec(path.read_text(encoding="utf-8"))
-            for path in sorted(CORPUS.glob("*.state"))}
-    calls = []
-    for path, psi in psis.items():
-        labels = psi.shape.labels
-        for k in range(1, min(len(labels), 4)):
-            cut = "".join(labels[:k]) + "|" + "".join(labels[k:])
-            calls += [functools.partial(cli.run_bounds, str(path), cut,
-                                        EXPONENT, p) for p in P_MODES]
-    for psi in psis.values():
-        calls += [functools.partial(optimizer.optimize, psi, focus, EXPONENT)
-                  for focus in psi.shape.labels]
-    return calls
+    """The benchmark's fixed-state calls, as functions of no argument;
+    only they put ``benchmark/`` on the import path."""
+    if str(BENCHMARK) not in sys.path:
+        sys.path.append(str(BENCHMARK))
+    from entbench import workloads
+    corpus = workloads.load_corpus()
+    return [functools.partial(workloads.execute, call, corpus)
+            for call in workloads.fixed_calls(corpus)]
+
+
+def single_calls() -> dict:
+    """The three one-state calls whose Python-level calls ``bounds``
+    counts, by name, on state files read by path."""
+    state = str(CORPUS / "haar-6q-a.state")
+    psi = states.parse_state_spec(Path(state).read_text(encoding="utf-8"))
+    return {
+        "run_bounds haar-6q-a AB|C1C2C3C4": functools.partial(
+            cli.run_bounds, state, "AB|C1C2C3C4", EXPONENT, "auto"),
+        "run_bounds ghz-3q A|BC": functools.partial(
+            cli.run_bounds, str(CORPUS / "ghz-3q.state"), "A|BC", EXPONENT,
+            "auto"),
+        "optimize haar-6q-a A": functools.partial(
+            optimizer.optimize, psi, "A", EXPONENT),
+    }
 
 
 def profile_verify(args) -> tuple[str, dict[str, float], list[str]]:
@@ -218,19 +226,8 @@ def profile_verify(args) -> tuple[str, dict[str, float], list[str]]:
 
 
 def profile_bounds(args) -> tuple[str, dict[str, float], list[str]]:
-    state = str(CORPUS / "haar-6q-a.state")
-    psi = states.parse_state_spec(Path(state).read_text(encoding="utf-8"))
-    single = {
-        "run_bounds haar-6q-a AB|C1C2C3C4": functools.partial(
-            cli.run_bounds, state, "AB|C1C2C3C4", EXPONENT, "auto"),
-        "run_bounds ghz-3q A|BC": functools.partial(
-            cli.run_bounds, str(CORPUS / "ghz-3q.state"), "A|BC", EXPONENT,
-            "auto"),
-        "optimize haar-6q-a A": functools.partial(
-            optimizer.optimize, psi, "A", EXPONENT),
-    }
     counts = [f"{name}: {python_calls(call)} Python calls"
-              for name, call in single.items()]
+              for name, call in single_calls().items()]
     calls, order = corpus_calls(), random.Random(0)
 
     def run_all():

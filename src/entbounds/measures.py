@@ -9,12 +9,12 @@ No package path calls ``reduced_density`` (module-level only) or
 ``cren_crenoa_two_qubit``: they are a second route to the pair values.
 
 Every quantity of a pure state is read here, from its amplitude matrix M
-across a cut (``_cut_matrix``, one gather of the amplitudes through an
-index cached per register size and cuts, for any number of cuts of one
-size): rho_left = M M^dagger, and the Schmidt values are the singular
-values of M.  ``cut_measures`` reads a cut's C, N and Schmidt rank from
-one gather and one SVD, ``pair_measures_sq`` a set of foci's pair values
-from one gather and one spin-flip spectrum.  No 2^n x 2^n matrix is built.
+across a cut, gathered through an index cached per register and cuts
+(``_cut_index``): rho_left = M M^dagger, and the Schmidt values are the
+singular values of M.  ``cut_measures`` reads a cut's C, N and Schmidt
+rank from one ``_cut_matrix`` and one SVD, ``pair_measures_sq`` a set of
+foci's pair values from one gather by its plan (``_pair_plan``) and one
+spin-flip spectrum.  No 2^n x 2^n matrix is built.
 
 Every measure also takes a stack of inputs on leading axes (a PureState
 holding amplitudes (N, 2^n), or density matrices (..., d, d)) and returns
@@ -164,19 +164,17 @@ def _cut_index(labels: tuple[str, ...], lefts: tuple[tuple[str, ...], ...]
     return index
 
 
-def _cut_matrix(psi: PureState, lefts) -> np.ndarray:
-    """The amplitudes as a 2^k x 2^(n-k) matrix across the cut of each of
-    ``lefts`` (label sets of one size k), each side in shape order, all
-    gathered in one indexing: (..., len(lefts), 2^k, 2^(n-k)), the stack
-    axis of a stack first."""
+def _cut_matrix(psi: PureState, left) -> np.ndarray:
+    """The amplitudes as a (..., 2^k, 2^(n-k)) matrix across the cut of
+    the k labels ``left`` and the rest, each side in shape order."""
     return psi.amplitudes[..., _cut_index(psi.shape.labels,
-                                          tuple(map(tuple, lefts)))]
+                                          (tuple(left),))[0]]
 
 
 def reduced_density(psi: PureState, keep) -> np.ndarray:
     """Reduced density matrix of a pure state (or of each state of a stack)
     on the kept labels, in shape order: M M^dagger of its cut matrix."""
-    m = _cut_matrix(psi, [keep])[..., 0, :, :]
+    m = _cut_matrix(psi, keep)
     return np.einsum("...kr,...lr->...kl", m, m.conj())
 
 
@@ -189,7 +187,7 @@ def _check_cut(psi: PureState, cut: Bipartition) -> None:
 def pure_concurrence(psi: PureState, cut: Bipartition) -> float:
     """sqrt(2 [1 - Tr rho_left^2]) across the cut; symmetric in the sides."""
     _check_cut(psi, cut)
-    return _concurrence_from(_cut_matrix(psi, [cut.left])[..., 0, :, :])
+    return _concurrence_from(_cut_matrix(psi, cut.left))
 
 
 def _concurrence_from(m: np.ndarray) -> float:
@@ -204,7 +202,7 @@ def cut_measures(psi: PureState, left) -> tuple:
     one gather of its cut matrix M: C from rho_left = M M^dagger, and from
     one SVD of M the Schmidt values s, N = (sum of s)^2 - 1 clipped at
     zero (Vidal-Werner 2002) and the number of s^2 above SCHMIDT_TOL."""
-    m = _cut_matrix(psi, [left])[..., 0, :, :]
+    m = _cut_matrix(psi, left)
     schmidt = np.linalg.svd(m, compute_uv=False)
     n = np.maximum(0.0, _pow(schmidt.sum(axis=-1), 2.0) - 1.0)
     rank = (schmidt ** 2 > SCHMIDT_TOL).sum(axis=-1)
@@ -243,19 +241,18 @@ def _pair_roofs(v: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=256)
 def _pair_plan(labels: tuple[str, ...], foci: tuple[str, ...]
-               ) -> tuple[tuple[tuple[str, str], ...], np.ndarray]:
-    """The unordered pairs (i < j in shape order) the foci touch, and for
-    each focus the index of each partner's pair in that list, in shape
-    order: an (F, n-1) array.  Built on first use for each register and
-    foci."""
-    n, at = len(labels), [labels.index(f) for f in foci]
-    pairs = [(i, j) for i, j in itertools.combinations(range(n), 2)
-             if i in at or j in at]
-    where = {pair: k for k, pair in enumerate(pairs)}
-    rows = np.array([[where[min(f, q), max(f, q)] for q in range(n) if q != f]
-                     for f in at])
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The ``_cut_index`` of the unordered pairs (i < j in shape order)
+    the foci touch, and for each focus the position of each partner's
+    pair in that stack, in shape order: an (F, n-1) array.  Built on
+    first use for each register and foci."""
+    pairs = tuple(pair for pair in itertools.combinations(labels, 2)
+                  if set(pair) & set(foci))
+    where = {frozenset(pair): k for k, pair in enumerate(pairs)}
+    rows = np.array([[where[frozenset((f, q))] for q in labels if q != f]
+                     for f in foci])
     rows.setflags(write=False)
-    return tuple((labels[i], labels[j]) for i, j in pairs), rows
+    return _cut_index(labels, pairs), rows
 
 
 def pair_measures_sq(psi: PureState, focus) -> np.ndarray:
@@ -279,8 +276,8 @@ def pair_measures_sq(psi: PureState, focus) -> np.ndarray:
     for f in foci:
         if f not in labels:
             raise ValueError(f"unknown focus label {f!r}")
-    pairs, rows = _pair_plan(labels, foci)
-    roofs = _pair_roofs(_cut_matrix(psi, pairs))
+    index, rows = _pair_plan(labels, foci)
+    roofs = _pair_roofs(psi.amplitudes[..., index])
     rows = rows[0] if isinstance(focus, str) else rows
     return (roofs * roofs)[..., rows]
 

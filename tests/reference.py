@@ -72,6 +72,19 @@ def equal_superposition(n: int, indices) -> PureState:
     return PureState(qubit_shape(default_labels(n)), amp)
 
 
+def random_w_states(generator, n: int, count: int) -> list[PureState]:
+    """``count`` random complex W-class states sum_k a_k |0...1_k...0> on n
+    qubits (ROADMAP item 23), each a = x + iy from two draws of n standard
+    normals of the numpy ``generator``, x first, then normalized."""
+    out = []
+    for _ in range(count):
+        a = generator.normal(size=n) + 1j * generator.normal(size=n)
+        amp = np.zeros(2 ** n, dtype=complex)
+        amp[2 ** np.arange(n - 1, -1, -1)] = a / np.linalg.norm(a)
+        out.append(PureState(qubit_shape(default_labels(n)), amp))
+    return out
+
+
 def random_density(generator, d: int) -> np.ndarray:
     """A A^dagger / Tr(A A^dagger) for a d x d complex Gaussian A."""
     a = generator.normal(size=(d, d)) + 1j * generator.normal(size=(d, d))

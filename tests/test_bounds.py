@@ -1,3 +1,4 @@
+import functools
 import math
 from itertools import combinations, permutations
 
@@ -38,6 +39,7 @@ from entbounds.linalg import default_labels, qubit_shape
 from reference import (
     equal_superposition,
     one_state_slacks,
+    random_w_states,
     read_corpus,
     reference_theta,
     two_term_state,
@@ -949,10 +951,9 @@ class TestPairKernel:
             for f in labels:
                 partners = [q for q in labels if q != f]
                 pairs = [measures._pair_roofs(
-                    measures._cut_matrix(psi, [(f, q)]))
-                    for q in partners]
-                reference[f] = [np.concatenate([np.multiply(v[k], v[k])
-                                                for v in pairs], axis=-1)
+                    measures._cut_matrix(psi, (f, q))) for q in partners]
+                reference[f] = [np.stack([np.multiply(v[k], v[k])
+                                          for v in pairs], axis=-1)
                                 for k in (0, 1)]
                 one_label[f] = pair_measures_sq(psi, f)
                 for k in (0, 1):
@@ -1069,6 +1070,95 @@ class TestThetaOrderedInP:
         value = theta(groups, exponent, p)
         assert theta(groups, exponent, raised) >= value - 1e-13
         assert value >= theta([heads], exponent) - 1e-13
+
+
+W_EXPONENTS = (0.25, 0.5, 1.0, 1.5, 2.0)
+
+
+@functools.lru_cache(maxsize=1)
+def w_ensemble() -> dict[int, list[PureState]]:
+    """ROADMAP item 23's ensemble: 300 random W states at each of 4, 5 and
+    6 qubits, drawn in that order from one default_rng(5)."""
+    generator = np.random.default_rng(5)
+    return {n: random_w_states(generator, n, 300) for n in (4, 5, 6)}
+
+
+class TestWClassTight:
+    """ROADMAP item 23: a W-class state has C^2(A|rest) = sum_j
+    C_a^2(A|j), so auto mode's A|rest bound is tight in exact arithmetic;
+    where focus A keeps its singletons, the tail ratios are at most 1 and
+    no comparator lies below "ours" beyond round-off."""
+
+    @pytest.mark.parametrize("n, kept", [(4, 222), (5, 113), (6, 41)])
+    def test_gap_is_zero_and_comparators_hold(self, n, kept):
+        reports = [polygamy_bound_coa(psi, "A", W_EXPONENTS)
+                   for psi in w_ensemble()[n]]
+        assert max(abs(r.gap) for reps in reports for r in reps) <= 1e-13
+        singletons = [reps for reps in reports
+                      if not reps[0].foci["A"].fallback]
+        assert len(singletons) == kept
+        assert all(r.comparators[name] >= r.ours - 1e-15
+                   for reps in singletons for r in reps
+                   for name in COMPARATOR_NAMES)
+
+
+@functools.lru_cache(maxsize=1)
+def ordered_cases() -> list[PureState]:
+    """``geometric_w_state`` at 4-6 qubits and the W states of
+    ``w_ensemble`` whose foci A and B both keep their singletons in auto
+    mode: every tail ratio of both is at most 1."""
+    cases = [geometric_w_state(n) for n in (4, 5, 6)]
+    for states in w_ensemble().values():
+        for psi in states:
+            [rep] = polygamy_upper_AB(psi, [1.0])
+            if not (rep.foci["A"].fallback or rep.foci["B"].fallback):
+                cases.append(psi)
+    return cases
+
+
+# Whether each report is an upper bound (tightest when smallest) or a
+# lower one, and its reports as a function of (state, p spec).
+ORDERED_REPORTS = {
+    "polygamy_bound_coa A": (True, lambda psi, p: polygamy_bound_coa(
+        psi, "A", W_EXPONENTS, p)),
+    "polygamy_bound_coa B": (True, lambda psi, p: polygamy_bound_coa(
+        psi, "B", W_EXPONENTS, p)),
+    "polygamy_upper_AB": (True, lambda psi, p: polygamy_upper_AB(
+        psi, W_EXPONENTS, p)),
+    "negativity upper": (True, lambda psi, p: [
+        s.upper for s in negativity_bounds_AB(psi, W_EXPONENTS, p)]),
+    "monogamy_lower_AB": (False, lambda psi, p: monogamy_lower_AB(
+        psi, W_EXPONENTS, p)),
+    "negativity lower": (False, lambda psi, p: [
+        s.lower for s in negativity_bounds_AB(psi, W_EXPONENTS, p)]),
+}
+
+
+class TestReportsOrderedInP:
+    """ROADMAP item 22 on tail-ordered states: every report's "ours" is
+    tightest in auto mode, loosest at p = 1, and an explicit p with each
+    p_l in [t_l, 1] lies between them, within 1e-13."""
+
+    def test_case_count(self):
+        assert len(ordered_cases()) == 3 + 270
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_auto_explicit_one(self, data):
+        cases = ordered_cases()
+        psi = cases[data.draw(st.integers(0, len(cases) - 1))]
+        [auto] = polygamy_upper_AB(psi, [1.0])
+        explicit = {focus: tuple(
+            min(1.0, t + data.draw(st.floats(0.0, 1.0)) * (1.0 - t))
+            for t in auto.foci[focus].p) for focus in ("A", "B")}
+        for name, (upper, report) in ORDERED_REPORTS.items():
+            columns = [[r.ours for r in report(psi, p)]
+                       for p in ("auto", explicit, "one")]
+            if not upper:
+                columns = [[-v for v in column] for column in columns]
+            for low, mid, high in zip(*columns):
+                assert low <= mid + 1e-13, name
+                assert mid <= high + 1e-13, name
 
 
 def local_unitaries(seed: int, n: int) -> list[np.ndarray]:

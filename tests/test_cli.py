@@ -252,10 +252,14 @@ class TestVerify:
             VerifyConfig(qubits=3)
         with pytest.raises(ValueError):
             VerifyConfig(trials=0)
-        with pytest.raises(ValueError):
-            VerifyConfig(exponents=(2.5,))
+        with pytest.raises(ValueError, match=r"^exponent must be in \[0, 2\], "
+                                             r"got 2\.5$"):
+            VerifyConfig(exponents=(0.5, 2.5))
         with pytest.raises(ValueError, match="^need at least one exponent$"):
             VerifyConfig(exponents=())
+        cfg = VerifyConfig(exponents=[0.5, 1])
+        assert cfg.exponents == (0.5, 1.0)
+        assert [type(e) for e in cfg.exponents] == [float, float]
 
     @pytest.mark.parametrize("field, value", [
         ("qubits", 4.0), ("trials", 2.0), ("seed", 1.5), ("seed", "42"),
@@ -711,6 +715,18 @@ class TestMainExitCodes:
         code = main(["verify", "--qubits", "9"])
         assert code == 2
 
+    @pytest.mark.parametrize("qubits, exponents, error", [
+        ("4", "3", "exponent must be in [0, 2], got 3.0"),
+        ("4", "0.5,nan", "exponent must be in [0, 2], got nan"),
+        ("3", "1,x", "could not convert string to float: 'x'")])
+    def test_bad_verify_exponent_exit_two(self, qubits, exponents, error,
+                                          capsys):
+        # verify's exponents go through the one rule that bounds --exponent
+        # reads, so both print the same words; they are checked first
+        assert main(["verify", "--qubits", qubits, "--trials", "1",
+                     "--exponents", exponents]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
     def test_non_finite_tol_exit_two(self, tol, capsys):
         # a nan tol would make every slack < -tol comparison false
@@ -786,8 +802,8 @@ class TestOncePerState:
             [m] = spectrum_calls
             assert m.shape == (trials, distinct, 4, 2 ** (qubits - 2))
             psi = haar_random_pure(qubits, 7, stream=range(trials))
-            pairs, _ = measures._pair_plan(psi.shape.labels, pair_calls[0])
-            assert np.array_equal(m, measures._cut_matrix(psi, pairs))
+            index, _ = measures._pair_plan(psi.shape.labels, pair_calls[0])
+            assert np.array_equal(m, psi.amplitudes[..., index])
 
     @pytest.mark.parametrize("qubits", [4, 6])
     def test_verify_chunk_set_up_once(self, spy, dense_calls, qubits):
@@ -823,9 +839,11 @@ class TestOncePerState:
         assert pair_calls == [("A", "B")]
         [m] = spectrum_calls
         assert m.shape == (5, 4, 4)   # AB, AC1, AC2, BC1, BC2 cut matrices
-        assert np.array_equal(m, measures._cut_matrix(
-            wclass4_state(cli.FIG23_PARAMS),
-            [("A", "B"), ("A", "C1"), ("A", "C2"), ("B", "C1"), ("B", "C2")]))
+        psi = wclass4_state(cli.FIG23_PARAMS)
+        pairs = [("A", "B"), ("A", "C1"), ("A", "C2"), ("B", "C1"),
+                 ("B", "C2")]
+        assert np.array_equal(m, np.stack([measures._cut_matrix(psi, pair)
+                                           for pair in pairs]))
 
     @pytest.mark.parametrize("qubits", [4, 5])
     def test_verify_checks_once_per_chunk(self, monkeypatch, spy, pair_calls,
@@ -914,26 +932,19 @@ class TestNoPerStateLoop:
            "numpy 2.4's Python-level wrappers")
 class TestOneStateFixedCost:
     """What a one-state call costs beside the numpy and LAPACK work on the
-    state it reads, pinned as its Python-level calls in every module
-    (``scripts/profile.py bounds`` prints them too): the file is read
-    without pathlib, the spec's norm is PureState's one check, the cut is
-    parsed once, the pair kernel's QR skips np.triu, a focus is resolved
-    without per-partner generators and every value is formatted once."""
+    state it reads, pinned as the Python-level calls in every module of
+    the ``single_calls`` that ``scripts/profile.py bounds`` counts: the
+    file is read without pathlib, the spec's norm is PureState's one
+    check, the cut is parsed once, the pair kernel gathers by its cached
+    plan and its QR skips np.triu, a focus is resolved without
+    per-partner generators and every value is formatted once."""
 
-    @staticmethod
-    def bounds_call(name: str, cut: str):
-        return functools.partial(run_bounds, str(CORPUS_DIR / f"{name}.state"),
-                                 cut, 1.0, "auto")
-
-    def test_run_bounds_six_qubits_two_foci(self, python_calls):
-        assert python_calls(self.bounds_call("haar-6q-a", "AB|C1C2C3C4")) == 165
-
-    def test_run_bounds_three_qubits(self, python_calls):
-        assert python_calls(self.bounds_call("ghz-3q", "A|BC")) == 109
-
-    def test_optimize(self, python_calls):
-        [psi] = read_corpus("haar-6q-a").values()
-        assert python_calls(functools.partial(optimize, psi, "A", 1.0)) == 51
+    def test_single_calls(self, profile_script, python_calls):
+        assert {name: python_calls(call) for name, call
+                in profile_script.single_calls().items()} == {
+            "run_bounds haar-6q-a AB|C1C2C3C4": 164,
+            "run_bounds ghz-3q A|BC": 108,
+            "optimize haar-6q-a A": 50}
 
 
 class TestLevelsOncePerFocus:

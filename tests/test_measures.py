@@ -180,6 +180,17 @@ class TestCrenCrenoa:
         assert nc == 0.0
         assert abs(na - 1.0) < 1e-12
 
+    def test_weight_at_the_cutoff_is_kept(self):
+        # eigh returns this diagonal's eigenvalues exactly, and the smallest,
+        # 32 eps, equals the cutoff 64 eps * 1/2: a weight is dropped only
+        # below it.  Dropping it would give sqrt(1/2) = 0.70710678119 here.
+        eps = np.finfo(float).eps
+        rho = np.diag([0.5, 32 * eps, 0.25 - 32 * eps, 0.25])
+        assert np.linalg.eigh(rho)[0][0] == 64 * eps * 0.5
+        nc, na = cren_crenoa_two_qubit(rho)
+        assert nc == 0.0
+        assert na == pytest.approx(0.70710686548, abs=1e-11)
+
 
 class TestNegativity:
     def test_bell(self):
