@@ -939,12 +939,18 @@ class TestOneStateFixedCost:
     plan and its QR skips np.triu, a focus is resolved without
     per-partner generators and every value is formatted once."""
 
-    def test_single_calls(self, profile_script, python_calls):
-        assert {name: python_calls(call) for name, call
-                in profile_script.single_calls().items()} == {
-            "run_bounds haar-6q-a AB|C1C2C3C4": 164,
-            "run_bounds ghz-3q A|BC": 108,
-            "optimize haar-6q-a A": 50}
+    @pytest.fixture
+    def calls_of(self, profile_script, python_calls):
+        return lambda name: python_calls(profile_script.single_calls()[name])
+
+    def test_run_bounds_six_qubits_two_foci(self, calls_of):
+        assert calls_of("run_bounds haar-6q-a AB|C1C2C3C4") == 164
+
+    def test_run_bounds_three_qubits(self, calls_of):
+        assert calls_of("run_bounds ghz-3q A|BC") == 108
+
+    def test_optimize(self, calls_of):
+        assert calls_of("optimize haar-6q-a A") == 50
 
 
 class TestLevelsOncePerFocus:
