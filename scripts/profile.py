@@ -53,11 +53,12 @@ VERIFY_STAGES = (
     ("Haar draw", [(cli, "haar_random_pure")]),
     ("PureState check", [(states.PureState, "__post_init__")]),
     ("pair spin-flip spectra", [(bounds, "pair_measures_sq")]),
-    ("AB|rest read", [(bounds, "cut_measures")]),
-    ("C^2(A|rest)", [(bounds, "pure_concurrence")]),
+    ("AB|rest read", [(bounds, "_ab_read"), (bounds, "cut_measures")]),
+    ("C(A|rest), C(ABC1|rest)", [(bounds, "_cut_concurrence")]),
     ("sums and powers", [(bounds, "_pow"), (bounds, "_sum"),
                          (bounds, "_trim")]),
-    ("cut combines", [(bounds, "_lower_AB"), (bounds, "_upper")]),
+    ("cut combines", [(bounds, "_lower_AB"), (bounds, "_lower_ABC1"),
+                      (bounds, "_upper")]),
     ("record_chunk", [(cli.VerifyResult, "record_chunk")]),
 )
 BOUNDS_STAGES = (

@@ -27,20 +27,17 @@ reports the descending grouping and p = t for inspection but evaluates
 "ours" as the single-group theta; explicit p vectors between t and 1 are
 the family proper.
 
-``bounds`` reads no amplitudes: it combines the numbers ``measures``
-reads.  Every caller reads the pair values of all its foci from one
-``pair_measures_sq`` call and its AB|rest cuts of C and of N, each one
-``_Cut`` with its lower and upper bound, from ``_ab_cuts`` (one
-``cut_measures`` read of C, N and Schmidt rank).  The report
-functions resolve each focus once per call (``_focus``: grouping,
-fallback, checked p, and the exponent-free constants of each recursion
-level of "ours" and of the p = 1 specialization).  All exponents of a
-call are then one pass through the same code, one exponent as a Python
-float and several as one (E,) stack: per focus both recursions and the
-powers all chains share (one ``_pow`` per distinct base), per side of
-the cut its combine step.  ``cut_sandwiches``, the one per-state pass
-of ``verify``, evaluates a stack of N states in one ``_pow`` call for
-all heads and radicands and one for all lhs.  Every power but the lemma
+``bounds`` reads no amplitudes: it combines what ``measures`` reads,
+the pair values of all foci from one ``pair_measures_sq`` call, AB|rest's
+C, N and Schmidt rank from one ``cut_measures`` call and any other C
+once.  The report functions build each cut as one ``_Cut`` with its
+combines and resolve each focus once per call (``_focus``: grouping,
+fallback, checked p and the exponent-free constants of each recursion
+level of "ours" and of the p = 1 specialization); all exponents of a
+call, one as a Python float or several as one (E,) stack, are then one
+pass with one ``_pow`` per distinct base.  ``cut_sandwiches``, the
+per-state pass of ``verify``, builds no ``_Cut`` and evaluates each
+shared combine once for a stack of N states.  Every power but the lemma
 grid's is ``measures._pow``, Python's float power (numpy's can differ
 in the last bit), and every sum is ``_sum``, left to right, so a
 stack's entries equal the one-exponent, one-state values bit for bit.
@@ -64,6 +61,7 @@ from . import rng
 from .linalg import TAU_NUM
 from .measures import (
     Bipartition,
+    _cut_concurrence,
     _pow,
     cut_measures,
     pair_measures_sq,
@@ -491,19 +489,29 @@ def _lower_AB(v, rad, x):
     return _max(rad[0] - v[1], rad[1] - v[0])
 
 
+def _lower_ABC1(v, rad, x, ab=None):
+    """max(ab - theta_C1, rad_C1 - theta_A - theta_B), ab = ``_lower_AB``."""
+    ab = _lower_AB(v, rad, x) if ab is None else ab
+    return _max(ab - v[2], rad[2] - v[0] - v[1])
+
+
 def _ab_foci(psi: PureState) -> tuple[str, ...]:
     if len(psi.shape.labels) < 4:
         raise ValueError("AB-cut bounds need at least 4 subsystems")
     return psi.shape.labels[:2]
 
 
-def _ab_cuts(psi: PureState) -> tuple[_Cut, _Cut]:
-    """The AB|rest cuts of concurrence and of negativity, each with its
-    lower and upper bound, from one ``cut_measures`` read."""
+def _ab_read(psi: PureState) -> tuple:
+    """Foci A, B and C, N (0 at rank 1, module doc), r(r-1)/2 of AB|rest."""
     foci = _ab_foci(psi)
     c, n, r = cut_measures(psi, foci)
-    pairs = r * (r - 1) / 2.0   # a float for one state, (N,) for a stack
-    n = n * (r > 1)   # 0 at rank 1 (module doc)
+    return foci, c, n * (r > 1), r * (r - 1) / 2.0
+
+
+def _ab_cuts(psi: PureState) -> tuple[_Cut, _Cut]:
+    """The AB|rest cuts of concurrence and of negativity, each with its
+    lower and upper bound, from one ``_ab_read``."""
+    foci, c, n, pairs = _ab_read(psi)
 
     def upper(v, rad, x):
         return _pow(pairs, x) * _upper(v, rad, x)
@@ -516,16 +524,12 @@ def _tripartite(psi: PureState) -> _Cut:
     labels = psi.shape.labels
     if len(labels) < 5:
         raise ValueError("tripartite bounds need at least 5 subsystems")
-
-    def lower(v, rad, x):
-        return _max(_lower_AB(v, rad, x) - v[2], rad[2] - v[0] - v[1])
-
-    return _one_rest(psi, labels[:3])._replace(lower=lower)
+    return _one_rest(psi, labels[:3])._replace(lower=_lower_ABC1)
 
 
 def _one_rest(psi: PureState, left) -> _Cut:
-    """The cut left|rest, upper bound only: the one builder of a left|rest
-    cut's concurrence, for one state or a stack."""
+    """The cut left|rest of the labels or Bipartition ``left``, upper
+    bound only."""
     cut = left if isinstance(left, Bipartition) else Bipartition.of(psi.shape, left)
     c = pure_concurrence(psi, cut)   # checks a given cut against the labels
     foci = tuple(sorted(cut.left, key=psi.shape.labels.index))
@@ -600,44 +604,44 @@ def cut_sandwiches(psi: PureState, exponents) -> dict[str, np.ndarray]:
     """Every per-state slack of a stack of qubit states, from one pair
     measure call for all foci (A, B and, from 5 subsystems, C1).
 
-    ``psi`` holds N states (amplitudes (N, 2^n)).  The dict holds
-    pair_coa_polygamy (focus A's pair CoA^2 sum - C^2(A|rest)) and
-    pair_conc_monogamy (C^2(A|rest) - its pair C^2 sum), each (N,), then
-    each of SANDWICH_NAMES, (len(exponents), N): the concurrence and
-    negativity sandwiches across AB|rest and, from 5 subsystems up,
-    across ABC1|rest (the cuts are the reports' ``_ab_cuts`` and
-    ``_tripartite``, C(A|rest) is ``_one_rest``'s), in auto mode.  One
-    state has no stack axis, as for the measures.  Auto mode's "ours" is
-    the single group's power (module doc), so each focus needs only its
-    CoA^2 sum and its C^2 radicand, each a trimmed ``_sum`` as in
-    ``_focus``: the radicands and heads of every focus are one ``_sum``
-    over the partner columns, one ``_trim`` and one ``_pow`` of the one
-    array ``pair_measures_sq`` returns.  Each slack equals, bit for bit,
-    its one-state value (for a sandwich, the matching report function's
-    gap); no grouping, comparator or report is built.
+    ``psi`` holds N states (amplitudes (N, 2^n)); one state has no stack
+    axis.  The dict holds pair_coa_polygamy (focus A's pair CoA^2 sum -
+    C^2(A|rest)) and pair_conc_monogamy (C^2(A|rest) - its pair C^2 sum),
+    each (N,), then each of SANDWICH_NAMES, (len(exponents), N): the
+    concurrence and negativity sandwiches across AB|rest and, from 5
+    subsystems up, ABC1|rest, in auto mode.  Each cut is read once
+    (``_ab_read``, ``_cut_concurrence``) and each shared combine evaluated
+    once: ``_lower_AB`` for both AB lower bounds and the ABC1 one,
+    ``_upper`` of A and B for both AB upper bounds.  Auto mode's "ours" is
+    the single group's power (module doc), so the radicands and heads of
+    every focus, each a trimmed ``_sum`` as in ``_focus``, are one
+    ``_sum``, ``_trim`` and ``_pow`` of the one ``pair_measures_sq`` array.
+    Each slack equals, bit for bit, its one-state value (for a sandwich,
+    the report function's gap); no cut record or report is built.
     """
     exponents = _check_exponents(exponents)
     x = np.array(exponents) / 2.0
     labels = psi.shape.labels
-    cuts = _ab_cuts(psi)
+    foci, c, n, pairs = _ab_read(psi)
+    bases = [c, n]   # of each lhs: C and N of AB|rest, then C(ABC1|rest)
     if len(labels) >= 5:
-        cuts += (_tripartite(psi),)
-    foci = cuts[-1].foci   # the last cut reads every focus
+        foci += labels[2:3]
+        bases.append(_cut_concurrence(psi, foci))
     # (2, ..., F), ... = (N,) for a stack: each focus's radicand and head,
     # untrimmed, summed over the partner axis (first in the transpose); the
     # pair values of a checked state are nonnegative and finite
     sums = _sum(pair_measures_sq(psi, foci).T).T
-    one_rest_sq = _pow(_one_rest(psi, labels[:1]).base, 2.0)   # C^2(A|rest)
-    slacks = {"pair_coa_polygamy": sums[1, ..., 0] - one_rest_sq,
-              "pair_conc_monogamy": one_rest_sq - sums[0, ..., 0]}
-    # radicands and heads in one power call: (E, 2, ..., F)
+    one_rest_sq = _pow(_cut_concurrence(psi, labels[:1]), 2.0)   # C^2(A|rest)
+    # radicands and heads in one power call (E, 2, ..., F); rad, v: (F, E, ...)
     powers = _pow(_trim(sums), x)
-    rads, ours = ({f: powers[:, k, ..., i] for i, f in enumerate(foci)}
-                  for k in (0, 1))
-    lhs = _pow([cut.base for cut in cuts], exponents)   # (E, cut, ...)
-    names = iter(SANDWICH_NAMES)   # each cut's lower, then its upper
-    for k, cut in enumerate(cuts):
-        v, rad = [ours[f] for f in cut.foci], [rads[f] for f in cut.foci]
-        slacks[next(names)] = lhs[:, k] - cut.lower(v, rad, x)
-        slacks[next(names)] = cut.upper(v, rad, x) - lhs[:, k]
-    return slacks
+    rad, v = powers.transpose((1, -1, 0, 2)[:powers.ndim])
+    lhs = _pow(bases, exponents)   # (E, cut, ...)
+    ab, upper = _lower_AB(v, rad, x), _upper(v[:2], rad, x)
+    slacks = [sums[1, ..., 0] - one_rest_sq, one_rest_sq - sums[0, ..., 0],
+              lhs[:, 0] - ab, upper - lhs[:, 0],
+              lhs[:, 1] - ab, _pow(pairs, x) * upper - lhs[:, 1]]
+    if len(foci) == 3:
+        slacks += [lhs[:, 2] - _lower_ABC1(v, rad, x, ab),
+                   _upper(v, rad, x) - lhs[:, 2]]
+    return dict(zip(("pair_coa_polygamy", "pair_conc_monogamy",
+                     *SANDWICH_NAMES), slacks))

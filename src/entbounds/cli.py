@@ -277,13 +277,14 @@ def run_verify(cfg: VerifyConfig) -> VerifyResult:
     exponent, the concurrence and negativity sandwiches across AB|rest
     and, from 5 qubits, across ABC1|rest.  A chunk of VERIFY_CHUNK trials
     is one stack: one draw of states and one of triples, one
-    ``cut_sandwiches`` call and one ``VerifyResult.record_chunk`` fold,
-    bit for bit a one-state sweep of the report functions.  A chunk
-    makes the same Python calls whatever its size: per state it pays two
-    Philox re-keyings and its share of numpy's stacked arithmetic and of
-    the SVD (from 5 qubits also QR) calls; ``scripts/profile.py verify``
-    splits a call's time by stage.  Slack is
-    (larger side) - (smaller side); slack < -tol or NaN is a violation.
+    ``cut_sandwiches`` call (each cut read once, no cut record or report
+    built) and one ``VerifyResult.record_chunk`` fold, bit for bit a
+    one-state sweep of the report functions.  A chunk makes the same
+    Python calls whatever its size: per state it pays two Philox
+    re-keyings and its share of numpy's stacked arithmetic and SVD (from
+    5 qubits also QR) calls; ``scripts/profile.py verify`` splits a
+    call's time by stage.  Slack is (larger side) - (smaller side);
+    slack < -tol or NaN is a violation.
     """
     res = VerifyResult()
     for start in range(0, cfg.trials, VERIFY_CHUNK):

@@ -187,7 +187,12 @@ def _check_cut(psi: PureState, cut: Bipartition) -> None:
 def pure_concurrence(psi: PureState, cut: Bipartition) -> float:
     """sqrt(2 [1 - Tr rho_left^2]) across the cut; symmetric in the sides."""
     _check_cut(psi, cut)
-    return _concurrence_from(_cut_matrix(psi, cut.left))
+    return _cut_concurrence(psi, cut.left)
+
+
+def _cut_concurrence(psi: PureState, left) -> float:
+    """``pure_concurrence`` across ``left`` and the rest, labels unchecked."""
+    return _concurrence_from(_cut_matrix(psi, left))
 
 
 def _concurrence_from(m: np.ndarray) -> float:

@@ -653,6 +653,13 @@ class TestCutSandwiches:
         for stack in stacks:
             assert_rows_one_state(stack, self.EXPONENTS)
 
+    @pytest.mark.parametrize("streams", [0, range(2)], ids=["one", "stack"])
+    def test_requires_four_subsystems(self, streams):
+        psi = haar_random_pure(3, 8, stream=streams)
+        with pytest.raises(ValueError, match="^AB-cut bounds need at least "
+                                             "4 subsystems$"):
+            cut_sandwiches(psi, self.EXPONENTS)
+
     def test_chains_equal_chain_bound(self):
         # the chains come from one sort per focus; chain_bound sorts per call
         for n in (3, 4, 5, 6):

@@ -926,10 +926,13 @@ class TestNoPerStateLoop:
                 == python_calls(self.verify_call(qubits, 64)))
 
 
-@pytest.mark.skipif(
+PINNED_COUNTS = pytest.mark.skipif(
     sys.version_info[:2] != (3, 11) or not np.__version__.startswith("2.4."),
     reason="the counts include CPython 3.11's comprehension calls and "
            "numpy 2.4's Python-level wrappers")
+
+
+@PINNED_COUNTS
 class TestOneStateFixedCost:
     """What a one-state call costs beside the numpy and LAPACK work on the
     state it reads, pinned as the Python-level calls in every module of
@@ -937,20 +940,37 @@ class TestOneStateFixedCost:
     file is read without pathlib, the spec's norm is PureState's one
     check, the cut is parsed once, the pair kernel gathers by its cached
     plan and its QR skips np.triu, a focus is resolved without
-    per-partner generators and every value is formatted once."""
+    per-partner generators and every value is formatted once; a cut's
+    concurrence is ``pure_concurrence``'s check, then the label reader
+    that ``cut_sandwiches`` shares."""
 
     @pytest.fixture
     def calls_of(self, profile_script, python_calls):
         return lambda name: python_calls(profile_script.single_calls()[name])
 
     def test_run_bounds_six_qubits_two_foci(self, calls_of):
-        assert calls_of("run_bounds haar-6q-a AB|C1C2C3C4") == 164
+        assert calls_of("run_bounds haar-6q-a AB|C1C2C3C4") == 165
 
     def test_run_bounds_three_qubits(self, calls_of):
-        assert calls_of("run_bounds ghz-3q A|BC") == 108
+        assert calls_of("run_bounds ghz-3q A|BC") == 109
 
     def test_optimize(self, calls_of):
         assert calls_of("optimize haar-6q-a A") == 50
+
+
+@PINNED_COUNTS
+class TestVerifyChunkFixedCost:
+    """What a verify chunk costs beside the numpy and LAPACK work on its
+    states, pinned as the Python-level calls in every module of one
+    ``run_verify`` of 8 trials (``scripts/profile.py verify``'s count):
+    each cut is read once, through ``cut_measures`` and the label reader
+    of a left|rest concurrence, and each shared combine is evaluated
+    once, with no cut record, closure or report built."""
+
+    @pytest.mark.parametrize("qubits, calls", [(4, 116), (6, 152)])
+    def test_run_verify(self, python_calls, qubits, calls):
+        assert python_calls(functools.partial(run_verify, VerifyConfig(
+            qubits=qubits, trials=8, seed=0))) == calls
 
 
 class TestLevelsOncePerFocus:

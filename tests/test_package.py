@@ -155,8 +155,8 @@ def test_bounds_reads_states_only_through_measures():
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom)
                 and node.module == "measures" for alias in node.names}
-    assert imported == {"Bipartition", "_pow", "cut_measures",
-                        "pair_measures_sq", "pure_concurrence"}
+    assert imported == {"Bipartition", "_cut_concurrence", "_pow",
+                        "cut_measures", "pair_measures_sq", "pure_concurrence"}
     assert not [node for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute) and node.attr == "linalg"]
 
